@@ -793,11 +793,10 @@ module Profile = C.Policy.Make (Profile_family)
 
 (* Mixed read/write serving: policy checks read the consent table while
    application write traffic (event inserts) flows alongside — the
-   Sesame serving mix. Under the old global epoch every write evicted
-   every cached verdict; per-shard epoch vectors keep verdicts warm
-   because the writes never touch the slots the checks read. *)
+   Sesame serving mix. Per-shard epoch vectors keep verdicts warm
+   because the writes never land in the slots the checks read. *)
 let parcheck_mixed () =
-  header "Parcheck mixed: read/write interleave, global epoch vs per-shard vectors";
+  header "Parcheck mixed: read/write interleave under per-shard footprints";
   let n_users = 1000 and n_ops = 30_000 in
   let db = Db.Database.create () in
   let col name ty = { Db.Schema.name; ty; nullable = false } in
@@ -875,38 +874,30 @@ let parcheck_mixed () =
   Printf.printf "%-10s %-10s %10s %12s %12s %8s %8s\n" "mix" "epochs" "hit rate"
     "read median" "read p99" "hits" "misses";
   let rows =
-    List.concat_map
+    List.map
       (fun (mix, write_pct) ->
-        List.map
-          (fun (epochs, precise) ->
-            C.Enforce.set_precise_invalidation precise;
-            let hit_rate, lat, st = run ~write_pct in
-            Printf.printf "%-10s %-10s %9.1f%% %9.2f us %9.2f us %8d %8d\n" mix epochs
-              (100.0 *. hit_rate)
-              (us (median lat))
-              (us (p99 lat))
-              st.C.Enforce.hits st.C.Enforce.misses;
-            ( (mix, epochs, hit_rate),
-              Json.Obj
-                [
-                  ("mix", Json.Str mix);
-                  ("epochs", Json.Str epochs);
-                  ("write_pct", Json.Int write_pct);
-                  ("hit_rate", Json.Num hit_rate);
-                  ("read_median_us", Json.Num (us (median lat)));
-                  ("read_p99_us", Json.Num (us (p99 lat)));
-                  ("cache_hits", Json.Int st.C.Enforce.hits);
-                  ("cache_misses", Json.Int st.C.Enforce.misses);
-                ] ))
-          [ ("global", false); ("per-shard", true) ])
+        let hit_rate, lat, st = run ~write_pct in
+        Printf.printf "%-10s %-10s %9.1f%% %9.2f us %9.2f us %8d %8d\n" mix "per-shard"
+          (100.0 *. hit_rate)
+          (us (median lat))
+          (us (p99 lat))
+          st.C.Enforce.hits st.C.Enforce.misses;
+        ( (mix, hit_rate),
+          Json.Obj
+            [
+              ("mix", Json.Str mix);
+              ("epochs", Json.Str "per-shard");
+              ("write_pct", Json.Int write_pct);
+              ("hit_rate", Json.Num hit_rate);
+              ("read_median_us", Json.Num (us (median lat)));
+              ("read_p99_us", Json.Num (us (p99 lat)));
+              ("cache_hits", Json.Int st.C.Enforce.hits);
+              ("cache_misses", Json.Int st.C.Enforce.misses);
+            ] ))
       [ ("90/10", 10); ("50/50", 50) ]
   in
-  C.Enforce.set_precise_invalidation true;
   let gate_ok =
-    List.exists
-      (fun ((mix, epochs, hit_rate), _) ->
-        mix = "90/10" && epochs = "per-shard" && hit_rate >= 0.8)
-      rows
+    List.exists (fun ((mix, hit_rate), _) -> mix = "90/10" && hit_rate >= 0.8) rows
   in
   Printf.printf "mixed gate (per-shard 90/10 hit rate >= 80%%): %s\n"
     (if gate_ok then "ok" else "FAILED");
@@ -942,7 +933,6 @@ let parcheck () =
   let saved_memo = C.Enforce.memoization () in
   let saved_elide = C.Enforce.elision () in
   let saved_push = C.Enforce.pushdown_enabled () in
-  let saved_precise = C.Enforce.precise_invalidation () in
   let bench_pool =
     Sesame_parallel.create ~domains:(max 4 (Sesame_parallel.env_domains ())) ()
   in
@@ -1019,32 +1009,11 @@ let parcheck () =
           ])
       modes
   in
-  (* Coarse vs precise on the Get Aggregates warm path: the per-entry
-     footprint bookkeeping must stay within the established overhead
-     band (<= +9% on warm medians). *)
-  C.Enforce.set_memoization true;
-  C.Enforce.set_pool None;
-  C.Enforce.set_elision false;
-  C.Enforce.set_pushdown false;
-  C.Enforce.set_precise_invalidation false;
-  C.Enforce.bump ();
-  let _, agg_warm_coarse = sample_cold ~n:9 aggregates in
-  C.Enforce.set_precise_invalidation true;
-  C.Enforce.bump ();
-  let _, agg_warm_precise = sample_cold ~n:9 aggregates in
-  let coarse_us = us (median agg_warm_coarse) in
-  let precise_us = us (median agg_warm_precise) in
-  let overhead_pct =
-    if coarse_us = 0.0 then 0.0 else (precise_us -. coarse_us) /. coarse_us *. 100.0
-  in
-  Printf.printf "\nagg warm: coarse %.0f us, precise %.0f us (%+.1f%%; band <= +9%%)\n"
-    coarse_us precise_us overhead_pct;
   let mixed_rows, mixed_gate_ok = parcheck_mixed () in
   C.Enforce.set_memoization saved_memo;
   C.Enforce.set_pool saved_pool;
   C.Enforce.set_elision saved_elide;
   C.Enforce.set_pushdown saved_push;
-  C.Enforce.set_precise_invalidation saved_precise;
   C.Enforce.bump ();
   Sesame_parallel.shutdown bench_pool;
   Json.to_file "BENCH_parcheck.json"
@@ -1057,10 +1026,6 @@ let parcheck () =
          ("modes", Json.List rows);
          ("mixed", Json.List mixed_rows);
          ("mixed_gate_ok", Json.Bool mixed_gate_ok);
-         ("agg_warm_coarse_us", Json.Num coarse_us);
-         ("agg_warm_precise_us", Json.Num precise_us);
-         ("agg_precise_overhead_pct", Json.Num overhead_pct);
-         ("agg_overhead_ok", Json.Bool (overhead_pct <= 9.0));
        ])
 
 (* ------------------------------------------------------------------ *)

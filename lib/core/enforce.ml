@@ -35,47 +35,24 @@ let note_pushdown () = Atomic.incr pushdowns
 let note_elision () = Atomic.incr elisions
 
 (* ------------------------------------------------------------------ *)
-(* Epoch: table generation + policy-binding bumps. A verdict may depend
-   on database state its check read; rebinding a (table, column) policy
-   changes what future rows mean, so it bumps too.
+(* Invalidation. A verdict may depend on database state its check read;
+   rebinding a (table, column) policy changes what future rows mean.
+   Every cached result therefore carries the read footprint its
+   computation recorded (the (table, shard) generation slots it actually
+   depended on — see {!Sesame_db.Footprint}) plus the [base] it was
+   computed under, and is reusable while both are unchanged. Row
+   mutations land in recorded slots, schema events in the structural
+   epoch, re-binding in [bumps] — so a write to one shard of one table
+   retires exactly the results that read it.
 
-   Two invalidation modes share this counter:
-
-   - Coarse (the original scheme): [epoch () = bumps + global table
-     generation]; any accepted mutation anywhere retires every cached
-     verdict. Sound, but a 10% write mix keeps every cache cold.
-
-   - Precise (default): each cached verdict carries the read footprint
-     its computation recorded (the (table, shard) generation slots it
-     actually depended on — see {!Sesame_db.Footprint}) plus a [base]
-     of [bumps + structural epoch]; it is reusable while those slots
-     and the base are unchanged. A write to one shard of one table
-     retires exactly the verdicts that read it. Validity in this mode
-     is a subset of coarse validity: everything the coarse epoch counts
-     either lands in a recorded slot (row mutations), in the structural
-     epoch (create/drop/clear/touch), or in [bumps] — so a verdict the
-     precise mode reuses is one the coarse mode would also have reused
-     had nothing else moved. *)
+   The base: binding bumps plus schema-level events
+   (create/drop/clear/restore). Row mutations are excluded on purpose —
+   they are covered per slot by the footprints — which is also why plan
+   certificates, whose meaning rows cannot change, key on it alone. *)
 
 let bumps = Atomic.make 0
 let bump () = Atomic.incr bumps
-let epoch () = Atomic.get bumps + Sesame_db.Table.generation ()
-
-let precise = Atomic.make true
-let set_precise_invalidation on = Atomic.set precise on
-let precise_invalidation () = Atomic.get precise
-
-(* The footprint-mode base: binding bumps plus schema-level events
-   (create/drop/clear/restore/touch). Row mutations are excluded on
-   purpose — they are covered per-slot by the footprints. *)
 let base () = Atomic.get bumps + Sesame_db.Epoch.structure ()
-
-(* Plan certificates revalidate against this instead of the per-row
-   [epoch]: a certificate's meaning can only change when a binding is
-   rebound ([bumps]) or the schema landscape moves ([structure]), never
-   from row traffic. Certificate validity stays a subset of verdict
-   validity, which stays a subset of the old global-epoch validity. *)
-let cert_epoch () = Atomic.get bumps + Sesame_db.Epoch.structure ()
 
 let memoize = Atomic.make true
 let set_memoization on = Atomic.set memoize on
@@ -127,17 +104,16 @@ let pool () =
 (* The enforcement plan: elision certificates compiled from the static
    pass. A certificate says "every check of family F at sink S (under
    endpoint E) whose context satisfies the guard is identically Ok".
-   Certificates are keyed by [cert_epoch] (binding bumps + structural
-   schema events): while the epoch an entry was last validated under is
+   Certificates are keyed by [base] (binding bumps + structural schema
+   events): while the base an entry was last validated under is
    current, the fast path is one guard evaluation; when it moves, the
    entry's [revalidate] closure (supplied by the installer, typically
    checking policy-binding versions and table schemas) must re-approve
    it or the entry is dropped and the residual runtime check runs.
-   Row mutations never move [cert_epoch] — a certificate's claim is
-   about binding/schema state, which rows cannot change — so
-   certificate validity is a subset of footprint-vector validity, which
-   is a subset of the old global-epoch validity: a certificate can
-   never outlive the verdicts it stands in for. *)
+   Row mutations never move [base] — a certificate's claim is about
+   binding/schema state, which rows cannot change — and every cached
+   verdict also revalidates against [base], so a certificate can never
+   outlive the verdicts it stands in for. *)
 
 module Plan = struct
   type entry = {
@@ -210,12 +186,11 @@ module Plan = struct
           (fun (e, sinks) -> if path_covers e ep then Some sinks else None)
           (Atomic.get decls)
 
-  (* Is this one entry usable right now? Entries current against the
-     certificate epoch (binding bumps + structural events; row traffic
-     does not move it) answer with a guard evaluation; stale ones must
-     revalidate first. *)
+  (* Is this one entry usable right now? Entries current against [base]
+     (binding bumps + structural events; row traffic does not move it)
+     answer with a guard evaluation; stale ones must revalidate first. *)
   let entry_live entry =
-    let e = cert_epoch () in
+    let e = base () in
     if Atomic.get entry.pe_checked_at = e then true
     else if entry.pe_revalidate () then begin
       Atomic.set entry.pe_checked_at e;
@@ -272,59 +247,43 @@ module Plan = struct
 end
 
 (* ------------------------------------------------------------------ *)
+(* Validity tokens: run a computation under a recording scope and come
+   back with a token that answers "may I still reuse its result?". The
+   verdict cache below and Sesame_conn's per-group aggregate cache both
+   store one per entry and revalidate through [valid]. *)
+
+module Validity = struct
+  type t = { v_base : int; v_fp : Sesame_db.Footprint.snapshot }
+
+  let capture f =
+    (* Sample the base before running: if a binding rebinds or a table
+       drops mid-computation, the token is born stale — conservative,
+       never wrong. *)
+    let b = base () in
+    let v, fp = Sesame_db.Footprint.scope f in
+    (v, { v_base = b; v_fp = fp })
+
+  let valid { v_base; v_fp } = v_base = base () && Sesame_db.Footprint.valid v_fp
+  let merge_ambient { v_fp; _ } = Sesame_db.Footprint.merge_ambient v_fp
+end
+
+(* ------------------------------------------------------------------ *)
 (* Per-domain verdict cache. Domain-local on purpose: no lock on the hot
    path, and invalidation needs no cross-domain coordination — each
-   domain validates entries against the live epochs at its next lookup.
-   The key pairs the policy instance id with the full context; equality
-   is structural over the whole context, so the (Hashtbl.hash)
-   fingerprint only routes to a bucket and can never alias two different
-   contexts into one verdict.
+   entry revalidates its own token at lookup, so entries over untouched
+   tables/shards survive writes elsewhere. The key pairs the policy
+   instance id with the full context; equality is structural over the
+   whole context, so the (Hashtbl.hash) fingerprint only routes to a
+   bucket and can never alias two different contexts into one verdict. *)
 
-   In precise mode an entry carries the footprint its computation
-   recorded and the [base] it was computed under, and is valid while
-   both are unchanged — entries over untouched tables/shards survive
-   writes elsewhere. In coarse mode the whole cache resets whenever the
-   global epoch moves, exactly as before. *)
-
-type entry = {
-  e_verdict : (unit, string) result;
-  e_base : int;  (* [base ()] at compute time (precise mode only) *)
-  e_fp : Sesame_db.Footprint.snapshot;
-}
-
-type cache = {
-  mutable at : int;  (* coarse mode: epoch the verdicts were computed under *)
-  mutable precise_mode : bool;  (* the flag value the entries were stored under *)
-  tbl : (int * Context.t, entry) Hashtbl.t;
-}
-
-let caches : cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { at = min_int; precise_mode = Atomic.get precise; tbl = Hashtbl.create 1024 })
+let caches :
+    (int * Context.t, (unit, string) result * Validity.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
 
 (* Fresh policy instances (one-shot ids) leave dead entries behind; a cap
-   bounds the table between epochs. Resetting forgets live entries too,
-   but a reset is just a cold start, never a wrong answer. *)
+   bounds the table. Resetting forgets live entries too, but a reset is
+   just a cold start, never a wrong answer. *)
 let max_entries = 65536
-
-let domain_cache () =
-  let c = Domain.DLS.get caches in
-  let p = Atomic.get precise in
-  if c.precise_mode <> p then begin
-    (* Mode flip: entries stored under the other validity discipline
-       are not comparable — drop them. *)
-    Hashtbl.reset c.tbl;
-    c.precise_mode <- p;
-    c.at <- epoch ()
-  end
-  else if not p then begin
-    let e = epoch () in
-    if c.at <> e then begin
-      Hashtbl.reset c.tbl;
-      c.at <- e
-    end
-  end;
-  c
 
 (* ------------------------------------------------------------------ *)
 
@@ -350,72 +309,45 @@ let rec check_verbose policy ctx =
   end
   else if not (Atomic.get memoize) then compute policy ctx
   else begin
-    let c = domain_cache () in
+    let tbl = Domain.DLS.get caches in
     let key = (Policy.id policy, ctx) in
     let live =
-      match Hashtbl.find_opt c.tbl key with
+      match Hashtbl.find_opt tbl key with
+      | Some (_, v) as hit when Validity.valid v -> hit
+      | Some _ ->
+          (* Something this verdict read has changed (or a binding was
+             rebound): retire just this entry. *)
+          Hashtbl.remove tbl key;
+          None
       | None -> None
-      | Some e when not c.precise_mode ->
-          (* Coarse mode: [domain_cache] reset on any epoch move, so a
-             present entry is current by construction. *)
-          Some e
-      | Some e ->
-          if e.e_base = base () && Sesame_db.Footprint.valid e.e_fp then Some e
-          else begin
-            (* Something this verdict read has changed (or a binding was
-               rebound): retire just this entry. *)
-            Hashtbl.remove c.tbl key;
-            None
-          end
     in
     match live with
-    | Some e ->
+    | Some (verdict, v) ->
         Atomic.incr hits;
         (* The reused verdict's reads become the caller's reads — an
            enclosing recording (an aggregate-cache capture, an outer
            conjunction) must inherit them to stay sound. *)
-        if c.precise_mode then Sesame_db.Footprint.merge_ambient e.e_fp;
-        e.e_verdict
+        Validity.merge_ambient v;
+        verdict
     | None ->
         Atomic.incr misses;
-        if c.precise_mode then begin
-          let b = base () in
-          let verdict, fp = Sesame_db.Footprint.scope (fun () -> compute policy ctx) in
-          (* A deadline expiry is never cached: it is a fact about this
-             request's budget, not about the policy — the next request
-             must recompute. A check that itself mutated the database
-             bumped a shard its footprint recorded (or the structural
-             epoch), so the store-time validity test below fails and the
-             verdict — which belongs to the old world — is not stored. *)
-          let budget_refusal =
-            match verdict with
-            | Error msg -> Sesame_deadline.is_deadline_error msg
-            | Ok () -> false
-          in
-          if (not budget_refusal) && b = base () && Sesame_db.Footprint.valid fp
-          then begin
-            if Hashtbl.length c.tbl >= max_entries then Hashtbl.reset c.tbl;
-            Hashtbl.replace c.tbl key { e_verdict = verdict; e_base = b; e_fp = fp }
-          end;
-          verdict
-        end
-        else begin
-          let verdict = compute policy ctx in
-          (* A check that itself mutated the database moved the epoch;
-             the verdict it produced belongs to the old world and must
-             not be stored against the new one. *)
-          let budget_refusal =
-            match verdict with
-            | Error msg -> Sesame_deadline.is_deadline_error msg
-            | Ok () -> false
-          in
-          if epoch () = c.at && not budget_refusal then begin
-            if Hashtbl.length c.tbl >= max_entries then Hashtbl.reset c.tbl;
-            Hashtbl.replace c.tbl key
-              { e_verdict = verdict; e_base = 0; e_fp = Sesame_db.Footprint.empty }
-          end;
-          verdict
-        end
+        let ((verdict, v) as entry) = Validity.capture (fun () -> compute policy ctx) in
+        (* A deadline expiry is never cached: it is a fact about this
+           request's budget, not about the policy — the next request
+           must recompute. A check that itself mutated the database
+           bumped a shard its footprint recorded (or the structural
+           epoch), so the token is already stale and the verdict — which
+           belongs to the old world — is not stored. *)
+        let budget_refusal =
+          match verdict with
+          | Error msg -> Sesame_deadline.is_deadline_error msg
+          | Ok () -> false
+        in
+        if (not budget_refusal) && Validity.valid v then begin
+          if Hashtbl.length tbl >= max_entries then Hashtbl.reset tbl;
+          Hashtbl.replace tbl key entry
+        end;
+        verdict
   end
 
 and compute policy ctx =
@@ -472,36 +404,3 @@ and compute policy ctx =
           walk 0)
 
 let check policy ctx = Result.is_ok (check_verbose policy ctx)
-
-(* ------------------------------------------------------------------ *)
-(* Validity capture for external caches (Sesame_conn's per-group
-   aggregate cache): run a computation, come back with a token that
-   answers "may I still reuse its result?" under whichever invalidation
-   mode is active. Precise tokens carry the computation's read
-   footprint and stay valid across unrelated writes; coarse tokens pin
-   the global epoch, reproducing the old reset-on-any-write behavior. *)
-
-module Validity = struct
-  type t =
-    | Precise of { v_base : int; v_fp : Sesame_db.Footprint.snapshot }
-    | Coarse of int
-
-  let capture f =
-    if Atomic.get precise then begin
-      (* Sample the base before running: if a binding rebinds or a
-         table drops mid-computation, the token is born stale —
-         conservative, never wrong. *)
-      let b = base () in
-      let v, fp = Sesame_db.Footprint.scope f in
-      (v, Precise { v_base = b; v_fp = fp })
-    end
-    else (f (), Coarse (epoch ()))
-
-  let valid = function
-    | Precise { v_base; v_fp } -> v_base = base () && Sesame_db.Footprint.valid v_fp
-    | Coarse e -> e = epoch ()
-
-  let merge_ambient = function
-    | Precise { v_fp; _ } -> Sesame_db.Footprint.merge_ambient v_fp
-    | Coarse _ -> ()
-end

@@ -12,29 +12,16 @@
     cost a probe, never a wrong verdict).
 
     What a cached verdict can depend on beyond (policy, context) is
-    database state read by the policy's own check. Two invalidation
-    modes cover that:
-
-    - {e Precise} (default): every check records the read footprint its
-      computation touched — the set of (table, shard) generation slots,
-      collected by {!Sesame_db.Footprint} through the table layer — and
-      the cached verdict revalidates by comparing exactly those slots
-      (plus {!bump}s and the structural schema epoch). A write to
-      [users] shard 3 retires only verdicts that read it; verdicts over
-      other tables, other shards, and pure (DB-free) policies stay
-      warm.
-
-    - {e Coarse} (the original scheme, kept for ablation via
-      {!set_precise_invalidation}): every table mutation bumps the
-      process-wide {!Sesame_db.Table.generation}; caches compare the
-      combined {!epoch} before every lookup and drop everything on any
-      change.
-
-    Precise validity is a subset of coarse validity: row mutations land
-    in recorded slots, schema events land in the structural epoch,
-    re-binding lands in {!bump} — so precise mode never reuses a
-    verdict coarse mode would have considered valid-to-drop for an
-    actual dependency, and both modes return byte-identical verdicts.
+    database state read by the policy's own check. Every check records
+    the read footprint its computation touched — the set of (table,
+    shard) generation slots, collected by {!Sesame_db.Footprint}
+    through the table layer — and the cached verdict revalidates by
+    comparing exactly those slots, plus {!bump}s and the structural
+    schema epoch ({!Validity}). Row mutations land in recorded slots,
+    schema events in the structural epoch, re-binding in {!bump}, so
+    every change a verdict depends on retires it. A write to [users]
+    shard 3 retires only verdicts that read it; verdicts over other
+    tables, other shards, and pure (DB-free) policies stay warm.
 
     Checks of one conjunction's members fan out over a
     {!Sesame_parallel.t} pool when one is installed and the conjunction
@@ -45,24 +32,11 @@
 val check : Policy.t -> Context.t -> bool
 val check_verbose : Policy.t -> Context.t -> (unit, string) result
 
-val epoch : unit -> int
-(** The invalidation epoch: table generation + registration bumps. *)
-
 val bump : unit -> unit
-(** Invalidate every cached verdict (all domains observe it on their next
-    lookup; in precise mode it moves every entry's base). Called on
-    policy binding; also the test hook for "the world changed in a way
-    the DB layer cannot see". *)
-
-val set_precise_invalidation : bool -> unit
-(** Default on: cached verdicts, certificates, and connector aggregate
-    caches revalidate against their recorded per-shard footprints. Off
-    restores the coarse global-epoch scheme (any write drops every
-    cache) — the ablation baseline for the mixed-workload benchmarks.
-    Flipping the flag drops existing entries (the two disciplines'
-    tokens are not comparable). *)
-
-val precise_invalidation : unit -> bool
+(** Invalidate every cached verdict, certificate and validity token (all
+    domains observe it on their next lookup: it moves every entry's
+    base). Called on policy binding; also the test hook for "the world
+    changed in a way the DB layer cannot see". *)
 
 val set_memoization : bool -> unit
 (** Default on. Off = every check recomputes (the sequential reference
@@ -107,13 +81,12 @@ val note_elision : unit -> unit
     {!check_verbose} discharges a policy without running it when {e
     every} leaf of its conjunction tree is certified for the context.
 
-    Certificate validity ⊆ footprint-vector validity ⊆ global-epoch
-    validity: an entry validated under the current certificate epoch
-    (binding {!bump}s + structural schema events; row traffic does not
-    move it) is trusted until that epoch moves; after a re-binding or
-    schema event its [revalidate] closure must re-approve it, and an
-    entry that fails revalidation is dropped so the residual runtime
-    check runs. *)
+    Certificate validity ⊆ footprint validity: an entry validated under
+    the current base (binding {!bump}s + structural schema events; row
+    traffic does not move it) is trusted until that base moves; after a
+    re-binding or schema event its [revalidate] closure must re-approve
+    it, and an entry that fails revalidation is dropped so the residual
+    runtime check runs. *)
 module Plan : sig
   type entry
 
@@ -169,23 +142,23 @@ type stats = {
 val stats : unit -> stats
 val reset_stats : unit -> unit
 
-(** Validity capture for caches outside this module (the connector's
-    per-group aggregate cache): run a computation and obtain a token
-    answering "may its result still be reused?" under whichever
-    invalidation mode is active — footprint-based in precise mode,
-    epoch-pinned in coarse mode. *)
+(** Validity capture, shared by the verdict cache and caches outside
+    this module (the connector's per-group aggregate cache): run a
+    computation and obtain a token answering "may its result still be
+    reused?" — its read footprint plus the base ({!bump}s + structural
+    schema epoch) it ran under. *)
 module Validity : sig
   type t
 
   val capture : (unit -> 'a) -> 'a * t
-  (** Runs the computation under a recording scope (precise mode) and
-      returns its result plus the validity token. *)
+  (** Runs the computation under a recording scope and returns its
+      result plus the validity token. *)
 
   val valid : t -> bool
   (** May a value captured with this token still be reused? *)
 
   val merge_ambient : t -> unit
   (** On reuse: fold the token's recorded reads into the caller's open
-      recording scope, so an enclosing capture inherits them. No-op in
-      coarse mode or with no scope open. *)
+      recording scope, so an enclosing capture inherits them. No-op
+      with no scope open. *)
 end

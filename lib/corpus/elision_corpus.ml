@@ -177,7 +177,7 @@ let portfolio_model () =
           pushable = false;
         };
         {
-          (* Key material may touch DB sinks freely but never any other
+          (* Key material may reach DB sinks freely but never any other
              sink without the owner: residual at every release site. *)
           family = "portfolio::private-key";
           inspects = [ ("candidates", [ "private_key" ]) ];

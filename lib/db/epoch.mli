@@ -2,15 +2,13 @@
 
     Each table owns a generation vector — one counter per hash shard of
     its primary-key space plus a whole-table total. Mutations bump only
-    the shards they touch; caches upstream record the (table, shard)
+    the shards they write; caches upstream record the (table, shard)
     slots a computation actually read (via {!Footprint}) and revalidate
     by comparing just those, so unrelated writes keep them warm.
 
     Epochs are keyed by table {e name} and deliberately survive
     drop/recreate: resetting a counter could make a stale footprint
-    revalidate against a table with different contents. The legacy
-    process-wide counter ({!global}, the old [Table.generation]) is
-    still bumped on every mutation for coarse-mode callers. *)
+    revalidate against a table with different contents. *)
 
 val shard_count : int
 (** Fixed power of two; {!shard_of_value} masks into it. *)
@@ -27,25 +25,17 @@ val shard_gen : table_epoch -> int -> int
 val total_gen : table_epoch -> int
 
 val bump_shard : table_epoch -> int -> unit
-(** One-key mutation: bumps that shard, the table total, and {!global}. *)
+(** One-key mutation: bumps that shard and the table total. *)
 
 val bump_table : table_epoch -> unit
-(** Whole-table mutation: bumps every shard, the total, and {!global}. *)
+(** Whole-table mutation: bumps every shard and the total. *)
 
 val bump_structural : string -> unit
 (** Schema-level event (create/drop/clear/restore) on the named table:
     {!bump_table} plus a {!structure} bump. *)
 
-val global : unit -> int
-(** Legacy process-wide mutation epoch: moves on every accepted
-    mutation, exactly like the old [Table.generation]. *)
-
 val structure : unit -> int
-(** Structural epoch: create/drop/clear/restore/touch only. Plan
-    certificates revalidate against this (plus [Enforce.bump]) instead
-    of the per-row {!global}, so row traffic does not force certificate
-    revalidation. *)
-
-val touch : unit -> unit
-(** A mutation the table layer cannot see: bumps {!global} and
-    {!structure}. *)
+(** Process-wide structural epoch: create/drop/clear/restore only. Row
+    mutations never move it. Cached verdicts and plan certificates
+    revalidate against it (plus [Enforce.bump]); row traffic is covered
+    per slot by footprints. *)

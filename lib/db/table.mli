@@ -13,18 +13,6 @@
 
 type t
 
-val generation : unit -> int
-(** Legacy process-wide mutation epoch ({!Epoch.global}): bumped
-    whenever any table accepts a mutation (insert/update/delete/clear)
-    and by {!touch}. Coarse verdict caches compare against it; precise
-    ones record per-shard footprints instead. Monotonic; exact under
-    concurrent readers. *)
-
-val touch : unit -> unit
-(** Bumps {!generation} and the structural epoch ({!Epoch.structure}) —
-    for mutations the table layer cannot see (policy re-registration
-    and other out-of-band events). *)
-
 val create : Schema.t -> t
 val schema : t -> Schema.t
 val length : t -> int

@@ -36,6 +36,68 @@ let as_student i = "user=student" ^ string_of_int i ^ "@school.edu"
 let as_admin = "user=admin@school.edu"
 let as_leader = "user=leader@school.edu"
 
+let consent_withdrawal ~pushdown () =
+  C.Enforce.set_pushdown pushdown;
+  Fun.protect ~finally:(fun () -> C.Enforce.set_pushdown true) @@ fun () ->
+  let app = websubmit () in
+  let student0 = "student0@school.edu" in
+  (* The rows the training sink may use, fetched the way /retrain does. *)
+  let training_rows () =
+    let ctx =
+      C.Mock.context ~user:"admin@school.edu" ~endpoint:"/retrain" ~sink:"ml::train" ()
+    in
+    match
+      C.Sesame_conn.query_filtered (Apps.Websubmit.conn app) ~context:ctx ~on:"grade"
+        "SELECT * FROM answers WHERE email = ?"
+        ~params:[ C.Pcon.wrap_no_policy (Sesame_db.Value.Text student0) ]
+    with
+    | Ok rows -> List.length rows
+    | Error e -> Alcotest.fail (Format.asprintf "%a" C.Sesame_conn.pp_error e)
+  in
+  (* student0 consents initially: present in the employer export. *)
+  let before = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
+  check_bool "present before" true (contains (body before) student0);
+  (* With pushdown off, retrain's per-row checks warm Enforce's verdict
+     cache; with it on, the consent filter rides the scan instead. *)
+  ignore (Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain"));
+  check_int "trains before" 3 (training_rows ());
+  (* A schema event anywhere in the process moves the structural epoch,
+     so every cached verdict recomputes; the recomputed ones must still
+     record what they read, or the withdrawal below cannot retire them. *)
+  (match
+     Sesame_db.Database.create_table (Sesame_db.Database.create ())
+       (Sesame_db.Schema.make_exn ~name:"unrelated"
+          [ { name = "x"; ty = Sesame_db.Value.Tint; nullable = true } ])
+   with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  check_int "trains after unrelated create" 3 (training_rows ());
+  let r =
+    Apps.Websubmit.handle app
+      (req ~cookies:(as_student 0) ~body:"consent=false" Http.Meth.POST "/consent")
+  in
+  check_int "updated" 200 (status r);
+  let after = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
+  check_bool "absent after" false (contains (body after) student0);
+  check_int "no training rows after" 0 (training_rows ());
+  let ctx = C.Mock.context ~user:"admin@school.edu" ~sink:"ml::train" () in
+  (match
+     C.Sesame_conn.query (Apps.Websubmit.conn app) ~context:ctx
+       "SELECT * FROM answers WHERE email = ?"
+       ~params:[ C.Pcon.wrap_no_policy (Sesame_db.Value.Text student0) ]
+   with
+  | Ok (row :: _) ->
+      check_bool "training denied" false
+        (C.Policy.check (C.Pcon.policy (C.Pcon_row.get row "grade")) ctx)
+  | _ -> Alcotest.fail "no rows");
+  (* Re-granting consent restores both flows. *)
+  ignore
+    (Apps.Websubmit.handle app
+       (req ~cookies:(as_student 0) ~body:"consent=true" Http.Meth.POST "/consent"));
+  let restored = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
+  check_bool "present again" true (contains (body restored) student0);
+  check_int "trains again" 3 (training_rows ())
+
 let websubmit_tests =
   [
     test "students view their own answers" (fun () ->
@@ -152,38 +214,10 @@ let websubmit_tests =
         in
         check_int "first" 201 (status (r ()));
         check_int "second" 500 (status (r ())));
-    test "withdrawing consent removes the student from employer and training flows" (fun () ->
-        let app = websubmit () in
-        (* student0 consents initially: present in the employer export. *)
-        let before = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
-        check_bool "present before" true (contains (body before) "student0@school.edu");
-        (* Warm the MlTraining consent cache. *)
-        ignore (Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain"));
-        let r =
-          Apps.Websubmit.handle app
-            (req ~cookies:(as_student 0) ~body:"consent=false" Http.Meth.POST "/consent")
-        in
-        check_int "updated" 200 (status r);
-        let after = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
-        check_bool "absent after" false (contains (body after) "student0@school.edu");
-        (* The training policy must see the withdrawal despite its memo:
-           grades from student0 no longer pass the ml::train check. *)
-        let ctx = C.Mock.context ~user:"admin@school.edu" ~sink:"ml::train" () in
-        (match
-           C.Sesame_conn.query (Apps.Websubmit.conn app) ~context:ctx
-             "SELECT * FROM answers WHERE email = ?"
-             ~params:[ C.Pcon.wrap_no_policy (Sesame_db.Value.Text "student0@school.edu") ]
-         with
-        | Ok (row :: _) ->
-            check_bool "training denied" false
-              (C.Policy.check (C.Pcon.policy (C.Pcon_row.get row "grade")) ctx)
-        | _ -> Alcotest.fail "no rows");
-        (* Re-granting consent restores both flows. *)
-        ignore
-          (Apps.Websubmit.handle app
-             (req ~cookies:(as_student 0) ~body:"consent=true" Http.Meth.POST "/consent"));
-        let restored = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
-        check_bool "present again" true (contains (body restored) "student0@school.edu"));
+    test "withdrawing consent removes the student from employer and training flows (pushdown on)"
+      (consent_withdrawal ~pushdown:true);
+    test "withdrawing consent removes the student from employer and training flows (pushdown off)"
+      (consent_withdrawal ~pushdown:false);
     test "baseline endpoints behave equivalently on the happy path" (fun () ->
         let base = Result.get_ok (Apps.Websubmit_baseline.create ()) in
         (match Apps.Websubmit_baseline.seed base ~students:12 ~questions:3 with
