@@ -739,8 +739,8 @@ let conjoin_ablation () =
   scenario "same family (join)" (List.init n (fun i -> Cohort.make { members = i + 1 }))
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: what memoization and domain-parallel fan-out each buy on
-   the enforcement hot path. Two workloads per mode: a wide conjunction
+(* Ablation: what memoization, elision and pushdown each buy on the
+   enforcement hot path. Two workloads per mode: a wide conjunction
    of distinct moderately-expensive leaves (the Fold/Pcon_row shape) and
    the WebSubmit aggregates endpoint (the Fig. 8 shape), with the
    verdict caches invalidated before each mode so every mode starts
@@ -751,9 +751,9 @@ module Audit_family = struct
 
   let name = "bench::audit"
 
-  (* A deterministic ~microsecond of work per leaf — wide enough that
-     fan-out has something to win, cheap enough that cache hits still
-     dominate when memoization is on. *)
+  (* A deterministic ~microsecond of work per leaf — enough that the
+     full traversal shows, cheap enough that cache hits still dominate
+     when memoization is on. *)
   let check s ctx =
     let who = match C.Context.user ctx with Some u -> u | None -> "" in
     let acc = ref s.seed in
@@ -870,7 +870,6 @@ let parcheck_mixed () =
     (hit_rate, Array.sub lat 0 !reads, st)
   in
   C.Enforce.set_memoization true;
-  C.Enforce.set_pool None;
   Printf.printf "%-10s %-10s %10s %12s %12s %8s %8s\n" "mix" "epochs" "hit rate"
     "read median" "read p99" "hits" "misses";
   let rows =
@@ -904,7 +903,7 @@ let parcheck_mixed () =
   (List.map snd rows, gate_ok)
 
 let parcheck () =
-  header "Parcheck: memoization x domain-parallel fan-out on the enforcement hot path";
+  header "Parcheck: memoization, elision and pushdown on the enforcement hot path";
   let n_policies = 10_000 in
   let ctx = C.Mock.context ~user:"who0" () in
   let conj =
@@ -929,46 +928,32 @@ let parcheck () =
       (Sys.opaque_identity
          (Apps.Websubmit.retrain_model app (req Http.Meth.POST "/retrain")))
   in
-  let saved_pool = C.Enforce.pool () in
   let saved_memo = C.Enforce.memoization () in
   let saved_elide = C.Enforce.elision () in
   let saved_push = C.Enforce.pushdown_enabled () in
-  let bench_pool =
-    Sesame_parallel.create ~domains:(max 4 (Sesame_parallel.env_domains ())) ()
-  in
-  let host_cores = Domain.recommended_domain_count () in
-  Printf.printf "pool: %d domains; host cores: %d; %d leaves per conjunction\n"
-    (Sesame_parallel.domains bench_pool)
-    host_cores n_policies;
-  if host_cores < Sesame_parallel.domains bench_pool then
-    Printf.printf
-      "(host has fewer cores than the pool: parallel rows measure fan-out\n\
-      \ overhead under time-slicing, not speedup)\n";
-  print_newline ();
-  Printf.printf "%-22s %12s %12s %12s %12s %12s %7s %7s %7s %7s %7s\n" "mode"
-    "conj cold" "conj warm" "agg cold" "agg warm" "retrain" "hits" "misses"
-    "fanout" "elide" "push";
-  (* (label, memoize, pool, elide, pushdown). The first four modes keep
-     the PR 5 semantics (plan disabled) so their numbers stay comparable
-     across runs; the last three ablate what the certificates and the
-     translated scan predicates buy on top. The conjunction workload has
-     no plan entries, so elision only moves the aggregates columns. *)
+  Printf.printf "host cores: %d; %d leaves per conjunction\n\n"
+    (Domain.recommended_domain_count ())
+    n_policies;
+  Printf.printf "%-22s %12s %12s %12s %12s %12s %7s %7s %7s %7s\n" "mode" "conj cold"
+    "conj warm" "agg cold" "agg warm" "retrain" "hits" "misses" "elide" "push";
+  (* (label, memoize, elide, pushdown). The first two modes keep the
+     plan disabled so their numbers stay comparable across runs; the
+     last three ablate what the certificates and the translated scan
+     predicates buy on top. The conjunction workload has no plan
+     entries, so elision only moves the aggregates columns. *)
   let modes =
     [
-      ("sequential", false, None, false, false);
-      ("memoized", true, None, false, false);
-      ("parallel", false, Some bench_pool, false, false);
-      ("memoized+parallel", true, Some bench_pool, false, false);
-      ("elide", false, None, true, false);
-      ("pushdown", false, None, false, true);
-      ("memoized+elide+push", true, None, true, true);
+      ("sequential", false, false, false);
+      ("memoized", true, false, false);
+      ("elide", false, true, false);
+      ("pushdown", false, false, true);
+      ("memoized+elide+push", true, true, true);
     ]
   in
   let rows =
     List.map
-      (fun (label, memo, pool, elide, push) ->
+      (fun (label, memo, elide, push) ->
         C.Enforce.set_memoization memo;
-        C.Enforce.set_pool pool;
         C.Enforce.set_elision elide;
         C.Enforce.set_pushdown push;
         (* Invalidate every cached verdict (and the connector's group
@@ -983,14 +968,13 @@ let parcheck () =
         let _, retrain_warm = sample_cold ~n:9 retrain in
         let st = C.Enforce.stats () in
         Printf.printf
-          "%-22s %9.0f us %9.0f us %9.0f us %9.0f us %9.0f us %7d %7d %7d %7d %7d\n"
-          label (us conj_cold)
+          "%-22s %9.0f us %9.0f us %9.0f us %9.0f us %9.0f us %7d %7d %7d %7d\n" label
+          (us conj_cold)
           (us (median conj_warm))
           (us agg_cold)
           (us (median agg_warm))
           (us (median retrain_warm))
-          st.C.Enforce.hits st.C.Enforce.misses st.C.Enforce.parallel_fanouts
-          st.C.Enforce.elisions st.C.Enforce.pushdowns;
+          st.C.Enforce.hits st.C.Enforce.misses st.C.Enforce.elisions st.C.Enforce.pushdowns;
         Json.Obj
           [
             ("mode", Json.Str label);
@@ -1003,7 +987,6 @@ let parcheck () =
             ("retrain_warm_median_us", Json.Num (us (median retrain_warm)));
             ("cache_hits", Json.Int st.C.Enforce.hits);
             ("cache_misses", Json.Int st.C.Enforce.misses);
-            ("parallel_fanouts", Json.Int st.C.Enforce.parallel_fanouts);
             ("elisions", Json.Int st.C.Enforce.elisions);
             ("pushdowns", Json.Int st.C.Enforce.pushdowns);
           ])
@@ -1011,17 +994,14 @@ let parcheck () =
   in
   let mixed_rows, mixed_gate_ok = parcheck_mixed () in
   C.Enforce.set_memoization saved_memo;
-  C.Enforce.set_pool saved_pool;
   C.Enforce.set_elision saved_elide;
   C.Enforce.set_pushdown saved_push;
   C.Enforce.bump ();
-  Sesame_parallel.shutdown bench_pool;
   Json.to_file "BENCH_parcheck.json"
     (Json.Obj
        [
          ("experiment", Json.Str "parcheck");
          ("leaves", Json.Int n_policies);
-         ("pool_domains", Json.Int (Sesame_parallel.domains bench_pool));
          ("host_cores", Json.Int (Domain.recommended_domain_count ()));
          ("modes", Json.List rows);
          ("mixed", Json.List mixed_rows);
@@ -1234,7 +1214,7 @@ let serve_rates () =
 
 let serve () =
   header "Serve: open-loop load curves over real sockets (all four apps)";
-  let domains = max 4 (Sesame_parallel.env_domains ()) in
+  let domains = max 4 Sesame_server.default_config.Sesame_server.domains in
   let burst_max = serve_env_int "SERVE_BURST_MAX" 4 in
   (* SERVE_ATTEST_LOG=path: sign an attestation frame per region install
      and sandbox run. Installed before app creation so the approvals the
@@ -1971,7 +1951,7 @@ let experiments =
     ("precision", "Place-sensitive vs seed-engine precision ablation", precision);
     ("pcon-micro", "PCon layout indirection", pcon_micro);
     ("conjoin", "Policy conjunction ablation (stack/dedup/join)", conjoin_ablation);
-    ("parcheck", "Memoized/parallel enforcement hot-path ablation", parcheck);
+    ("parcheck", "Memoized enforcement hot-path ablation", parcheck);
     ("faults", "Fault-injection hook overhead ablation", faults_ablation);
     ("wal", "Durable-store ablation (in-memory/no-sync/fsync/checkpoint)", wal_ablation);
     ("serve", "Open-loop socket load curves over all four apps", serve);

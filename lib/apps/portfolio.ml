@@ -138,6 +138,7 @@ type t = {
   db : Db.Database.t;
   regions : regions;
   mutable next_id : int;
+  routes : Http.Router.t;
 }
 
 let database t = t.db
@@ -230,40 +231,6 @@ let make_regions program keystore =
       decrypt_document;
       generate_keypair;
     }
-
-let create ?(query_cost_ns = 0) () =
-  let db = Db.Database.create ~query_cost_ns () in
-  let* () = Db.Database.create_table db candidates_schema in
-  let* () = Db.Database.create_table db documents_schema in
-  let conn = Conn.create db in
-  let candidate_of schema row column =
-    ignore column;
-    Db.Value.to_text (Db.Row.get schema row "email")
-  in
-  List.iter
-    (fun column ->
-      Conn.attach_policy conn ~table:"candidates" ~column (fun schema row ->
-          Candidate_data.make { candidate = candidate_of schema row column }))
-    [ "name"; "school" ];
-  Conn.attach_policy conn ~table:"candidates" ~column:"private_key" (fun schema row ->
-      Private_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") });
-  List.iter
-    (fun column ->
-      Conn.attach_policy conn ~table:"documents" ~column (fun schema row ->
-          Candidate_data.make { candidate = candidate_of schema row column }))
-    [ "filename"; "ciphertext"; "checksum" ];
-  let keystore = Sign.Keystore.create () in
-  Sign.Keystore.register keystore ~reviewer ~secret:"portfolio-dpo-secret";
-  let* regions = make_regions (build_program ()) keystore in
-  let sign region =
-    match Region.Critical.sign region ~reviewer ~at:3000 with
-    | Ok () -> Ok ()
-    | Error e -> Error (Region.error_to_string e)
-  in
-  let* () = sign regions.encrypt_document in
-  let* () = sign regions.decrypt_document in
-  let* () = sign regions.generate_keypair in
-  Ok { conn; db; regions; next_id = 1 }
 
 let fresh_id t =
   let id = t.next_id in
@@ -511,12 +478,47 @@ let admin_list t request =
             | Ok response -> response
             | Error e -> Web.error_response e))
 
-let router t =
-  let router = Http.Router.create () in
+let add_routes t router =
   Http.Router.post router "/register" (register t);
   Http.Router.post router "/documents" (upload_document t);
   Http.Router.get router "/documents/<id>" (view_document t);
-  Http.Router.get router "/admin/candidates" (admin_list t);
-  router
+  Http.Router.get router "/admin/candidates" (admin_list t)
 
-let handle t request = Http.Router.dispatch (router t) request
+let handle t request = Http.Router.dispatch t.routes request
+
+let create ?(query_cost_ns = 0) () =
+  let db = Db.Database.create ~query_cost_ns () in
+  let* () = Db.Database.create_table db candidates_schema in
+  let* () = Db.Database.create_table db documents_schema in
+  let conn = Conn.create db in
+  let candidate_of schema row column =
+    ignore column;
+    Db.Value.to_text (Db.Row.get schema row "email")
+  in
+  List.iter
+    (fun column ->
+      Conn.attach_policy conn ~table:"candidates" ~column (fun schema row ->
+          Candidate_data.make { candidate = candidate_of schema row column }))
+    [ "name"; "school" ];
+  Conn.attach_policy conn ~table:"candidates" ~column:"private_key" (fun schema row ->
+      Private_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") });
+  List.iter
+    (fun column ->
+      Conn.attach_policy conn ~table:"documents" ~column (fun schema row ->
+          Candidate_data.make { candidate = candidate_of schema row column }))
+    [ "filename"; "ciphertext"; "checksum" ];
+  let keystore = Sign.Keystore.create () in
+  Sign.Keystore.register keystore ~reviewer ~secret:"portfolio-dpo-secret";
+  let* regions = make_regions (build_program ()) keystore in
+  let sign region =
+    match Region.Critical.sign region ~reviewer ~at:3000 with
+    | Ok () -> Ok ()
+    | Error e -> Error (Region.error_to_string e)
+  in
+  let* () = sign regions.encrypt_document in
+  let* () = sign regions.decrypt_document in
+  let* () = sign regions.generate_keypair in
+  (* Built once: dispatch only reads the table, so handler domains share it. *)
+  let t = { conn; db; regions; next_id = 1; routes = Http.Router.create () } in
+  add_routes t t.routes;
+  Ok t

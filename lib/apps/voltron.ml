@@ -218,6 +218,7 @@ type t = {
   regions : regions;
   mutable next_id : int;
   synced : string list ref;  (** firebase-sync sink, observable in tests *)
+  routes : Http.Router.t;
 }
 
 let database t = t.db
@@ -285,33 +286,6 @@ let make_regions program keystore synced =
          ())
   in
   Ok { merge_edit; line_count; render_buffer; notify_instructor; sync_buffer }
-
-let create ?(query_cost_ns = 0) () =
-  let db = Db.Database.create ~query_cost_ns () in
-  let* () = Db.Database.create_table db classes_schema in
-  let* () = Db.Database.create_table db instructors_schema in
-  let* () = Db.Database.create_table db enrollments_schema in
-  let* () = Db.Database.create_table db buffers_schema in
-  let conn = Conn.create db in
-  Conn.attach_policy conn ~table:"buffers" ~column:"code" (fun schema row ->
-      Buffer_read.make
-        {
-          class_id = Db.Value.to_int (Db.Row.get schema row "class_id");
-          group_id = Db.Value.to_int (Db.Row.get schema row "group_id");
-          db;
-        });
-  let keystore = Sign.Keystore.create () in
-  Sign.Keystore.register keystore ~reviewer ~secret:"voltron-reviewer-secret";
-  let synced = ref [] in
-  let* regions = make_regions (build_program ()) keystore synced in
-  let sign region =
-    match Region.Critical.sign region ~reviewer ~at:2000 with
-    | Ok () -> Ok ()
-    | Error e -> Error (Region.error_to_string e)
-  in
-  let* () = sign regions.notify_instructor in
-  let* () = sign regions.sync_buffer in
-  Ok { conn; db; regions; next_id = 1; synced }
 
 let fresh_id t =
   let id = t.next_id in
@@ -507,12 +481,40 @@ let write_buffer t request =
               | Error e -> conn_error e
               | Ok _ -> Http.Response.text "buffer updated")))
 
-let router t =
-  let router = Http.Router.create () in
+let add_routes t router =
   Http.Router.post router "/instructors" (enroll_instructor t);
   Http.Router.post router "/classes/<class_id>/students" (enroll_student t);
   Http.Router.get router "/buffers/<id>" (read_buffer t);
-  Http.Router.post router "/buffers/<id>" (write_buffer t);
-  router
+  Http.Router.post router "/buffers/<id>" (write_buffer t)
 
-let handle t request = Http.Router.dispatch (router t) request
+let handle t request = Http.Router.dispatch t.routes request
+
+let create ?(query_cost_ns = 0) () =
+  let db = Db.Database.create ~query_cost_ns () in
+  let* () = Db.Database.create_table db classes_schema in
+  let* () = Db.Database.create_table db instructors_schema in
+  let* () = Db.Database.create_table db enrollments_schema in
+  let* () = Db.Database.create_table db buffers_schema in
+  let conn = Conn.create db in
+  Conn.attach_policy conn ~table:"buffers" ~column:"code" (fun schema row ->
+      Buffer_read.make
+        {
+          class_id = Db.Value.to_int (Db.Row.get schema row "class_id");
+          group_id = Db.Value.to_int (Db.Row.get schema row "group_id");
+          db;
+        });
+  let keystore = Sign.Keystore.create () in
+  Sign.Keystore.register keystore ~reviewer ~secret:"voltron-reviewer-secret";
+  let synced = ref [] in
+  let* regions = make_regions (build_program ()) keystore synced in
+  let sign region =
+    match Region.Critical.sign region ~reviewer ~at:2000 with
+    | Ok () -> Ok ()
+    | Error e -> Error (Region.error_to_string e)
+  in
+  let* () = sign regions.notify_instructor in
+  let* () = sign regions.sync_buffer in
+  (* Built once: dispatch only reads the table, so handler domains share it. *)
+  let t = { conn; db; regions; next_id = 1; synced; routes = Http.Router.create () } in
+  add_routes t t.routes;
+  Ok t

@@ -366,6 +366,7 @@ type t = {
   hardening : hardening option;
   mutable model : (float * float) Pcon.t option;  (** (weight, intercept) *)
   mutable next_answer_id : int;
+  routes : Http.Router.t;
 }
 
 let conn t = t.conn
@@ -815,6 +816,7 @@ let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
       hardening;
       model = None;
       next_answer_id;
+      routes = Http.Router.create ();
     }
   in
   install_plan t;
@@ -829,51 +831,6 @@ let index_hot_columns db =
   let* () = Db.Database.ensure_index db ~table:"answers" ~column:"lecture" in
   let* () = Db.Database.ensure_index db ~table:"users" ~column:"email" in
   Db.Database.ensure_index db ~table:"discussion_leaders" ~column:"lecture"
-
-let create ?(query_cost_ns = 0) ?(k_anonymity = 5) ?hardening () =
-  let db = Db.Database.create ~query_cost_ns () in
-  let* () = Db.Database.create_table db Websubmit_schema.users in
-  let* () = Db.Database.create_table db Websubmit_schema.answers in
-  let* () = Db.Database.create_table db Websubmit_schema.leaders in
-  let* () = index_hot_columns db in
-  let conn = Conn.create db in
-  attach_policies conn db;
-  assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id:1 ()
-
-let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hardening ~data_dir
-    () =
-  (* Family registration must precede recovery: replay refuses any
-     journaled constructor the registry does not know. *)
-  List.iter Sesame_wal.Provenance.register policy_family_names;
-  match Conn.create_durable ?config:durable_config ~dir:data_dir () with
-  | Error e -> Error (Sesame_wal.Durable.error_message e)
-  | Ok (conn, store) ->
-      let db = Conn.database conn in
-      Db.Database.set_query_cost_ns db query_cost_ns;
-      (* Recovery may already have rebuilt the tables from the log. *)
-      let ensure schema =
-        match Db.Database.table db (Db.Schema.name schema) with
-        | Some _ -> Ok ()
-        | None -> Db.Database.create_table db schema
-      in
-      let* () = ensure Websubmit_schema.users in
-      let* () = ensure Websubmit_schema.answers in
-      let* () = ensure Websubmit_schema.leaders in
-      let* () = index_hot_columns db in
-      attach_policies conn db;
-      let next_answer_id =
-        match Db.Database.table db "answers" with
-        | None -> 1
-        | Some tbl ->
-            let schema = Db.Table.schema tbl in
-            1
-            + Db.Table.fold tbl ~init:0 ~f:(fun acc row ->
-                  match Db.Row.get schema row "id" with
-                  | Db.Value.Int i -> max acc i
-                  | _ -> acc)
-      in
-      let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () in
-      Ok (t, store)
 
 let answer_count t =
   match Db.Database.table t.db "answers" with
@@ -1288,8 +1245,7 @@ let update_consent t request =
 
 (* ------------------------------------------------------------------ *)
 
-let router t =
-  let router = Http.Router.create () in
+let add_routes t router =
   Http.Router.post router "/register" (register_user t);
   Http.Router.post router "/consent" (update_consent t);
   Http.Router.post router "/submit/<lecture>/<question>" (submit_answer t);
@@ -1300,7 +1256,60 @@ let router t =
   Http.Router.get router "/aggregates" (get_aggregates t);
   Http.Router.get router "/employer" (get_employer_info t);
   Http.Router.post router "/retrain" (retrain_model t);
-  Http.Router.get router "/predict/<question>" (predict_grades t);
+  Http.Router.get router "/predict/<question>" (predict_grades t)
+
+let router t =
+  let router = Http.Router.create () in
+  add_routes t router;
   router
 
-let handle t request = Http.Router.dispatch (router t) request
+let handle t request = Http.Router.dispatch t.routes request
+
+let create ?(query_cost_ns = 0) ?(k_anonymity = 5) ?hardening () =
+  let db = Db.Database.create ~query_cost_ns () in
+  let* () = Db.Database.create_table db Websubmit_schema.users in
+  let* () = Db.Database.create_table db Websubmit_schema.answers in
+  let* () = Db.Database.create_table db Websubmit_schema.leaders in
+  let* () = index_hot_columns db in
+  let conn = Conn.create db in
+  attach_policies conn db;
+  let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id:1 () in
+  (* Built once: dispatch only reads the table, so handler domains share it. *)
+  add_routes t t.routes;
+  Ok t
+
+let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hardening ~data_dir
+    () =
+  (* Family registration must precede recovery: replay refuses any
+     journaled constructor the registry does not know. *)
+  List.iter Sesame_wal.Provenance.register policy_family_names;
+  match Conn.create_durable ?config:durable_config ~dir:data_dir () with
+  | Error e -> Error (Sesame_wal.Durable.error_message e)
+  | Ok (conn, store) ->
+      let db = Conn.database conn in
+      Db.Database.set_query_cost_ns db query_cost_ns;
+      (* Recovery may already have rebuilt the tables from the log. *)
+      let ensure schema =
+        match Db.Database.table db (Db.Schema.name schema) with
+        | Some _ -> Ok ()
+        | None -> Db.Database.create_table db schema
+      in
+      let* () = ensure Websubmit_schema.users in
+      let* () = ensure Websubmit_schema.answers in
+      let* () = ensure Websubmit_schema.leaders in
+      let* () = index_hot_columns db in
+      attach_policies conn db;
+      let next_answer_id =
+        match Db.Database.table db "answers" with
+        | None -> 1
+        | Some tbl ->
+            let schema = Db.Table.schema tbl in
+            1
+            + Db.Table.fold tbl ~init:0 ~f:(fun acc row ->
+                  match Db.Row.get schema row "id" with
+                  | Db.Value.Int i -> max acc i
+                  | _ -> acc)
+      in
+      let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () in
+      add_routes t t.routes;
+      Ok (t, store)

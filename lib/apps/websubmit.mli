@@ -109,6 +109,8 @@ val recover : t -> (Wal.Durable.t, string) result
     can rebind checkpoint/flush plumbing; the old handle is closed. *)
 
 val router : t -> Http.Router.t
+(** A freshly built router over [t]'s endpoints. {!handle} dispatches
+    on the one built at creation. *)
 
 val seed : t -> students:int -> questions:int -> (unit, string) result
 (** Loads the Fig. 8 workload: [students] users (every third consents to

@@ -126,6 +126,7 @@ type t = {
   db : Db.Database.t;
   regions : regions;
   mutable next_id : int;
+  routes : Http.Router.t;
 }
 
 let database t = t.db
@@ -165,30 +166,6 @@ let make_regions program =
          ())
   in
   Ok { preview; join_thread; shout }
-
-let create ?(query_cost_ns = 0) () =
-  let db = Db.Database.create ~query_cost_ns () in
-  let* () = Db.Database.create_table db users_schema in
-  let* () = Db.Database.create_table db groups_schema in
-  let* () = Db.Database.create_table db members_schema in
-  let* () = Db.Database.create_table db messages_schema in
-  let conn = Conn.create db in
-  Conn.attach_policy conn ~table:"messages" ~column:"body" (fun schema row ->
-      Message_access.make
-        {
-          sender = Db.Value.to_text (Db.Row.get schema row "sender");
-          recipient =
-            (match Db.Row.get schema row "recipient" with
-            | Db.Value.Text r -> Some r
-            | _ -> None);
-          group_id =
-            (match Db.Row.get schema row "group_id" with
-            | Db.Value.Int g -> Some g
-            | _ -> None);
-          db;
-        });
-  let* regions = make_regions (build_program ()) in
-  Ok { conn; db; regions; next_id = 1 }
 
 let fresh_id t =
   let id = t.next_id in
@@ -353,11 +330,36 @@ let group_feed t request =
       | Error e -> conn_error e
       | Ok rows -> render_messages t context rows)
 
-let router t =
-  let router = Http.Router.create () in
+let add_routes t router =
   Http.Router.post router "/send" (send_message t);
   Http.Router.get router "/inbox" (inbox t);
-  Http.Router.get router "/group/<id>" (group_feed t);
-  router
+  Http.Router.get router "/group/<id>" (group_feed t)
 
-let handle t request = Http.Router.dispatch (router t) request
+let handle t request = Http.Router.dispatch t.routes request
+
+let create ?(query_cost_ns = 0) () =
+  let db = Db.Database.create ~query_cost_ns () in
+  let* () = Db.Database.create_table db users_schema in
+  let* () = Db.Database.create_table db groups_schema in
+  let* () = Db.Database.create_table db members_schema in
+  let* () = Db.Database.create_table db messages_schema in
+  let conn = Conn.create db in
+  Conn.attach_policy conn ~table:"messages" ~column:"body" (fun schema row ->
+      Message_access.make
+        {
+          sender = Db.Value.to_text (Db.Row.get schema row "sender");
+          recipient =
+            (match Db.Row.get schema row "recipient" with
+            | Db.Value.Text r -> Some r
+            | _ -> None);
+          group_id =
+            (match Db.Row.get schema row "group_id" with
+            | Db.Value.Int g -> Some g
+            | _ -> None);
+          db;
+        });
+  let* regions = make_regions (build_program ()) in
+  (* Built once: dispatch only reads the table, so handler domains share it. *)
+  let t = { conn; db; regions; next_id = 1; routes = Http.Router.create () } in
+  add_routes t t.routes;
+  Ok t

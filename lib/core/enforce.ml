@@ -1,17 +1,14 @@
-module Parallel = Sesame_parallel
 module Elision = Sesame_scrutinizer.Elision
 
 type stats = {
   hits : int;
   misses : int;
-  parallel_fanouts : int;
   elisions : int;
   pushdowns : int;
 }
 
 let hits = Atomic.make 0
 let misses = Atomic.make 0
-let parallel_fanouts = Atomic.make 0
 let elisions = Atomic.make 0
 let pushdowns = Atomic.make 0
 
@@ -19,7 +16,6 @@ let stats () =
   {
     hits = Atomic.get hits;
     misses = Atomic.get misses;
-    parallel_fanouts = Atomic.get parallel_fanouts;
     elisions = Atomic.get elisions;
     pushdowns = Atomic.get pushdowns;
   }
@@ -27,7 +23,6 @@ let stats () =
 let reset_stats () =
   Atomic.set hits 0;
   Atomic.set misses 0;
-  Atomic.set parallel_fanouts 0;
   Atomic.set elisions 0;
   Atomic.set pushdowns 0
 
@@ -68,37 +63,6 @@ let elision () = Atomic.get elide
 let pushdown = Atomic.make true
 let set_pushdown on = Atomic.set pushdown on
 let pushdown_enabled () = Atomic.get pushdown
-
-let parallel_cutoff = Atomic.make 64
-let set_parallel_cutoff n = Atomic.set parallel_cutoff (max 2 n)
-
-(* The pool is resolved lazily so merely linking the library never spawns
-   domains: first use consults PARALLEL_DOMAINS via the shared default
-   pool, and a pool without workers is treated as "no pool". *)
-type pool_setting = Unresolved | Pool of Parallel.t | No_pool
-
-let pool_setting = ref Unresolved
-let pool_lock = Mutex.create ()
-
-let set_pool p =
-  Mutex.lock pool_lock;
-  pool_setting := (match p with Some p -> Pool p | None -> No_pool);
-  Mutex.unlock pool_lock
-
-let pool () =
-  Mutex.lock pool_lock;
-  let resolved =
-    match !pool_setting with
-    | Pool p -> Some p
-    | No_pool -> None
-    | Unresolved ->
-        let d = Parallel.default () in
-        let v = if Parallel.domains d > 1 then Pool d else No_pool in
-        pool_setting := v;
-        (match v with Pool p -> Some p | _ -> None)
-  in
-  Mutex.unlock pool_lock;
-  resolved
 
 (* ------------------------------------------------------------------ *)
 (* The enforcement plan: elision certificates compiled from the static
@@ -287,16 +251,6 @@ let max_entries = 65536
 
 (* ------------------------------------------------------------------ *)
 
-let first_denial results =
-  (* Member order = check order: the reported denial is the leftmost one,
-     exactly as the sequential short-circuit reports it. *)
-  let n = Array.length results in
-  let rec scan i =
-    if i = n then Ok ()
-    else match results.(i) with Ok () -> scan (i + 1) | Error _ as e -> e
-  in
-  scan 0
-
 let rec check_verbose policy ctx =
   if Policy.is_no_policy policy then Ok ()
   else if Atomic.get elide && Plan.active () && Plan.covers policy ctx then begin
@@ -353,54 +307,19 @@ let rec check_verbose policy ctx =
 and compute policy ctx =
   match Policy.members policy with
   | None -> Policy.check_verbose policy ctx
-  | Some members -> (
-      let arr = Array.of_list members in
-      let n = Array.length arr in
-      let wide = n >= Atomic.get parallel_cutoff in
-      match (if wide then pool () else None) with
-      | Some p ->
-          Atomic.incr parallel_fanouts;
-          (* Evaluate every member (no short-circuit), then report the
-             leftmost denial: same verdict and message as the sequential
-             walk, paid for with the tail checks the sequential walk
-             would have skipped on a denial.
-
-             The ambient deadline is domain-local, so it is captured
-             here and re-installed inside each pool task; a task whose
-             budget is already gone refuses without computing, so a
-             wide conjunction abandons in one sweep of cheap refusals
-             rather than grinding through its tail over budget. *)
-          let budget = Sesame_deadline.current () in
-          let expired_verdict =
-            lazy (Error (Sesame_deadline.error_message "policy fan-out"))
-          in
-          (* Footprint scopes are domain-local, so a member evaluated on
-             a pool worker records into the worker's (empty) stack. Each
-             task therefore runs under its own scope and ships its
-             footprint back; merging them here makes the caller's
-             ambient scope see everything any member read — exactly what
-             the sequential walk's nested scopes would have recorded. *)
-          let results =
-            Parallel.map_array ~cutoff:1 p
-              (fun m ->
-                if Sesame_deadline.expired budget then
-                  (Lazy.force expired_verdict, Sesame_db.Footprint.empty)
-                else
-                  Sesame_db.Footprint.scope (fun () ->
-                      Sesame_deadline.with_deadline budget (fun () ->
-                          check_verbose m ctx)))
-              arr
-          in
-          Array.iter (fun (_, fp) -> Sesame_db.Footprint.merge_ambient fp) results;
-          first_denial (Array.map fst results)
-      | None ->
-          let rec walk i =
-            if i = n then Ok ()
+  | Some members ->
+      (* Member order = check order: the reported denial is the leftmost
+         one. An expired budget stops the walk before the next member, so
+         a wide conjunction refuses instead of running its tail over
+         budget; the refusal is never cached (see [check_verbose]). *)
+      let rec walk = function
+        | [] -> Ok ()
+        | m :: rest -> (
+            if Sesame_deadline.expired_now () then
+              Error (Sesame_deadline.error_message "policy conjunction")
             else
-              match check_verbose arr.(i) ctx with
-              | Ok () -> walk (i + 1)
-              | Error _ as e -> e
-          in
-          walk 0)
+              match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
+      in
+      walk members
 
 let check policy ctx = Result.is_ok (check_verbose policy ctx)

@@ -1,5 +1,4 @@
-(** The enforcement hot path: memoized, optionally domain-parallel policy
-    checking.
+(** The enforcement hot path: memoized policy checking.
 
     {!check_verbose} is a drop-in replacement for
     {!Policy.check_verbose} — same verdicts, byte-identical denial
@@ -23,11 +22,12 @@
     shard 3 retires only verdicts that read it; verdicts over other
     tables, other shards, and pure (DB-free) policies stay warm.
 
-    Checks of one conjunction's members fan out over a
-    {!Sesame_parallel.t} pool when one is installed and the conjunction
-    is wide enough; the deny scan over member results stays sequential
-    and in member order, so the reported denial is the one the
-    sequential reference reports. *)
+    A conjunction's members are checked in member order on the calling
+    domain, stopping at the first denial, which is the one reported.
+    The walk stops early, with a {!Sesame_deadline.error_message}
+    refusal, once the ambient deadline has expired; a refusal is never
+    cached. Parallelism comes from concurrent requests, one domain
+    each, never from inside one check. *)
 
 val check : Policy.t -> Context.t -> bool
 val check_verbose : Policy.t -> Context.t -> (unit, string) result
@@ -39,20 +39,9 @@ val bump : unit -> unit
     changed in a way the DB layer cannot see". *)
 
 val set_memoization : bool -> unit
-(** Default on. Off = every check recomputes (the sequential reference
-    path, modulo parallelism). *)
+(** Default on. Off = every check recomputes (the reference path). *)
 
 val memoization : unit -> bool
-
-val set_pool : Sesame_parallel.t option -> unit
-(** Install (or remove) the pool used for wide conjunctions. Default:
-    the process-wide {!Sesame_parallel.default} pool iff it has workers
-    (i.e. [PARALLEL_DOMAINS > 1]). *)
-
-val pool : unit -> Sesame_parallel.t option
-
-val set_parallel_cutoff : int -> unit
-(** Minimum conjunction width before checks fan out (default 64). *)
 
 val set_elision : bool -> unit
 (** Default on. Off = certified checks run anyway (the ablation
@@ -134,7 +123,6 @@ end
 type stats = {
   hits : int;
   misses : int;
-  parallel_fanouts : int;
   elisions : int;  (** checks discharged by plan certificates *)
   pushdowns : int;  (** scans filtered by a translated predicate *)
 }

@@ -613,10 +613,7 @@ let query_filtered t ~context ~on sql ~params =
    the aggregated column's per-row policies. The whole per-group build —
    re-running the match, grouping it, instantiating per-row policies, and
    conjoining them — happens only on an [agg_cache] miss; a warm request
-   pays one hash lookup per output cell. The grouping pass itself fans out
-   over the enforcement pool when one is installed (Row.get is pure;
-   chunk-local tables merge in chunk order, so group order and member
-   order match the sequential single pass). *)
+   pays one hash lookup per output cell. *)
 let query_agg t ~context sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
@@ -652,45 +649,26 @@ let query_agg t ~context sql ~params =
               let grouped =
                 lazy
                   (Enforce.Validity.capture @@ fun () ->
-                   let matching = Array.of_list (Db.Table.select tbl ~where) in
+                   let matching = Db.Table.select tbl ~where in
                    let groups : (Db.Value.t list, Db.Row.t list ref) Hashtbl.t =
                      Hashtbl.create 16
                    in
-                   if group_by <> [] then begin
-                     let chunk ~lo ~hi =
-                       let local = Hashtbl.create 32 in
-                       let order = ref [] in
-                       for i = lo to hi - 1 do
-                         let row = matching.(i) in
+                   (* Walk backwards and prepend, so each group's members
+                      come out in match order. *)
+                   if group_by <> [] then
+                     List.iter
+                       (fun row ->
                          let key = List.map (Db.Row.get schema row) group_by in
-                         match Hashtbl.find_opt local key with
+                         match Hashtbl.find_opt groups key with
                          | Some cell -> cell := row :: !cell
-                         | None ->
-                             Hashtbl.add local key (ref [ row ]);
-                             order := key :: !order
-                       done;
-                       List.rev_map (fun k -> (k, List.rev !(Hashtbl.find local k))) !order
-                     in
-                     let merge () part =
-                       List.iter
-                         (fun (key, part_rows) ->
-                           match Hashtbl.find_opt groups key with
-                           | Some cell -> cell := !cell @ part_rows
-                           | None -> Hashtbl.add groups key (ref part_rows))
-                         part
-                     in
-                     let n = Array.length matching in
-                     match Enforce.pool () with
-                     | Some pool ->
-                         Sesame_parallel.fold_range pool ~n ~chunk ~merge ~init:()
-                     | None -> merge () (chunk ~lo:0 ~hi:n)
-                   end;
+                         | None -> Hashtbl.add groups key (ref [ row ]))
+                       (List.rev matching);
                    (matching, groups))
               in
               let members_for key =
                 let (matching, groups), select_validity = Lazy.force grouped in
                 Enforce.Validity.merge_ambient select_validity;
-                if group_by = [] then Array.to_list matching
+                if group_by = [] then matching
                 else
                   match Hashtbl.find_opt groups key with
                   | Some cell -> !cell

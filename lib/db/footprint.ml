@@ -35,8 +35,6 @@ type dep = {
 
 type snapshot = dep array
 
-let empty : snapshot = [||]
-
 type scope = (string * int, dep) Hashtbl.t
 
 let stack : scope list ref Domain.DLS.key =

@@ -18,8 +18,6 @@
 
 type snapshot
 
-val empty : snapshot
-
 val recording : unit -> bool
 (** Is a scope open on this domain? *)
 

@@ -2,14 +2,12 @@
 
     A deadline is an absolute instant on the monotonic clock by which the
     current request must have produced an answer. The server stamps one at
-    the HTTP edge; every blocking layer below (enforcement fan-out, DB
+    the HTTP edge; every blocking layer below (policy conjunctions, DB
     scans, WAL commit admission, sandbox runs) consults the *ambient*
     deadline — carried in domain-local storage — and turns "about to miss
     the budget" into a fast structured refusal instead of a hang.
-
-    Domain-local storage does not cross domains: code that fans work out
-    to a pool must capture {!current} on the requesting domain and
-    re-install it with {!with_deadline} inside each task.
+    Domain-local storage does not cross domains, so this holds because a
+    request runs start to finish on the domain that took it.
 
     The ambient deadline only ever tightens: installing a looser deadline
     inside a tighter scope keeps the tighter one. *)

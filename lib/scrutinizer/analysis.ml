@@ -294,6 +294,16 @@ let reject ctx frame ~trace reason =
     ctx.rejections <- { reason; trace } :: ctx.rejections
   end
 
+(* The region's by-ref captures, as seen from the running frame. Only the
+   spec body can name a capture: a callee's local that shares a capture's
+   name is a different variable, and a callee's summary, which the
+   cross-check cache shares between specs with different captures, must
+   not depend on the region's capture names. A callee reaches a capture
+   only through an argument; the spec body's call sites reject a [&mut]
+   of capture-derived data escaping into any call. *)
+let capture_roots ctx frame =
+  match frame.item with Spec_body -> ctx.capture_roots | Fn _ -> Sset.empty
+
 (* Sensitive control flow carries its own provenance: [None] is an
    insensitive pc, [Some trace] a sensitive one with the witness path of
    the branch condition that raised it. *)
@@ -419,7 +429,7 @@ and eval_call ctx frame env ~pc callee args : info =
       match arg with
       | Ir.Ref_mut v ->
           let roots = Sset.add v (env_roots env v) in
-          let hit = Sset.inter roots ctx.capture_roots in
+          let hit = Sset.inter roots (capture_roots ctx frame) in
           Sset.iter
             (fun var ->
               reject ctx frame
@@ -702,7 +712,7 @@ and exec_stmt ctx frame env ~pc (stmt : Ir.stmt) =
       (match Ir.lhs_base lhs with
       | Some v ->
           let roots = Sset.add v (env_roots env v) in
-          if not (Sset.is_empty (Sset.inter roots ctx.capture_roots)) then
+          if not (Sset.is_empty (Sset.inter roots (capture_roots ctx frame))) then
             reject ctx frame
               ~trace:[ step Sink frame.fname ("unsafe mutation of " ^ Ir.lhs_source lhs) ]
               (Unsafe_mutation { func = frame.fname })
@@ -757,7 +767,7 @@ and assign ctx frame env lhs (value : info) =
     else value
   in
   let capture_hit targets =
-    let hit = Sset.inter targets ctx.capture_roots in
+    let hit = Sset.inter targets (capture_roots ctx frame) in
     Sset.iter
       (fun var ->
         let sink = step Sink frame.fname ("mutates capture-derived " ^ Ir.lhs_source lhs) in

@@ -1,11 +1,8 @@
 (* Real TCP serving for lib/http: a listener domain accepts connections
-   and hands them to handler domains drawn from a dedicated
-   Sesame_parallel pool (one long-lived worker loop per pool domain, fed
-   from a bounded handoff queue). Handlers therefore execute inside a
-   pool task, which flips the pool's reentrancy guard — any
-   Sesame_parallel fan-out a handler reaches (e.g. Enforce's wide
-   conjunctions) degrades to its sequential path instead of deadlocking,
-   so parallelism comes from concurrent connections, one domain each.
+   and hands them, through a handoff queue, to [domains] handler domains,
+   each running one long-lived worker loop. A request runs start to
+   finish on the handler domain that took its connection, so parallelism
+   comes from concurrent connections, one domain each.
 
    Overload policy is shed-don't-queue: once [max_connections] sockets
    are accepted-but-unfinished, new arrivals get an immediate 503 and a
@@ -20,9 +17,8 @@ module Http = Sesame_http
    past [queue_high], or any shedding since the last sample) grows the
    worker set by one burst domain up to [max_domains]; [idle_samples]
    consecutive quiet samples shrink it by one down to the floor. Burst
-   domains run the same worker loop as the pool domains but outside the
-   pool, wrapped in [Sesame_parallel.sequentialized] so handler fan-outs
-   still degrade to their sequential path. *)
+   domains run the same worker loop as the fixed handler domains, plus a
+   retirement check. *)
 type autoscale = {
   min_domains : int;
   max_domains : int;
@@ -37,7 +33,7 @@ let default_autoscale =
 type config = {
   host : string;
   port : int;  (* 0 picks an ephemeral port; see port t *)
-  domains : int;  (* handler domains (its own pool, caller included) *)
+  domains : int;  (* fixed handler domains *)
   backlog : int;
   max_connections : int;
   max_requests_per_connection : int;
@@ -51,11 +47,22 @@ type config = {
   autoscale : autoscale option;
 }
 
+(* PARALLEL_DOMAINS sizes the default handler-domain count, clamped to
+   [1 .. recommended_domain_count]; unset or unparsable means 1. *)
+let env_domains () =
+  let cap = max 1 (Domain.recommended_domain_count ()) in
+  match Sys.getenv_opt "PARALLEL_DOMAINS" with
+  | None -> 1
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> min n cap
+      | Some _ | None -> 1)
+
 let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    domains = max 2 (Sesame_parallel.env_domains ());
+    domains = max 2 (env_domains ());
     backlog = 128;
     max_connections = 256;
     max_requests_per_connection = 1000;
@@ -87,7 +94,6 @@ type t = {
   handler : Http.Request.t -> Http.Response.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  pool : Sesame_parallel.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
   queue : Unix.file_descr Queue.t;
@@ -108,7 +114,7 @@ type t = {
   on_scale : workers:int -> unit;
   mutable burst_handles : unit Domain.t list;  (* guarded by mutex *)
   mutable listener : unit Domain.t option;
-  mutable driver : unit Domain.t option;
+  mutable workers : unit Domain.t list;
   mutable supervisor : unit Domain.t option;
 }
 
@@ -229,7 +235,7 @@ let handle_connection t fd =
           else begin
             (* Fresh per-request serving state, then the whole handler
                runs under the request's wall budget: every blocking
-               layer below (enforcement fan-out, DB scans, WAL
+               layer below (policy conjunctions, DB scans, WAL
                admission, sandbox runs) observes the same deadline. *)
             Http.Serving.reset ();
             let run () =
@@ -287,7 +293,7 @@ let rec worker_loop t =
       worker_loop t
   | None -> ()
 
-(* A burst worker is a pool-less copy of worker_loop with one extra exit
+(* A burst worker is a copy of worker_loop with one extra exit
    condition: when more burst workers are alive than the supervisor's
    target, the first to reach the (mutex-serialized) check claims the
    retirement by decrementing [burst_active] — so a scale-down retires
@@ -318,15 +324,13 @@ let spawn_burst t =
   (* Count the worker before it runs so a concurrent retirement check
      never under-counts. *)
   Atomic.incr t.burst_active;
-  let h =
-    Domain.spawn (fun () -> Sesame_parallel.sequentialized (fun () -> burst_loop t))
-  in
+  let h = Domain.spawn (fun () -> burst_loop t) in
   Mutex.lock t.mutex;
   t.burst_handles <- h :: t.burst_handles;
   Mutex.unlock t.mutex
 
 let supervisor_loop t auto =
-  let base = Sesame_parallel.domains t.pool in
+  let base = max 1 t.config.domains in
   let workers () = base + Atomic.get t.burst_target in
   let floor = max base (min auto.min_domains auto.max_domains) in
   (* Honour the floor up front: pre-spawned capacity is configuration,
@@ -442,7 +446,6 @@ let start ?(config = default_config) ?(on_error = fun msg -> prerr_endline ("[se
         handler;
         listen_fd;
         bound_port;
-        pool = Sesame_parallel.create ~domains:(max 1 config.domains) ();
         mutex = Mutex.create ();
         nonempty = Condition.create ();
         queue = Queue.create ();
@@ -463,18 +466,11 @@ let start ?(config = default_config) ?(on_error = fun msg -> prerr_endline ("[se
         on_scale;
         burst_handles = [];
         listener = None;
-        driver = None;
+        workers = [];
         supervisor = None;
       }
     in
-    (* One worker loop per pool domain: run_chunks distributes them, the
-       driver domain participates as chunk 0, and the call only returns
-       when every worker has exited (at stop). *)
-    t.driver <-
-      Some
-        (Domain.spawn (fun () ->
-             let chunks = Sesame_parallel.domains t.pool in
-             Sesame_parallel.run_chunks t.pool ~chunks (fun _ -> worker_loop t)));
+    t.workers <- List.init (max 1 config.domains) (fun _ -> Domain.spawn (fun () -> worker_loop t));
     t.listener <- Some (Domain.spawn (fun () -> listener_loop t));
     (match config.autoscale with
     | None -> ()
@@ -508,8 +504,7 @@ let stop t =
       t.open_conns;
     Condition.broadcast t.nonempty;
     Mutex.unlock t.mutex;
-    Option.iter Domain.join t.driver;
-    t.driver <- None;
+    List.iter Domain.join t.workers;
     (* Join the supervisor before snapshotting burst handles: once it has
        exited no new burst workers can appear, so the snapshot is the
        complete set. Workers spawned after [stopping] was set exit on
@@ -523,6 +518,5 @@ let stop t =
       Mutex.unlock t.mutex;
       hs
     in
-    List.iter Domain.join bursts;
-    Sesame_parallel.shutdown t.pool
+    List.iter Domain.join bursts
   end

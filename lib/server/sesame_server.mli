@@ -1,12 +1,11 @@
 (** Real TCP serving for [Sesame_http]: a listener + accept loop feeding
-    a dedicated {!Sesame_parallel} domain pool, HTTP/1.1 keep-alive with
+    a fixed set of handler domains, HTTP/1.1 keep-alive with
     per-connection request and idle-time bounds, and shed-don't-queue
     overload behaviour (503 once [max_connections] sockets are open).
 
-    Handlers run inside pool tasks, so any [Sesame_parallel] fan-out
-    they reach (Enforce's wide conjunctions, the connector's grouping
-    pass) takes its sequential path per-request — parallelism comes from
-    concurrent connections, one handler domain each. *)
+    A request runs start to finish on the handler domain that took its
+    connection — parallelism comes from concurrent connections, one
+    handler domain each. *)
 
 module Http = Sesame_http
 
@@ -25,15 +24,13 @@ type autoscale = {
 }
 
 val default_autoscale : autoscale
-(** floor 0 (the pool alone), ceiling 8, 50 ms sampling, queue depth 4,
+(** floor 0 (the fixed handler domains alone), ceiling 8, 50 ms sampling, queue depth 4,
     10 quiet samples to shrink. *)
 
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
-  domains : int;
-      (** handler domains; the server creates its own pool so serving
-          never competes with the process-default pool *)
+  domains : int;  (** fixed handler domains, each a [Domain.spawn] *)
   backlog : int;
   max_connections : int;
       (** accepted-but-unfinished connections beyond this are shed with
@@ -61,14 +58,13 @@ type config = {
       (** [None] (the default) keeps the fixed [domains]-sized worker
           set; [Some] adds a supervisor domain that grows the set with
           burst workers under queue/shed pressure and shrinks it when
-          idle. Burst workers run outside the pool but under the same
-          reentrancy guard, so handler fan-outs still degrade to their
-          sequential path. *)
+          idle. *)
 }
 
 val default_config : config
-(** 127.0.0.1:ephemeral, [max 2 (Sesame_parallel.env_domains ())]
-    handler domains, 256 connections, 1000 requests/connection, 5 s idle
+(** 127.0.0.1:ephemeral, [max 2 PARALLEL_DOMAINS] handler domains
+    (the variable clamped to [1 .. Domain.recommended_domain_count ()],
+    1 when unset or unparsable), 256 connections, 1000 requests/connection, 5 s idle
     timeout, {!Http.Wire.default_limits}; 5 s default deadline, 30 s
     deadline ceiling, [Retry-After: 1], health at [/health]/[/healthz],
     mutations shed at 192 active connections. *)
@@ -118,4 +114,4 @@ val stop : t -> unit
 (** Stops accepting, drains queued connections, nudges in-flight ones to
     close after their current response, joins every domain (including
     the autoscale supervisor and its burst workers — so stop may wait
-    out one [interval_s] sample), and shuts the pool down. Idempotent. *)
+    out one [interval_s] sample). Idempotent. *)

@@ -116,6 +116,18 @@ let big_db () =
   done;
   db
 
+(* A leaf that allows everything; distinct states keep the conjunction
+   from folding. *)
+module Allow_all = C.Policy.Make (struct
+  type s = int
+
+  let name = "chaos::allow_all"
+  let check _ _ = true
+  let join = None
+  let no_folding = true
+  let describe i = "AllowAll " ^ string_of_int i
+end)
+
 let propagation_tests =
   [
     test "an expired budget cancels a long scan at a checkpoint" (fun () ->
@@ -184,6 +196,16 @@ let propagation_tests =
         | Sbx.Runtime.Trapped trap ->
             Alcotest.failf "wrong trap: %s" (Sbx.Runtime.trap_message trap)
         | Sbx.Runtime.Ok _ -> Alcotest.fail "sandbox run outlived the request budget");
+    test "an expired budget stops a wide conjunction before its tail" (fun () ->
+        let conj = C.Policy.conjoin_all (List.init 500 (fun i -> Allow_all.make i)) in
+        let ctx = C.Mock.context ~user:"student0@school.edu" () in
+        C.Policy.reset_check_count ();
+        (match D.with_deadline (D.after_ms 0) (fun () -> C.Enforce.check_verbose conj ctx) with
+        | Ok () -> Alcotest.fail "conjunction outlived its budget"
+        | Error msg -> check_bool "structured refusal" true (D.is_deadline_error msg));
+        check_bool "stopped before the tail" true (C.Policy.check_count () < 500);
+        (* The refusal was not cached: unbudgeted, the same check allows. *)
+        check_bool "allows unbudgeted" true (C.Enforce.check conj ctx));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -215,7 +215,6 @@ let stats_tests =
         let st = C.Enforce.stats () in
         check_int "hits" 0 st.C.Enforce.hits;
         check_int "misses" 0 st.C.Enforce.misses;
-        check_int "fanouts" 0 st.C.Enforce.parallel_fanouts;
         check_int "elisions" 0 st.C.Enforce.elisions;
         check_int "pushdowns" 0 st.C.Enforce.pushdowns);
   ]

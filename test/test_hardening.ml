@@ -1,7 +1,8 @@
 (* The sandbox-hardening surface: the boot-time SFI preflight battery
    (fail closed on any missed trap), cumulative per-region quotas (exact
    books under concurrent accounting, quarantine exactly once), the
-   server autoscaler's floor pre-spawn, the signed run-attestation log
+   server autoscaler's floor pre-spawn, burst workers' policy checks,
+   the signed run-attestation log
    (round-trip, ordering, tamper, torn tail), and stale-lock breaking. *)
 
 open Sesame_core
@@ -11,7 +12,6 @@ module F = Sesame_faults
 module Http = Sesame_http
 module Apps = Sesame_apps
 module Server = Sesame_server
-module Par = Sesame_parallel
 module Wire = Http.Wire
 
 let test name f = Alcotest.test_case name `Quick f
@@ -526,46 +526,6 @@ let lock_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The pool-reentrancy guard burst workers run under. *)
-
-let sequentialized_tests =
-  [
-    test "sequentialized degrades fan-outs and restores the guard" (fun () ->
-        let pool = Par.create ~domains:3 () in
-        Fun.protect
-          ~finally:(fun () -> Par.shutdown pool)
-          (fun () ->
-            let input = Array.init 64 Fun.id in
-            let before = Par.stats pool in
-            let out =
-              Par.sequentialized (fun () -> Par.map_array ~cutoff:1 pool succ input)
-            in
-            check_bool "result unchanged" true (out = Array.map succ input);
-            let inside = Par.stats pool in
-            check_int "no parallel job ran" before.Par.jobs inside.Par.jobs;
-            check_bool "the call took the sequential path" true
-              (inside.Par.sequential > before.Par.sequential);
-            (* Guard restored: the same call fans out again. *)
-            let (_ : int array) = Par.map_array ~cutoff:1 pool succ input in
-            let after = Par.stats pool in
-            check_int "parallel again" (inside.Par.jobs + 1) after.Par.jobs));
-    test "sequentialized passes values and survives exceptions" (fun () ->
-        let pool = Par.create ~domains:2 () in
-        Fun.protect
-          ~finally:(fun () -> Par.shutdown pool)
-          (fun () ->
-            check_int "value" 42 (Par.sequentialized (fun () -> 42));
-            (match Par.sequentialized (fun () -> failwith "boom") with
-            | exception Failure m -> check_str "exception passes through" "boom" m
-            | _ -> Alcotest.fail "no exception");
-            let before = Par.stats pool in
-            let (_ : int array) = Par.map_array ~cutoff:1 pool succ (Array.init 64 Fun.id) in
-            let after = Par.stats pool in
-            check_int "guard restored after the exception" (before.Par.jobs + 1)
-              after.Par.jobs));
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* The autoscaler's floor pre-spawn: config.domains below the autoscale
    floor must come up with the difference as burst workers, serve, and
    stop cleanly. *)
@@ -680,6 +640,76 @@ let autoscale_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Burst workers run a request's checks as the plain sequential walk on
+   their own domain: a wide conjunction served by fixed and burst
+   workers alike reports the same first denial as an in-process check. *)
+
+module Deny_at = Policy.Make (struct
+  type s = int * int
+
+  let name = "hardening::deny_at"
+  let check (i, deny) _ = i <> deny
+  let join = None
+  let no_folding = true
+  let describe (i, _) = "Leaf " ^ string_of_int i
+end)
+
+let burst_handler_tests =
+  [
+    test "burst workers serve wide checks with the in-process verdict" (fun () ->
+        let width = 200 and deny = 137 in
+        let conj = Policy.conjoin_all (List.init width (fun i -> Deny_at.make (i, deny))) in
+        let ctx = Mock.context ~user:"student0@school.edu" () in
+        let expected =
+          match Policy.check_verbose conj ctx with
+          | Ok () -> Alcotest.fail "the reference check allowed"
+          | Error msg -> msg
+        in
+        let config =
+          {
+            Server.default_config with
+            Server.domains = 1;
+            port = 0;
+            autoscale =
+              Some
+                {
+                  Server.min_domains = 3;
+                  max_domains = 3;
+                  interval_s = 0.005;
+                  queue_high = 1_000;
+                  idle_samples = max_int;
+                };
+          }
+        in
+        let server =
+          ok_or_fail
+            (Server.start ~config
+               ~on_error:(fun _ -> ())
+               ~handler:(fun _ ->
+                 match Enforce.check_verbose conj ctx with
+                 | Ok () -> Http.Response.text "allowed"
+                 | Error msg -> Http.Response.text msg)
+               ())
+        in
+        Fun.protect
+          ~finally:(fun () -> Server.stop server)
+          (fun () ->
+            wait_for "the floor pre-spawn" (fun () ->
+                (Server.stats server).Server.burst_workers = 2);
+            let port = Server.port server in
+            let clients =
+              List.init 3 (fun _ ->
+                  Domain.spawn (fun () -> List.init 8 (fun _ -> http_get port "/check")))
+            in
+            List.iter
+              (fun (status, body) ->
+                check_int "served" 200 status;
+                check_str "same first denial" expected body)
+              (List.concat_map Domain.join clients);
+            check_int "every request answered" 24 (Server.stats server).Server.served));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* The hardened application: quota exhaustion must degrade only the
    offending region, and attested instances must verify end to end. *)
 
@@ -774,7 +804,7 @@ let () =
       ("quota", quota_tests);
       ("attest", attest_tests);
       ("lockfile", lock_tests);
-      ("sequentialized", sequentialized_tests);
       ("autoscale", autoscale_tests);
+      ("burst-handlers", burst_handler_tests);
       ("hardened-app", hardened_app_tests);
     ]

@@ -1,79 +1,17 @@
-(* The domain pool and the memoized/parallel enforcement hot path.
+(* Multi-domain safety and the memoized enforcement hot path.
 
-   The load-bearing properties: the parallel combinators are drop-in
-   (same results, same order, exceptions propagate); shared counters
-   stay exact under concurrent domains; and Enforce is observationally
-   identical to the sequential Policy reference — same verdicts,
-   byte-identical denial messages — including immediately after a DB
-   mutation invalidates cached verdicts. *)
+   The load-bearing properties: shared counters stay exact under
+   concurrent domains; and Enforce is observationally identical to the
+   sequential Policy reference — same verdicts, byte-identical denial
+   messages — including immediately after a DB mutation invalidates
+   cached verdicts. *)
 
 module C = Sesame_core
 module Db = Sesame_db
-module P = Sesame_parallel
 
 let test name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let with_pool domains f =
-  let pool = P.create ~domains () in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
-
-(* ------------------------------------------------------------------ *)
-(* Pool combinators *)
-
-exception Boom of int
-
-let pool_tests =
-  [
-    test "map_array preserves values and order" (fun () ->
-        with_pool 3 (fun pool ->
-            let input = Array.init 10_000 (fun i -> i) in
-            let got = P.map_array ~cutoff:1 pool (fun i -> i * i) input in
-            check_bool "same" true (got = Array.map (fun i -> i * i) input)));
-    test "map_array on empty and tiny arrays" (fun () ->
-        with_pool 2 (fun pool ->
-            check_bool "empty" true (P.map_array ~cutoff:1 pool succ [||] = [||]);
-            check_bool "single" true (P.map_array ~cutoff:1 pool succ [| 41 |] = [| 42 |])));
-    test "fold_range merges in range order" (fun () ->
-        with_pool 3 (fun pool ->
-            let n = 5000 in
-            let got =
-              P.fold_range ~cutoff:1 pool ~n
-                ~chunk:(fun ~lo ~hi -> List.init (hi - lo) (fun k -> lo + k))
-                ~merge:(fun acc part -> acc @ part)
-                ~init:[]
-            in
-            check_bool "ordered" true (got = List.init n Fun.id)));
-    test "exceptions in chunks re-raise in the caller" (fun () ->
-        with_pool 3 (fun pool ->
-            let raised =
-              try
-                ignore
-                  (P.map_array ~cutoff:1 pool
-                     (fun i -> if i = 777 then raise (Boom i) else i)
-                     (Array.init 2000 Fun.id));
-                false
-              with Boom 777 -> true
-            in
-            check_bool "boom" true raised));
-    test "combinators nested inside a task run sequentially, no deadlock" (fun () ->
-        with_pool 3 (fun pool ->
-            let got =
-              P.map_array ~cutoff:1 pool
-                (fun i ->
-                  Array.fold_left ( + ) 0
-                    (P.map_array ~cutoff:1 pool (fun j -> i + j) (Array.init 50 Fun.id)))
-                (Array.init 200 Fun.id)
-            in
-            let expect i = (50 * i) + (50 * 49 / 2) in
-            check_bool "nested" true (got = Array.init 200 expect)));
-    test "a pool without workers degrades to the sequential path" (fun () ->
-        with_pool 1 (fun pool ->
-            let got = P.map_array ~cutoff:1 pool succ (Array.init 100 Fun.id) in
-            check_bool "seq" true (got = Array.init 100 succ);
-            check_bool "counted" true ((P.stats pool).P.sequential > 0)));
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared counters under concurrent domains *)
@@ -164,10 +102,9 @@ let verdict_eq a b =
   | Error m1, Error m2 -> String.equal m1 m2
   | _ -> false
 
-(* Memoized and parallel enforcement must agree with the uncached
-   sequential walk on verdicts AND denial messages, on cold and warm
-   caches alike. *)
-let differential_prop pool (specs, users) =
+(* Memoized enforcement must agree with the uncached sequential walk on
+   verdicts AND denial messages, on cold and warm caches alike. *)
+let differential_prop (specs, users) =
   let policies =
     List.map
       (fun (parity, n) -> if parity then Parity.make (n mod 2) else Maxlen.make n)
@@ -181,28 +118,16 @@ let differential_prop pool (specs, users) =
     verdict_eq reference (C.Enforce.check_verbose conj ctx)
     && verdict_eq reference (C.Enforce.check_verbose conj ctx)
   in
-  let saved_pool = C.Enforce.pool () in
   Fun.protect
-    ~finally:(fun () ->
-      C.Enforce.set_pool saved_pool;
-      C.Enforce.set_parallel_cutoff 64;
-      C.Enforce.set_memoization true)
+    ~finally:(fun () -> C.Enforce.set_memoization true)
     (fun () ->
-      (* memoized, sequential *)
-      C.Enforce.set_pool None;
       C.Enforce.set_memoization true;
       C.Enforce.bump ();
       let memo_ok = List.for_all agree contexts in
       (* memoization off: recompute path *)
       C.Enforce.set_memoization false;
       let off_ok = List.for_all agree contexts in
-      (* parallel fan-out forced down to 2-wide conjunctions *)
-      C.Enforce.set_pool (Some pool);
-      C.Enforce.set_parallel_cutoff 2;
-      C.Enforce.set_memoization true;
-      C.Enforce.bump ();
-      let par_ok = List.for_all agree contexts in
-      memo_ok && off_ok && par_ok)
+      memo_ok && off_ok)
 
 (* A policy whose verdict depends on table state: deny when the user's
    consent row says false. *)
@@ -275,45 +200,23 @@ let enforce_tests =
         C.Enforce.bump ();
         ignore (C.Enforce.check policy ctx);
         check_bool "recomputed" true (C.Policy.check_count () > 0));
-    test "parallel deny reports the first denial in member order" (fun () ->
-        with_pool 3 (fun pool ->
-            let saved = C.Enforce.pool () in
-            Fun.protect
-              ~finally:(fun () ->
-                C.Enforce.set_pool saved;
-                C.Enforce.set_parallel_cutoff 64)
-              (fun () ->
-                C.Enforce.set_pool (Some pool);
-                C.Enforce.set_parallel_cutoff 2;
-                (* user "uu" (len 2): parity=1 denies, maxlen=0 denies.
-                   The reported denial must be the sequential winner. *)
-                let members =
-                  [ Parity.make 0; Parity.make 1; Maxlen.make 0; Parity.make 1 ]
-                in
-                let conj = C.Policy.conjoin_all members in
-                let ctx = C.Mock.context ~user:"uu" () in
-                let reference = C.Policy.check_verbose conj ctx in
-                C.Enforce.bump ();
-                check_bool "same denial" true
-                  (verdict_eq reference (C.Enforce.check_verbose conj ctx)))));
   ]
 
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:100
-         ~name:"Enforce (memoized / off / parallel) == sequential reference"
+         ~name:"Enforce (memoized / off) == sequential reference"
          QCheck.(
            pair
              (small_list (pair bool (int_bound 6)))
              (small_list (string_small_of Gen.printable)))
-         (fun input -> with_pool 3 (fun pool -> differential_prop pool input)));
+         differential_prop);
   ]
 
 let () =
   Alcotest.run "parallel"
     [
-      ("pool", pool_tests);
       ("counters", counter_tests);
       ("enforce", enforce_tests);
       ("differential", qcheck_tests);

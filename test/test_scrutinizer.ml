@@ -709,6 +709,34 @@ let cache_tests =
         check_bool "counters populated" true (total > 0);
         let rate = Analysis.Summary_cache.hit_rate cache in
         check_bool "rate in range" true (rate > 0.0 && rate <= 1.0));
+    test "a verdict depends neither on cache state nor on a callee's parameter names"
+      (fun () ->
+        (* [helper] writes a field of its own parameter; rB hands it the
+           sensitive argument, never its by-ref capture [cap], so no
+           capture is mutated whatever [helper] names its parameter. *)
+        let program param =
+          let p = Program.create () in
+          Program.define_all p
+            [
+              func ~name:"helper" ~params:[ param ]
+                [ Assign (Lfield (param, "x"), Int_lit 0); Return (Some (Var param)) ];
+            ];
+          p
+        in
+        let body = [ Expr_stmt (Call (Static "helper", [ Var "x" ])) ] in
+        let r_a = spec "rA" [ "x" ] body in
+        let r_b = spec ~captures:[ { cap_var = "cap"; mode = By_ref } ] "rB" [ "x" ] body in
+        List.iter
+          (fun param ->
+            check_bool (param ^ ": fresh") true (accepted (program param) r_b);
+            let program = program param in
+            let cache = Analysis.Summary_cache.create () in
+            ignore (Analysis.check ~cache program r_a);
+            let warm = Analysis.check ~cache program r_b in
+            check_bool (param ^ ": warm check hits") true
+              (warm.Analysis.stats.summary_cache_hits > 0);
+            check_bool (param ^ ": warmed by rA") true warm.Analysis.accepted)
+          [ "cap"; "y" ]);
   ]
 
 (* Place sensitivity, witness provenance, and the seed-engine bug fixes:

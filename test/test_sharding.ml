@@ -11,15 +11,10 @@
 
 module C = Sesame_core
 module Db = Sesame_db
-module P = Sesame_parallel
 
 let test name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-let with_pool domains f =
-  let pool = P.create ~domains () in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
 
 let exec db sql params =
   match Db.Database.exec db sql ~params with
@@ -531,10 +526,8 @@ let op_arb =
    must match the uncached sequential walk computed at the same instant,
    verdicts AND denial messages. An unsoundly-warm cache entry shows up
    here as a verdict diverging right after the mutation it missed. *)
-let differential_run pool ~memo ~parallel ops =
+let differential_run ~memo ops =
   C.Enforce.set_memoization memo;
-  C.Enforce.set_pool (if parallel then Some pool else None);
-  C.Enforce.set_parallel_cutoff 2;
   C.Enforce.bump ();
   let db = Db.Database.create () in
   let user i = String.make (i + 1) 'u' in
@@ -569,26 +562,19 @@ let differential_run pool ~memo ~parallel ops =
           true)
     ops
 
-let differential_prop pool ops =
-  let saved_pool = C.Enforce.pool () in
+let differential_prop ops =
   Fun.protect
     ~finally:(fun () ->
-      C.Enforce.set_pool saved_pool;
-      C.Enforce.set_parallel_cutoff 64;
       C.Enforce.set_memoization true;
       C.Enforce.bump ())
-    (fun () ->
-      List.for_all
-        (fun (memo, parallel) -> differential_run pool ~memo ~parallel ops)
-        [ (true, false); (true, true); (false, false) ])
+    (fun () -> List.for_all (fun memo -> differential_run ~memo ops) [ true; false ])
 
 let qcheck_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:80
-         ~name:"memo x pool == sequential reference under mutation"
-         op_arb
-         (fun ops -> with_pool 3 (fun pool -> differential_prop pool ops)));
+         ~name:"memo on/off == sequential reference under mutation"
+         op_arb differential_prop);
   ]
 
 let () =
