@@ -199,7 +199,8 @@ let fig8 () =
     ]
   in
   (* The first request per endpoint is cold (verdict caches empty,
-     secondary indexes warming, group-policy cache unprimed); folding it
+     group-policy cache unprimed; both sides declare their secondary
+     indexes at creation, so none is built mid-run); folding it
      into the median misreported steady state, so it is timed apart and
      the table reports warm median + p99. *)
   Printf.printf "%-20s %12s %12s %12s %12s %12s %10s\n" "Endpoint" "base med"
@@ -1171,11 +1172,11 @@ let wal_ablation () =
       (ms recovery)
   in
   durable "wal, no sync"
-    { W.Durable.sync = W.Durable.No_sync; batch = 1; checkpoint_every = None; window_ns = 0L };
+    { W.Durable.sync = W.Durable.No_sync; checkpoint_every = None };
   durable "wal, fsync each commit"
-    { W.Durable.sync = W.Durable.Fsync; batch = 1; checkpoint_every = None; window_ns = 0L };
+    { W.Durable.sync = W.Durable.Fsync; checkpoint_every = None };
   durable "wal+checkpoint (64)"
-    { W.Durable.sync = W.Durable.Fsync; batch = 1; checkpoint_every = Some 64; window_ns = 0L };
+    { W.Durable.sync = W.Durable.Fsync; checkpoint_every = Some 64 };
   Printf.printf
     "\n(recovery column: reopen cost — WAL replay for the first two, checkpoint\n\
     \ load + short-tail replay for the last)\n"

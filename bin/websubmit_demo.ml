@@ -133,9 +133,7 @@ let run students questions injects data_dir fsync checkpoint_every serve_port pr
         let durable_config =
           {
             Wal.Durable.sync = (if fsync then Wal.Durable.Fsync else Wal.Durable.No_sync);
-            batch = 1;
             checkpoint_every = (if checkpoint_every <= 0 then None else Some checkpoint_every);
-            window_ns = 0L;
           }
         in
         Result.map

@@ -823,9 +823,8 @@ let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
   Ok t
 
 (* Equality predicates the endpoints and policy families issue on every
-   request; building the secondary indexes up front (instead of waiting
-   for the adaptive-indexing vote) keeps even a cold instance off the
-   full-scan path. *)
+   request. Secondary indexes exist only where declared, so building them
+   here keeps every instance, cold or warm, off the full-scan path. *)
 let index_hot_columns db =
   let* () = Db.Database.ensure_index db ~table:"answers" ~column:"email" in
   let* () = Db.Database.ensure_index db ~table:"answers" ~column:"lecture" in

@@ -15,6 +15,9 @@ let create ?(query_cost_ns = 0) () =
   let* () = Db.Database.create_table db Websubmit_schema.users in
   let* () = Db.Database.create_table db Websubmit_schema.answers in
   let* () = Db.Database.create_table db Websubmit_schema.leaders in
+  (* Get Employer Info looks up each consenting student's answers by
+     email; that is the one lookup hot enough to declare an index for. *)
+  let* () = Db.Database.ensure_index db ~table:"answers" ~column:"email" in
   Ok { db; model = None; next_answer_id = 1 }
 
 let seed t ~students ~questions =

@@ -33,18 +33,7 @@ type t = {
   pk_col : int option;
   secondary : (int, (Value.t, int list ref) Hashtbl.t) Hashtbl.t;
       (* column position -> value -> slots (unordered) *)
-  votes : int Atomic.t array;
-      (* per column: full scans that could have used an index on it *)
-  want_index : bool Atomic.t array;
-      (* per column: votes crossed the threshold; the build itself is
-         deferred to the next [wr] section so it never runs while
-         concurrent readers probe [secondary] *)
 }
-
-(* Auto-index a column once this many full scans carried an equality
-   predicate on it and the table is big enough for probes to win. *)
-let auto_index_scans = 8
-let auto_index_min_rows = 256
 
 (* Cooperative cancellation: long scans poll the ambient request deadline
    every [scan_checkpoint_rows] slots (power of two so the poll gate is a
@@ -76,8 +65,6 @@ let create schema =
     pk_index = Option.map (fun _ -> Hashtbl.create 64) pk_col;
     pk_col;
     secondary = Hashtbl.create 4;
-    votes = Array.init (Schema.arity schema) (fun _ -> Atomic.make 0);
-    want_index = Array.init (Schema.arity schema) (fun _ -> Atomic.make false);
   }
 
 let schema t = t.schema
@@ -122,40 +109,24 @@ let secondary_replace t ~old_row ~new_row slot =
       end)
     t.secondary
 
-(* Caller must hold [wr]. *)
-let build_index_unlocked t col =
-  if not (Hashtbl.mem t.secondary col) then begin
-    let index = Hashtbl.create (max 64 t.live) in
-    for slot = 0 to t.size - 1 do
-      match t.rows.(slot) with
-      | Some row -> index_add index row.(col) slot
-      | None -> ()
-    done;
-    Hashtbl.add t.secondary col index
-  end;
-  Atomic.set t.votes.(col) 0;
-  Atomic.set t.want_index.(col) false
-
-(* Caller must hold [wr]: materialize any index the vote counters asked
-   for. Readers only flag; builds happen here so [secondary] is never
-   resized under a concurrent probe. *)
-let build_pending_unlocked t =
-  Array.iteri
-    (fun col want -> if Atomic.get want then build_index_unlocked t col)
-    t.want_index
-
-(* A read path's entry hook: if votes flagged an index, take the write
-   lock once and build it before the read proceeds. *)
-let maybe_build_pending t =
-  if Array.exists Atomic.get t.want_index then
-    Rwlock.wr t.lock (fun () -> build_pending_unlocked t)
-
+(* Builds under [wr], so [secondary] never changes under a concurrent
+   probe. *)
 let ensure_index t column =
   match Schema.column_index t.schema column with
   | None ->
       invalid_arg
         (Printf.sprintf "table %s has no column %s" (Schema.name t.schema) column)
-  | Some col -> Rwlock.wr t.lock (fun () -> build_index_unlocked t col)
+  | Some col ->
+      Rwlock.wr t.lock (fun () ->
+          if not (Hashtbl.mem t.secondary col) then begin
+            let index = Hashtbl.create (max 64 t.live) in
+            for slot = 0 to t.size - 1 do
+              match t.rows.(slot) with
+              | Some row -> index_add index row.(col) slot
+              | None -> ()
+            done;
+            Hashtbl.add t.secondary col index
+          end)
 
 let has_index t column =
   match Schema.column_index t.schema column with
@@ -200,23 +171,6 @@ let index_candidates_unlocked t ~where =
               | None -> acc))
         t.secondary None
 
-(* On a full scan, vote for every equality column the scan could have
-   probed; flag the column once the votes say the scan pattern repeats
-   (the build itself waits for a [wr] section). Safe under [rd]: the
-   counters are atomics. *)
-let record_scan_votes t ~where =
-  if t.live >= auto_index_min_rows then
-    List.iter
-      (fun name ->
-        match Schema.column_index t.schema name with
-        | Some col
-          when (not (Hashtbl.mem t.secondary col)) && t.pk_col <> Some col
-               && Expr.equality_on where name <> None ->
-            let votes = 1 + Atomic.fetch_and_add t.votes.(col) 1 in
-            if votes >= auto_index_scans then Atomic.set t.want_index.(col) true
-        | _ -> ())
-      (Expr.columns where)
-
 (* Caller must hold [wr] (mutation read phase: checkpoint polls may
    abort the statement here, before any row has changed). *)
 let matching_slots_unlocked t ~where =
@@ -230,7 +184,6 @@ let matching_slots_unlocked t ~where =
         candidates
   | None ->
       Footprint.record_table t.name t.ep;
-      record_scan_votes t ~where;
       let scanned = ref 0 in
       let acc = ref [] in
       for slot = t.size - 1 downto 0 do
@@ -256,7 +209,6 @@ let insert t row =
   | Error _ as e -> e
   | Ok () ->
       Rwlock.wr t.lock (fun () ->
-          build_pending_unlocked t;
           (* The duplicate check is a read: success depends on the key's
              shard (absence included), so record it — a verdict computed
              through a failed insert stays cached until that shard moves. *)
@@ -299,7 +251,6 @@ let insert_exn t row =
 type 'a read_plan = Resolved of 'a | Scan of Row.t option array
 
 let select ?limit t ~where =
-  maybe_build_pending t;
   let cap = match limit with Some n -> max 0 n | None -> max_int in
   if cap = 0 then []
   else
@@ -318,13 +269,8 @@ let select ?limit t ~where =
               Resolved (take cap candidates)
           | None ->
               Footprint.record_table t.name t.ep;
-              record_scan_votes t ~where;
               Scan (Array.sub t.rows 0 t.size))
     in
-    (* A scan whose votes just crossed the threshold flags the index;
-       build it now (after the read lock is released, under [wr]) so the
-       adaptive index exists as soon as the deciding scan returns. *)
-    maybe_build_pending t;
     match plan with
     | Resolved rows -> rows
     | Scan snap ->
@@ -350,7 +296,6 @@ let select ?limit t ~where =
 
 let update t ~where ~set =
   Rwlock.wr t.lock (fun () ->
-      build_pending_unlocked t;
       let slots = matching_slots_unlocked t ~where in
       (* Dry-run all updates first so a failure mutates nothing. *)
       let updated =
@@ -413,7 +358,6 @@ let update t ~where ~set =
 
 let delete t ~where =
   Rwlock.wr t.lock (fun () ->
-      build_pending_unlocked t;
       let slots = matching_slots_unlocked t ~where in
       let touched = ref [] in
       List.iter
@@ -464,7 +408,5 @@ let clear t =
       t.size <- 0;
       t.live <- 0;
       Option.iter Hashtbl.reset t.pk_index;
-      Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary;
-      Array.iter (fun v -> Atomic.set v 0) t.votes;
-      Array.iter (fun w -> Atomic.set w false) t.want_index);
+      Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary);
   Epoch.bump_structural t.name

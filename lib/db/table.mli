@@ -29,8 +29,8 @@ val ensure_index : t -> string -> unit
     [Invalid_argument] on an unknown column. *)
 
 val has_index : t -> string -> bool
-(** Whether a secondary index exists for the column (indexes also appear
-    adaptively after repeated equality scans on a large table). *)
+(** Whether a secondary index exists for the column. Indexes exist only
+    where {!ensure_index} built them. *)
 
 val select : ?limit:int -> t -> where:Expr.t -> Row.t list
 (** Matching rows in insertion order, at most [limit] when given (the

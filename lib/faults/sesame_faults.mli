@@ -22,7 +22,7 @@ type point =
   | Db_wal_append    (** WAL record append in [Sesame_wal.Wal.append] — a
                          crash/IO-error model for the redo log; a fault
                          here means the write was never acknowledged *)
-  | Db_wal_fsync     (** the [fsync] made before acknowledging a batch
+  | Db_wal_fsync     (** the [fsync] made before acknowledging a frame
                          ([Sesame_wal.Wal]); a fault models a lost disk
                          flush, so the writer must fail the statement *)
   | Db_checkpoint_write

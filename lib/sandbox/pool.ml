@@ -41,14 +41,12 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ?(capacity = 2) ?min_capacity ?max_capacity ?(arena_size = 4 * 1024 * 1024) () =
-  let min_capacity = Option.value min_capacity ~default:capacity in
-  let max_capacity = max min_capacity (Option.value max_capacity ~default:capacity) in
-  let capacity = min (max capacity min_capacity) max_capacity in
+let create ?(capacity = 2) ?max_capacity ?(arena_size = 4 * 1024 * 1024) () =
+  let max_capacity = max capacity (Option.value max_capacity ~default:capacity) in
   let free = List.init capacity (fun _ -> Arena.create ~size:arena_size ()) in
   {
     capacity;
-    min_capacity;
+    min_capacity = capacity;
     max_capacity;
     arena_size;
     lock = Mutex.create ();
@@ -167,8 +165,6 @@ let set_capacity t n =
   else if direction < 0 then Atomic.incr t.shrunk;
   target
 
-let scale_up t = set_capacity t (with_lock t (fun () -> t.capacity) + 1)
-let scale_down t = set_capacity t (with_lock t (fun () -> t.capacity) - 1)
 let capacity t = with_lock t (fun () -> t.capacity)
 let bounds t = (t.min_capacity, t.max_capacity)
 let attach_preflight t report = with_lock t (fun () -> t.preflight <- Some report)

@@ -10,11 +10,12 @@
     rather than wiped and reused, so a fault can never seed residue (or a
     corrupted allocator) into a later invocation.
 
-    Capacity is {e mutable} between [min_capacity] and [max_capacity]:
-    the server's autoscaler ({!Sesame_server}) converts sustained queue
-    depth / shed rate into {!set_capacity} calls so load spikes become
-    scaling before they become 503s. By default both bounds equal the
-    initial capacity, so nothing scales unless explicitly enabled. *)
+    Capacity is {e mutable} between the initial capacity and
+    [max_capacity]: the server's autoscaler ({!Sesame_server}) converts
+    sustained queue depth / shed rate into {!set_capacity} calls so load
+    spikes become scaling before they become 503s. By default
+    [max_capacity] equals the initial capacity, so nothing scales unless
+    explicitly enabled. *)
 
 type t
 
@@ -32,11 +33,10 @@ type stats = {
   shrunk : int;  (** capacity decreases applied via {!set_capacity} *)
 }
 
-val create :
-  ?capacity:int -> ?min_capacity:int -> ?max_capacity:int -> ?arena_size:int -> unit -> t
+val create : ?capacity:int -> ?max_capacity:int -> ?arena_size:int -> unit -> t
 (** Preallocates [capacity] (default 2) arenas of [arena_size] bytes.
-    [min_capacity]/[max_capacity] (both default [capacity]) bound later
-    {!set_capacity} calls; the initial capacity is clamped into them. *)
+    Later {!set_capacity} calls stay between [capacity], the floor, and
+    [max_capacity] (default, and at least, [capacity]). *)
 
 val acquire : t -> Arena.t
 (** Pops a clean arena, or allocates a fresh one when the pool is empty. *)
@@ -55,13 +55,9 @@ val set_capacity : t -> int -> int
     shrinking drops surplus {e free} arenas (in-flight arenas are simply
     not readmitted past the new bound). *)
 
-val scale_up : t -> int
-val scale_down : t -> int
-(** [set_capacity (capacity ± 1)]; both return the resulting capacity. *)
-
 val capacity : t -> int
 val bounds : t -> int * int
-(** [(min_capacity, max_capacity)]. *)
+(** [(floor, max_capacity)], where the floor is the initial capacity. *)
 
 val attach_preflight : t -> Preflight.report -> unit
 (** Records the preflight report this pool was constructed under — set by

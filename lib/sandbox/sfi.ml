@@ -183,10 +183,10 @@ let run ?(arena_size = 64 * 1024) () =
   let checks = List.map (run_check ~arena_size) battery in
   { Preflight.checks; arena_size; at_s; total_s = now () -. at_s }
 
-let create_pool ?capacity ?min_capacity ?max_capacity ?arena_size () =
+let create_pool ?capacity ?max_capacity ?arena_size () =
   let report = run ?arena_size () in
   if Preflight.passed report then begin
-    let pool = Pool.create ?capacity ?min_capacity ?max_capacity ?arena_size () in
+    let pool = Pool.create ?capacity ?max_capacity ?arena_size () in
     Pool.attach_preflight pool report;
     Ok (pool, report)
   end

@@ -21,7 +21,6 @@ val run : ?arena_size:int -> unit -> Preflight.report
 
 val create_pool :
   ?capacity:int ->
-  ?min_capacity:int ->
   ?max_capacity:int ->
   ?arena_size:int ->
   unit ->

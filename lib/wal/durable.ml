@@ -6,19 +6,9 @@ module B = Sesame_db.Bincodec
 
 type sync_mode = No_sync | Fsync
 
-type config = {
-  sync : sync_mode;
-  batch : int;
-  checkpoint_every : int option;
-  window_ns : int64;
-      (* group-commit time window (0 = count-only): an append flushes
-         once the oldest buffered frame has waited this long, so frames
-         from different tables/shards coalesce into one fsync without
-         an unbounded unsynced tail *)
-}
+type config = { sync : sync_mode; checkpoint_every : int option }
 
-let default_config =
-  { sync = Fsync; batch = 1; checkpoint_every = Some 256; window_ns = 0L }
+let default_config = { sync = Fsync; checkpoint_every = Some 256 }
 
 type reason =
   | Quarantined of string
@@ -65,18 +55,12 @@ type t = {
   mutable since_ckpt : int;
   mutable replayed : int;
   mutable last_ckpt_error : string option;
-  (* Distinct tables journaled into the current (unflushed) group-commit
-     window, and the widest window seen — the coalescing evidence. *)
-  mutable window_tables : string list;
-  mutable max_coalesced_tables : int;
 }
 
 type commit_stats = {
   appended : int;  (* frames journaled *)
-  flushes : int;  (* batched writes (each covers >= 1 frame) *)
+  flushes : int;  (* frame writes completed *)
   fsyncs : int;
-  max_coalesced_tables : int;
-      (* most distinct tables whose frames shared one flush window *)
 }
 
 let db t = t.db
@@ -238,7 +222,6 @@ let checkpoint t =
   | None -> Error "durable store closed"
   | Some w -> (
       let result =
-        let* () = Wal.flush w in
         let tables =
           List.map
             (fun name ->
@@ -256,10 +239,7 @@ let checkpoint t =
         let* () = Wal.close w in
         t.writer <- None;
         let* () = Wal.create (wal_path t) in
-        let* w' =
-          Wal.open_writer ~window_ns:t.config.window_ns ~sync:(t.config.sync = Fsync)
-            ~batch:t.config.batch (wal_path t)
-        in
+        let* w' = Wal.open_writer ~sync:(t.config.sync = Fsync) (wal_path t) in
         t.writer <- Some w';
         Ok ()
       in
@@ -268,13 +248,11 @@ let checkpoint t =
           t.last_ckpt_error <- None;
           Ok ()
       | Error e ->
+          (* If the WAL writer was lost after the snapshot published, the
+             checkpoint itself is intact, but nothing can journal — the
+             hook's [writer = None] branch poisons on the next write. *)
           t.last_ckpt_error <- Some e;
-          if t.writer = None then
-            (* The WAL writer was lost after the snapshot published; the
-               checkpoint itself is intact, but nothing can journal — the
-               hook's [writer = None] branch poisons on the next write. *)
-            Error e
-          else Error e)
+          Error e)
 
 let journal t event =
   match t.writer with
@@ -300,31 +278,7 @@ let journal t event =
         | Db.J_create schema -> encode_create_record ~lsn schema
         | Db.J_drop name -> encode_drop_record ~lsn name
       in
-      let event_table =
-        match (event : Db.journal_event) with
-        | Db.J_stmt (Sql.Insert { table; _ })
-        | Db.J_stmt (Sql.Update { table; _ })
-        | Db.J_stmt (Sql.Delete { table; _ }) ->
-            Some table
-        | Db.J_stmt (Sql.Select _ | Sql.Select_agg _) -> None
-        | Db.J_create schema -> Some (Schema.name schema)
-        | Db.J_drop name -> Some name
-      in
-      let flushes_before = Wal.flushes w in
       let* () = Wal.append w payload in
-      (* Coalescing evidence: count the distinct tables whose frames
-         shared this flush window. The append above may have closed the
-         window (count or time trigger), in which case the set — this
-         frame included — is complete. *)
-      (match event_table with
-      | Some name when not (List.mem name t.window_tables) ->
-          t.window_tables <- name :: t.window_tables
-      | _ -> ());
-      if Wal.flushes w > flushes_before then begin
-        t.max_coalesced_tables <-
-          max t.max_coalesced_tables (List.length t.window_tables);
-        t.window_tables <- []
-      end;
       t.next_lsn <- Int64.succ lsn;
       t.since_ckpt <- t.since_ckpt + 1;
       (match t.config.checkpoint_every with
@@ -336,17 +290,10 @@ let journal t event =
       | _ -> ());
       Ok ()
 
-let flush t =
-  match t.writer with None -> Error "durable store closed" | Some w -> Wal.flush w
-
 let commit_stats t =
   match t.writer with
-  | None ->
-      { appended = 0; flushes = 0; fsyncs = 0;
-        max_coalesced_tables = t.max_coalesced_tables }
-  | Some w ->
-      { appended = Wal.appended w; flushes = Wal.flushes w; fsyncs = Wal.fsyncs w;
-        max_coalesced_tables = t.max_coalesced_tables }
+  | None -> { appended = 0; flushes = 0; fsyncs = 0 }
+  | Some w -> { appended = Wal.appended w; flushes = Wal.writes w; fsyncs = Wal.fsyncs w }
 
 let close t =
   match t.writer with
@@ -458,10 +405,7 @@ let recover ~dir ~config =
         | Error detail -> fail dir (Corrupt_record { offset = valid_end; detail }))
   in
   let* writer =
-    match
-      Wal.open_writer ~window_ns:config.window_ns ~sync:(config.sync = Fsync)
-        ~batch:config.batch wal_file
-    with
+    match Wal.open_writer ~sync:(config.sync = Fsync) wal_file with
     | Ok w -> Ok w
     | Error detail -> fail dir (Corrupt_record { offset = valid_end; detail })
   in
@@ -560,8 +504,6 @@ let open_store ?(config = default_config) ~provenance ~dir () =
           since_ckpt = 0;
           replayed;
           last_ckpt_error = None;
-          window_tables = [];
-          max_coalesced_tables = 0;
         }
       in
       Db.set_journal db (Some (journal t));

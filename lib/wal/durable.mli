@@ -9,8 +9,8 @@
     create/drop), one record is appended to the WAL carrying the LSN,
     the statement, the table's schema hash, and — per bound column — the
     flattened policy provenance the [provenance] callback reports.
-    Group-commit batching and the fsync mode come from {!config}. If the
-    append (or its fsync) fails, the statement is never acknowledged and
+    Each record is written, and under {!Fsync} [fsync]ed, before the
+    statement is acknowledged. If the append (or its fsync) fails, the statement is never acknowledged and
     the in-memory store is poisoned (see {!Sesame_db.Database.poison}):
     memory and log have diverged, and only a reopen through recovery may
     serve data again.
@@ -36,24 +36,17 @@
 
 type sync_mode =
   | No_sync  (** write-behind: OS page cache only; a crash may lose the tail *)
-  | Fsync    (** [fsync] on every group-commit before acknowledging *)
+  | Fsync    (** [fsync] every record before acknowledging *)
 
 type config = {
   sync : sync_mode;
-  batch : int;  (** group-commit size, [>= 1] *)
   checkpoint_every : int option;
       (** checkpoint after this many journaled records; [None] = manual only *)
-  window_ns : int64;
-      (** group-commit time window ([0] = count-only): an append also
-          flushes once the oldest buffered frame has waited this long,
-          so frames from different tables and shards coalesce into one
-          [fsync] without an unbounded unsynced tail *)
 }
 
 val default_config : config
-(** [{ sync = Fsync; batch = 1; checkpoint_every = Some 256;
-    window_ns = 0L }] — the strict mode: every acknowledged write
-    survives any crash. *)
+(** [{ sync = Fsync; checkpoint_every = Some 256 }] — the strict mode:
+    every acknowledged write survives any crash. *)
 
 type reason =
   | Quarantined of string
@@ -92,16 +85,10 @@ val open_store :
 val db : t -> Sesame_db.Database.t
 val dir : t -> string
 
-val flush : t -> (unit, string) result
-(** Force out buffered group-commit frames. *)
-
 type commit_stats = {
   appended : int;  (** frames journaled since the WAL (re)opened *)
-  flushes : int;  (** batched writes; coalescing ratio = appended/flushes *)
+  flushes : int;  (** frame writes completed; equals [appended] unless a write failed *)
   fsyncs : int;  (** 0 under {!No_sync} *)
-  max_coalesced_tables : int;
-      (** most distinct tables whose frames shared one flush window —
-          evidence that group commit coalesces across tables/shards *)
 }
 
 val commit_stats : t -> commit_stats
@@ -111,7 +98,7 @@ val checkpoint : t -> (unit, string) result
     keeps serving; see {!last_checkpoint_error}). *)
 
 val close : t -> (unit, string) result
-(** Flush and close the log. The journal hook stays installed, so any
+(** Close the log. The journal hook stays installed, so any
     later mutation fails (and poisons) rather than silently running
     un-journaled. *)
 

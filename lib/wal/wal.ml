@@ -31,46 +31,41 @@ let create path =
 
 type writer = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
-  mutable pending : int;
   mutable appended : int;
   mutable closed : bool;
   sync : bool;
-  batch : int;
-  window_ns : int64;  (* 0 = no time trigger *)
-  mutable window_start : int64;  (* when the oldest pending frame buffered *)
-  mutable flushes : int;
+  mutable writes : int;
   mutable fsyncs : int;
 }
 
-let open_writer ?(window_ns = 0L) ~sync ~batch path =
+let open_writer ~sync path =
   try
     let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-    Ok { fd; buf = Buffer.create 4096; pending = 0; appended = 0; closed = false;
-         sync; batch = max 1 batch;
-         window_ns = (if Int64.compare window_ns 0L > 0 then window_ns else 0L);
-         window_start = 0L; flushes = 0; fsyncs = 0 }
+    Ok { fd; appended = 0; closed = false; sync; writes = 0; fsyncs = 0 }
   with Unix.Unix_error (e, _, _) -> io_error "open" e
 
 let appended w = w.appended
-let flushes w = w.flushes
+let writes w = w.writes
 let fsyncs w = w.fsyncs
 
-let flush w =
-  if w.closed then Error "wal flush: writer closed"
-  else if Buffer.length w.buf = 0 then Ok ()
+let append w payload =
+  if w.closed then Error "wal append: writer closed"
   else begin
-    let s = Buffer.contents w.buf in
+    Sesame_faults.hit Sesame_faults.Db_wal_append;
+    let frame = Buffer.create (frame_header + String.length payload) in
+    add_u32 frame (String.length payload);
+    add_u32 frame (crc_of payload);
+    Buffer.add_string frame payload;
+    let s = Buffer.contents frame in
+    w.appended <- w.appended + 1;
     match write_all w.fd s 0 (String.length s) with
     | exception Unix.Unix_error (e, _, _) -> io_error "write" e
     | () ->
-        Buffer.clear w.buf;
-        w.pending <- 0;
-        w.flushes <- w.flushes + 1;
+        w.writes <- w.writes + 1;
         if not w.sync then Ok ()
         else begin
           (* The seam sits between write and fsync: an injected fault here
-             models a flush the disk never saw, so the batch must not be
+             models a frame the disk never saw, so it must not be
              acknowledged. *)
           Sesame_faults.hit Sesame_faults.Db_wal_fsync;
           match Unix.fsync w.fd with
@@ -81,40 +76,13 @@ let flush w =
         end
   end
 
-let append w payload =
-  if w.closed then Error "wal append: writer closed"
-  else begin
-    Sesame_faults.hit Sesame_faults.Db_wal_append;
-    if w.pending = 0 then w.window_start <- Sesame_clock.now_ns ();
-    add_u32 w.buf (String.length payload);
-    add_u32 w.buf (crc_of payload);
-    Buffer.add_string w.buf payload;
-    w.pending <- w.pending + 1;
-    w.appended <- w.appended + 1;
-    (* Group commit coalesces frames — from any table, any shard — into
-       one write+fsync: by count once [batch] frames are pending, or by
-       time once the oldest pending frame has waited [window_ns]. The
-       window lets a large batch keep its throughput without leaving a
-       trickle of writes unsynced indefinitely. *)
-    let window_expired =
-      Int64.compare w.window_ns 0L > 0
-      && Int64.compare
-           (Int64.sub (Sesame_clock.now_ns ()) w.window_start)
-           w.window_ns
-         >= 0
-    in
-    if w.pending >= w.batch || window_expired then flush w else Ok ()
-  end
-
 let close w =
   if w.closed then Ok ()
   else begin
-    let flushed = flush w in
     w.closed <- true;
     match Unix.close w.fd with
-    | () -> flushed
-    | exception Unix.Unix_error (e, _, _) -> (
-        match flushed with Error _ as err -> err | Ok () -> io_error "close" e)
+    | () -> Ok ()
+    | exception Unix.Unix_error (e, _, _) -> io_error "close" e
   end
 
 type record = { offset : int; payload : string }

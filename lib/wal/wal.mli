@@ -17,10 +17,10 @@
       {e corruption} — a partial write cannot produce it, so {!scan}
       fails closed with an error instead of guessing.
 
-    Writers group-commit: appends accumulate in a buffer and are written
-    (and optionally [fsync]ed) once [batch] frames are pending. The
-    fault seams [Db_wal_append] and [Db_wal_fsync] fire on the append
-    and flush paths respectively. *)
+    Every append writes its frame before returning and, on a [sync]
+    writer, [fsync]s it: an acknowledged frame is on disk. The fault
+    seams [Db_wal_append] and [Db_wal_fsync] fire before the write and
+    between the write and the [fsync] respectively. *)
 
 val magic : string
 (** File header, ["SSMWAL01"]. *)
@@ -35,39 +35,24 @@ val create : string -> (unit, string) result
 (** Creates (or truncates to) a fresh log containing only the magic
     header, [fsync]ed. *)
 
-val open_writer :
-  ?window_ns:int64 -> sync:bool -> batch:int -> string -> (writer, string) result
-(** Opens an existing log for appending. [batch] (clamped to [>= 1]) is
-    the group-commit size: frames buffer in memory until that many are
-    pending, then are written in one [write] and, when [sync], one
-    [fsync]. With [batch = 1] and [sync = true] every acknowledged
-    append is durable; larger batches trade a bounded tail of
-    acknowledged-but-buffered frames for throughput.
-
-    [window_ns] (default 0 = off) adds a time trigger: an append also
-    flushes once the oldest pending frame has been buffered for at
-    least that long, so group commit coalesces frames across tables and
-    shards within one fsync window without an unbounded unsynced
-    tail. *)
+val open_writer : sync:bool -> string -> (writer, string) result
+(** Opens an existing log for appending. With [sync] every acknowledged
+    append is [fsync]ed before it returns. *)
 
 val append : writer -> string -> (unit, string) result
-(** Frames [payload] and group-commits. An [Error] (or an injected
-    fault's raise) means the frame was {e not} acknowledged — the caller
-    must fail the statement and poison the store. *)
-
-val flush : writer -> (unit, string) result
-(** Forces out any buffered frames ([fsync]ing when the writer is
-    [sync]). No-op when nothing is pending. *)
+(** Frames [payload] and writes it ([fsync]ing when the writer is
+    [sync]). An [Error] (or an injected fault's raise) means the frame
+    was {e not} acknowledged — the caller must fail the statement and
+    poison the store. *)
 
 val close : writer -> (unit, string) result
-(** {!flush} then close the descriptor. The writer is unusable after. *)
+(** Closes the descriptor. The writer is unusable after. *)
 
 val appended : writer -> int
 (** Frames appended since {!open_writer} (for checkpoint pacing/tests). *)
 
-val flushes : writer -> int
-(** Buffered-batch writes performed (each covers ≥ 1 frame); the
-    group-commit coalescing ratio is [appended / flushes]. *)
+val writes : writer -> int
+(** Frame writes completed; equals {!appended} unless a write failed. *)
 
 val fsyncs : writer -> int
 (** [fsync]s performed (0 when the writer is not [sync]). *)

@@ -229,6 +229,15 @@ let websubmit_tests =
           (status (Apps.Websubmit_baseline.retrain_model base (req ~cookies:as_admin Http.Meth.POST "/retrain")));
         let e = Apps.Websubmit_baseline.get_employer_info base (req Http.Meth.GET "/employer") in
         check_bool "same consenting set" true (contains (body e) "student0@school.edu"));
+    test "baseline declares its answers.email index at creation" (fun () ->
+        let base = Result.get_ok (Apps.Websubmit_baseline.create ()) in
+        let table name =
+          Sesame_db.Database.table_exn (Apps.Websubmit_baseline.database base) name
+        in
+        check_bool "answers.email" true (Sesame_db.Table.has_index (table "answers") "email");
+        check_bool "no other index" false
+          (Sesame_db.Table.has_index (table "answers") "lecture"
+          || Sesame_db.Table.has_index (table "users") "email"));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -471,18 +471,6 @@ let index_tests =
         items_exec fresh "DELETE FROM items WHERE id = 10" [];
         check_bool "vs scan" true
           (got = items_rows fresh "SELECT * FROM items WHERE grp = ?" [ Value.Int 3 ]));
-    test "repeated equality scans build an index adaptively" (fun () ->
-        let db = items_db ~n:300 () in
-        let tbl = Option.get (Database.table db "items") in
-        check_bool "not yet" false (Table.has_index tbl "grp");
-        for _ = 1 to 8 do
-          ignore (items_rows db "SELECT * FROM items WHERE grp = ?" [ Value.Int 2 ])
-        done;
-        check_bool "built" true (Table.has_index tbl "grp");
-        let fresh = items_db ~n:300 () in
-        check_bool "still correct" true
-          (items_rows db "SELECT * FROM items WHERE grp = ?" [ Value.Int 2 ]
-          = items_rows fresh "SELECT * FROM items WHERE grp = ?" [ Value.Int 2 ]));
     test "limit returns the first k matches of the unlimited query" (fun () ->
         let db = items_db () in
         let all = items_rows db "SELECT * FROM items WHERE grp = ?" [ Value.Int 1 ] in

@@ -408,7 +408,7 @@ let snapshot_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive indexing under concurrent domains *)
+(* Index builds under concurrent domains *)
 
 let hammer_tests =
   [

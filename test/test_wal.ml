@@ -3,7 +3,7 @@
    Covers the physical layer (torn tails at every byte offset of the
    log, mid-log corruption, CRC-valid-but-undecodable frames), the
    logical layer (replay of insert/update/delete/create, LSN-based
-   checkpoint idempotency, the group-commit buffering window), and the
+   checkpoint idempotency, one write per acknowledged statement), and the
    fail-closed recovery contract: a store that cannot prove every row's
    policy — unknown constructor, schema drift, non-replaying statement —
    refuses to open and quarantines the directory. *)
@@ -58,7 +58,7 @@ let fresh_dir =
     Unix.mkdir dir 0o755;
     dir
 
-let no_ckpt = { W.Durable.sync = W.Durable.Fsync; batch = 1; checkpoint_every = None; window_ns = 0L }
+let no_ckpt = { W.Durable.sync = W.Durable.Fsync; checkpoint_every = None }
 
 let open_store ?(config = no_ckpt) dir =
   W.Provenance.reset ();
@@ -217,80 +217,48 @@ let checkpoint_idempotent () =
   check_int "writes continue" 4 (count t');
   close_exn t'
 
-(* Group commit: with batch = k, frames buffer in memory — the file does
-   not grow until k are pending (or a flush/close forces them out). The
-   buffered tail is exactly the window No_sync/batching trades away. *)
-let group_commit_window () =
-  let dir = fresh_dir () in
-  let config = { W.Durable.sync = W.Durable.No_sync; batch = 8; checkpoint_every = None; window_ns = 0L } in
-  let t = open_store_exn ~config dir in
-  (match Db.Database.create_table (W.Durable.db t) notes_schema with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "create: %s" m);
-  insert t 1;
-  insert t 2;
-  check_int "3 frames still buffered" W.Wal.header_size (file_size (wal_path dir));
-  (match W.Durable.flush t with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "flush: %s" m);
-  check_bool "flush forces the batch out" true (file_size (wal_path dir) > W.Wal.header_size);
-  insert t 3;
-  close_exn t;
-  let t' = open_store_exn dir in
-  check_int "close flushed the last frame" 3 (count t');
-  close_exn t'
-
-(* The time trigger: with a (tiny) window armed, an append flushes once
-   the oldest buffered frame has waited long enough — the batch count
-   never fills, yet the file grows. *)
-let time_window_flushes () =
-  let dir = fresh_dir () in
-  let config =
-    { W.Durable.sync = W.Durable.No_sync; batch = 100; checkpoint_every = None; window_ns = 1L }
-  in
-  let t = open_store_exn ~config dir in
-  (match Db.Database.create_table (W.Durable.db t) notes_schema with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "create: %s" m);
-  insert t 1;
-  insert t 2;
-  let stats = W.Durable.commit_stats t in
-  check_bool "window flushed before the batch filled" true (stats.W.Durable.flushes >= 1);
-  check_int "no fsync under No_sync" 0 stats.W.Durable.fsyncs;
-  check_bool "file grew" true (file_size (wal_path dir) > W.Wal.header_size);
-  close_exn t
-
-(* Frames from different tables coalesce into one flush window — the
-   cross-table group-commit evidence commit_stats reports. *)
-let coalesces_across_tables () =
-  let dir = fresh_dir () in
-  let config =
-    { W.Durable.sync = W.Durable.Fsync; batch = 3; checkpoint_every = None; window_ns = 0L }
-  in
-  let t = open_store_exn ~config dir in
-  let second_schema =
+(* Every acknowledged statement is written (and, under Fsync, fsynced)
+   before it returns: the file grows after each statement, with no close
+   in between, and each frame costs exactly one write. The tables are
+   created before a reopen so the writer's counters cover only the three
+   statements, which span both tables. *)
+let own_write_per_statement () =
+  let audit_schema =
     Db.Schema.make_exn ~name:"audit" ~primary_key:"id"
       [
         { Db.Schema.name = "id"; ty = Db.Value.Tint; nullable = false };
-        { Db.Schema.name = "owner"; ty = Db.Value.Ttext; nullable = false };
         { Db.Schema.name = "note"; ty = Db.Value.Ttext; nullable = false };
       ]
   in
   List.iter
-    (fun schema ->
-      match Db.Database.create_table (W.Durable.db t) schema with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "create: %s" m)
-    [ notes_schema; second_schema ];
-  (* Two creates buffered; the insert is the 3rd frame and triggers the
-     flush — three frames, two distinct tables, one write+fsync. *)
-  insert t 1;
-  let stats = W.Durable.commit_stats t in
-  check_int "three frames" 3 stats.W.Durable.appended;
-  check_int "one batched write" 1 stats.W.Durable.flushes;
-  check_int "one fsync" 1 stats.W.Durable.fsyncs;
-  check_bool "two tables shared the window" true (stats.W.Durable.max_coalesced_tables >= 2);
-  close_exn t
+    (fun (sync, fsyncs) ->
+      let dir = fresh_dir () in
+      let t = open_store_exn dir in
+      List.iter
+        (fun schema ->
+          match Db.Database.create_table (W.Durable.db t) schema with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "create: %s" m)
+        [ notes_schema; audit_schema ];
+      close_exn t;
+      let t = open_store_exn ~config:{ no_ckpt with W.Durable.sync } dir in
+      let statement sql params =
+        let before = file_size (wal_path dir) in
+        (match Db.Database.exec (W.Durable.db t) sql ~params with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "%s: %s" sql m);
+        check_bool (sql ^ " grew the log") true (file_size (wal_path dir) > before)
+      in
+      statement "INSERT INTO notes VALUES (?, ?, ?)"
+        [ Db.Value.Int 1; Db.Value.Text "user1@example.com"; Db.Value.Text "note-1" ];
+      statement "INSERT INTO audit VALUES (?, ?)" [ Db.Value.Int 1; Db.Value.Text "created" ];
+      statement "UPDATE notes SET note = ? WHERE id = ?" [ Db.Value.Text "edited"; Db.Value.Int 1 ];
+      let { W.Durable.appended; flushes; fsyncs = synced } = W.Durable.commit_stats t in
+      check_int "three frames" 3 appended;
+      check_int "one write per frame" 3 flushes;
+      check_int "fsyncs" fsyncs synced;
+      close_exn t)
+    [ (W.Durable.Fsync, 3); (W.Durable.No_sync, 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* The torn-tail matrix: truncate the log at every byte offset — every
@@ -494,9 +462,7 @@ let () =
           test "update and delete replay" update_delete_replay;
           test "checkpoint resets the log" checkpoint_resets_log;
           test "checkpoint covered records are skipped" checkpoint_idempotent;
-          test "group-commit buffering window" group_commit_window;
-          test "time window flushes before the batch fills" time_window_flushes;
-          test "group commit coalesces frames across tables" coalesces_across_tables;
+          test "each acknowledged statement is its own write" own_write_per_statement;
         ] );
       ("crash-matrix", [ test "torn tail truncated at every byte offset" torn_tail_matrix ]);
       ( "fail-closed",
