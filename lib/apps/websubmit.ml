@@ -1168,10 +1168,12 @@ let retrain_model t request =
           (* "Fetch everything I may train on": the connector keeps only
              rows whose grade policy admits this context. When pushdown
              is on, the grade binding's translation compiles the consent
-             check into an email ∈ {consenting} predicate that rides the
-             indexed scan — no per-row policy objects at all; otherwise
-             the reference path instantiates and checks each row's
-             policy post-hoc (memoized by Enforce underneath). *)
+             check into an email IN (consenting) predicate; the answers
+             table's email index turns that list into the union of the
+             consenting students' buckets, so only their rows are read
+             and no per-row policy objects are built. Otherwise the
+             reference path scans every graded answer and checks each
+             row's policy post-hoc (memoized by Enforce underneath). *)
           Conn.query_filtered t.conn ~context ~on:"grade"
             "SELECT * FROM answers WHERE grade IS NOT NULL" ~params:[]
         with

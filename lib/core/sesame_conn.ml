@@ -573,11 +573,13 @@ let query t ~context sql ~params =
    allowed to use. The reference path materializes all matching rows and
    checks each one's policy post-hoc. When pushdown is enabled and the
    [on] binding carries a translation that speaks for this context, the
-   predicate is conjoined into the statement's WHERE instead, so the
-   indexed scan never materializes denied rows and no per-row policy
-   objects are instantiated. The translation admits exactly the rows the
-   policy admits, so both paths return byte-identical rows (in scan
-   order) with identical cell policies attached. *)
+   predicate is conjoined into the statement's WHERE instead: the table
+   layer compiles the conjunction once, serves an equality or IN list on
+   an indexed column from that index's buckets (it scans otherwise),
+   never materializes denied rows, and instantiates no per-row policy
+   objects. The translation admits exactly the rows the policy admits,
+   so both paths return byte-identical rows (in slot order) with
+   identical cell policies attached. *)
 let query_filtered t ~context ~on sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
@@ -629,11 +631,6 @@ let query_agg t ~context sql ~params =
       | None -> Error (db_error_at ~sink (Printf.sprintf "no table named %s" table))
       | Some tbl -> (
           let schema = Db.Table.schema tbl in
-          let agg_column = function
-            | Db.Sql.Count_all -> None
-            | Db.Sql.Count c | Db.Sql.Sum c | Db.Sql.Avg c | Db.Sql.Min c | Db.Sql.Max c ->
-                Some c
-          in
           match Db.Database.exec_stmt db stmt with
           | Error msg -> Error (db_error_at ~sink msg)
           | Ok (Db.Database.Affected _) -> Error (db_error "aggregate returned no rows")
@@ -655,14 +652,16 @@ let query_agg t ~context sql ~params =
                    in
                    (* Walk backwards and prepend, so each group's members
                       come out in match order. *)
-                   if group_by <> [] then
+                   if group_by <> [] then begin
+                     let positions = List.map (Db.Schema.column_index_exn schema) group_by in
                      List.iter
                        (fun row ->
-                         let key = List.map (Db.Row.get schema row) group_by in
+                         let key = List.map (fun i -> row.(i)) positions in
                          match Hashtbl.find_opt groups key with
                          | Some cell -> cell := row :: !cell
                          | None -> Hashtbl.add groups key (ref [ row ]))
-                       (List.rev matching);
+                       (List.rev matching)
+                   end;
                    (matching, groups))
               in
               let members_for key =
@@ -720,15 +719,18 @@ let query_agg t ~context sql ~params =
                             List.map (fun s -> f (Context.with_sink context s)) sinks
                           in
                           if List.for_all Option.is_some exprs then
+                            let admits =
+                              List.map (fun e -> Db.Expr.compile schema (Option.get e)) exprs
+                            in
                             Some
                               (List.for_all
                                  (fun row ->
                                    List.for_all
-                                     (fun e ->
-                                       match Db.Expr.eval schema row (Option.get e) with
-                                       | Ok admitted -> admitted
-                                       | Error _ -> false)
-                                     exprs)
+                                     (fun admits ->
+                                       match admits row with
+                                       | admitted -> admitted
+                                       | exception Invalid_argument _ -> false)
+                                     admits)
                                  members)
                           else None
                       | Some [] | None -> None)
@@ -814,7 +816,7 @@ let query_agg t ~context sql ~params =
                     let policy =
                       if i < group_count then policy_for group_cols.(i)
                       else
-                        match agg_column agg_specs.(i - group_count) with
+                        match Db.Sql.aggregate_column agg_specs.(i - group_count) with
                         | Some col -> policy_for col
                         | None -> Policy.no_policy
                     in

@@ -182,10 +182,11 @@ val attach_policy :
     given context it may return a row predicate admitting {e exactly}
     the rows whose bound policy admits that context (or [None] to
     decline). When present, {!query_filtered} and {!query_agg} can
-    filter denied rows during the indexed scan instead of instantiating
-    per-row policy objects post-hoc. Rebinding without [to_expr] drops
-    any previous translation, and always drops {!certify_binding}
-    claims and bumps the {!binding_version}. *)
+    filter denied rows while the table reads them (through an index
+    when the predicate pins an indexed column to a value or an IN list)
+    instead of instantiating per-row policy objects post-hoc. Rebinding
+    without [to_expr] drops any previous translation, and always drops
+    {!certify_binding} claims and bumps the {!binding_version}. *)
 
 val binding_version : t -> table:string -> column:string -> int
 (** Monotone counter bumped by every {!attach_policy} on the binding

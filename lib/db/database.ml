@@ -174,89 +174,99 @@ let run_plain_select tbl ~columns ~where ~order_by ~limit =
   let* rows =
     match order_by with
     | None -> Ok rows
-    | Some (col, dir) ->
-        if not (Schema.mem schema col) then
-          Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) col)
-        else
-          let key row = Row.get schema row col in
-          let cmp a b =
-            let c = Value.compare (key a) (key b) in
-            match dir with Sql.Asc -> c | Sql.Desc -> -c
-          in
-          let sorted = List.stable_sort cmp rows in
-          Ok (match limit with None -> sorted | Some n -> take n sorted)
+    | Some (col, dir) -> (
+        match Schema.column_index schema col with
+        | None -> Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) col)
+        | Some i ->
+            let cmp a b =
+              let c = Value.compare a.(i) b.(i) in
+              match dir with Sql.Asc -> c | Sql.Desc -> -c
+            in
+            let sorted = List.stable_sort cmp rows in
+            Ok (match limit with None -> sorted | Some n -> take n sorted))
   in
-  let projected = List.map (fun row -> Row.project schema row cols) rows in
+  let positions = Array.of_list (List.map (Schema.column_index_exn schema) cols) in
+  let projected = List.map (fun row -> Array.map (fun i -> row.(i)) positions) rows in
   Ok (Rows { columns = cols; rows = projected })
 
-let aggregate_column = function
-  | Sql.Count_all -> None
-  | Sql.Count c | Sql.Sum c | Sql.Avg c | Sql.Min c | Sql.Max c -> Some c
+(* One aggregate's running state over a group's rows, fed in match
+   order: [n] counts the rows (COUNT( * )) or the non-NULL values seen,
+   [sum] adds them left to right from 0.0, and [best] holds the first
+   minimum or maximum (a later value replaces it only when strictly
+   smaller or larger). *)
+type agg_state = { mutable n : int; mutable sum : float; mutable best : Value.t }
 
-let compute_aggregate schema rows agg =
-  let values col =
-    List.filter_map
-      (fun row ->
-        let v = Row.get schema row col in
-        if Value.is_null v then None else Some v)
-      rows
+let fresh_states aggregates =
+  Array.map (fun _ -> { n = 0; sum = 0.0; best = Value.Null }) aggregates
+
+(* The per-row step of one aggregate, with its column resolved to a
+   position once. *)
+let agg_step schema agg =
+  let at c = Schema.column_index_exn schema c in
+  let non_null i f st (row : Row.t) =
+    let v = row.(i) in
+    if not (Value.is_null v) then begin
+      st.n <- st.n + 1;
+      f st v
+    end
   in
   match agg with
-  | Sql.Count_all -> Value.Int (List.length rows)
-  | Sql.Count col -> Value.Int (List.length (values col))
-  | Sql.Sum col ->
-      let vs = values col in
-      if vs = [] then Value.Null
-      else Value.Float (List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs)
-  | Sql.Avg col ->
-      let vs = values col in
-      if vs = [] then Value.Null
-      else
-        let sum = List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs in
-        Value.Float (sum /. float_of_int (List.length vs))
-  | Sql.Min col -> (
-      match values col with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
-  | Sql.Max col -> (
-      match values col with
-      | [] -> Value.Null
-      | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+  | Sql.Count_all -> fun st _ -> st.n <- st.n + 1
+  | Sql.Count c -> non_null (at c) (fun _ _ -> ())
+  | Sql.Sum c | Sql.Avg c -> non_null (at c) (fun st v -> st.sum <- st.sum +. Value.to_float v)
+  | Sql.Min c -> non_null (at c) (fun st v -> if st.n = 1 || Value.compare v st.best < 0 then st.best <- v)
+  | Sql.Max c -> non_null (at c) (fun st v -> if st.n = 1 || Value.compare v st.best > 0 then st.best <- v)
+
+let agg_result agg st =
+  match agg with
+  | Sql.Count_all | Sql.Count _ -> Value.Int st.n
+  | _ when st.n = 0 -> Value.Null
+  | Sql.Sum _ -> Value.Float st.sum
+  | Sql.Avg _ -> Value.Float (st.sum /. float_of_int st.n)
+  | Sql.Min _ | Sql.Max _ -> st.best
 
 let run_agg_select tbl ~aggregates ~where ~group_by =
   let schema = Table.schema tbl in
   let* () = Expr.validate schema where in
-  let referenced = group_by @ List.filter_map aggregate_column aggregates in
+  let referenced = group_by @ List.filter_map Sql.aggregate_column aggregates in
   let* () =
     match List.find_opt (fun c -> not (Schema.mem schema c)) referenced with
     | Some c -> Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) c)
     | None -> Ok ()
   in
-  let rows = Table.select tbl ~where in
+  let aggs = Array.of_list aggregates in
+  let steps = Array.map (agg_step schema) aggs in
+  let feed states row = Array.iteri (fun k step -> step states.(k) row) steps in
+  let finish states = Array.mapi (fun k agg -> agg_result agg states.(k)) aggs in
   let columns = group_by @ List.map Sql.aggregate_label aggregates in
-  if group_by = [] then
-    let out = Array.of_list (List.map (compute_aggregate schema rows) aggregates) in
-    Ok (Rows { columns; rows = [ out ] })
+  if group_by = [] then begin
+    let states = fresh_states aggs in
+    Table.fold_matching tbl ~where ~init:() ~f:(fun () row -> feed states row);
+    Ok (Rows { columns; rows = [ finish states ] })
+  end
   else begin
-    (* Group rows by the tuple of group-by values, preserving first-seen
-       order of groups. *)
-    let groups : (Value.t list, Row.t list ref) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun row ->
-        let key = List.map (Row.get schema row) group_by in
-        match Hashtbl.find_opt groups key with
-        | Some cell -> cell := row :: !cell
-        | None ->
-            Hashtbl.add groups key (ref [ row ]);
-            order := key :: !order)
-      rows;
+    (* Groups are keyed by the structural tuple of group-by values and
+       kept in first-seen order; every aggregate folds in one pass over
+       the matches. *)
+    let positions = List.map (Schema.column_index_exn schema) group_by in
+    let groups : (Value.t list, agg_state array) Hashtbl.t = Hashtbl.create 16 in
+    let order =
+      Table.fold_matching tbl ~where ~init:[] ~f:(fun order row ->
+          let key = List.map (fun i -> row.(i)) positions in
+          match Hashtbl.find_opt groups key with
+          | Some states ->
+              feed states row;
+              order
+          | None ->
+              let states = fresh_states aggs in
+              Hashtbl.add groups key states;
+              feed states row;
+              key :: order)
+    in
     let out =
       List.rev_map
-        (fun key ->
-          let members = List.rev !(Hashtbl.find groups key) in
-          Array.of_list (key @ List.map (compute_aggregate schema members) aggregates))
-        !order
+        (fun key -> Array.append (Array.of_list key) (finish (Hashtbl.find groups key)))
+        order
     in
     Ok (Rows { columns; rows = out })
   end

@@ -31,48 +31,75 @@ let like_matches ~pattern s =
   in
   go 0 0 None 0
 
-let cmp_holds op a b =
-  match op with
-  | Eq -> Value.equal a b
-  | Ne -> not (Value.equal a b)
-  | Lt -> Value.compare a b < 0
-  | Le -> Value.compare a b <= 0
-  | Gt -> Value.compare a b > 0
-  | Ge -> Value.compare a b >= 0
+let cmp_holds = function
+  | Eq -> Value.equal
+  | Ne -> fun a b -> not (Value.equal a b)
+  | Lt -> fun a b -> Value.compare a b < 0
+  | Le -> fun a b -> Value.compare a b <= 0
+  | Gt -> fun a b -> Value.compare a b > 0
+  | Ge -> fun a b -> Value.compare a b >= 0
 
-let eval schema row e =
-  let exception Unknown of string in
-  let operand = function
-    | Lit v -> v
-    | Col c -> (
-        match Row.get_opt schema row c with
-        | Some v -> v
-        | None -> raise (Unknown c))
-  in
-  let rec go = function
-    | True -> true
-    | Cmp (op, a, b) ->
-        let va = operand a and vb = operand b in
-        if Value.is_null va || Value.is_null vb then false else cmp_holds op va vb
-    | And (a, b) -> go a && go b
-    | Or (a, b) -> go a || go b
-    | Not a -> not (go a)
-    | In (a, vs) ->
-        let va = operand a in
-        (not (Value.is_null va)) && List.exists (Value.equal va) vs
-    | Like (a, pattern) -> (
-        match operand a with
+module Value_set = Hashtbl.Make (Value)
+
+(* Membership in [vs] under [Value.equal]. [Value.hash] agrees with
+   [Value.equal], so the set narrows the search to one bucket and its
+   [equal] confirms each hit; every list element is added (never
+   replaced) because cross-type number equality is not transitive. *)
+let member vs =
+  let set = Value_set.create (2 * List.length vs) in
+  List.iter (fun v -> Value_set.add set v ()) vs;
+  Value_set.mem set
+
+let unknown_column schema c =
+  Printf.sprintf "table %s has no column %s" (Schema.name schema) c
+
+(* A column resolves to its position here, once; an unknown one raises
+   only when a row's evaluation reaches it. *)
+let operand schema = function
+  | Lit v -> fun _ -> v
+  | Col c -> (
+      match Schema.column_index schema c with
+      | Some i -> fun row -> row.(i)
+      | None ->
+          let msg = unknown_column schema c in
+          fun _ -> invalid_arg msg)
+
+let rec compile schema = function
+  | True -> fun _ -> true
+  | Cmp (op, a, Lit vb) when not (Value.is_null vb) ->
+      let va = operand schema a and holds = cmp_holds op in
+      fun row ->
+        let va = va row in
+        (not (Value.is_null va)) && holds va vb
+  | Cmp (op, a, b) ->
+      let va = operand schema a and vb = operand schema b and holds = cmp_holds op in
+      fun row ->
+        let va = va row in
+        let vb = vb row in
+        (not (Value.is_null va)) && (not (Value.is_null vb)) && holds va vb
+  | And (a, b) ->
+      let a = compile schema a and b = compile schema b in
+      fun row -> a row && b row
+  | Or (a, b) ->
+      let a = compile schema a and b = compile schema b in
+      fun row -> a row || b row
+  | Not a ->
+      let a = compile schema a in
+      fun row -> not (a row)
+  | In (a, vs) ->
+      let va = operand schema a and mem = member vs in
+      fun row ->
+        let va = va row in
+        (not (Value.is_null va)) && mem va
+  | Like (a, pattern) -> (
+      let va = operand schema a in
+      fun row ->
+        match va row with
         | Value.Text s -> like_matches ~pattern s
         | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ -> false)
-    | Is_null a -> Value.is_null (operand a)
-  in
-  match go e with
-  | holds -> Ok holds
-  | exception Unknown c ->
-      Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) c)
-
-let eval_exn schema row e =
-  match eval schema row e with Ok b -> b | Error msg -> invalid_arg msg
+  | Is_null a ->
+      let va = operand schema a in
+      fun row -> Value.is_null (va row)
 
 let columns e =
   let acc = ref [] in
@@ -92,7 +119,7 @@ let columns e =
 
 let validate schema e =
   match List.find_opt (fun c -> not (Schema.mem schema c)) (columns e) with
-  | Some c -> Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) c)
+  | Some c -> Error (unknown_column schema c)
   | None -> Ok ()
 
 let rec equality_on e col =
@@ -100,6 +127,13 @@ let rec equality_on e col =
   | Cmp (Eq, Col c, Lit v) | Cmp (Eq, Lit v, Col c) when c = col -> Some v
   | And (a, b) -> (
       match equality_on a col with Some v -> Some v | None -> equality_on b col)
+  | True | Cmp _ | Or _ | Not _ | In _ | Like _ | Is_null _ -> None
+
+let rec in_list_on e col =
+  match e with
+  | In (Col c, vs) when c = col -> Some vs
+  | And (a, b) -> (
+      match in_list_on a col with Some vs -> Some vs | None -> in_list_on b col)
   | True | Cmp _ | Or _ | Not _ | In _ | Like _ | Is_null _ -> None
 
 let pp_operand fmt = function

@@ -14,11 +14,15 @@ type t =
   | Is_null of operand
 and operand = Col of string | Lit of Value.t
 
-val eval : Schema.t -> Row.t -> t -> (bool, string) result
-(** [Error] on unknown columns. Comparisons involving [Null] are false
-    (except via [Is_null]); [Like] on a non-text operand is false. *)
-
-val eval_exn : Schema.t -> Row.t -> t -> bool
+val compile : Schema.t -> t -> Row.t -> bool
+(** [compile schema e] resolves every column of [e] to its position in
+    [schema] once and returns the predicate over rows of that schema.
+    Comparisons involving [Null] are false (except via [Is_null]);
+    [Like] on a non-text operand is false; IN lists test membership
+    through a hash set that agrees with {!Value.equal}.
+    An unknown column raises [Invalid_argument] (the message names the
+    table and the column) only when an evaluation reaches it, so a
+    short-circuiting [And]/[Or] can step over it. *)
 
 val columns : t -> string list
 (** Column names referenced, without duplicates. *)
@@ -29,7 +33,12 @@ val validate : Schema.t -> t -> (unit, string) result
 val equality_on : t -> string -> Value.t option
 (** [equality_on e col] is [Some v] when [e] is a conjunction that pins
     [col = v] — used by the table layer to route lookups through the
-    primary-key index. *)
+    primary-key or a secondary index. *)
+
+val in_list_on : t -> string -> Value.t list option
+(** [in_list_on e col] is [Some vs] when [e] is a conjunction with a
+    conjunct [col IN vs] — the table layer unions index buckets over
+    [vs]. *)
 
 val like_matches : pattern:string -> string -> bool
 (** Exposed for direct reuse and property tests. *)

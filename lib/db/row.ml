@@ -10,9 +10,6 @@ let set schema row col v =
   row.(Schema.column_index_exn schema col) <- v;
   row
 
-let project schema row cols =
-  Array.of_list (List.map (get schema row) cols)
-
 let of_assoc schema bindings =
   let row = Array.make (Schema.arity schema) Value.Null in
   let unknown =

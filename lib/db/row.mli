@@ -9,9 +9,6 @@ val get_opt : Schema.t -> t -> string -> Value.t option
 val set : Schema.t -> t -> string -> Value.t -> t
 (** Functional update: returns a fresh row. *)
 
-val project : Schema.t -> t -> string list -> Value.t array
-(** Values of the named columns, in the requested order. *)
-
 val of_assoc : Schema.t -> (string * Value.t) list -> (t, string) result
 (** Builds a row from column bindings; unmentioned nullable columns become
     [Null], unmentioned non-nullable columns are an error, as are unknown

@@ -41,6 +41,7 @@ let arity t = Array.length t.columns
 let primary_key t = Option.map (fun i -> t.columns.(i).name) t.primary_key
 let column_index t col = Hashtbl.find_opt t.index col
 let column_name t i = t.columns.(i).name
+let column_type t i = t.columns.(i).ty
 
 let column_index_exn t col =
   match column_index t col with

@@ -28,6 +28,11 @@ val column_index_exn : t -> string -> int
 (** [column_name t i] is the name of the column at position [i] (O(1),
     no list rebuild). *)
 val column_name : t -> int -> string
+
+(** [column_type t i] is the declared type of the column at position
+    [i]. *)
+val column_type : t -> int -> Value.ty
+
 val mem : t -> string -> bool
 
 val validate_row : t -> Value.t array -> (unit, string) result

@@ -34,6 +34,10 @@ let aggregate_label = function
   | Min c -> Printf.sprintf "MIN(%s)" c
   | Max c -> Printf.sprintf "MAX(%s)" c
 
+let aggregate_column = function
+  | Count_all -> None
+  | Count c | Sum c | Avg c | Min c | Max c -> Some c
+
 (* ------------------------------------------------------------------ *)
 (* Lexer *)
 

@@ -49,3 +49,6 @@ val parse : string -> params:Value.t list -> (stmt, string) result
 
 val aggregate_label : aggregate -> string
 (** e.g. ["COUNT(*)"], ["AVG(grade)"] — used as result column names. *)
+
+val aggregate_column : aggregate -> string option
+(** The column an aggregate reads; [None] for [COUNT( * )]. *)

@@ -2,15 +2,14 @@
    never reused, so a slot identifies a row for the life of the table).
    The primary-key index maps key value -> slot; secondary indexes map a
    column value -> the slots holding it and are kept exact across
-   insert/update/delete, so an equality probe plus the ordinary WHERE
-   filter is equivalent to a full scan.
+   insert/update/delete, so an equality or IN-list probe plus the
+   ordinary WHERE filter is equivalent to a full scan.
 
    Concurrency: a writer-preferring RW lock per table. Mutations and
-   index builds run under [wr]; reads run under [rd] — index probes
-   evaluate in place (candidate lists are tiny), full scans copy the
-   slot-pointer array under [rd] and evaluate predicates off-lock, so a
-   10k-row scan holds the lock for a pointer memcpy, not for 10k
-   predicate evaluations. Stored rows are immutable (insert copies,
+   index builds run under [wr]; reads copy, under [rd], the row
+   pointers they may match (an index probe's candidates, or the whole
+   slot array) and evaluate predicates off-lock, so a 10k-row scan holds
+   the lock for a pointer memcpy, not for 10k predicate evaluations. Stored rows are immutable (insert copies,
    update installs a fresh row), so a copied snapshot is a consistent
    statement-level view even while writers proceed.
 
@@ -133,54 +132,76 @@ let has_index t column =
   | Some col -> Rwlock.rd t.lock (fun () -> Hashtbl.mem t.secondary col)
   | None -> false
 
-(* Candidate slots from an index, if any equality predicate in [where]
-   hits one. [None] means "no index applies: scan". Candidates are a
-   superset filter — every candidate is still checked against the full
-   WHERE clause — sorted so results keep insertion (slot) order.
+(* The keys [where] pins column [col] to — one for an equality, the
+   list for an IN — when the index can serve them: every key must have
+   the column's own type, because the index hashes stored values
+   structurally while [where] compares with [Value.equal] ([Int 1]
+   equals [Float 1.0]). A key of another type leaves the statement to
+   a scan, which is always exact. *)
+let probe_keys t pin ~where col =
+  let column = Schema.column_name t.schema col in
+  let keys =
+    match pin with
+    | `Equal -> Option.map (fun v -> [ v ]) (Expr.equality_on where column)
+    | `In -> Expr.in_list_on where column
+  in
+  match keys with
+  | Some keys
+    when List.for_all (fun k -> Value.type_of k = Some (Schema.column_type t.schema col)) keys ->
+      Some keys
+  | Some _ | None -> None
+
+(* Candidate slots from an index, if an equality or an IN list in
+   [where] pins an indexed column: an equality on the primary key,
+   then one on a secondary index, then an IN list on either. [None]
+   means "no index applies: scan". Candidates are a superset filter —
+   every candidate is still checked against the full WHERE clause —
+   de-duplicated and sorted so results keep insertion (slot) order.
    Caller must hold [rd] or [wr]; records the footprint of the probe
-   (one shard for a pk probe — key absence is shard-local too — the
-   whole table for a secondary probe, whose buckets shift under any
-   write). *)
+   (one shard for a pk equality — key absence is shard-local too — the
+   whole table otherwise: secondary buckets shift under any write). *)
 let index_candidates_unlocked t ~where =
-  let pk =
+  let pk pin =
     match (t.pk_col, t.pk_index) with
-    | Some col, Some index -> (
-        match Expr.equality_on where (Schema.column_name t.schema col) with
-        | Some key -> (
-            Footprint.record_shard t.name t.ep (Epoch.shard_of_value key);
-            match Hashtbl.find_opt index key with
-            | Some slot -> Some [ slot ]
-            | None -> Some [])
-        | None -> None)
+    | Some col, Some index ->
+        Option.map
+          (fun keys ->
+            (match (pin, keys) with
+            | `Equal, [ key ] -> Footprint.record_shard t.name t.ep (Epoch.shard_of_value key)
+            | _ -> Footprint.record_table t.name t.ep);
+            List.filter_map (Hashtbl.find_opt index) keys)
+          (probe_keys t pin ~where col)
     | _ -> None
   in
-  match pk with
-  | Some _ as hit -> hit
-  | None ->
-      Hashtbl.fold
-        (fun col index acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
-              match Expr.equality_on where (Schema.column_name t.schema col) with
-              | Some key -> (
-                  Footprint.record_table t.name t.ep;
-                  match Hashtbl.find_opt index key with
-                  | Some bucket -> Some (List.sort compare !bucket)
-                  | None -> Some [])
-              | None -> acc))
-        t.secondary None
+  let secondary pin =
+    Hashtbl.fold
+      (fun col index acc ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+            Option.map
+              (fun keys ->
+                Footprint.record_table t.name t.ep;
+                List.concat_map
+                  (fun key ->
+                    match Hashtbl.find_opt index key with Some bucket -> !bucket | None -> [])
+                  keys)
+              (probe_keys t pin ~where col))
+      t.secondary None
+  in
+  List.find_map
+    (fun (probe, pin) -> probe pin)
+    [ (pk, `Equal); (secondary, `Equal); (pk, `In); (secondary, `In) ]
+  |> Option.map (List.sort_uniq Int.compare)
 
 (* Caller must hold [wr] (mutation read phase: checkpoint polls may
    abort the statement here, before any row has changed). *)
 let matching_slots_unlocked t ~where =
+  let holds = Expr.compile t.schema where in
   match index_candidates_unlocked t ~where with
   | Some candidates ->
       List.filter
-        (fun slot ->
-          match t.rows.(slot) with
-          | Some row -> Expr.eval_exn t.schema row where
-          | None -> false)
+        (fun slot -> match t.rows.(slot) with Some row -> holds row | None -> false)
         candidates
   | None ->
       Footprint.record_table t.name t.ep;
@@ -189,7 +210,7 @@ let matching_slots_unlocked t ~where =
       for slot = t.size - 1 downto 0 do
         scan_checkpoint scanned;
         match t.rows.(slot) with
-        | Some row -> if Expr.eval_exn t.schema row where then acc := slot :: !acc
+        | Some row -> if holds row then acc := slot :: !acc
         | None -> ()
       done;
       !acc
@@ -243,56 +264,52 @@ let insert t row =
 let insert_exn t row =
   match insert t row with Ok () -> () | Error msg -> invalid_arg msg
 
-(* Reads either resolve through an index (tiny candidate lists, checked
-   in place under [rd]) or copy the slot array under [rd] and scan the
-   copy off-lock. The copy is the snapshot: rows are immutable once
-   stored, so concurrent writers cannot tear it — Retrain Model's 10k-row
-   scan sees the table exactly as of its start. *)
-type 'a read_plan = Resolved of 'a | Scan of Row.t option array
+(* Reads copy, under [rd], the rows [where] can match — the index
+   candidates' rows, or the whole slot array — and evaluate the copy
+   off-lock. The copy is the snapshot: rows are immutable once stored,
+   so concurrent writers cannot tear it — Retrain Model's 10k-row scan
+   sees the table exactly as of its start. The predicate is compiled
+   once per statement, and the walk stops as soon as [f] returns
+   [false]; no list of matches is materialized here. *)
+let iter_matching t ~where f =
+  let holds = Expr.compile t.schema where in
+  let snap =
+    Rwlock.rd t.lock (fun () ->
+        match index_candidates_unlocked t ~where with
+        | Some candidates -> Array.of_list (List.map (fun slot -> t.rows.(slot)) candidates)
+        | None ->
+            Footprint.record_table t.name t.ep;
+            Array.sub t.rows 0 t.size)
+  in
+  let scanned = ref 0 in
+  let more = ref true in
+  let slot = ref 0 in
+  let n = Array.length snap in
+  while !more && !slot < n do
+    scan_checkpoint scanned;
+    (match snap.(!slot) with Some row when holds row -> more := f row | Some _ | None -> ());
+    incr slot
+  done
 
 let select ?limit t ~where =
   let cap = match limit with Some n -> max 0 n | None -> max_int in
   if cap = 0 then []
-  else
-    let plan =
-      Rwlock.rd t.lock (fun () ->
-          match index_candidates_unlocked t ~where with
-          | Some candidates ->
-              let rec take n = function
-                | slot :: rest when n > 0 -> (
-                    match t.rows.(slot) with
-                    | Some row when Expr.eval_exn t.schema row where ->
-                        row :: take (n - 1) rest
-                    | Some _ | None -> take n rest)
-                | _ -> []
-              in
-              Resolved (take cap candidates)
-          | None ->
-              Footprint.record_table t.name t.ep;
-              Scan (Array.sub t.rows 0 t.size))
-    in
-    match plan with
-    | Resolved rows -> rows
-    | Scan snap ->
-        (* Direct walk of the snapshot, stopping as soon as [limit] rows
-           matched — no candidate list is materialized, no lock held. *)
-        let scanned = ref 0 in
-        let acc = ref [] in
-        let found = ref 0 in
-        let slot = ref 0 in
-        let n = Array.length snap in
-        while !found < cap && !slot < n do
-          scan_checkpoint scanned;
-          (match snap.(!slot) with
-          | Some row ->
-              if Expr.eval_exn t.schema row where then begin
-                acc := row :: !acc;
-                incr found
-              end
-          | None -> ());
-          incr slot
-        done;
-        List.rev !acc
+  else begin
+    let acc = ref [] in
+    let found = ref 0 in
+    iter_matching t ~where (fun row ->
+        acc := row :: !acc;
+        incr found;
+        !found < cap);
+    List.rev !acc
+  end
+
+let fold_matching t ~where ~init ~f =
+  let acc = ref init in
+  iter_matching t ~where (fun row ->
+      acc := f !acc row;
+      true);
+  !acc
 
 let update t ~where ~set =
   Rwlock.wr t.lock (fun () ->

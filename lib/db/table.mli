@@ -24,8 +24,8 @@ val insert_exn : t -> Row.t -> unit
 
 val ensure_index : t -> string -> unit
 (** Builds a secondary hash index on the column (idempotent). Kept exact
-    across inserts, updates, and deletes; equality predicates on the
-    column then probe the index instead of scanning. Raises
+    across inserts, updates, and deletes; equality predicates and IN
+    lists on the column then probe the index instead of scanning. Raises
     [Invalid_argument] on an unknown column. *)
 
 val has_index : t -> string -> bool
@@ -36,8 +36,14 @@ val select : ?limit:int -> t -> where:Expr.t -> Row.t list
 (** Matching rows in insertion order, at most [limit] when given (the
     scan stops early — no full result is materialized). Routes through
     the primary-key or a secondary index when [where] pins the indexed
-    column to a value. Raises [Invalid_argument] on unknown columns (use
+    column to a value, or to the values of an IN list (the union of
+    their buckets). Raises [Invalid_argument] on unknown columns (use
     {!Expr.validate} to check first). *)
+
+val fold_matching : t -> where:Expr.t -> init:'a -> f:('a -> Row.t -> 'a) -> 'a
+(** Folds [f] over the rows {!select} would return, in the same order,
+    without building the list; same index routing, footprint, deadline
+    checkpoints and exceptions. *)
 
 val update :
   t -> where:Expr.t -> set:(string * Value.t) list -> (int, string) result

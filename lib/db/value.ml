@@ -27,6 +27,14 @@ let equal a b =
   | Bool x, Bool y -> x = y
   | (Null | Int _ | Float _ | Text _ | Bool _), _ -> false
 
+(* Numbers hash by their bare float value, which [equal] compares:
+   [Int 1] and [Float 1.0] collide, and so do [-0.0] and [0.0] (they
+   are [=]). *)
+let hash = function
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f -> Hashtbl.hash f
+  | (Null | Text _ | Bool _) as v -> Hashtbl.hash v
+
 (* Rank in the total order; numbers share a rank so they compare
    numerically across Int/Float. *)
 let rank = function

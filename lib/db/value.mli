@@ -21,6 +21,10 @@ val equal : t -> t -> bool
     exact-match lookups, not three-valued logic). [Int] and [Float] compare
     numerically. *)
 
+val hash : t -> int
+(** Agrees with {!equal}: equal values hash alike, so [Int 1] and
+    [Float 1.0] do, as do [-0.0] and [0.0]. *)
+
 val compare : t -> t -> int
 (** Total order: Null < Bool < numbers < Text; numbers compare numerically
     across Int/Float. *)

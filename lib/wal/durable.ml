@@ -44,23 +44,24 @@ let error_message (Recovery_failed { dir; reason }) =
 type provenance_fn =
   table:string -> column:string -> row:Sesame_db.Row.t option -> Provenance.leaf list
 
+type commit_stats = {
+  appended : int;  (* frames journaled *)
+  flushes : int;  (* frame writes completed *)
+  fsyncs : int;
+}
+
 type t = {
   dir : string;
   db : Db.t;
   config : config;
   provenance : provenance_fn;
   mutable writer : Wal.writer option;
+  mutable retired : commit_stats;  (* counts of the writers checkpoints or [close] retired *)
   mutable next_lsn : int64;
   mutable ckpt_lsn : int64;
   mutable since_ckpt : int;
   mutable replayed : int;
   mutable last_ckpt_error : string option;
-}
-
-type commit_stats = {
-  appended : int;  (* frames journaled *)
-  flushes : int;  (* frame writes completed *)
-  fsyncs : int;
 }
 
 let db t = t.db
@@ -217,6 +218,15 @@ let stmt_provenance t ~table stmt =
   in
   List.map (fun column -> (column, t.provenance ~table ~column ~row)) columns
 
+(* [w]'s counts on top of those of the writers it replaced: the
+   counters run across checkpoints, which each reopen the log. *)
+let writer_stats t w =
+  {
+    appended = t.retired.appended + Wal.appended w;
+    flushes = t.retired.flushes + Wal.writes w;
+    fsyncs = t.retired.fsyncs + Wal.fsyncs w;
+  }
+
 let checkpoint t =
   match t.writer with
   | None -> Error "durable store closed"
@@ -237,6 +247,7 @@ let checkpoint t =
         t.ckpt_lsn <- lsn;
         t.since_ckpt <- 0;
         let* () = Wal.close w in
+        t.retired <- writer_stats t w;
         t.writer <- None;
         let* () = Wal.create (wal_path t) in
         let* w' = Wal.open_writer ~sync:(t.config.sync = Fsync) (wal_path t) in
@@ -290,16 +301,14 @@ let journal t event =
       | _ -> ());
       Ok ()
 
-let commit_stats t =
-  match t.writer with
-  | None -> { appended = 0; flushes = 0; fsyncs = 0 }
-  | Some w -> { appended = Wal.appended w; flushes = Wal.writes w; fsyncs = Wal.fsyncs w }
+let commit_stats t = match t.writer with None -> t.retired | Some w -> writer_stats t w
 
 let close t =
   match t.writer with
   | None -> Ok ()
   | Some w ->
       let r = Wal.close w in
+      t.retired <- writer_stats t w;
       t.writer <- None;
       r
 
@@ -499,6 +508,7 @@ let open_store ?(config = default_config) ~provenance ~dir () =
           config;
           provenance;
           writer = Some writer;
+          retired = { appended = 0; flushes = 0; fsyncs = 0 };
           next_lsn = Int64.succ last_lsn;
           ckpt_lsn;
           since_ckpt = 0;

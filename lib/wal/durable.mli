@@ -85,8 +85,10 @@ val open_store :
 val db : t -> Sesame_db.Database.t
 val dir : t -> string
 
+(** Counters since the store opened; they run on across checkpoints,
+    which each reopen the log. *)
 type commit_stats = {
-  appended : int;  (** frames journaled since the WAL (re)opened *)
+  appended : int;  (** frames journaled *)
   flushes : int;  (** frame writes completed; equals [appended] unless a write failed *)
   fsyncs : int;  (** 0 under {!No_sync} *)
 }

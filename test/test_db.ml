@@ -97,32 +97,33 @@ let schema_tests =
 (* Expressions *)
 
 let row = [| Value.Int 7; Value.Text "Ada"; Value.Int 36 |]
+let eval_exn schema row e = Expr.compile schema e row
 
 let expr_tests =
   [
     test "comparison operators" (fun () ->
-        let holds e = Expr.eval_exn people row e in
+        let holds e = eval_exn people row e in
         check_bool "eq" true (holds (Expr.Cmp (Expr.Eq, Expr.Col "id", Expr.Lit (Value.Int 7))));
         check_bool "ne" true (holds (Expr.Cmp (Expr.Ne, Expr.Col "id", Expr.Lit (Value.Int 8))));
         check_bool "lt" true (holds (Expr.Cmp (Expr.Lt, Expr.Col "age", Expr.Lit (Value.Int 40))));
         check_bool "ge" false (holds (Expr.Cmp (Expr.Ge, Expr.Col "age", Expr.Lit (Value.Int 40)))));
     test "boolean connectives" (fun () ->
         let t = Expr.True and f = Expr.Not Expr.True in
-        let holds e = Expr.eval_exn people row e in
+        let holds e = eval_exn people row e in
         check_bool "and" false (holds (Expr.And (t, f)));
         check_bool "or" true (holds (Expr.Or (f, t)));
         check_bool "not" true (holds (Expr.Not f)));
     test "null comparisons are false" (fun () ->
         let null_row = [| Value.Int 1; Value.Text "x"; Value.Null |] in
         check_bool "null cmp" false
-          (Expr.eval_exn people null_row
+          (eval_exn people null_row
              (Expr.Cmp (Expr.Eq, Expr.Col "age", Expr.Lit Value.Null)));
-        check_bool "is_null" true (Expr.eval_exn people null_row (Expr.Is_null (Expr.Col "age"))));
+        check_bool "is_null" true (eval_exn people null_row (Expr.Is_null (Expr.Col "age"))));
     test "IN membership" (fun () ->
         check_bool "in" true
-          (Expr.eval_exn people row (Expr.In (Expr.Col "id", [ Value.Int 1; Value.Int 7 ])));
+          (eval_exn people row (Expr.In (Expr.Col "id", [ Value.Int 1; Value.Int 7 ])));
         check_bool "not in" false
-          (Expr.eval_exn people row (Expr.In (Expr.Col "id", [ Value.Int 2 ]))));
+          (eval_exn people row (Expr.In (Expr.Col "id", [ Value.Int 2 ]))));
     test "LIKE wildcard matching" (fun () ->
         check_bool "pct" true (Expr.like_matches ~pattern:"A%" "Ada");
         check_bool "underscore" true (Expr.like_matches ~pattern:"_da" "Ada");
@@ -134,9 +135,10 @@ let expr_tests =
     test "LIKE backtracking" (fun () ->
         check_bool "backtrack" true (Expr.like_matches ~pattern:"%ab%ab" "abxabab"));
     test "unknown column is an error" (fun () ->
-        check_bool "err" true
-          (Result.is_error
-             (Expr.eval people row (Expr.Cmp (Expr.Eq, Expr.Col "zzz", Expr.Lit Value.Null)))));
+        Alcotest.check_raises "err" (Invalid_argument "table people has no column zzz")
+          (fun () ->
+            ignore
+              (eval_exn people row (Expr.Cmp (Expr.Eq, Expr.Col "zzz", Expr.Lit Value.Null)))));
     test "columns collects references without duplicates" (fun () ->
         let e =
           Expr.And
@@ -445,7 +447,79 @@ let index_tests =
         | Error m -> failwith m);
         let q db = items_rows db "SELECT * FROM items WHERE grp = ?" [ Value.Int 3 ] in
         check_bool "same rows same order" true (q scan_db = q idx_db);
-        check_int "count" 6 (List.length (q idx_db)));
+        check_int "count" 6 (List.length (q idx_db));
+        (* A key of another type than the column still compares with
+           [Value.equal] ([Float 3.0] = [Int 3]), as a scan does. *)
+        let scan_where db where =
+          List.filter where (items_rows db "SELECT * FROM items" [])
+        in
+        let by_grp = items_rows idx_db "SELECT * FROM items WHERE grp = ?" [ Value.Float 3.0 ] in
+        check_bool "float key on a secondary index" true (by_grp = q scan_db);
+        check_bool "float key on a secondary index = scan" true
+          (by_grp = scan_where scan_db (fun r -> Value.equal r.(1) (Value.Float 3.0)));
+        let by_pk = items_rows idx_db "SELECT * FROM items WHERE id = ?" [ Value.Float 3.0 ] in
+        check_int "float key on the primary key" 1 (List.length by_pk);
+        check_bool "float key on the primary key = scan" true
+          (by_pk = scan_where scan_db (fun r -> Value.equal r.(0) (Value.Float 3.0))));
+    test "IN on an indexed column equals full scan, in slot order" (fun () ->
+        let scan_db = items_db () and idx_db = items_db () in
+        (match Database.ensure_index idx_db ~table:"items" ~column:"grp" with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        let lists =
+          Value.
+            [
+              [ Int 3 ];
+              [ Int 3; Int 3; Int 5 ];
+              [ Int 99; Int 1 ];
+              [ Int 99 ];
+              [];
+              List.init 9 (fun k -> Int (k mod 4));
+              (* A key of another type leaves the statement to a scan. *)
+              [ Float 2.0; Int 4 ];
+            ]
+        in
+        let agree stage =
+          List.iter
+            (fun vs ->
+              let where =
+                Expr.And (Expr.In (Expr.Col "grp", vs), Expr.Not (Expr.Is_null (Expr.Col "label")))
+              in
+              let q db = Table.select (Database.table_exn db "items") ~where in
+              let got = q idx_db in
+              check_bool (Format.asprintf "%s: %a" stage Expr.pp where) true (got = q scan_db);
+              let ids = List.map (function [| Value.Int id; _; _ |] -> id | _ -> -1) got in
+              check_bool (stage ^ ": slot order") true (ids = List.sort compare ids))
+            lists
+        in
+        agree "fresh";
+        (* Move rows between buckets, empty a slot, then ask again. *)
+        List.iter
+          (fun db ->
+            items_exec db "UPDATE items SET grp = 3 WHERE id = 0" [];
+            items_exec db "UPDATE items SET grp = 5 WHERE id = 3" [];
+            items_exec db "UPDATE items SET grp = 1 WHERE grp = 4" [];
+            items_exec db "DELETE FROM items WHERE id = 10" [];
+            items_exec db "DELETE FROM items WHERE id IN (1, 8)" [])
+          [ scan_db; idx_db ];
+        agree "after update/delete";
+        check_bool "SQL IN agrees" true
+          (items_rows idx_db "SELECT * FROM items WHERE grp IN (?, ?)" [ Value.Int 3; Value.Int 5 ]
+          = items_rows scan_db "SELECT * FROM items WHERE grp IN (?, ?)" [ Value.Int 3; Value.Int 5 ]);
+        (* The probe really replaces the scan: with no candidates, no row
+           is evaluated, so the unknown column is never reached; a scan
+           reaches it on the first row. *)
+        let where =
+          Expr.And
+            ( Expr.Cmp (Expr.Eq, Expr.Col "ghost", Expr.Lit (Value.Int 1)),
+              Expr.In (Expr.Col "grp", [ Value.Int 99 ]) )
+        in
+        check_bool "indexed: no row evaluated" true
+          (Table.select (Database.table_exn idx_db "items") ~where = []);
+        check_bool "scan: evaluates rows" true
+          (match Table.select (Database.table_exn scan_db "items") ~where with
+          | _ -> false
+          | exception Invalid_argument _ -> true));
     test "ensure_index rejects unknown columns" (fun () ->
         let db = items_db () in
         check_bool "error" true
@@ -510,6 +584,289 @@ let index_tests =
         check_int "select does not bump" g1 (Epoch.total_gen ep));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Compiled statements against tree-walking references *)
+
+let prop ?(count = 300) name arb f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
+
+let mixed =
+  Schema.make_exn ~name:"mixed" ~primary_key:"id"
+    [
+      { Schema.name = "id"; ty = Value.Tint; nullable = false };
+      { Schema.name = "i"; ty = Value.Tint; nullable = true };
+      { Schema.name = "f"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "s"; ty = Value.Ttext; nullable = true };
+      { Schema.name = "b"; ty = Value.Tbool; nullable = true };
+    ]
+
+(* Small pools, so equalities hit, lists repeat values, and [Int 1]
+   meets [Float 1.0] and [-0.0] meets [0.0]. *)
+let ints = Value.[ Null; Int (-1); Int 0; Int 1; Int 2; Int 3 ]
+let floats = Value.[ Null; Float (-0.0); Float 0.0; Float 1.0; Float 2.5; Float (-1.0); Float nan ]
+let texts = Value.[ Null; Text ""; Text "a"; Text "ab"; Text "ba"; Text "abc" ]
+let bools = Value.[ Null; Bool true; Bool false ]
+let any_value = QCheck.Gen.oneofl (ints @ floats @ texts @ bools)
+
+let gen_rows =
+  let open QCheck.Gen in
+  let row id =
+    map
+      (fun (i, f, s, b) -> [| Value.Int id; i; f; s; b |])
+      (quad (oneofl ints) (oneofl floats) (oneofl texts) (oneofl bools))
+  in
+  int_range 1 12 >>= fun n -> flatten_l (List.init n row)
+
+let gen_expr =
+  let open QCheck.Gen in
+  let operand =
+    frequency
+      [
+        (4, map (fun c -> Expr.Col c) (oneofl [ "id"; "i"; "f"; "s"; "b" ]));
+        (1, return (Expr.Col "ghost"));
+        (3, map (fun v -> Expr.Lit v) any_value);
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Expr.True);
+        ( 4,
+          map3
+            (fun op a b -> Expr.Cmp (op, a, b))
+            (oneofl Expr.[ Eq; Ne; Lt; Le; Gt; Ge ])
+            operand operand );
+        (* Short and long lists, the empty list included. *)
+        (4, map2 (fun a vs -> Expr.In (a, vs)) operand (list_size (int_bound 20) any_value));
+        ( 2,
+          map2
+            (fun a p -> Expr.Like (a, p))
+            operand
+            (oneofl [ "a%"; "%b"; "_"; "%"; ""; "a_c"; "%a%" ]) );
+        (1, map (fun a -> Expr.Is_null a) operand);
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun a b -> Expr.And (a, b)) (self (n - 1)) (self (n - 1)));
+               (2, map2 (fun a b -> Expr.Or (a, b)) (self (n - 1)) (self (n - 1)));
+               (1, map (fun a -> Expr.Not a) (self (n - 1)));
+             ])
+
+(* The reference: a direct tree walk that looks every column up by name
+   on every row. *)
+let reference_eval schema row e =
+  let exception Unknown of string in
+  let operand = function
+    | Expr.Lit v -> v
+    | Expr.Col c -> (
+        match Row.get_opt schema row c with Some v -> v | None -> raise (Unknown c))
+  in
+  let cmp_holds op a b =
+    match op with
+    | Expr.Eq -> Value.equal a b
+    | Expr.Ne -> not (Value.equal a b)
+    | Expr.Lt -> Value.compare a b < 0
+    | Expr.Le -> Value.compare a b <= 0
+    | Expr.Gt -> Value.compare a b > 0
+    | Expr.Ge -> Value.compare a b >= 0
+  in
+  let rec go = function
+    | Expr.True -> true
+    | Expr.Cmp (op, a, b) ->
+        let va = operand a in
+        let vb = operand b in
+        if Value.is_null va || Value.is_null vb then false else cmp_holds op va vb
+    | Expr.And (a, b) -> go a && go b
+    | Expr.Or (a, b) -> go a || go b
+    | Expr.Not a -> not (go a)
+    | Expr.In (a, vs) ->
+        let va = operand a in
+        (not (Value.is_null va)) && List.exists (Value.equal va) vs
+    | Expr.Like (a, pattern) -> (
+        match operand a with
+        | Value.Text s -> Expr.like_matches ~pattern s
+        | Value.Null | Value.Int _ | Value.Float _ | Value.Bool _ -> false)
+    | Expr.Is_null a -> Value.is_null (operand a)
+  in
+  match go e with
+  | holds -> Ok holds
+  | exception Unknown c ->
+      Error (Printf.sprintf "table %s has no column %s" (Schema.name schema) c)
+
+let arb_expr_rows =
+  QCheck.make
+    ~print:(fun (e, rows) ->
+      Format.asprintf "%a@ over@ %a" Expr.pp e
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Row.pp)
+        rows)
+    QCheck.Gen.(pair gen_expr gen_rows)
+
+(* Bit-exact value equality: tells [-0.0] from [0.0] and matches NaNs. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_rows a b =
+  List.length a = List.length b
+  && List.for_all2 (fun r r' -> Array.length r = Array.length r' && Array.for_all2 same_value r r') a b
+
+let agg_schema =
+  Schema.make_exn ~name:"agg" ~primary_key:"id"
+    [
+      { Schema.name = "id"; ty = Value.Tint; nullable = false };
+      { Schema.name = "g"; ty = Value.Tint; nullable = true };
+      { Schema.name = "h"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "x"; ty = Value.Tint; nullable = true };
+      { Schema.name = "y"; ty = Value.Tfloat; nullable = true };
+      { Schema.name = "s"; ty = Value.Ttext; nullable = true };
+    ]
+
+let gen_agg_case =
+  let open QCheck.Gen in
+  let row id =
+    map
+      (fun ((g, h), (x, y, s)) -> [| Value.Int id; g; h; x; y; s |])
+      (pair
+         (pair (oneofl Value.[ Null; Int 1; Int 2 ]) (oneofl Value.[ Null; Float 1.0; Float (-0.0); Float 0.0 ]))
+         (triple
+            (oneofl Value.[ Null; Int (-3); Int 0; Int 5; Int 5 ])
+            (oneofl Value.[ Null; Float 0.1; Float 0.2; Float 0.3; Float (-0.0); Float 0.0; Float 1e16; Float 1.0 ])
+            (oneofl Value.[ Null; Text "a"; Text "b" ])))
+  in
+  let agg =
+    oneof
+      [
+        return Sql.Count_all;
+        map (fun c -> Sql.Count c) (oneofl [ "x"; "y"; "s" ]);
+        map (fun c -> Sql.Sum c) (oneofl [ "x"; "y" ]);
+        map (fun c -> Sql.Avg c) (oneofl [ "x"; "y" ]);
+        map (fun c -> Sql.Min c) (oneofl [ "x"; "y"; "s" ]);
+        map (fun c -> Sql.Max c) (oneofl [ "x"; "y"; "s" ]);
+      ]
+  in
+  let where =
+    oneofl
+      Expr.
+        [
+          True;
+          Cmp (Gt, Col "x", Lit (Value.Int 0));
+          Is_null (Col "y");
+          In (Col "g", [ Value.Int 1; Value.Float 2.0 ]);
+          Not (Is_null (Col "h"));
+        ]
+  in
+  int_range 0 30 >>= fun n ->
+  map3
+    (fun rows aggregates (group_by, where) -> (rows, aggregates, group_by, where))
+    (flatten_l (List.init n row))
+    (list_size (int_range 1 4) agg)
+    (pair (oneofl [ []; [ "g" ]; [ "h" ]; [ "g"; "h" ]; [ "h"; "g" ]; [ "s" ] ]) where)
+
+(* The list-based reference: select the matches, group them by the
+   structural key tuple in first-seen order, then fold each aggregate
+   over its own filtered value list. *)
+let reference_agg tbl ~aggregates ~where ~group_by =
+  let schema = Table.schema tbl in
+  let compute rows agg =
+    let values col =
+      List.filter_map
+        (fun row ->
+          let v = Row.get schema row col in
+          if Value.is_null v then None else Some v)
+        rows
+    in
+    let sum vs = List.fold_left (fun acc v -> acc +. Value.to_float v) 0.0 vs in
+    match agg with
+    | Sql.Count_all -> Value.Int (List.length rows)
+    | Sql.Count col -> Value.Int (List.length (values col))
+    | Sql.Sum col -> (match values col with [] -> Value.Null | vs -> Value.Float (sum vs))
+    | Sql.Avg col -> (
+        match values col with
+        | [] -> Value.Null
+        | vs -> Value.Float (sum vs /. float_of_int (List.length vs)))
+    | Sql.Min col -> (
+        match values col with
+        | [] -> Value.Null
+        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v vs)
+    | Sql.Max col -> (
+        match values col with
+        | [] -> Value.Null
+        | v :: vs -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v vs)
+  in
+  let rows = Table.select tbl ~where in
+  if group_by = [] then [ Array.of_list (List.map (compute rows) aggregates) ]
+  else begin
+    let groups : (Value.t list, Row.t list ref) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    List.iter
+      (fun row ->
+        let key = List.map (Row.get schema row) group_by in
+        match Hashtbl.find_opt groups key with
+        | Some cell -> cell := row :: !cell
+        | None ->
+            Hashtbl.add groups key (ref [ row ]);
+            order := key :: !order)
+      rows;
+    List.rev_map
+      (fun key ->
+        let members = List.rev !(Hashtbl.find groups key) in
+        Array.of_list (key @ List.map (compute members) aggregates))
+      !order
+  end
+
+let arb_agg_case =
+  QCheck.make
+    ~print:(fun (rows, aggregates, group_by, where) ->
+      Format.asprintf "SELECT %s WHERE %a GROUP BY %s over %d rows: %a"
+        (String.concat ", " (List.map Sql.aggregate_label aggregates))
+        Expr.pp where (String.concat ", " group_by) (List.length rows)
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space Row.pp)
+        rows)
+    gen_agg_case
+
+let compile_tests =
+  [
+    prop "compiled predicates agree with a tree-walking reference" arb_expr_rows
+      (fun (e, rows) ->
+        let holds = Expr.compile mixed e in
+        List.for_all
+          (fun row ->
+            let got =
+              match holds row with b -> Ok b | exception Invalid_argument msg -> Error msg
+            in
+            got = reference_eval mixed row e)
+          rows);
+    prop "single-pass aggregates equal the list-based reference" arb_agg_case
+      (fun (rows, aggregates, group_by, where) ->
+        let db = Database.create () in
+        (match Database.create_table db agg_schema with Ok () -> () | Error m -> failwith m);
+        let tbl = Database.table_exn db "agg" in
+        List.iter (Table.insert_exn tbl) rows;
+        match
+          Database.exec_stmt db (Sql.Select_agg { table = "agg"; aggregates; where; group_by })
+        with
+        | Ok (Database.Rows { rows = got; _ }) ->
+            same_rows got (reference_agg tbl ~aggregates ~where ~group_by)
+        | Ok (Database.Affected _) -> false
+        | Error m -> QCheck.Test.fail_reportf "exec: %s" m);
+    test "hashed IN keeps Value.equal: cross-type numbers, signed zero, NaN" (fun () ->
+        let many = List.init 10 (fun k -> Value.Int (100 + k)) in
+        let holds vs v =
+          Expr.compile mixed (Expr.In (Expr.Col "f", vs)) [| Value.Int 0; Value.Null; v; Value.Null; Value.Null |]
+        in
+        check_bool "Int 1 finds Float 1.0" true (holds (Value.Int 1 :: many) (Value.Float 1.0));
+        check_bool "0.0 finds -0.0" true (holds (Value.Float 0.0 :: many) (Value.Float (-0.0)));
+        check_bool "NaN finds nothing" false (holds (Value.Float nan :: many) (Value.Float nan));
+        check_bool "NULL is never a member" false (holds (Value.Null :: many) Value.Null));
+  ]
+
 let () =
   Alcotest.run "db"
     [
@@ -519,4 +876,5 @@ let () =
       ("table", table_tests);
       ("sql", sql_tests);
       ("index", index_tests);
+      ("compile", compile_tests);
     ]

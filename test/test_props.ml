@@ -46,13 +46,23 @@ let sandbox_value : Sbx.Value.t QCheck.arbitrary =
 (* A reference (slow, obviously-correct) LIKE matcher to compare against. *)
 let reference_like pattern s =
   let np = String.length pattern and ns = String.length s in
+  (* Memoized on (pi, si): without it a run of '%'s against a
+     non-matching string takes exponential time. *)
+  let memo = Hashtbl.create 64 in
   let rec go pi si =
-    if pi = np then si = ns
-    else
-      match pattern.[pi] with
-      | '%' -> List.exists (fun k -> go (pi + 1) k) (List.init (ns - si + 1) (fun k -> si + k))
-      | '_' -> si < ns && go (pi + 1) (si + 1)
-      | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
+    match Hashtbl.find_opt memo (pi, si) with
+    | Some r -> r
+    | None ->
+        let r =
+          if pi = np then si = ns
+          else
+            match pattern.[pi] with
+            | '%' -> List.exists (fun k -> go (pi + 1) k) (List.init (ns - si + 1) (fun k -> si + k))
+            | '_' -> si < ns && go (pi + 1) (si + 1)
+            | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
+        in
+        Hashtbl.add memo (pi, si) r;
+        r
   in
   go 0 0
 

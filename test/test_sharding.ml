@@ -204,6 +204,28 @@ end
 
 module Consent = C.Policy.Make (Consent_family)
 
+(* A policy whose verdict reads an IN list over an indexed secondary
+   column: the user must be on one of two teams. *)
+module Team_family = struct
+  type s = { db : Db.Database.t; user : string }
+
+  let name = "shard::team"
+
+  let check s _ctx =
+    match
+      Db.Database.exec s.db "SELECT who FROM inv_team WHERE team IN (?, ?)"
+        ~params:[ Db.Value.Int 1; Db.Value.Int 2 ]
+    with
+    | Ok (Db.Database.Rows { rows; _ }) -> List.mem [| Db.Value.Text s.user |] rows
+    | _ -> false
+
+  let join = None
+  let no_folding = false
+  let describe s = "Team(" ^ s.user ^ ")"
+end
+
+module Team = C.Policy.Make (Team_family)
+
 let with_enforce_defaults f =
   Fun.protect
     ~finally:(fun () ->
@@ -254,6 +276,45 @@ let enforce_tests =
             (* And a write to the key itself flips the verdict. *)
             exec db "UPDATE inv_shard SET consent = false WHERE who = ?"
               [ Db.Value.Text "ada" ];
+            check_bool "stale verdict dropped" false (C.Enforce.check p ctx)));
+    test "an IN index probe's verdict retires on a write to any shard" (fun () ->
+        with_enforce_defaults (fun () ->
+            let db = Db.Database.create () in
+            let schema =
+              Db.Schema.make_exn ~name:"inv_team" ~primary_key:"who"
+                [
+                  { Db.Schema.name = "who"; ty = Db.Value.Ttext; nullable = false };
+                  { Db.Schema.name = "team"; ty = Db.Value.Tint; nullable = false };
+                ]
+            in
+            (match Db.Database.create_table db schema with Ok () -> () | Error m -> failwith m);
+            (match Db.Database.ensure_index db ~table:"inv_team" ~column:"team" with
+            | Ok () -> ()
+            | Error m -> failwith m);
+            let other = key_sharded_like "ada" ~same:false in
+            List.iter
+              (fun (who, team) ->
+                exec db "INSERT INTO inv_team VALUES (?, ?)" [ Db.Value.Text who; Db.Value.Int team ])
+              [ ("ada", 1); (other, 3) ];
+            let (), fp =
+              Db.Footprint.scope (fun () ->
+                  exec db "SELECT who FROM inv_team WHERE team IN (?, ?)"
+                    [ Db.Value.Int 1; Db.Value.Int 2 ])
+            in
+            check_bool "the IN probe depends on the whole table" true
+              (Db.Footprint.deps fp = [ ("inv_team", -1) ]);
+            let p = Team.make { db; user = "ada" } in
+            let ctx = C.Mock.context ~user:"ada" () in
+            check_bool "warmed" true (C.Enforce.check p ctx);
+            let runs = leaf_runs (fun () -> check_bool "cached" true (C.Enforce.check p ctx)) in
+            check_int "warm" 0 runs;
+            (* [other] lives in another shard and outside the listed
+               teams, but moving it into team 2 changes the probe's
+               buckets: the verdict must be recomputed. *)
+            exec db "UPDATE inv_team SET team = 2 WHERE who = ?" [ Db.Value.Text other ];
+            let runs = leaf_runs (fun () -> check_bool "recheck allows" true (C.Enforce.check p ctx)) in
+            check_bool "cross-shard write recomputes" true (runs > 0);
+            exec db "UPDATE inv_team SET team = 3 WHERE who = ?" [ Db.Value.Text "ada" ];
             check_bool "stale verdict dropped" false (C.Enforce.check p ctx)));
     test "table creation invalidates verdicts that read its absence" (fun () ->
         with_enforce_defaults (fun () ->

@@ -260,6 +260,22 @@ let own_write_per_statement () =
       close_exn t)
     [ (W.Durable.Fsync, 3); (W.Durable.No_sync, 0) ]
 
+(* Every auto-checkpoint reopens the log with a fresh writer; the
+   store's commit counters must run on across them, not restart. *)
+let counters_span_checkpoints () =
+  let dir = fresh_dir () in
+  close_exn (seeded ~n:0 dir);
+  let t = open_store_exn ~config:{ no_ckpt with W.Durable.checkpoint_every = Some 2 } dir in
+  for i = 1 to 5 do
+    insert t i
+  done;
+  check_bool "checkpoints ran" true (W.Durable.checkpoint_lsn t >= 4L);
+  let { W.Durable.appended; flushes; fsyncs } = W.Durable.commit_stats t in
+  check_int "appended" 5 appended;
+  check_int "flushes" 5 flushes;
+  check_int "fsyncs" 5 fsyncs;
+  close_exn t
+
 (* ------------------------------------------------------------------ *)
 (* The torn-tail matrix: truncate the log at every byte offset — every
    possible residue of a crash mid-write — and reopen. Exactly the
@@ -463,6 +479,7 @@ let () =
           test "checkpoint resets the log" checkpoint_resets_log;
           test "checkpoint covered records are skipped" checkpoint_idempotent;
           test "each acknowledged statement is its own write" own_write_per_statement;
+          test "commit counters run across checkpoints" counters_span_checkpoints;
         ] );
       ("crash-matrix", [ test "torn tail truncated at every byte offset" torn_tail_matrix ]);
       ( "fail-closed",
