@@ -370,7 +370,12 @@ let fig9a () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 9b: copy optimizations (ML training region). *)
+(* Fig. 9b: copy optimizations (ML training region). Three payload
+   layouts for the same 4000 points: [serialize] renders a Vec of
+   (x, y) Tuples through the text codec; [swizzle-copy] deep-copies that
+   boxed structure, one guest object per float; [flat-f64] runs
+   WebSubmit's own Retrain region, which interleaves the points into
+   one contiguous f64 run. *)
 
 let fig9b () =
   header "Fig. 9b: sandbox copy optimizations (ML training over 4000 rows)";
@@ -397,20 +402,14 @@ let fig9b () =
   Printf.printf "baseline (no sandbox): median %.2f ms\n\n" (ms (median base));
   Printf.printf "%-18s %10s %10s %10s %10s %10s %12s\n" "strategy" "setup" "copy-in" "exec"
     "copy-out" "teardown" "total (ms)";
-  let run_strategy label strategy =
-    let config =
-      Sbx.Runtime.config ~mode:(Sbx.Runtime.Pooled (Sbx.Pool.create ())) ~strategy ()
-    in
-    let region =
-      C.Region.Sandboxed.make ~app:"bench" ~name:("fig9b::" ^ label) ~config ~loc:19
-        ~encode:(fun (x, y) -> Sbx.Value.Tuple [ Sbx.Value.Float x; Sbx.Value.Float y ])
-        ~decode:(fun v ->
-          match Sbx.Value.to_floats v with Some fs -> Ok fs | None -> Error "bad shape")
-        ~f:train_value ()
-    in
+  let decode v = match Sbx.Value.to_floats v with Some fs -> Ok fs | None -> Error "bad shape" in
+  let config strategy =
+    Sbx.Runtime.config ~mode:(Sbx.Runtime.Pooled (Sbx.Pool.create ())) ~strategy ()
+  in
+  let report label region run =
     let timings = ref [] in
     for _ = 1 to 9 do
-      match C.Region.Sandboxed.run_list region pcons with
+      match run () with
       | Ok _ -> timings := Option.get (C.Region.Sandboxed.last_timings region) :: !timings
       | Error e -> failwith (C.Region.error_to_string e)
     done;
@@ -425,10 +424,27 @@ let fig9b () =
       (ms (field total_s));
     field (fun t -> t.copy_in_s +. t.copy_out_s)
   in
-  let serialize_copy = run_strategy "serialize" Sbx.Copier.Serialize in
-  let swizzle_copy = run_strategy "swizzle-copy" Sbx.Copier.Swizzle in
+  let run_boxed label strategy =
+    let region =
+      C.Region.Sandboxed.make ~app:"bench" ~name:("fig9b::" ^ label) ~config:(config strategy)
+        ~loc:19
+        ~encode:(fun (x, y) -> Sbx.Value.Tuple [ Sbx.Value.Float x; Sbx.Value.Float y ])
+        ~decode ~f:train_value ()
+    in
+    report label region (fun () -> C.Region.Sandboxed.run_list region pcons)
+  in
+  let serialize_copy = run_boxed "serialize" Sbx.Copier.Serialize in
+  let swizzle_copy = run_boxed "swizzle-copy" Sbx.Copier.Swizzle in
+  let flat_copy =
+    let app = match Apps.Websubmit.create () with Ok t -> t | Error m -> failwith m in
+    let region = Apps.Websubmit.sandbox_train_region app in
+    let folded = C.Fold.out_list pcons in
+    report "flat-f64" region (fun () -> C.Region.Sandboxed.run region folded)
+  in
   Printf.printf "\ncopy-time reduction (serialize/swizzle): %.1fx\n"
     (serialize_copy /. swizzle_copy);
+  Printf.printf "copy-time reduction (serialize/flat-f64): %.1fx\n"
+    (serialize_copy /. flat_copy);
   Printf.printf "\nBechamel (OLS ns/run):\n";
   run_bechamel
     [

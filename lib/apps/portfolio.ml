@@ -491,21 +491,18 @@ let create ?(query_cost_ns = 0) () =
   let* () = Db.Database.create_table db candidates_schema in
   let* () = Db.Database.create_table db documents_schema in
   let conn = Conn.create db in
-  let candidate_of schema row column =
-    ignore column;
-    Db.Value.to_text (Db.Row.get schema row "email")
+  let candidate_data schema =
+    let email = Db.Schema.column_index_exn schema "email" in
+    fun row -> Candidate_data.make { candidate = Db.Value.to_text row.(email) }
   in
   List.iter
-    (fun column ->
-      Conn.attach_policy conn ~table:"candidates" ~column (fun schema row ->
-          Candidate_data.make { candidate = candidate_of schema row column }))
+    (fun column -> Conn.attach_policy conn ~table:"candidates" ~column candidate_data)
     [ "name"; "school" ];
-  Conn.attach_policy conn ~table:"candidates" ~column:"private_key" (fun schema row ->
-      Private_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") });
+  Conn.attach_policy conn ~table:"candidates" ~column:"private_key" (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email" in
+      fun row -> Private_key.make { owner = Db.Value.to_text row.(email) });
   List.iter
-    (fun column ->
-      Conn.attach_policy conn ~table:"documents" ~column (fun schema row ->
-          Candidate_data.make { candidate = candidate_of schema row column }))
+    (fun column -> Conn.attach_policy conn ~table:"documents" ~column candidate_data)
     [ "filename"; "ciphertext"; "checksum" ];
   let keystore = Sign.Keystore.create () in
   Sign.Keystore.register keystore ~reviewer ~secret:"portfolio-dpo-secret";

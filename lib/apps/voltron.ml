@@ -496,13 +496,16 @@ let create ?(query_cost_ns = 0) () =
   let* () = Db.Database.create_table db enrollments_schema in
   let* () = Db.Database.create_table db buffers_schema in
   let conn = Conn.create db in
-  Conn.attach_policy conn ~table:"buffers" ~column:"code" (fun schema row ->
-      Buffer_read.make
-        {
-          class_id = Db.Value.to_int (Db.Row.get schema row "class_id");
-          group_id = Db.Value.to_int (Db.Row.get schema row "group_id");
-          db;
-        });
+  Conn.attach_policy conn ~table:"buffers" ~column:"code" (fun schema ->
+      let class_id = Db.Schema.column_index_exn schema "class_id"
+      and group_id = Db.Schema.column_index_exn schema "group_id" in
+      fun row ->
+        Buffer_read.make
+          {
+            class_id = Db.Value.to_int row.(class_id);
+            group_id = Db.Value.to_int row.(group_id);
+            db;
+          });
   let keystore = Sign.Keystore.create () in
   Sign.Keystore.register keystore ~reviewer ~secret:"voltron-reviewer-secret";
   let synced = ref [] in

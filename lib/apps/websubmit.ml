@@ -348,7 +348,7 @@ type regions = {
   mean_grades : (float list, float) Region.Verified.t;
   predict : ((float * float) * float, float) Region.Verified.t;
   hash_key : (string, string) Region.Sandboxed.t;
-  train : (float * float, float list) Region.Sandboxed.t;
+  train : ((float * float) list, float list) Region.Sandboxed.t;
   email_confirmation : (string, unit) Region.Critical.t;
   export_employer : (string * float, string) Region.Critical.t;
 }
@@ -371,6 +371,7 @@ type t = {
 
 let conn t = t.conn
 let database t = t.db
+let model t = t.model
 
 (* Leave brownout: recover the durable store through the connector and
    follow the swap in the app's own db handle. Policy closures minted
@@ -460,28 +461,33 @@ let make_regions ?hardening program keystore db =
         | other -> other)
       ()
   in
+  (* The training points cross as one flat f64 run, interleaved
+     [x0; y0; x1; y1; ...] (§7.2's direct copy): 16 bytes a point, and
+     the guest trains straight off the array. *)
   let train =
     Region.Sandboxed.make ~app:app_name ~name:"ml::train" ?config:sbx_config ?quota:sbx_quota
       ~loc:19
-      ~encode:(fun (x, y) -> Sbx.Value.Tuple [ Sbx.Value.Float x; Sbx.Value.Float y ])
+      ~encode:(fun points ->
+        let xy = Array.create_float (2 * List.length points) in
+        List.iteri
+          (fun i (x, y) ->
+            xy.(2 * i) <- x;
+            xy.((2 * i) + 1) <- y)
+          points;
+        Sbx.Value.Floats xy)
       ~decode:(fun value ->
         match Sbx.Value.to_floats value with
         | Some weights -> Ok weights
         | None -> Error "expected a float vector")
-      ~f:(fun value ->
-        let point = function
-          | Sbx.Value.Tuple [ Sbx.Value.Float x; Sbx.Value.Float y ] -> Some (x, y)
-          | _ -> None
-        in
-        let points =
-          match value with
-          | Sbx.Value.Vec elems -> List.filter_map point elems
-          | single -> Option.to_list (point single)
-        in
-        match Sesame_ml.Linreg.train_simple points with
-        | Ok model ->
-            Sbx.Value.floats [ model.Sesame_ml.Linreg.weights.(0); model.intercept ]
-        | Error _ -> Sbx.Value.floats [ 0.0; Sesame_ml.Stats.mean (List.map snd points) ])
+      ~f:(function
+        | Sbx.Value.Floats xy -> (
+            match Sesame_ml.Linreg.train_interleaved xy with
+            | Ok model ->
+                Sbx.Value.floats [ model.Sesame_ml.Linreg.weights.(0); model.intercept ]
+            | Error _ ->
+                let grades = List.init (Array.length xy / 2) (fun p -> xy.((2 * p) + 1)) in
+                Sbx.Value.floats [ 0.0; Sesame_ml.Stats.mean grades ])
+        | _ -> invalid_arg "ml::train expects a flat f64 payload")
       ()
   in
   let* email_confirmation =
@@ -551,17 +557,20 @@ let attach_policies conn db =
      protected entity: wrapping 10k result rows costs 10k table lookups,
      not 10k policy constructions (policy code is trusted, §4.1). *)
   let answer_policies : (string * int, Policy.t) Hashtbl.t = Hashtbl.create 256 in
-  Conn.attach_policy conn ~table:"answers" ~column:"answer" (fun schema row ->
-      let author = Db.Value.to_text (Db.Row.get schema row "email") in
-      let lecture = Db.Value.to_int (Db.Row.get schema row "lecture") in
-      match Hashtbl.find_opt answer_policies (author, lecture) with
-      | Some policy -> policy
-      | None ->
-          let policy =
-            Answer_access.make { authors = Sset.singleton author; lecture; db }
-          in
-          Hashtbl.add answer_policies (author, lecture) policy;
-          policy);
+  Conn.attach_policy conn ~table:"answers" ~column:"answer" (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email"
+      and lecture = Db.Schema.column_index_exn schema "lecture" in
+      fun row ->
+        let author = Db.Value.to_text row.(email) in
+        let lecture = Db.Value.to_int row.(lecture) in
+        match Hashtbl.find_opt answer_policies (author, lecture) with
+        | Some policy -> policy
+        | None ->
+            let policy =
+              Answer_access.make { authors = Sset.singleton author; lecture; db }
+            in
+            Hashtbl.add answer_policies (author, lecture) policy;
+            policy);
   let grade_policies : (string, Policy.t) Hashtbl.t = Hashtbl.create 256 in
   (* The grade binding's pushdown translation. At the training sink the
      conjoined GradeAccess ∧ MlTraining policy admits exactly the
@@ -591,34 +600,40 @@ let attach_policies conn db =
     | Some _ | None -> None
   in
   Conn.attach_policy conn ~to_expr:grade_to_expr ~table:"answers" ~column:"grade"
-    (fun schema row ->
-      let student = Db.Value.to_text (Db.Row.get schema row "email") in
-      match Hashtbl.find_opt grade_policies student with
-      | Some policy -> policy
-      | None ->
-          let policy =
-            Policy.conjoin
-              (Grade_access.make { student })
-              (Ml_training.make { student; db })
-          in
-          Hashtbl.add grade_policies student policy;
-          policy);
+    (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email" in
+      fun row ->
+        let student = Db.Value.to_text row.(email) in
+        match Hashtbl.find_opt grade_policies student with
+        | Some policy -> policy
+        | None ->
+            let policy =
+              Policy.conjoin
+                (Grade_access.make { student })
+                (Ml_training.make { student; db })
+            in
+            Hashtbl.add grade_policies student policy;
+            policy);
   (* Static claim backing aggregate elision: every policy the grade
      binding produces is a conjunction over exactly these two leaf
      families. Dropped automatically if the binding is re-attached. *)
   Conn.certify_binding conn ~table:"answers" ~column:"grade"
     ~families:[ Grade_access_family.name; Ml_training_family.name ];
-  Conn.attach_policy conn ~table:"users" ~column:"email" (fun schema row ->
-      Employer_release.make
-        {
-          student = Db.Value.to_text (Db.Row.get schema row "email");
-          consent = Db.Value.to_bool (Db.Row.get schema row "consent_employer");
-        });
-  Conn.attach_policy conn ~table:"users" ~column:"gender" (fun schema row ->
-      Demographics.make
-        { student = Db.Value.to_text (Db.Row.get schema row "email") });
-  Conn.attach_policy conn ~table:"users" ~column:"apikey_hash" (fun schema row ->
-      Api_key.make { owner = Db.Value.to_text (Db.Row.get schema row "email") })
+  Conn.attach_policy conn ~table:"users" ~column:"email" (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email"
+      and consent = Db.Schema.column_index_exn schema "consent_employer" in
+      fun row ->
+        Employer_release.make
+          {
+            student = Db.Value.to_text row.(email);
+            consent = Db.Value.to_bool row.(consent);
+          });
+  Conn.attach_policy conn ~table:"users" ~column:"gender" (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email" in
+      fun row -> Demographics.make { student = Db.Value.to_text row.(email) });
+  Conn.attach_policy conn ~table:"users" ~column:"apikey_hash" (fun schema ->
+      let email = Db.Schema.column_index_exn schema "email" in
+      fun row -> Api_key.make { owner = Db.Value.to_text row.(email) })
 
 (* ------------------------------------------------------------------ *)
 (* The static elision model: what each policy family's verdict depends
@@ -1128,9 +1143,12 @@ let get_employer_info t request =
                 let grades =
                   List.filter_map
                     (fun row ->
-                      match C.Pcon.Internal.unwrap (C.Pcon_row.get row "grade") with
+                      (* One read per row: each [get] wraps the cell
+                         afresh. *)
+                      let grade = C.Pcon_row.get row "grade" in
+                      match C.Pcon.Internal.unwrap grade with
                       | Db.Value.Null -> None
-                      | _ -> Some (C.Pcon_row.float row "grade"))
+                      | _ -> Some (C.Pcon.Internal.map Db.Value.to_float grade))
                     answer_rows
                 in
                 if grades = [] then None
@@ -1155,7 +1173,9 @@ let get_employer_info t request =
       Http.Response.text (String.concat "\n" lines))
 
 (* POST /retrain: train the grade model on consenting students' grades in
-   the training sandbox ("Retrain Model", Fig. 9b). *)
+   the training sandbox ("Retrain Model", Fig. 9b). The (question, grade)
+   points fold out into one container carrying their policies'
+   conjunction, and the region copies them in as one flat f64 run. *)
 let retrain_model t request =
   require_auth t request (fun user ->
       if not (is_admin user) then
@@ -1171,9 +1191,10 @@ let retrain_model t request =
              check into an email IN (consenting) predicate; the answers
              table's email index turns that list into the union of the
              consenting students' buckets, so only their rows are read
-             and no per-row policy objects are built. Otherwise the
-             reference path scans every graded answer and checks each
-             row's policy post-hoc (memoized by Enforce underneath). *)
+             and no row is checked. Otherwise the reference path scans
+             every graded answer and checks each row's grade policy
+             post-hoc. Either way the grade cells read below carry the
+             binding's per-student policy instances. *)
           Conn.query_filtered t.conn ~context ~on:"grade"
             "SELECT * FROM answers WHERE grade IS NOT NULL" ~params:[]
         with
@@ -1191,7 +1212,7 @@ let retrain_model t request =
             in
             if points = [] then bad_request "no consenting training data"
             else
-              match Region.Sandboxed.run_list t.regions.train points with
+              match Region.Sandboxed.run t.regions.train (C.Fold.out_list points) with
               | Error e -> region_err e
               | Ok weights_pcon -> (
                   match C.Pcon.Internal.unwrap weights_pcon with

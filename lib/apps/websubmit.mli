@@ -127,6 +127,11 @@ val get_employer_info : t -> Http.Request.t -> Http.Response.t
 val predict_grades : t -> Http.Request.t -> Http.Response.t
 val register_user : t -> Http.Request.t -> Http.Response.t
 val retrain_model : t -> Http.Request.t -> Http.Response.t
+
+val model : t -> (float * float) C.Pcon.t option
+(** The [(weight, intercept)] the last successful {!retrain_model}
+    trained, under the training rows' folded policy. *)
+
 val submit_answer : t -> Http.Request.t -> Http.Response.t
 val view_answer : t -> Http.Request.t -> Http.Response.t
 val view_answers : t -> compose:bool -> Http.Request.t -> Http.Response.t
@@ -167,5 +172,5 @@ val sandbox_hash_region : t -> (string, string) C.Region.Sandboxed.t
 (** The "Register Users" hashing region, exposed for the Fig. 9a
     drill-down. *)
 
-val sandbox_train_region : t -> (float * float, float list) C.Region.Sandboxed.t
+val sandbox_train_region : t -> ((float * float) list, float list) C.Region.Sandboxed.t
 (** The "Retrain Model" region, exposed for Fig. 9b. *)

@@ -344,20 +344,19 @@ let create ?(query_cost_ns = 0) () =
   let* () = Db.Database.create_table db members_schema in
   let* () = Db.Database.create_table db messages_schema in
   let conn = Conn.create db in
-  Conn.attach_policy conn ~table:"messages" ~column:"body" (fun schema row ->
-      Message_access.make
-        {
-          sender = Db.Value.to_text (Db.Row.get schema row "sender");
-          recipient =
-            (match Db.Row.get schema row "recipient" with
-            | Db.Value.Text r -> Some r
-            | _ -> None);
-          group_id =
-            (match Db.Row.get schema row "group_id" with
-            | Db.Value.Int g -> Some g
-            | _ -> None);
-          db;
-        });
+  Conn.attach_policy conn ~table:"messages" ~column:"body" (fun schema ->
+      let sender = Db.Schema.column_index_exn schema "sender"
+      and recipient = Db.Schema.column_index_exn schema "recipient"
+      and group_id = Db.Schema.column_index_exn schema "group_id" in
+      fun row ->
+        Message_access.make
+          {
+            sender = Db.Value.to_text row.(sender);
+            recipient =
+              (match row.(recipient) with Db.Value.Text r -> Some r | _ -> None);
+            group_id = (match row.(group_id) with Db.Value.Int g -> Some g | _ -> None);
+            db;
+          });
   let* regions = make_regions (build_program ()) in
   (* Built once: dispatch only reads the table, so handler domains share it. *)
   let t = { conn; db; regions; next_id = 1; routes = Http.Router.create () } in

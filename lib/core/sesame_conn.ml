@@ -410,10 +410,18 @@ let binding_version t ~table ~column =
 let certify_binding t ~table ~column ~families =
   Hashtbl.replace t.certified_families (table, column) families
 
-let cell_policy t ~table schema row column =
-  match Hashtbl.find_opt t.bindings (table, column) with
-  | Some source -> source schema row
-  | None -> Policy.no_policy
+(* A binding staged on one statement's schema: the source's schema half
+   (column positions) runs here, once, so each row pays only its row
+   half. Unbound columns carry [NoPolicy]. *)
+let stage_column t schema column =
+  match Hashtbl.find_opt t.bindings (Db.Schema.name schema, column) with
+  | Some source -> source schema
+  | None -> fun _ -> Policy.no_policy
+
+(* Every column of the statement's result, staged, by column position. *)
+let stage_columns t schema =
+  Array.init (Db.Schema.arity schema) (fun i ->
+      stage_column t schema (Db.Schema.column_name schema i))
 
 let ( let* ) = Result.bind
 
@@ -544,15 +552,18 @@ let check_params context ~sink params =
 
 let unwrap_params params = List.map Pcon.Internal.unwrap params
 
+(* Bindings are resolved once per statement; a row's cell still pays its
+   policy only when the endpoint reads it. [schema] is the table the rows
+   came from — the snapshot's during brownout. *)
 let wrap_select_rows t schema rows =
-  let table = Db.Schema.name schema in
+  let policies = stage_columns t schema in
   let column_names =
     List.map (fun (c : Db.Schema.column) -> c.name) (Db.Schema.columns schema)
   in
   let wrap_row row =
     Pcon_row.Internal.make_lazy ~columns:column_names (fun column ->
         Option.map
-          (fun i -> Pcon.Internal.make (cell_policy t ~table schema row column) row.(i))
+          (fun i -> Pcon.Internal.make (policies.(i) row) row.(i))
           (Db.Schema.column_index schema column))
   in
   List.map wrap_row rows
@@ -607,8 +618,8 @@ let query_filtered t ~context ~on sql ~params =
       match Db.Database.select_rows db sql ~params:raw_params with
       | Error msg -> Error (db_error_at ~sink msg)
       | Ok (schema, rows) ->
-          let table = Db.Schema.name schema in
-          let keep row = Enforce.check (cell_policy t ~table schema row on) context in
+          let policy_of = stage_column t schema on in
+          let keep row = Enforce.check (policy_of row) context in
           Ok (wrap_select_rows t schema (List.filter keep rows)))
 
 (* For aggregates we need the matching raw rows to build the conjunction of
@@ -777,9 +788,7 @@ let query_agg t ~context sql ~params =
                             Policy.no_policy
                         | Some false | None ->
                             Policy.conjoin_distinct
-                              (List.map
-                                 (fun row -> cell_policy t ~table schema row column)
-                                 members)
+                              (List.map (stage_column t schema column) members)
                       in
                       (* The member select is a read, so the token is
                          normally born valid; it can be stale only if a

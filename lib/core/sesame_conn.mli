@@ -166,7 +166,22 @@ val breaker_state : t -> sink:string -> breaker_state
 
 type policy_source = Db.Schema.t -> Db.Row.t -> Policy.t
 (** Instantiates a policy from the row it protects (Fig. 3's
-    [from_row]). *)
+    [from_row]).
+
+    A source is staged: the connector applies it to a statement's
+    schema once, when it wraps (or filters, or groups) that statement's
+    rows, and applies the result to each row. Do the per-schema work —
+    resolving the columns the policy reads to positions — before taking
+    the row:
+    {[
+      fun schema ->
+        let email = Db.Schema.column_index_exn schema "email" in
+        fun row -> make (Db.Value.to_text row.(email))
+    ]}
+    The schema half sees the schema of the table the rows came from
+    (the snapshot's during brownout) and must not depend on any row. It
+    runs for every bound column of the table, read or not, so it should
+    raise only when the schema lacks a column the policy needs. *)
 
 val attach_policy :
   ?to_expr:(Context.t -> Db.Expr.t option) ->

@@ -45,6 +45,22 @@ let solve a b =
     Some x
   end
 
+(* Adds one observation to the normal equations (X'X) w = X'y; [aug] is
+   the feature row followed by the bias column's 1.0. *)
+let accumulate xtx xty aug y =
+  let k = Array.length aug in
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      xtx.(i).(j) <- xtx.(i).(j) +. (aug.(i) *. aug.(j))
+    done;
+    xty.(i) <- xty.(i) +. (aug.(i) *. y)
+  done
+
+let fit xtx xty ~d =
+  match solve xtx xty with
+  | None -> Error "singular system (collinear features?)"
+  | Some w -> Ok { weights = Array.sub w 0 d; intercept = w.(d) }
+
 let train ~features ~targets =
   match features with
   | [] -> Error "no training data"
@@ -55,23 +71,13 @@ let train ~features ~targets =
       else if List.exists (fun row -> Array.length row <> d) features then
         Error "inconsistent feature dimensions"
       else begin
-        (* Augment with a bias column; normal equations: (X'X) w = X'y. *)
         let k = d + 1 in
         let xtx = Array.make_matrix k k 0.0 in
         let xty = Array.make k 0.0 in
         List.iter2
-          (fun row y ->
-            let aug = Array.append row [| 1.0 |] in
-            for i = 0 to k - 1 do
-              for j = 0 to k - 1 do
-                xtx.(i).(j) <- xtx.(i).(j) +. (aug.(i) *. aug.(j))
-              done;
-              xty.(i) <- xty.(i) +. (aug.(i) *. y)
-            done)
+          (fun row y -> accumulate xtx xty (Array.append row [| 1.0 |]) y)
           features targets;
-        match solve xtx xty with
-        | None -> Error "singular system (collinear features?)"
-        | Some w -> Ok { weights = Array.sub w 0 d; intercept = w.(d) }
+        fit xtx xty ~d
       end
 
 let predict model x =
@@ -94,6 +100,21 @@ let mean_squared_error model ~features ~targets =
         0.0 features targets
     in
     total /. float_of_int n
+
+let train_interleaved xy =
+  let n = Array.length xy / 2 in
+  if Array.length xy mod 2 <> 0 then Error "odd-length interleaved points"
+  else if n = 0 then Error "no training data"
+  else begin
+    let xtx = Array.make_matrix 2 2 0.0 in
+    let xty = Array.make 2 0.0 in
+    let aug = [| 0.0; 1.0 |] in
+    for p = 0 to n - 1 do
+      aug.(0) <- xy.(2 * p);
+      accumulate xtx xty aug xy.((2 * p) + 1)
+    done;
+    fit xtx xty ~d:1
+  end
 
 let train_simple points =
   train

@@ -14,3 +14,9 @@ val mean_squared_error : model -> features:float array list -> targets:float lis
 
 val train_simple : (float * float) list -> (model, string) result
 (** One-feature convenience used by tests: fits [y = w*x + b]. *)
+
+val train_interleaved : float array -> (model, string) result
+(** {!train_simple} over the points laid out flat as
+    [[| x0; y0; x1; y1; ... |]], the sandbox's flat-f64 payload. Same
+    observations in the same order, same arithmetic: the model is
+    bit-identical to {!train_simple}'s on the same pairs. *)

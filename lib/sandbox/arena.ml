@@ -69,6 +69,18 @@ let write_f64 t addr v =
   check t addr 8;
   Bytes.set_int64_le t.mem addr (Int64.bits_of_float v)
 
+let read_f64s t addr n =
+  check t addr (8 * n);
+  let fs = Array.create_float n in
+  for i = 0 to n - 1 do
+    fs.(i) <- Int64.float_of_bits (Bytes.get_int64_le t.mem (addr + (8 * i)))
+  done;
+  fs
+
+let write_f64s t addr fs =
+  check t addr (8 * Array.length fs);
+  Array.iteri (fun i f -> Bytes.set_int64_le t.mem (addr + (8 * i)) (Int64.bits_of_float f)) fs
+
 let read_bytes t addr len =
   check t addr len;
   Bytes.sub_string t.mem addr len

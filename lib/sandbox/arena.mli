@@ -37,6 +37,11 @@ val read_u32 : t -> int -> int
 val write_u32 : t -> int -> int -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
+val read_f64s : t -> int -> int -> float array
+(** [read_f64s t addr n] reads [n] contiguous f64s; the whole run is
+    bounds-checked before anything is allocated or read. *)
+
+val write_f64s : t -> int -> float array -> unit
 val read_bytes : t -> int -> int -> string
 val write_bytes : t -> int -> string -> unit
 

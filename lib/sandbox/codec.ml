@@ -5,7 +5,8 @@
      b0; / b1;    bool
      s<len>:<bytes>
      v<count>:e1e2...   vec
-     t<count>:e1e2...   tuple *)
+     t<count>:e1e2...   tuple
+     F<count>:<hex>;<hex>;...   flat floats *)
 
 let encode value =
   let buf = Buffer.create 256 in
@@ -37,6 +38,15 @@ let encode value =
         Buffer.add_string buf (string_of_int (List.length vs));
         Buffer.add_char buf ':';
         List.iter go vs
+    | Value.Floats fs ->
+        Buffer.add_char buf 'F';
+        Buffer.add_string buf (string_of_int (Array.length fs));
+        Buffer.add_char buf ':';
+        Array.iter
+          (fun f ->
+            Buffer.add_string buf (Printf.sprintf "%h" f);
+            Buffer.add_char buf ';')
+          fs
   in
   go value;
   Buffer.contents buf
@@ -67,15 +77,17 @@ let decode s =
     | Some i -> i
     | None -> fail (Printf.sprintf "bad integer %S" text)
   in
+  let float_until stop =
+    let text = until stop in
+    match float_of_string_opt text with
+    | Some f -> f
+    | None -> fail (Printf.sprintf "bad float %S" text)
+  in
   let rec go () =
     match next () with
     | 'u' -> Value.Unit
     | 'i' -> Value.Int (int_until ';')
-    | 'f' -> (
-        let text = until ';' in
-        match float_of_string_opt text with
-        | Some f -> Value.Float f
-        | None -> fail (Printf.sprintf "bad float %S" text))
+    | 'f' -> Value.Float (float_until ';')
     | 'b' -> (
         match until ';' with
         | "0" -> Value.Bool false
@@ -95,6 +107,17 @@ let decode s =
         let count = int_until ':' in
         if count < 0 then fail "bad tuple count";
         Value.Tuple (List.init count (fun _ -> go ()))
+    | 'F' ->
+        let count = int_until ':' in
+        (* Every element takes at least two bytes ("0;"): a count the
+           rest of the input cannot hold is refused before the array is
+           allocated. *)
+        if count < 0 || count > (n - !pos) / 2 then fail "bad floats count";
+        let fs = Array.create_float count in
+        for i = 0 to count - 1 do
+          fs.(i) <- float_until ';'
+        done;
+        Value.Floats fs
     | c -> fail (Printf.sprintf "unknown tag %C" c)
   in
   match

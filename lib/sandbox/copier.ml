@@ -10,7 +10,8 @@ let strategy_name = function Serialize -> "serialize" | Swizzle -> "swizzle"
      Bool  3 | u8 at +4
      Str   4 | len:u32 +4, ptr:u32 +8
      Vec   5 | len:u32 +4, ptr:u32 +8 -> u32 element addresses
-     Tuple 6 | like Vec *)
+     Tuple 6 | like Vec
+     Floats 7 | len:u32 +4, ptr:u32 +8 -> len contiguous f64s *)
 
 let tag_unit = 0
 and tag_int = 1
@@ -19,6 +20,7 @@ and tag_bool = 3
 and tag_str = 4
 and tag_vec = 5
 and tag_tuple = 6
+and tag_floats = 7
 
 let rec swizzle_in arena v =
   let header tag size =
@@ -57,6 +59,13 @@ let rec swizzle_in arena v =
       Arena.write_u32 arena (addr + 4) (List.length elems);
       Arena.write_u32 arena (addr + 8) table;
       addr
+  | Value.Floats fs ->
+      let addr = header tag_floats 12 in
+      let payload = Arena.alloc arena (8 * Array.length fs) in
+      Arena.write_f64s arena payload fs;
+      Arena.write_u32 arena (addr + 4) (Array.length fs);
+      Arena.write_u32 arena (addr + 8) payload;
+      addr
 
 let rec swizzle_out arena addr =
   let tag = Arena.read_u8 arena addr in
@@ -82,6 +91,11 @@ let rec swizzle_out arena addr =
       List.init len (fun i -> swizzle_out arena (Arena.read_u32 arena (table + (4 * i))))
     in
     if tag = tag_vec then Value.Vec elems else Value.Tuple elems
+  end
+  else if tag = tag_floats then begin
+    let len = Arena.read_u32 arena (addr + 4) in
+    let payload = Arena.read_u32 arena (addr + 8) in
+    Value.Floats (Arena.read_f64s arena payload len)
   end
   else raise (Arena.Sandbox_trap (Printf.sprintf "corrupt guest object tag %d" tag))
 

@@ -12,6 +12,9 @@ type t =
   | Str of string
   | Vec of t list
   | Tuple of t list
+  | Floats of float array
+      (** A flat f64 vector: copied in as one contiguous run of 8-byte
+          words rather than one boxed object per element. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
@@ -20,6 +23,6 @@ val size_bytes : t -> int
 (** Approximate payload size, used by benchmarks to report copy volume. *)
 
 val floats : float list -> t
-(** Convenience: a [Vec] of [Float]s. *)
+(** Convenience: a [Vec] of [Float]s (not a {!Floats}). *)
 
 val to_floats : t -> float list option

@@ -98,6 +98,54 @@ let consent_withdrawal ~pushdown () =
   check_bool "present again" true (contains (body restored) student0);
   check_int "trains again" 3 (training_rows ())
 
+(* The points /retrain may use, read straight from the store: every
+   graded answer (in slot order) whose author consents to training. *)
+let consenting_points app =
+  let db = Apps.Websubmit.database app in
+  let rows sql params =
+    match Sesame_db.Database.exec db sql ~params with
+    | Ok (Sesame_db.Database.Rows { columns; rows }) -> (columns, rows)
+    | Ok (Sesame_db.Database.Affected _) | Error _ -> Alcotest.fail sql
+  in
+  let _, consenting =
+    rows "SELECT email FROM users WHERE consent_ml = ?" [ Sesame_db.Value.Bool true ]
+  in
+  let consenting = List.map (fun row -> row.(0)) consenting in
+  let columns, answers = rows "SELECT * FROM answers WHERE grade IS NOT NULL" [] in
+  let index name =
+    let rec go i = function
+      | [] -> Alcotest.fail name
+      | c :: rest -> if c = name then i else go (i + 1) rest
+    in
+    go 0 columns
+  in
+  let email = index "email" and question = index "question" and grade = index "grade" in
+  List.filter_map
+    (fun row ->
+      if List.mem row.(email) consenting then
+        Some
+          ( float_of_int (Sesame_db.Value.to_int row.(question)),
+            Sesame_db.Value.to_float row.(grade) )
+      else None)
+    answers
+
+let retrain_weights_match_reference ~pushdown () =
+  C.Enforce.set_pushdown pushdown;
+  Fun.protect ~finally:(fun () -> C.Enforce.set_pushdown true) @@ fun () ->
+  let app = websubmit () in
+  let r = Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain") in
+  check_int "retrained" 200 (status r);
+  let points = consenting_points app in
+  check_bool "has training data" true (points <> []);
+  let expected = Result.get_ok (Sesame_ml.Linreg.train_simple points) in
+  match Apps.Websubmit.model app with
+  | None -> Alcotest.fail "no model after retrain"
+  | Some model ->
+      let w, b = C.Pcon.Internal.unwrap model in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check int64) "weight bits" (bits expected.Sesame_ml.Linreg.weights.(0)) (bits w);
+      Alcotest.(check int64) "intercept bits" (bits expected.intercept) (bits b)
+
 let websubmit_tests =
   [
     test "students view their own answers" (fun () ->
@@ -238,6 +286,21 @@ let websubmit_tests =
         check_bool "no other index" false
           (Sesame_db.Table.has_index (table "answers") "lecture"
           || Sesame_db.Table.has_index (table "users") "email"));
+    test "retrain's weights are bit-identical to train_simple (pushdown on)"
+      (retrain_weights_match_reference ~pushdown:true);
+    test "retrain's weights are bit-identical to train_simple (pushdown off)"
+      (retrain_weights_match_reference ~pushdown:false);
+    test "default-hardened websubmit retrains at 100x100" (fun () ->
+        let hardening = Result.get_ok (Apps.Websubmit.harden ()) in
+        let app = Result.get_ok (Apps.Websubmit.create ~hardening ()) in
+        (match Apps.Websubmit.seed app ~students:100 ~questions:100 with
+        | Ok () -> ()
+        | Error m -> Alcotest.fail m);
+        let r = Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain") in
+        check_int "200" 200 (status r);
+        Alcotest.(check string) "body" "model retrained" (body r);
+        check_int "no arena quarantined" 0
+          (Sesame_sandbox.Pool.stats hardening.Apps.Websubmit.sandbox_pool).poisoned);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -709,6 +709,52 @@ let conn_tests =
             ignore (Pcon_row.get row "a");
             check_int "one column wrapped" 1 !instantiated
         | _ -> Alcotest.fail "query failed"));
+    test "a source's schema half runs once per statement, its row half per row" (fun () ->
+        let conn = conn_fixture () in
+        let staged = ref 0 and rows_seen = ref 0 in
+        Sesame_conn.attach_policy conn ~table:"notes" ~column:"note" (fun schema ->
+            incr staged;
+            let owner = Db.Schema.column_index_exn schema "owner" in
+            fun row ->
+              incr rows_seen;
+              Only.make { who = Db.Value.to_text row.(owner) });
+        match Sesame_conn.query conn ~context:ada "SELECT * FROM notes" ~params:[] with
+        | Ok rows ->
+            check_int "two rows" 2 (List.length rows);
+            List.iter (fun row -> ignore (Pcon_row.get row "note")) rows;
+            check_int "staged once" 1 !staged;
+            check_int "one row half per row" 2 !rows_seen
+        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
+    test "re-attaching a binding takes effect on the next statement" (fun () ->
+        let conn = conn_fixture () in
+        let note_of rows =
+          match rows with
+          | Ok [ row ] -> Pcon_row.get row "note"
+          | Ok _ -> Alcotest.fail "expected one row"
+          | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e
+        in
+        let ada_note () =
+          Sesame_conn.query conn ~context:ada "SELECT * FROM notes WHERE id = ?"
+            ~params:[ Pcon.wrap_no_policy (Db.Value.Int 1) ]
+        in
+        let before = ada_note () in
+        check_bool "owner binding admits ada" true
+          (Policy.check (Pcon.policy (note_of before)) ada);
+        Sesame_conn.attach_policy conn ~table:"notes" ~column:"note" (fun _schema _row ->
+            Only.make { who = "eve" });
+        let after = note_of (ada_note ()) in
+        check_bool "new binding denies ada" false (Policy.check (Pcon.policy after) ada);
+        check_bool "new binding admits eve" true (Policy.check (Pcon.policy after) eve);
+        (* Rows keep the binding their statement was wrapped under. *)
+        check_bool "earlier rows unchanged" true
+          (Policy.check (Pcon.policy (note_of before)) ada);
+        (* The filtered read consults the new binding too. *)
+        match
+          Sesame_conn.query_filtered conn ~context:ada ~on:"note" "SELECT * FROM notes"
+            ~params:[]
+        with
+        | Ok rows -> check_int "ada may use nothing now" 0 (List.length rows)
+        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
     test "execute runs updates with checked params" (fun () ->
         let conn = conn_fixture () in
         match

@@ -948,6 +948,52 @@ let attest_seam_cases =
 let hardening_matrix_tests =
   preflight_seam_cases @ quota_seam_cases @ attest_seam_cases
 
+(* ------------------------------------------------------------------ *)
+(* Brownout reads wrap their rows under the snapshot's own tables *)
+
+let brownout_staging_tests =
+  [
+    test "brownout rows wrap under the snapshot table's schema" (fun () ->
+        let dir = fresh_dir () in
+        let app, store = durable_websubmit dir in
+        poison app;
+        let conn = Apps.Websubmit.conn app in
+        let live =
+          Db.Table.schema (Option.get (Db.Database.table (Apps.Websubmit.database app) "answers"))
+        in
+        let staged = ref [] in
+        Sesame_conn.attach_policy conn ~table:"answers" ~column:"answer" (fun schema ->
+            staged := schema :: !staged;
+            let email = Db.Schema.column_index_exn schema "email" in
+            fun row -> Only.make { who = Db.Value.to_text row.(email) });
+        let student0 = "student0@school.edu" in
+        Http.Serving.reset ();
+        (match
+           Sesame_conn.query conn ~context:(Mock.context ~user:student0 ())
+             "SELECT * FROM answers WHERE email = ?"
+             ~params:[ Pcon.wrap_no_policy (Db.Value.Text student0) ]
+         with
+        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e
+        | Ok rows ->
+            check_str "served from the snapshot" "snapshot"
+              (Option.value ~default:"" (Http.Serving.degraded_reason ()));
+            check_bool "rows served" true (rows <> []);
+            (match !staged with
+            | [ schema ] ->
+                check_str "answers" "answers" (Db.Schema.name schema);
+                check_bool "not the poisoned store's schema" true (schema != live)
+            | l -> Alcotest.failf "staged %d times, expected once" (List.length l));
+            List.iter
+              (fun row ->
+                let policy = Pcon.policy (Pcon_row.get row "answer") in
+                check_bool "author admitted" true
+                  (Policy.check policy (Mock.context ~user:student0 ()));
+                check_bool "others denied" false
+                  (Policy.check policy (Mock.context ~user:"student1@school.edu" ())))
+              rows);
+        ignore (Wal.Durable.close store));
+  ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -959,4 +1005,5 @@ let () =
       ("retry", retry_tests);
       ("breaker", breaker_tests);
       ("fail-closed", failclosed_tests);
+      ("brownout-staging", brownout_staging_tests);
     ]

@@ -25,6 +25,7 @@ let sandbox_value : Sbx.Value.t QCheck.arbitrary =
         map (fun f -> Sbx.Value.Float f) float;
         map (fun b -> Sbx.Value.Bool b) bool;
         map (fun s -> Sbx.Value.Str s) string_printable;
+        map (fun fs -> Sbx.Value.Floats fs) (array_size (int_bound 8) float);
       ]
   in
   let value =

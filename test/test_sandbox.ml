@@ -430,6 +430,132 @@ let runtime_tests =
         check_bool "stretched" true (slow > fast *. 1.5));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Flat f64 payloads ([Value.Floats]). *)
+
+let specials =
+  [| Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; Float.max_float;
+     Float.min_float; Float.epsilon; 1.0; -2.5 |]
+
+(* Bit-exact, except that any NaN matches any NaN: the text codec
+   renders every NaN as "nan". *)
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (Float.is_nan x && Float.is_nan y)
+
+let floats_roundtrip strategy fs =
+  let a = Arena.create ~size:(1 lsl 20) () in
+  match Copier.copy_out strategy a (Copier.copy_in strategy a (Value.Floats fs)) with
+  | Value.Floats fs' -> Array.length fs = Array.length fs' && Array.for_all2 same_bits fs fs'
+  | _ -> false
+
+let floats_arb =
+  let open QCheck.Gen in
+  let elem = frequency [ (3, float); (1, oneofa specials) ] in
+  let gen =
+    frequency
+      [
+        (8, array_size (int_bound 64) elem);
+        (1, return [||]);
+        (1, array_size (return 10_000) elem);
+      ]
+  in
+  QCheck.make
+    ~print:(fun fs -> Format.asprintf "%a" Value.pp (Value.Floats fs))
+    ~shrink:QCheck.Shrink.array gen
+
+let floats_property strategy =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:(Printf.sprintf "floats round-trip bit-exactly (%s)" (Copier.strategy_name strategy))
+       floats_arb (floats_roundtrip strategy))
+
+(* Lay a Floats object out in an arena, returning its guest address. *)
+let floats_in_arena n =
+  let a = Arena.create ~size:65536 () in
+  let addr = Copier.copy_in Copier.Swizzle a (Value.Floats (Array.init n float_of_int)) in
+  (a, addr)
+
+let traps f =
+  try
+    ignore (f ());
+    false
+  with Arena.Sandbox_trap _ -> true
+
+let floats_tests =
+  [
+    floats_property Copier.Swizzle;
+    floats_property Copier.Serialize;
+    test "edge payloads round-trip under both strategies" (fun () ->
+        List.iter
+          (fun fs ->
+            check_bool "swizzle" true (floats_roundtrip Copier.Swizzle fs);
+            check_bool "serialize" true (floats_roundtrip Copier.Serialize fs))
+          [ [||]; specials; Array.init 10_000 (fun i -> float_of_int i /. 7.0) ]);
+    test "equal is NaN-tolerant and shape-strict" (fun () ->
+        check_bool "nan" true (Value.equal (Value.Floats specials) (Value.Floats specials));
+        check_bool "empty" true (Value.equal (Value.Floats [||]) (Value.Floats [||]));
+        check_bool "length" false
+          (Value.equal (Value.Floats [| 1.0 |]) (Value.Floats [| 1.0; 2.0 |]));
+        check_bool "element" false
+          (Value.equal (Value.Floats [| 1.0 |]) (Value.Floats [| 2.0 |]));
+        check_bool "floats<>vec" false
+          (Value.equal (Value.Floats [| 1.0 |]) (Value.floats [ 1.0 ]));
+        check_bool "no to_floats" true (Value.to_floats (Value.Floats [| 1.0 |]) = None));
+    test "size_bytes counts one 8-byte word per element" (fun () ->
+        check_int "empty" 8 (Value.size_bytes (Value.Floats [||]));
+        check_int "3.4k pairs" (8 + (8 * 6800))
+          (Value.size_bytes (Value.Floats (Array.make 6800 0.0))));
+    test "a corrupted length traps before reading past the arena" (fun () ->
+        let a, addr = floats_in_arena 4 in
+        Arena.write_u32 a (addr + 4) 0xFFFFFFFF;
+        check_bool "huge length" true (traps (fun () -> Copier.copy_out Copier.Swizzle a addr));
+        let payload = Arena.read_u32 a (addr + 8) in
+        Arena.write_u32 a (addr + 4) (((Arena.size a - payload) / 8) + 1);
+        check_bool "one past the end" true
+          (traps (fun () -> Copier.copy_out Copier.Swizzle a addr)));
+    test "a corrupted pointer traps" (fun () ->
+        let a, addr = floats_in_arena 4 in
+        Arena.write_u32 a (addr + 8) (Arena.size a - 8);
+        check_bool "tail" true (traps (fun () -> Copier.copy_out Copier.Swizzle a addr));
+        Arena.write_u32 a (addr + 8) 0xFFFFFFF0;
+        check_bool "wild" true (traps (fun () -> Copier.copy_out Copier.Swizzle a addr)));
+    test "decode refuses a count the input cannot hold" (fun () ->
+        check_bool "short" true (Result.is_error (Codec.decode "F3:0x1p+0;"));
+        check_bool "huge" true (Result.is_error (Codec.decode "F99999999999999:"));
+        check_bool "negative" true (Result.is_error (Codec.decode "F-1:"));
+        check_bool "bad element" true (Result.is_error (Codec.decode "F1:zz;")));
+    test "copier faults on a floats payload trap and quarantine the arena" (fun () ->
+        let module F = Sesame_faults in
+        List.iter
+          (fun (point, action, strategy) ->
+            let pool = Pool.create ~capacity:1 ~arena_size:65536 () in
+            let config =
+              Runtime.config ~mode:(Runtime.Pooled pool) ~strategy ~slowdown:1.0
+                ~arena_size:65536 ()
+            in
+            let outcome =
+              F.arm [ F.plan ~nth:0 point action ];
+              Fun.protect ~finally:F.disarm (fun () ->
+                  Runtime.run config ~input:(Value.Floats [| 1.0; 2.0; 3.0 |]) ~f:Fun.id)
+            in
+            let label =
+              Printf.sprintf "%s × %s (%s)" (F.point_name point) (F.action_name action)
+                (Copier.strategy_name strategy)
+            in
+            check_bool (label ^ " trapped") true
+              (match outcome.Runtime.status with Runtime.Trapped _ -> true | Runtime.Ok _ -> false);
+            check_int (label ^ " quarantined") 1 (Pool.stats pool).Pool.poisoned)
+          [
+            (F.Copier_encode, F.Raise, Copier.Swizzle);
+            (F.Copier_decode, F.Raise, Copier.Swizzle);
+            (F.Copier_encode, F.Raise, Copier.Serialize);
+            (F.Copier_decode, F.Raise, Copier.Serialize);
+            (F.Copier_encode, F.Corrupt, Copier.Serialize);
+            (F.Copier_decode, F.Corrupt, Copier.Serialize);
+          ]);
+  ]
+
 let () =
   Alcotest.run "sandbox"
     [
@@ -439,4 +565,5 @@ let () =
       ("copier", copier_tests);
       ("pool", pool_tests);
       ("runtime", runtime_tests);
+      ("floats", floats_tests);
     ]
