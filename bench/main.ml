@@ -198,11 +198,11 @@ let fig8 () =
         fun () -> Apps.Websubmit_baseline.retrain_model baseline (req Http.Meth.POST "/retrain") );
     ]
   in
-  (* The first request per endpoint is cold (verdict caches empty,
-     group-policy cache unprimed; both sides declare their secondary
-     indexes at creation, so none is built mid-run); folding it
-     into the median misreported steady state, so it is timed apart and
-     the table reports warm median + p99. *)
+  (* The first request per endpoint is cold (allocator and plan
+     certificates unprimed; both sides declare their secondary indexes
+     at creation, so none is built mid-run); folding it into the median
+     misreported steady state, so it is timed apart and the table
+     reports warm median + p99. *)
   Printf.printf "%-20s %12s %12s %12s %12s %12s %10s\n" "Endpoint" "base med"
     "sesame cold" "sesame med" "sesame p99" "base p99" "overhead";
   let saved_elide = C.Enforce.elision () in
@@ -221,10 +221,8 @@ let fig8 () =
         C.Enforce.reset_stats ();
         ignore (with_sesame ());
         let st = C.Enforce.stats () in
-        let fully_elided =
-          st.C.Enforce.elisions > 0 && st.C.Enforce.misses = 0
-          && st.C.Enforce.hits = 0
-        in
+        (* [misses] counts every check that ran. *)
+        let fully_elided = st.C.Enforce.elisions > 0 && st.C.Enforce.misses = 0 in
         (* Ablation: the same warm endpoint with elision and pushdown off
            (the PR 5 configuration) — what the certificates buy. *)
         C.Enforce.set_elision false;
@@ -756,12 +754,10 @@ let conjoin_ablation () =
   scenario "same family (join)" (List.init n (fun i -> Cohort.make { members = i + 1 }))
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: what memoization, elision and pushdown each buy on the
-   enforcement hot path. Two workloads per mode: a wide conjunction
-   of distinct moderately-expensive leaves (the Fold/Pcon_row shape) and
-   the WebSubmit aggregates endpoint (the Fig. 8 shape), with the
-   verdict caches invalidated before each mode so every mode starts
-   cold. *)
+(* Ablation: what elision and pushdown each buy on the enforcement hot
+   path. Two workloads per mode: a wide conjunction of distinct
+   moderately-expensive leaves (the Fold/Pcon_row shape) and the
+   WebSubmit aggregates endpoint (the Fig. 8 shape). *)
 
 module Audit_family = struct
   type s = { seed : int }
@@ -769,8 +765,7 @@ module Audit_family = struct
   let name = "bench::audit"
 
   (* A deterministic ~microsecond of work per leaf — enough that the
-     full traversal shows, cheap enough that cache hits still dominate
-     when memoization is on. *)
+     full traversal shows. *)
   let check s ctx =
     let who = match C.Context.user ctx with Some u -> u | None -> "" in
     let acc = ref s.seed in
@@ -786,148 +781,15 @@ end
 
 module Audit = C.Policy.Make (Audit_family)
 
-(* A verdict that depends on one user's consent row — a pk probe, so
-   its footprint is a single (table, shard) slot. *)
-module Profile_family = struct
-  type s = { db : Db.Database.t; who : string }
-
-  let name = "bench::profile"
-
-  let check s _ctx =
-    match
-      Db.Database.exec s.db "SELECT consent FROM profiles WHERE who = ?"
-        ~params:[ Db.Value.Text s.who ]
-    with
-    | Ok (Db.Database.Rows { rows = [ [| Db.Value.Bool b |] ]; _ }) -> b
-    | _ -> false
-
-  let join = None
-  let no_folding = false
-  let describe s = "Profile(" ^ s.who ^ ")"
-end
-
-module Profile = C.Policy.Make (Profile_family)
-
-(* Mixed read/write serving: policy checks read the consent table while
-   application write traffic (event inserts) flows alongside — the
-   Sesame serving mix. Per-shard epoch vectors keep verdicts warm
-   because the writes never land in the slots the checks read. *)
-let parcheck_mixed () =
-  header "Parcheck mixed: read/write interleave under per-shard footprints";
-  let n_users = 1000 and n_ops = 30_000 in
-  let db = Db.Database.create () in
-  let col name ty = { Db.Schema.name; ty; nullable = false } in
-  (match
-     Db.Database.create_table db
-       (Db.Schema.make_exn ~name:"profiles" ~primary_key:"who"
-          [ col "who" Db.Value.Ttext; col "consent" Db.Value.Tbool ])
-   with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  (match
-     Db.Database.create_table db
-       (Db.Schema.make_exn ~name:"events" ~primary_key:"id"
-          [ col "id" Db.Value.Tint; col "actor" Db.Value.Ttext; col "body" Db.Value.Ttext ])
-   with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  let user i = Printf.sprintf "user%d@bench.io" i in
-  for i = 0 to n_users - 1 do
-    match
-      Db.Database.exec db "INSERT INTO profiles VALUES (?, ?)"
-        ~params:[ Db.Value.Text (user i); Db.Value.Bool true ]
-    with
-    | Ok _ -> ()
-    | Error m -> failwith m
-  done;
-  let policies = Array.init n_users (fun i -> Profile.make { db; who = user i }) in
-  let contexts = Array.init n_users (fun i -> C.Mock.context ~user:(user i) ()) in
-  let next_event = ref 0 in
-  let rng = ref 123456789 in
-  let rnd m =
-    (* Power-of-two-modulus LCG: the low bits cycle, so draw from the
-       high ones. *)
-    rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-    !rng lsr 15 mod m
-  in
-  let run ~write_pct =
-    C.Enforce.bump ();
-    C.Enforce.reset_stats ();
-    rng := 123456789;
-    let lat = Array.make n_ops 0.0 in
-    let reads = ref 0 in
-    for _ = 1 to n_ops do
-      if rnd 100 < write_pct then begin
-        incr next_event;
-        match
-          Db.Database.exec db "INSERT INTO events VALUES (?, ?, ?)"
-            ~params:
-              [
-                Db.Value.Int !next_event;
-                Db.Value.Text (user (rnd n_users));
-                Db.Value.Text "event";
-              ]
-        with
-        | Ok _ -> ()
-        | Error m -> failwith m
-      end
-      else begin
-        let u = rnd n_users in
-        let t0 = Sesame_clock.now_s () in
-        ignore (Sys.opaque_identity (C.Enforce.check policies.(u) contexts.(u)));
-        lat.(!reads) <- Sesame_clock.now_s () -. t0;
-        incr reads
-      end
-    done;
-    let st = C.Enforce.stats () in
-    let total = st.C.Enforce.hits + st.C.Enforce.misses in
-    let hit_rate =
-      if total = 0 then 0.0 else float_of_int st.C.Enforce.hits /. float_of_int total
-    in
-    (hit_rate, Array.sub lat 0 !reads, st)
-  in
-  C.Enforce.set_memoization true;
-  Printf.printf "%-10s %-10s %10s %12s %12s %8s %8s\n" "mix" "epochs" "hit rate"
-    "read median" "read p99" "hits" "misses";
-  let rows =
-    List.map
-      (fun (mix, write_pct) ->
-        let hit_rate, lat, st = run ~write_pct in
-        Printf.printf "%-10s %-10s %9.1f%% %9.2f us %9.2f us %8d %8d\n" mix "per-shard"
-          (100.0 *. hit_rate)
-          (us (median lat))
-          (us (p99 lat))
-          st.C.Enforce.hits st.C.Enforce.misses;
-        ( (mix, hit_rate),
-          Json.Obj
-            [
-              ("mix", Json.Str mix);
-              ("epochs", Json.Str "per-shard");
-              ("write_pct", Json.Int write_pct);
-              ("hit_rate", Json.Num hit_rate);
-              ("read_median_us", Json.Num (us (median lat)));
-              ("read_p99_us", Json.Num (us (p99 lat)));
-              ("cache_hits", Json.Int st.C.Enforce.hits);
-              ("cache_misses", Json.Int st.C.Enforce.misses);
-            ] ))
-      [ ("90/10", 10); ("50/50", 50) ]
-  in
-  let gate_ok =
-    List.exists (fun ((mix, hit_rate), _) -> mix = "90/10" && hit_rate >= 0.8) rows
-  in
-  Printf.printf "mixed gate (per-shard 90/10 hit rate >= 80%%): %s\n"
-    (if gate_ok then "ok" else "FAILED");
-  (List.map snd rows, gate_ok)
-
 let parcheck () =
-  header "Parcheck: memoization, elision and pushdown on the enforcement hot path";
+  header "Parcheck: elision and pushdown on the enforcement hot path";
   let n_policies = 10_000 in
   let ctx = C.Mock.context ~user:"who0" () in
   let conj =
     C.Policy.conjoin_all (List.init n_policies (fun i -> Audit.make { seed = i }))
   in
   (* Aggregates with no modeled DB round trip: what remains is exactly
-     the enforcement + grouping work this PR targets. *)
+     the enforcement + grouping work. *)
   let app = match Apps.Websubmit.create () with Ok t -> t | Error m -> failwith m in
   (match Apps.Websubmit.seed app ~students:100 ~questions:100 with
   | Ok () -> ()
@@ -945,37 +807,26 @@ let parcheck () =
       (Sys.opaque_identity
          (Apps.Websubmit.retrain_model app (req Http.Meth.POST "/retrain")))
   in
-  let saved_memo = C.Enforce.memoization () in
   let saved_elide = C.Enforce.elision () in
   let saved_push = C.Enforce.pushdown_enabled () in
   Printf.printf "host cores: %d; %d leaves per conjunction\n\n"
     (Domain.recommended_domain_count ())
     n_policies;
-  Printf.printf "%-22s %12s %12s %12s %12s %12s %7s %7s %7s %7s\n" "mode" "conj cold"
-    "conj warm" "agg cold" "agg warm" "retrain" "hits" "misses" "elide" "push";
-  (* (label, memoize, elide, pushdown). The first two modes keep the
-     plan disabled so their numbers stay comparable across runs; the
-     last three ablate what the certificates and the translated scan
-     predicates buy on top. The conjunction workload has no plan
-     entries, so elision only moves the aggregates columns. *)
+  Printf.printf "%-22s %12s %12s %12s %12s %12s %8s %7s %7s\n" "mode" "conj cold"
+    "conj warm" "agg cold" "agg warm" "retrain" "checks" "elide" "push";
+  (* (label, elide, pushdown). The sequential mode keeps the plan
+     disabled so its numbers stay comparable across runs; the other two
+     ablate what the certificates and the translated scan predicates
+     buy. The conjunction workload has no plan entries, so elision only
+     moves the aggregates columns. *)
   let modes =
-    [
-      ("sequential", false, false, false);
-      ("memoized", true, false, false);
-      ("elide", false, true, false);
-      ("pushdown", false, false, true);
-      ("memoized+elide+push", true, true, true);
-    ]
+    [ ("sequential", false, false); ("elide", true, false); ("pushdown", false, true) ]
   in
   let rows =
     List.map
-      (fun (label, memo, elide, push) ->
-        C.Enforce.set_memoization memo;
+      (fun (label, elide, push) ->
         C.Enforce.set_elision elide;
         C.Enforce.set_pushdown push;
-        (* Invalidate every cached verdict (and the connector's group
-           cache) so each mode pays its own cold start. *)
-        C.Enforce.bump ();
         C.Enforce.reset_stats ();
         let conj_cold, conj_warm =
           sample_cold ~n:9 (fun () ->
@@ -984,14 +835,13 @@ let parcheck () =
         let agg_cold, agg_warm = sample_cold ~n:9 aggregates in
         let _, retrain_warm = sample_cold ~n:9 retrain in
         let st = C.Enforce.stats () in
-        Printf.printf
-          "%-22s %9.0f us %9.0f us %9.0f us %9.0f us %9.0f us %7d %7d %7d %7d\n" label
-          (us conj_cold)
+        Printf.printf "%-22s %9.0f us %9.0f us %9.0f us %9.0f us %9.0f us %8d %7d %7d\n"
+          label (us conj_cold)
           (us (median conj_warm))
           (us agg_cold)
           (us (median agg_warm))
           (us (median retrain_warm))
-          st.C.Enforce.hits st.C.Enforce.misses st.C.Enforce.elisions st.C.Enforce.pushdowns;
+          st.C.Enforce.misses st.C.Enforce.elisions st.C.Enforce.pushdowns;
         Json.Obj
           [
             ("mode", Json.Str label);
@@ -1002,18 +852,14 @@ let parcheck () =
             ("agg_warm_median_us", Json.Num (us (median agg_warm)));
             ("agg_warm_p99_us", Json.Num (us (p99 agg_warm)));
             ("retrain_warm_median_us", Json.Num (us (median retrain_warm)));
-            ("cache_hits", Json.Int st.C.Enforce.hits);
-            ("cache_misses", Json.Int st.C.Enforce.misses);
+            ("checks", Json.Int st.C.Enforce.misses);
             ("elisions", Json.Int st.C.Enforce.elisions);
             ("pushdowns", Json.Int st.C.Enforce.pushdowns);
           ])
       modes
   in
-  let mixed_rows, mixed_gate_ok = parcheck_mixed () in
-  C.Enforce.set_memoization saved_memo;
   C.Enforce.set_elision saved_elide;
   C.Enforce.set_pushdown saved_push;
-  C.Enforce.bump ();
   Json.to_file "BENCH_parcheck.json"
     (Json.Obj
        [
@@ -1021,8 +867,6 @@ let parcheck () =
          ("leaves", Json.Int n_policies);
          ("host_cores", Json.Int (Domain.recommended_domain_count ()));
          ("modes", Json.List rows);
-         ("mixed", Json.List mixed_rows);
-         ("mixed_gate_ok", Json.Bool mixed_gate_ok);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -1968,7 +1812,7 @@ let experiments =
     ("precision", "Place-sensitive vs seed-engine precision ablation", precision);
     ("pcon-micro", "PCon layout indirection", pcon_micro);
     ("conjoin", "Policy conjunction ablation (stack/dedup/join)", conjoin_ablation);
-    ("parcheck", "Memoized enforcement hot-path ablation", parcheck);
+    ("parcheck", "Enforcement hot-path ablation (elision, pushdown)", parcheck);
     ("faults", "Fault-injection hook overhead ablation", faults_ablation);
     ("wal", "Durable-store ablation (in-memory/no-sync/fsync/checkpoint)", wal_ablation);
     ("serve", "Open-loop socket load curves over all four apps", serve);

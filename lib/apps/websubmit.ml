@@ -130,9 +130,8 @@ module Employer_release = Policy.Make (Employer_release_family)
 let employer_release_loc = (15, 8)
 
 (* (iv) Grades feed model training only with consent. Consent lives in the
-   users table; the policy queries it at check time. Enforce memoizes the
-   verdict per (policy, context) and revalidates it against the users
-   shard this lookup read, so a consent change retires it. *)
+   users table; the policy queries it on every check, so a consent change
+   applies to the next check. *)
 module Ml_training_family = struct
   type s = { student : string; db : Db.Database.t }
 
@@ -553,25 +552,27 @@ let policy_family_names =
 
 let attach_policies conn db =
   (* Column policy bindings (the db_policy annotations of Fig. 3). *)
-  (* Policy instances are immutable, so the bindings memoize them per
-     protected entity: wrapping 10k result rows costs 10k table lookups,
-     not 10k policy constructions (policy code is trusted, §4.1). *)
-  let answer_policies : (string * int, Policy.t) Hashtbl.t = Hashtbl.create 256 in
+  (* Policy instances are immutable, so each staged statement interns
+     them per protected entity: a statement that wraps 10k rows builds
+     one policy per (author, lecture) or student, not one per row, and
+     [conjoin_distinct] dedups them by identity. The tables live in the
+     schema half, one per staged statement or aggregate group, so the
+     handler domains share no mutable state through them. *)
   Conn.attach_policy conn ~table:"answers" ~column:"answer" (fun schema ->
       let email = Db.Schema.column_index_exn schema "email"
       and lecture = Db.Schema.column_index_exn schema "lecture" in
+      let interned : (string * int, Policy.t) Hashtbl.t = Hashtbl.create 16 in
       fun row ->
         let author = Db.Value.to_text row.(email) in
         let lecture = Db.Value.to_int row.(lecture) in
-        match Hashtbl.find_opt answer_policies (author, lecture) with
+        match Hashtbl.find_opt interned (author, lecture) with
         | Some policy -> policy
         | None ->
             let policy =
               Answer_access.make { authors = Sset.singleton author; lecture; db }
             in
-            Hashtbl.add answer_policies (author, lecture) policy;
+            Hashtbl.add interned (author, lecture) policy;
             policy);
-  let grade_policies : (string, Policy.t) Hashtbl.t = Hashtbl.create 256 in
   (* The grade binding's pushdown translation. At the training sink the
      conjoined GradeAccess ∧ MlTraining policy admits exactly the
      consenting students (GradeAccess passes for the admin initiating
@@ -602,9 +603,10 @@ let attach_policies conn db =
   Conn.attach_policy conn ~to_expr:grade_to_expr ~table:"answers" ~column:"grade"
     (fun schema ->
       let email = Db.Schema.column_index_exn schema "email" in
+      let interned : (string, Policy.t) Hashtbl.t = Hashtbl.create 16 in
       fun row ->
         let student = Db.Value.to_text row.(email) in
-        match Hashtbl.find_opt grade_policies student with
+        match Hashtbl.find_opt interned student with
         | Some policy -> policy
         | None ->
             let policy =
@@ -612,7 +614,7 @@ let attach_policies conn db =
                 (Grade_access.make { student })
                 (Ml_training.make { student; db })
             in
-            Hashtbl.add grade_policies student policy;
+            Hashtbl.add interned student policy;
             policy);
   (* Static claim backing aggregate elision: every policy the grade
      binding produces is a conjunction over exactly these two leaf
@@ -1242,8 +1244,8 @@ let predict_grades t request =
           | Error e -> web_error e))
 
 (* POST /consent: the user's consent choice (§9). Consent gates both the
-   employer release and ML training. The UPDATE bumps the user's users
-   shard, which retires every cached verdict that read their consent. *)
+   employer release and ML training. Every later check reads the updated
+   row. *)
 let update_consent t request =
   require_auth t request (fun user ->
       match Http.Request.form_param request "consent" with

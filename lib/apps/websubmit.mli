@@ -137,7 +137,7 @@ val view_answer : t -> Http.Request.t -> Http.Response.t
 val view_answers : t -> compose:bool -> Http.Request.t -> Http.Response.t
 val update_consent : t -> Http.Request.t -> Http.Response.t
 (** [POST /consent] with form [consent=true|false]: the §9 consent choice.
-    The write retires every cached verdict that read the user's consent. *)
+    Every later check reads the updated consent. *)
 
 val policy_inventory : (string * int * int) list
 (** [(policy, policy_loc, check_loc)] accounting used for Fig. 5. *)

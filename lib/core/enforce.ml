@@ -7,51 +7,34 @@ type stats = {
   pushdowns : int;
 }
 
-let hits = Atomic.make 0
-let misses = Atomic.make 0
+let checks = Atomic.make 0
 let elisions = Atomic.make 0
 let pushdowns = Atomic.make 0
 
 let stats () =
   {
-    hits = Atomic.get hits;
-    misses = Atomic.get misses;
+    hits = 0;
+    misses = Atomic.get checks;
     elisions = Atomic.get elisions;
     pushdowns = Atomic.get pushdowns;
   }
 
 let reset_stats () =
-  Atomic.set hits 0;
-  Atomic.set misses 0;
+  Atomic.set checks 0;
   Atomic.set elisions 0;
   Atomic.set pushdowns 0
 
 let note_pushdown () = Atomic.incr pushdowns
 let note_elision () = Atomic.incr elisions
 
-(* ------------------------------------------------------------------ *)
-(* Invalidation. A verdict may depend on database state its check read;
-   rebinding a (table, column) policy changes what future rows mean.
-   Every cached result therefore carries the read footprint its
-   computation recorded (the (table, shard) generation slots it actually
-   depended on — see {!Sesame_db.Footprint}) plus the [base] it was
-   computed under, and is reusable while both are unchanged. Row
-   mutations land in recorded slots, schema events in the structural
-   epoch, re-binding in [bumps] — so a write to one shard of one table
-   retires exactly the results that read it.
-
-   The base: binding bumps plus schema-level events
-   (create/drop/clear/restore). Row mutations are excluded on purpose —
-   they are covered per slot by the footprints — which is also why plan
-   certificates, whose meaning rows cannot change, key on it alone. *)
+(* Plan certificates revalidate against [base]: binding bumps plus
+   schema-level events (create/drop/clear/restore). Row mutations are
+   excluded on purpose — a certificate's claim is about binding and
+   schema state, which rows cannot change. *)
 
 let bumps = Atomic.make 0
 let bump () = Atomic.incr bumps
 let base () = Atomic.get bumps + Sesame_db.Epoch.structure ()
-
-let memoize = Atomic.make true
-let set_memoization on = Atomic.set memoize on
-let memoization () = Atomic.get memoize
 
 (* Elision and pushdown default on: with no plan installed and no
    binding translation registered they are exact no-ops, so the flags
@@ -75,9 +58,7 @@ let pushdown_enabled () = Atomic.get pushdown
    checking policy-binding versions and table schemas) must re-approve
    it or the entry is dropped and the residual runtime check runs.
    Row mutations never move [base] — a certificate's claim is about
-   binding/schema state, which rows cannot change — and every cached
-   verdict also revalidates against [base], so a certificate can never
-   outlive the verdicts it stands in for. *)
+   binding/schema state, which rows cannot change. *)
 
 module Plan = struct
   type entry = {
@@ -211,45 +192,6 @@ module Plan = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Validity tokens: run a computation under a recording scope and come
-   back with a token that answers "may I still reuse its result?". The
-   verdict cache below and Sesame_conn's per-group aggregate cache both
-   store one per entry and revalidate through [valid]. *)
-
-module Validity = struct
-  type t = { v_base : int; v_fp : Sesame_db.Footprint.snapshot }
-
-  let capture f =
-    (* Sample the base before running: if a binding rebinds or a table
-       drops mid-computation, the token is born stale — conservative,
-       never wrong. *)
-    let b = base () in
-    let v, fp = Sesame_db.Footprint.scope f in
-    (v, { v_base = b; v_fp = fp })
-
-  let valid { v_base; v_fp } = v_base = base () && Sesame_db.Footprint.valid v_fp
-  let merge_ambient { v_fp; _ } = Sesame_db.Footprint.merge_ambient v_fp
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain verdict cache. Domain-local on purpose: no lock on the hot
-   path, and invalidation needs no cross-domain coordination — each
-   entry revalidates its own token at lookup, so entries over untouched
-   tables/shards survive writes elsewhere. The key pairs the policy
-   instance id with the full context; equality is structural over the
-   whole context, so the (Hashtbl.hash) fingerprint only routes to a
-   bucket and can never alias two different contexts into one verdict. *)
-
-let caches :
-    (int * Context.t, (unit, string) result * Validity.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
-(* Fresh policy instances (one-shot ids) leave dead entries behind; a cap
-   bounds the table. Resetting forgets live entries too, but a reset is
-   just a cold start, never a wrong answer. *)
-let max_entries = 65536
-
-(* ------------------------------------------------------------------ *)
 
 let rec check_verbose policy ctx =
   if Policy.is_no_policy policy then Ok ()
@@ -261,65 +203,24 @@ let rec check_verbose policy ctx =
     Atomic.incr elisions;
     Ok ()
   end
-  else if not (Atomic.get memoize) then compute policy ctx
   else begin
-    let tbl = Domain.DLS.get caches in
-    let key = (Policy.id policy, ctx) in
-    let live =
-      match Hashtbl.find_opt tbl key with
-      | Some (_, v) as hit when Validity.valid v -> hit
-      | Some _ ->
-          (* Something this verdict read has changed (or a binding was
-             rebound): retire just this entry. *)
-          Hashtbl.remove tbl key;
-          None
-      | None -> None
-    in
-    match live with
-    | Some (verdict, v) ->
-        Atomic.incr hits;
-        (* The reused verdict's reads become the caller's reads — an
-           enclosing recording (an aggregate-cache capture, an outer
-           conjunction) must inherit them to stay sound. *)
-        Validity.merge_ambient v;
-        verdict
-    | None ->
-        Atomic.incr misses;
-        let ((verdict, v) as entry) = Validity.capture (fun () -> compute policy ctx) in
-        (* A deadline expiry is never cached: it is a fact about this
-           request's budget, not about the policy — the next request
-           must recompute. A check that itself mutated the database
-           bumped a shard its footprint recorded (or the structural
-           epoch), so the token is already stale and the verdict — which
-           belongs to the old world — is not stored. *)
-        let budget_refusal =
-          match verdict with
-          | Error msg -> Sesame_deadline.is_deadline_error msg
-          | Ok () -> false
+    Atomic.incr checks;
+    match Policy.members policy with
+    | None -> Policy.check_verbose policy ctx
+    | Some members ->
+        (* Member order = check order: the reported denial is the
+           leftmost one. An expired budget stops the walk before the next
+           member, so a wide conjunction refuses instead of running its
+           tail over budget. *)
+        let rec walk = function
+          | [] -> Ok ()
+          | m :: rest -> (
+              if Sesame_deadline.expired_now () then
+                Error (Sesame_deadline.error_message "policy conjunction")
+              else
+                match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
         in
-        if (not budget_refusal) && Validity.valid v then begin
-          if Hashtbl.length tbl >= max_entries then Hashtbl.reset tbl;
-          Hashtbl.replace tbl key entry
-        end;
-        verdict
+        walk members
   end
-
-and compute policy ctx =
-  match Policy.members policy with
-  | None -> Policy.check_verbose policy ctx
-  | Some members ->
-      (* Member order = check order: the reported denial is the leftmost
-         one. An expired budget stops the walk before the next member, so
-         a wide conjunction refuses instead of running its tail over
-         budget; the refusal is never cached (see [check_verbose]). *)
-      let rec walk = function
-        | [] -> Ok ()
-        | m :: rest -> (
-            if Sesame_deadline.expired_now () then
-              Error (Sesame_deadline.error_message "policy conjunction")
-            else
-              match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
-      in
-      walk members
 
 let check policy ctx = Result.is_ok (check_verbose policy ctx)

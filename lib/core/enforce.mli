@@ -1,47 +1,29 @@
-(** The enforcement hot path: memoized policy checking.
+(** The enforcement front end: {!check_verbose} is a drop-in
+    replacement for {!Policy.check_verbose} — same verdicts,
+    byte-identical denial messages, same (left-to-right, first-denial)
+    ordering — that adds two things.
 
-    {!check_verbose} is a drop-in replacement for
-    {!Policy.check_verbose} — same verdicts, byte-identical denial
-    messages, same (left-to-right, first-denial) ordering — that caches
-    leaf and conjunction verdicts per domain, keyed by (policy instance
-    id, full structural context). The id is unique per instance and
-    policies are immutable, so an id names one policy forever; the
-    context key is the whole {!Context.t} compared structurally (its
-    hash is only a fingerprint — equality decides, so hash collisions
-    cost a probe, never a wrong verdict).
+    - {b Elision.} A check whose every conjunction leaf is covered by an
+      installed {!Plan} certificate for the context is discharged
+      without running. Certificates revalidate when {!bump} or the
+      structural schema epoch ({!Sesame_db.Epoch}) moves.
+    - {b Deadlines.} A conjunction's members are checked in member order
+      on the calling domain, stopping at the first denial, which is the
+      one reported. The walk stops early, with a
+      {!Sesame_deadline.error_message} refusal, once the ambient
+      deadline has expired.
 
-    What a cached verdict can depend on beyond (policy, context) is
-    database state read by the policy's own check. Every check records
-    the read footprint its computation touched — the set of (table,
-    shard) generation slots, collected by {!Sesame_db.Footprint}
-    through the table layer — and the cached verdict revalidates by
-    comparing exactly those slots, plus {!bump}s and the structural
-    schema epoch ({!Validity}). Row mutations land in recorded slots,
-    schema events in the structural epoch, re-binding in {!bump}, so
-    every change a verdict depends on retires it. A write to [users]
-    shard 3 retires only verdicts that read it; verdicts over other
-    tables, other shards, and pure (DB-free) policies stay warm.
-
-    A conjunction's members are checked in member order on the calling
-    domain, stopping at the first denial, which is the one reported.
-    The walk stops early, with a {!Sesame_deadline.error_message}
-    refusal, once the ambient deadline has expired; a refusal is never
-    cached. Parallelism comes from concurrent requests, one domain
-    each, never from inside one check. *)
+    Every other check runs, every time: no verdict is cached.
+    Parallelism comes from concurrent requests, one domain each, never
+    from inside one check. *)
 
 val check : Policy.t -> Context.t -> bool
 val check_verbose : Policy.t -> Context.t -> (unit, string) result
 
 val bump : unit -> unit
-(** Invalidate every cached verdict, certificate and validity token (all
-    domains observe it on their next lookup: it moves every entry's
-    base). Called on policy binding; also the test hook for "the world
-    changed in a way the DB layer cannot see". *)
-
-val set_memoization : bool -> unit
-(** Default on. Off = every check recomputes (the reference path). *)
-
-val memoization : unit -> bool
+(** Make every plan certificate revalidate before its next use (all
+    domains observe it: it moves every entry's base). Called on policy
+    binding. *)
 
 val set_elision : bool -> unit
 (** Default on. Off = certified checks run anyway (the ablation
@@ -70,12 +52,11 @@ val note_elision : unit -> unit
     {!check_verbose} discharges a policy without running it when {e
     every} leaf of its conjunction tree is certified for the context.
 
-    Certificate validity ⊆ footprint validity: an entry validated under
-    the current base (binding {!bump}s + structural schema events; row
-    traffic does not move it) is trusted until that base moves; after a
-    re-binding or schema event its [revalidate] closure must re-approve
-    it, and an entry that fails revalidation is dropped so the residual
-    runtime check runs. *)
+    An entry validated under the current base (binding {!bump}s +
+    structural schema events; row traffic does not move it) is trusted
+    until that base moves; after a re-binding or schema event its
+    [revalidate] closure must re-approve it, and an entry that fails
+    revalidation is dropped so the residual runtime check runs. *)
 module Plan : sig
   type entry
 
@@ -120,6 +101,11 @@ module Plan : sig
       guard that re-checks each atom against the concrete context. *)
 end
 
+(** [hits] and [misses] keep the shape of the deleted verdict cache's
+    counters, which perfbench reads; both stay until its next change.
+    [hits] is always 0. [misses] counts every check that runs — a
+    conjunction and each of its members count once each — and excludes
+    elided checks. *)
 type stats = {
   hits : int;
   misses : int;
@@ -129,24 +115,3 @@ type stats = {
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
-
-(** Validity capture, shared by the verdict cache and caches outside
-    this module (the connector's per-group aggregate cache): run a
-    computation and obtain a token answering "may its result still be
-    reused?" — its read footprint plus the base ({!bump}s + structural
-    schema epoch) it ran under. *)
-module Validity : sig
-  type t
-
-  val capture : (unit -> 'a) -> 'a * t
-  (** Runs the computation under a recording scope and returns its
-      result plus the validity token. *)
-
-  val valid : t -> bool
-  (** May a value captured with this token still be reused? *)
-
-  val merge_ambient : t -> unit
-  (** On reuse: fold the token's recorded reads into the caller's open
-      recording scope, so an enclosing capture inherits them. No-op
-      with no scope open. *)
-end

@@ -16,7 +16,7 @@ type t = {
 }
 
 (* Instance ids must stay unique under parallel checks and registrations:
-   a duplicated id would let dedup (and verdict caches keyed by id) treat
+   a duplicated id would let dedup (and the per-render verdict memo) treat
    two different policies as one — an unsoundness, not just a miscount. *)
 let next_id =
   let counter = Atomic.make 0 in
@@ -237,7 +237,8 @@ let id t = t.id
 (* Predicate pushdown decoration. A translation never changes what the
    policy admits — it only gives consumers a way to ask the same
    question of a scan predicate — so the decorated instance keeps its
-   id: verdict caches and dedup may treat the two as one policy. *)
+   id: dedup and the per-render verdict memo may treat the two as one
+   policy. *)
 
 let translate t f = { t with translation = Some f }
 

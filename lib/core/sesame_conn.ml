@@ -157,18 +157,6 @@ type t = {
   mutable rng : Random.State.t;
   mutable sleep : float -> unit;
   mutable now : unit -> float;
-  (* Aggregate group-policy cache: (table, column, WHERE, GROUP BY,
-     group key) -> the conjunction of the group's per-row policies,
-     stored with the validity token its build was captured under
-     ({!Enforce.Validity}). Entries revalidate individually: a write
-     that lands in none of an entry's recorded (table, shard) slots
-     leaves that group warm. Guarded by [agg_lock]: server domains
-     share the connector. *)
-  agg_cache :
-    ( string * string * Db.Expr.t * string list * Db.Value.t list,
-      Policy.t * Enforce.Validity.t )
-    Hashtbl.t;
-  agg_lock : Mutex.t;
   (* Brownout: installed by [create_durable]. [snapshot_load] rebuilds
      the last consistent on-disk state read-only; [reopen] closes the
      poisoned store and recovers a fresh writable one. *)
@@ -177,11 +165,6 @@ type t = {
   mutable brownout : Db.Database.t option;
   mutable brownout_entries : int;
 }
-
-(* Stale aggregate-cache entries are removed when probed; entries never
-   probed again would otherwise accumulate, so a cap bounds the table.
-   A reset is a cold start, never a wrong answer. *)
-let agg_cache_max = 4096
 
 let busy_sleep seconds =
   if seconds > 0.0 then begin
@@ -204,8 +187,6 @@ let create db =
     rng = Random.State.make [| 0x5e5a; 0xe |];
     sleep = busy_sleep;
     now = Sesame_clock.now_s;
-    agg_cache = Hashtbl.create 16;
-    agg_lock = Mutex.create ();
     snapshot_load = None;
     reopen = None;
     brownout = None;
@@ -508,9 +489,6 @@ let exit_brownout t =
       | Ok store ->
           t.db <- Sesame_wal.Durable.db store;
           t.brownout <- None;
-          Mutex.lock t.agg_lock;
-          Hashtbl.reset t.agg_cache;
-          Mutex.unlock t.agg_lock;
           Enforce.bump ();
           Ok store
       | Error _ as e -> e
@@ -623,10 +601,10 @@ let query_filtered t ~context ~on sql ~params =
           Ok (wrap_select_rows t schema (List.filter keep rows)))
 
 (* For aggregates we need the matching raw rows to build the conjunction of
-   the aggregated column's per-row policies. The whole per-group build —
+   the aggregated column's per-row policies. The per-group build —
    re-running the match, grouping it, instantiating per-row policies, and
-   conjoining them — happens only on an [agg_cache] miss; a warm request
-   pays one hash lookup per output cell. *)
+   conjoining them — runs on every request, for each group and
+   aggregated column that neither elision nor pushdown discharges. *)
 let query_agg t ~context sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
@@ -647,17 +625,11 @@ let query_agg t ~context sql ~params =
           | Ok (Db.Database.Affected _) -> Error (db_error "aggregate returned no rows")
           | Ok (Db.Database.Rows { columns; rows }) ->
               (* Matching rows grouped by their GROUP BY key; forced at
-                 most once per request, and only when some cell misses
-                 the group-policy cache. The member select is captured
-                 under its own validity scope and the token is kept with
-                 the result: every group build that consumes [grouped]
-                 — not just the one that forced it — must inherit the
-                 select's read footprint, or later groups would cache
-                 with a footprint that omits the scan they depend on. *)
+                 most once per request, and only when some group needs
+                 its per-row policies. *)
               let grouped =
                 lazy
-                  (Enforce.Validity.capture @@ fun () ->
-                   let matching = Db.Table.select tbl ~where in
+                  (let matching = Db.Table.select tbl ~where in
                    let groups : (Db.Value.t list, Db.Row.t list ref) Hashtbl.t =
                      Hashtbl.create 16
                    in
@@ -676,8 +648,7 @@ let query_agg t ~context sql ~params =
                    (matching, groups))
               in
               let members_for key =
-                let (matching, groups), select_validity = Lazy.force grouped in
-                Enforce.Validity.merge_ambient select_validity;
+                let matching, groups = Lazy.force grouped in
                 if group_by = [] then matching
                 else
                   match Hashtbl.find_opt groups key with
@@ -710,7 +681,7 @@ let query_agg t ~context sql ~params =
                           sinks
                     | Some [] | None -> false)
               in
-              (* Pushdown fast path (on a cache miss, when not elided):
+              (* Pushdown fast path (when not elided):
                  evaluate the binding's translated predicate over the
                  group's member rows for every declared release sink —
                  no per-row policy objects, no conjunction. All rows
@@ -752,57 +723,14 @@ let query_agg t ~context sql ~params =
                   Enforce.note_elision ();
                   Policy.no_policy
                 end
-                else begin
-                  let cache_key = (table, column, where, group_by, key) in
-                  (* Per-entry revalidation: probe under the lock, check
-                     the stored token, and drop only the entries whose
-                     own footprint went stale — warm groups survive
-                     writes to other tables and other shards. The lock
-                     covers lookups and inserts only, never the build. *)
-                  let cached =
-                    Mutex.lock t.agg_lock;
-                    let found =
-                      match Hashtbl.find_opt t.agg_cache cache_key with
-                      | Some (_, v) as hit when Enforce.Validity.valid v -> hit
-                      | Some _ ->
-                          Hashtbl.remove t.agg_cache cache_key;
-                          None
-                      | None -> None
-                    in
-                    Mutex.unlock t.agg_lock;
-                    found
-                  in
-                  match cached with
-                  | Some (policy, v) ->
-                      (* The reused conjunction's reads become this
-                         request's reads (for any enclosing capture). *)
-                      Enforce.Validity.merge_ambient v;
-                      policy
-                  | None ->
-                      let policy, validity =
-                        Enforce.Validity.capture @@ fun () ->
-                        let members = members_for key in
-                        match pushdown_admits column members with
-                        | Some true ->
-                            Enforce.note_pushdown ();
-                            Policy.no_policy
-                        | Some false | None ->
-                            Policy.conjoin_distinct
-                              (List.map (stage_column t schema column) members)
-                      in
-                      (* The member select is a read, so the token is
-                         normally born valid; it can be stale only if a
-                         writer raced the build, in which case caching
-                         would be unsound and we skip it. *)
-                      if Enforce.Validity.valid validity then begin
-                        Mutex.lock t.agg_lock;
-                        if Hashtbl.length t.agg_cache >= agg_cache_max then
-                          Hashtbl.reset t.agg_cache;
-                        Hashtbl.replace t.agg_cache cache_key (policy, validity);
-                        Mutex.unlock t.agg_lock
-                      end;
-                      policy
-                end
+                else
+                  let members = members_for key in
+                  match pushdown_admits column members with
+                  | Some true ->
+                      Enforce.note_pushdown ();
+                      Policy.no_policy
+                  | Some false | None ->
+                      Policy.conjoin_distinct (List.map (stage_column t schema column) members)
               in
               let group_count = List.length group_by in
               let group_cols = Array.of_list group_by in

@@ -66,14 +66,14 @@ let create_table t schema =
   if Hashtbl.mem t.tables name then Error (Printf.sprintf "table %s already exists" name)
   else begin
     Hashtbl.add t.tables name (Table.create schema);
-    Epoch.bump_structural name;
+    Epoch.bump_structural ();
     match journal_applied t (J_create schema) with
     | Ok () -> Ok ()
     | Error _ as e ->
         (* Creation was not acknowledged: take the table back out so a
            recovered store and this one agree. *)
         Hashtbl.remove t.tables name;
-        Epoch.bump_structural name;
+        Epoch.bump_structural ();
         e
   end
 
@@ -86,7 +86,7 @@ let restore_table t schema rows =
     | Error _ as e -> e
     | Ok tbl ->
         Hashtbl.add t.tables name tbl;
-        Epoch.bump_structural name;
+        Epoch.bump_structural ();
         Ok ()
 
 let table t name = Hashtbl.find_opt t.tables name
@@ -112,12 +112,12 @@ let drop_table t name =
   match Hashtbl.find_opt t.tables name with
   | Some table -> begin
       Hashtbl.remove t.tables name;
-      Epoch.bump_structural name;
+      Epoch.bump_structural ();
       match journal_applied t (J_drop name) with
       | Ok () -> Ok ()
       | Error _ as e ->
           Hashtbl.add t.tables name table;
-          Epoch.bump_structural name;
+          Epoch.bump_structural ();
           e
     end
   | None -> Error (Printf.sprintf "no table named %s" name)
@@ -139,12 +139,7 @@ let charge t =
 let lookup t name =
   match table t name with
   | Some tbl -> Ok tbl
-  | None ->
-      (* The statement's outcome depends on the table's absence; a later
-         CREATE bumps the (name-keyed) epoch and invalidates anything
-         that cached this failure. *)
-      Footprint.record_table_name name;
-      Error (Printf.sprintf "no table named %s" name)
+  | None -> Error (Printf.sprintf "no table named %s" name)
 
 (* Early-terminating prefix: stops consuming once [n] elements are taken
    instead of materializing and scanning the whole list. *)

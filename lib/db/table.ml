@@ -11,19 +11,10 @@
    slot array) and evaluate predicates off-lock, so a 10k-row scan holds
    the lock for a pointer memcpy, not for 10k predicate evaluations. Stored rows are immutable (insert copies,
    update installs a fresh row), so a copied snapshot is a consistent
-   statement-level view even while writers proceed.
-
-   Invalidation: every mutation bumps the table's per-shard epoch vector
-   ({!Epoch}) — the shard of the touched primary key when it is known,
-   every shard otherwise — and reads record what they depended on into
-   the ambient {!Footprint} scope: pk-equality probes record one shard,
-   everything else (secondary probes, scans, folds) records the whole
-   table. Caches upstream revalidate against exactly those slots. *)
+   statement-level view even while writers proceed. *)
 
 type t = {
   schema : Schema.t;
-  name : string;
-  ep : Epoch.table_epoch;
   lock : Rwlock.t;
   mutable rows : Row.t option array;
   mutable size : int;  (* slots used, including dead ones *)
@@ -52,11 +43,8 @@ let scan_checkpoint counter =
 
 let create schema =
   let pk_col = Option.map (Schema.column_index_exn schema) (Schema.primary_key schema) in
-  let name = Schema.name schema in
   {
     schema;
-    name;
-    ep = Epoch.for_table name;
     lock = Rwlock.create ();
     rows = Array.make 16 None;
     size = 0;
@@ -68,9 +56,7 @@ let create schema =
 
 let schema t = t.schema
 
-let length t =
-  Footprint.record_table t.name t.ep;
-  Rwlock.rd t.lock (fun () -> t.live)
+let length t = Rwlock.rd t.lock (fun () -> t.live)
 
 let grow t =
   if t.size = Array.length t.rows then begin
@@ -157,19 +143,13 @@ let probe_keys t pin ~where col =
    means "no index applies: scan". Candidates are a superset filter —
    every candidate is still checked against the full WHERE clause —
    de-duplicated and sorted so results keep insertion (slot) order.
-   Caller must hold [rd] or [wr]; records the footprint of the probe
-   (one shard for a pk equality — key absence is shard-local too — the
-   whole table otherwise: secondary buckets shift under any write). *)
+   Caller must hold [rd] or [wr]. *)
 let index_candidates_unlocked t ~where =
   let pk pin =
     match (t.pk_col, t.pk_index) with
     | Some col, Some index ->
         Option.map
-          (fun keys ->
-            (match (pin, keys) with
-            | `Equal, [ key ] -> Footprint.record_shard t.name t.ep (Epoch.shard_of_value key)
-            | _ -> Footprint.record_table t.name t.ep);
-            List.filter_map (Hashtbl.find_opt index) keys)
+          (List.filter_map (Hashtbl.find_opt index))
           (probe_keys t pin ~where col)
     | _ -> None
   in
@@ -181,7 +161,6 @@ let index_candidates_unlocked t ~where =
         | None ->
             Option.map
               (fun keys ->
-                Footprint.record_table t.name t.ep;
                 List.concat_map
                   (fun key ->
                     match Hashtbl.find_opt index key with Some bucket -> !bucket | None -> [])
@@ -204,7 +183,6 @@ let matching_slots_unlocked t ~where =
         (fun slot -> match t.rows.(slot) with Some row -> holds row | None -> false)
         candidates
   | None ->
-      Footprint.record_table t.name t.ep;
       let scanned = ref 0 in
       let acc = ref [] in
       for slot = t.size - 1 downto 0 do
@@ -217,25 +195,11 @@ let matching_slots_unlocked t ~where =
 
 (* ------------------------------------------------------------------ *)
 
-let bump_rows t touched =
-  (* [touched]: the pk values of the mutated rows. With a primary key,
-     bump exactly their shards; without one, the whole table. *)
-  match t.pk_col with
-  | Some _ ->
-      List.iter (fun key -> Epoch.bump_shard t.ep (Epoch.shard_of_value key)) touched
-  | None -> Epoch.bump_table t.ep
-
 let insert t row =
   match Schema.validate_row t.schema row with
   | Error _ as e -> e
   | Ok () ->
       Rwlock.wr t.lock (fun () ->
-          (* The duplicate check is a read: success depends on the key's
-             shard (absence included), so record it — a verdict computed
-             through a failed insert stays cached until that shard moves. *)
-          (match pk_value t row with
-          | Some key -> Footprint.record_shard t.name t.ep (Epoch.shard_of_value key)
-          | None -> Footprint.record_table t.name t.ep);
           let dup =
             match (pk_value t row, t.pk_index) with
             | Some key, Some index -> Hashtbl.mem index key
@@ -255,9 +219,6 @@ let insert t row =
             secondary_add t stored t.size;
             t.size <- t.size + 1;
             t.live <- t.live + 1;
-            (match pk_value t row with
-            | Some key -> Epoch.bump_shard t.ep (Epoch.shard_of_value key)
-            | None -> Epoch.bump_table t.ep);
             Ok ()
           end)
 
@@ -277,9 +238,7 @@ let iter_matching t ~where f =
     Rwlock.rd t.lock (fun () ->
         match index_candidates_unlocked t ~where with
         | Some candidates -> Array.of_list (List.map (fun slot -> t.rows.(slot)) candidates)
-        | None ->
-            Footprint.record_table t.name t.ep;
-            Array.sub t.rows 0 t.size)
+        | None -> Array.sub t.rows 0 t.size)
   in
   let scanned = ref 0 in
   let more = ref true in
@@ -352,17 +311,12 @@ let update t ~where ~set =
                (Schema.name t.schema)
                (Value.to_string row'.(Option.get t.pk_col)))
       | Ok (), None ->
-          let touched = ref [] in
           List.iter
             (fun (slot, row') ->
               let old_row = Option.get t.rows.(slot) in
               (match (t.pk_col, t.pk_index) with
               | Some col, Some index ->
-                  (* Old and new key shards both move: a verdict keyed on
-                     either sees the change. *)
-                  touched := old_row.(col) :: !touched;
                   if not (Value.equal old_row.(col) row'.(col)) then begin
-                    touched := row'.(col) :: !touched;
                     Hashtbl.remove index old_row.(col);
                     Hashtbl.replace index row'.(col) slot
                   end
@@ -370,33 +324,26 @@ let update t ~where ~set =
               secondary_replace t ~old_row ~new_row:row' slot;
               t.rows.(slot) <- Some row')
             updated;
-          if updated <> [] then bump_rows t !touched;
           Ok (List.length updated))
 
 let delete t ~where =
   Rwlock.wr t.lock (fun () ->
       let slots = matching_slots_unlocked t ~where in
-      let touched = ref [] in
       List.iter
         (fun slot ->
           (match t.rows.(slot) with
           | Some row ->
               (match (t.pk_col, t.pk_index) with
-              | Some col, Some index ->
-                  touched := row.(col) :: !touched;
-                  Hashtbl.remove index row.(col)
+              | Some col, Some index -> Hashtbl.remove index row.(col)
               | _ -> ());
               secondary_remove t row slot
           | None -> ());
           t.rows.(slot) <- None;
           t.live <- t.live - 1)
         slots;
-      if slots <> [] then bump_rows t !touched;
       List.length slots)
 
-let snapshot t =
-  Footprint.record_table t.name t.ep;
-  Rwlock.rd t.lock (fun () -> Array.sub t.rows 0 t.size)
+let snapshot t = Rwlock.rd t.lock (fun () -> Array.sub t.rows 0 t.size)
 
 let fold t ~init ~f =
   let snap = snapshot t in
@@ -426,4 +373,4 @@ let clear t =
       t.live <- 0;
       Option.iter Hashtbl.reset t.pk_index;
       Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary);
-  Epoch.bump_structural t.name
+  Epoch.bump_structural ()

@@ -6,10 +6,7 @@
     writer-preferring RW lock; reads run concurrently, and full scans
     copy the slot array under the read lock and evaluate off-lock, so a
     long scan sees a consistent statement-level snapshot instead of
-    racing writers. Every mutation bumps the table's per-shard epoch
-    vector ({!Epoch}) and every read records its dependency into the
-    ambient {!Footprint} scope, which is what makes precise verdict- and
-    aggregate-cache invalidation upstream sound. *)
+    racing writers. {!clear} moves the structural {!Epoch}. *)
 
 type t
 
@@ -42,7 +39,7 @@ val select : ?limit:int -> t -> where:Expr.t -> Row.t list
 
 val fold_matching : t -> where:Expr.t -> init:'a -> f:('a -> Row.t -> 'a) -> 'a
 (** Folds [f] over the rows {!select} would return, in the same order,
-    without building the list; same index routing, footprint, deadline
+    without building the list; same index routing, deadline
     checkpoints and exceptions. *)
 
 val update :

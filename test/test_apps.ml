@@ -57,13 +57,13 @@ let consent_withdrawal ~pushdown () =
   (* student0 consents initially: present in the employer export. *)
   let before = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
   check_bool "present before" true (contains (body before) student0);
-  (* With pushdown off, retrain's per-row checks warm Enforce's verdict
-     cache; with it on, the consent filter rides the scan instead. *)
+  (* With pushdown off, retrain checks every row's policy; with it on,
+     the consent filter rides the scan instead. *)
   ignore (Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain"));
   check_int "trains before" 3 (training_rows ());
-  (* A schema event anywhere in the process moves the structural epoch,
-     so every cached verdict recomputes; the recomputed ones must still
-     record what they read, or the withdrawal below cannot retire them. *)
+  (* A schema event anywhere in the process moves the structural epoch
+     and makes plan certificates revalidate; the verdicts must not
+     change, and the withdrawal below must still take effect. *)
   (match
      Sesame_db.Database.create_table (Sesame_db.Database.create ())
        (Sesame_db.Schema.make_exn ~name:"unrelated"

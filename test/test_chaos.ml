@@ -204,7 +204,7 @@ let propagation_tests =
         | Ok () -> Alcotest.fail "conjunction outlived its budget"
         | Error msg -> check_bool "structured refusal" true (D.is_deadline_error msg));
         check_bool "stopped before the tail" true (C.Policy.check_count () < 500);
-        (* The refusal was not cached: unbudgeted, the same check allows. *)
+        (* The refusal belongs to the budget: unbudgeted, the same check allows. *)
         check_bool "allows unbudgeted" true (C.Enforce.check conj ctx));
   ]
 

@@ -570,18 +570,6 @@ let index_tests =
           items_rows db "SELECT * FROM items WHERE grp = ? LIMIT 2" [ Value.Int 1 ]
         in
         check_bool "prefix" true (limited = [ List.nth all 0; List.nth all 1 ]));
-    test "mutations bump the table's own generation" (fun () ->
-        let db = items_db () in
-        let ep = Epoch.for_table "items" in
-        let g0 = Epoch.total_gen ep in
-        items_exec db "UPDATE items SET grp = 6 WHERE id = 1" [];
-        let g1 = Epoch.total_gen ep in
-        check_bool "update bumps" true (g1 > g0);
-        (* A miss (no rows matched) must not invalidate caches. *)
-        items_exec db "UPDATE items SET grp = 6 WHERE id = 99999" [];
-        check_int "no-op update" g1 (Epoch.total_gen ep);
-        ignore (items_rows db "SELECT * FROM items" []);
-        check_int "select does not bump" g1 (Epoch.total_gen ep));
   ]
 
 (* ------------------------------------------------------------------ *)

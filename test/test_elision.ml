@@ -1,6 +1,6 @@
 (* The check-elision pass and the runtime plan compiled from it:
    static classification + certificate replay, differential
-   byte-identity (elide/pushdown/off x memoization on/off), the
+   byte-identity (elide/pushdown on/off), the
    stale-certificate regression (re-binding a policy drops the
    certificates issued against it), and the Enforce stats counters. *)
 
@@ -39,18 +39,15 @@ let websubmit () =
 
 (* Run [f] under explicit enforcement flags, restoring the previous
    configuration afterwards even if the body raises. *)
-let with_flags ~elide ~push ~memo f =
+let with_flags ~elide ~push f =
   let se = C.Enforce.elision () in
   let sp = C.Enforce.pushdown_enabled () in
-  let sm = C.Enforce.memoization () in
   C.Enforce.set_elision elide;
   C.Enforce.set_pushdown push;
-  C.Enforce.set_memoization memo;
   Fun.protect
     ~finally:(fun () ->
       C.Enforce.set_elision se;
-      C.Enforce.set_pushdown sp;
-      C.Enforce.set_memoization sm)
+      C.Enforce.set_pushdown sp)
     f
 
 let cert_for certs endpoint sink family =
@@ -185,8 +182,7 @@ let stats_tests =
         check_int "predict" 200 (status (predict app));
         let st = C.Enforce.stats () in
         check_bool "elided" true (st.C.Enforce.elisions > 0);
-        check_int "no misses" 0 st.C.Enforce.misses;
-        check_int "no hits" 0 st.C.Enforce.hits);
+        check_int "no checks ran" 0 st.C.Enforce.misses);
     test "students are not covered by the guarded certificates" (fun () ->
         let app = websubmit () in
         check_int "retrain" 200 (status (retrain app));
@@ -199,7 +195,7 @@ let stats_tests =
         let st = C.Enforce.stats () in
         (* The guard rejects the context, so the residual check must
            have actually evaluated policies. *)
-        check_bool "residual ran" true (st.C.Enforce.hits + st.C.Enforce.misses > 0));
+        check_bool "residual ran" true (st.C.Enforce.misses > 0));
     test "retrain pushdown increments the counter" (fun () ->
         let app = websubmit () in
         C.Enforce.reset_stats ();
@@ -242,9 +238,9 @@ let pushdown_tests =
           | Ok rows -> rows
           | Error _ -> Alcotest.fail "query_filtered failed"
         in
-        let reference = with_flags ~elide:false ~push:false ~memo:false run in
+        let reference = with_flags ~elide:false ~push:false run in
         C.Enforce.reset_stats ();
-        let pushed = with_flags ~elide:false ~push:true ~memo:false run in
+        let pushed = with_flags ~elide:false ~push:true run in
         check_bool "pushdown fired" true ((C.Enforce.stats ()).C.Enforce.pushdowns > 0);
         check_bool "some consenting rows" true (reference <> []);
         check_int "row count" (List.length reference) (List.length pushed);
@@ -289,7 +285,7 @@ let stale_tests =
         check_int "predict (elided)" 200 (status (predict app));
         let st = C.Enforce.stats () in
         check_bool "fully elided before rebinding" true
-          (st.C.Enforce.elisions > 0 && st.C.Enforce.misses = 0 && st.C.Enforce.hits = 0);
+          (st.C.Enforce.elisions > 0 && st.C.Enforce.misses = 0);
         (* Re-bind answers.grade: the binding version bumps and the
            epoch moves, so certificates issued against the old binding
            must fail revalidation on their next consultation. *)
@@ -300,14 +296,14 @@ let stale_tests =
         check_int "predict (residual)" 200 (status (predict app));
         let st = C.Enforce.stats () in
         check_int "stale certificate no longer elides" 0 st.C.Enforce.elisions;
-        check_bool "residual check ran" true (st.C.Enforce.hits + st.C.Enforce.misses > 0);
+        check_bool "residual check ran" true (st.C.Enforce.misses > 0);
         check_bool "stale entries dropped" true (C.Enforce.Plan.size () < size0));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential harness: for random principals and endpoints, verdicts
-   and denial messages with elision/pushdown/memoization in any
-   combination must be byte-identical to the sequential reference. *)
+   and denial messages with elision/pushdown in any combination must be
+   byte-identical to the sequential reference. *)
 
 let prop ?(count = 30) name gen f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen f)
@@ -336,25 +332,17 @@ let differential_tests =
       QCheck.(pair (int_bound (Array.length cookies - 1)) (int_bound (Array.length requests - 1)))
       (fun (ci, ri) ->
         let run () = requests.(ri) cookies.(ci) in
-        let reference = with_flags ~elide:false ~push:false ~memo:false run in
+        let reference = with_flags ~elide:false ~push:false run in
         List.for_all
-          (fun (elide, push, memo) ->
-            let r = with_flags ~elide ~push ~memo run in
+          (fun (elide, push) ->
+            let r = with_flags ~elide ~push run in
             if status r = status reference && body r = body reference then true
             else
               QCheck.Test.fail_reportf
-                "mode (elide=%b push=%b memo=%b) diverged on cookie %S request %d:@.%d %s@.vs reference@.%d %s"
-                elide push memo cookies.(ci) ri (status r) (body r) (status reference)
+                "mode (elide=%b push=%b) diverged on cookie %S request %d:@.%d %s@.vs reference@.%d %s"
+                elide push cookies.(ci) ri (status r) (body r) (status reference)
                 (body reference))
-          [
-            (true, true, true);
-            (true, true, false);
-            (true, false, true);
-            (true, false, false);
-            (false, true, true);
-            (false, true, false);
-            (false, false, true);
-          ]);
+          [ (true, true); (true, false); (false, true) ]);
   ]
 
 let () =
