@@ -87,7 +87,7 @@ let json_exit results =
 
 (* ------------------------------------------------------------------ *)
 
-let run_app_corpus scale app_filter region_filter verbose explain json no_cache =
+let run_app_corpus scale app_filter region_filter verbose explain json =
   let program = Corpus.App_corpus.program scale in
   let cases =
     Corpus.App_corpus.cases ()
@@ -99,13 +99,10 @@ let run_app_corpus scale app_filter region_filter verbose explain json no_cache 
     Format.eprintf "no regions match the given filters@.";
     1)
   else begin
-    let cache =
-      if no_cache then None else Some (Scrut.Analysis.Summary_cache.create ())
-    in
     let results =
       List.map
         (fun (c : Corpus.App_corpus.case) ->
-          (c.app, c.name, c.spec, Scrut.Analysis.check ?cache program c.spec))
+          (c.app, c.name, c.spec, Scrut.Analysis.check program c.spec))
         cases
     in
     if json then begin
@@ -135,15 +132,6 @@ let run_app_corpus scale app_filter region_filter verbose explain json no_cache 
             Format.printf "@[<v 2>source:@,%s@]@." (Scrut.Spec.source spec))
         results;
       Format.printf "@.%d/%d regions verified.@." !accepted (List.length results);
-      (match cache with
-      | Some cache when List.length results > 1 ->
-          Format.printf
-            "summary cache: %d entries, %d hits / %d misses (%.1f%% hit rate)@."
-            (Scrut.Analysis.Summary_cache.entries cache)
-            (Scrut.Analysis.Summary_cache.hits cache)
-            (Scrut.Analysis.Summary_cache.misses cache)
-            (100.0 *. Scrut.Analysis.Summary_cache.hit_rate cache)
-      | Some _ | None -> ());
       0
     end
   end
@@ -364,12 +352,6 @@ let json_arg =
     & info [ "json" ]
         ~doc:"Emit machine-readable JSON (verdicts, rejections, and witness traces) instead of text.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-summary-cache" ]
-        ~doc:"Disable the cross-region function-summary cache (on by default; the verdicts are identical either way).")
-
 let attest_verify_arg =
   Arg.(
     value
@@ -389,22 +371,20 @@ let attest_secret_arg =
               the built-in test-fixture secret).")
 
 let cmd =
-  let run stdlib audit elide scale app region verbose explain json no_cache attest_verify
-      attest_secret =
+  let run stdlib audit elide scale app region verbose explain json attest_verify attest_secret =
     match attest_verify with
     | Some path -> run_attest_verify attest_secret path
     | None ->
         if audit then run_audit scale
         else if elide then run_elide scale app explain json
         else if stdlib then run_stdlib verbose explain json
-        else run_app_corpus scale app region verbose explain json no_cache
+        else run_app_corpus scale app region verbose explain json
   in
   Cmd.v
     (Cmd.info "scrutinizer" ~version:"1.0"
        ~doc:"Check privacy regions for leakage-freedom (the paper's Scrutinizer)")
     Term.(
       const run $ stdlib_arg $ audit_arg $ elide_arg $ scale_arg $ app_arg $ region_arg
-      $ verbose_arg $ explain_arg $ json_arg $ no_cache_arg $ attest_verify_arg
-      $ attest_secret_arg)
+      $ verbose_arg $ explain_arg $ json_arg $ attest_verify_arg $ attest_secret_arg)
 
 let () = exit (Cmd.eval' cmd)

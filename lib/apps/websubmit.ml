@@ -369,6 +369,7 @@ type t = {
 }
 
 let conn t = t.conn
+let program t = t.program
 let database t = t.db
 let model t = t.model
 

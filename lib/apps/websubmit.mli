@@ -101,6 +101,9 @@ val answer_count : t -> int
 val conn : t -> C.Sesame_conn.t
 val database : t -> Db.Database.t
 
+val program : t -> Scrut.Program.t
+(** The IR program the app's regions are checked against. *)
+
 val recover : t -> (Wal.Durable.t, string) result
 (** Leave brownout (see {!C.Sesame_conn.exit_brownout}): recover a fresh
     writable store from disk, swap it into the connector, and rebind the

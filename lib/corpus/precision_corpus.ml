@@ -1,9 +1,8 @@
 (* Field-disjoint precision regions: leakage-free code the var-granular
-   seed engine wrongly rejects because one sensitive field poisons the
+   seed engine wrongly rejected because one sensitive field poisons the
    whole struct. Every [flips] case is accepted by the place-sensitive
-   engine and rejected by [Legacy_analysis]; the controls are flows the
-   place-sensitive engine must keep rejecting — genuine leaks plus its
-   deliberate conservatisms (depth widening, index insensitivity,
+   engine; the controls are flows it must keep rejecting — genuine leaks
+   plus its deliberate conservatisms (depth widening, index insensitivity,
    var-granular taint signatures). *)
 
 module Scrut = Sesame_scrutinizer

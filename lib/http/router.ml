@@ -57,13 +57,14 @@ let run t entry bindings request =
   let handler = apply_middleware t entry.handler in
   try handler request
   with exn ->
-    (* The body must not echo exception internals to the client (they
-       routinely carry row contents, file paths, or policy state); the
-       detail goes to the server-side log instead. *)
+    (* Neither the body nor the log may carry exception text or the raw
+       path: both routinely hold row contents, file paths, or policy
+       state. The log gets the route pattern and the exception's
+       constructor name, which come from fixed vocabularies. *)
     t.on_error
       (Printf.sprintf "%s %s: handler raised %s"
          (Meth.to_string request.Request.meth)
-         request.Request.path (Printexc.to_string exn));
+         (Route.pattern entry.route) (Printexc.exn_slot_name exn));
     Response.error Status.Internal_error "internal error"
 
 let dispatch t request =

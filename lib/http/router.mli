@@ -25,12 +25,14 @@ val dispatch : t -> Request.t -> Response.t
     order) in a single scan over entries pre-sorted at registration; 404
     when no pattern matches the path, 405 when patterns match but not
     the method. Handler exceptions become 500s whose body is the fixed
-    string ["internal error"] — the exception text is passed to the
-    {!on_error} logger, never to the client. *)
+    string ["internal error"]; the {!on_error} logger gets the method,
+    the matched route pattern and the exception's constructor name. *)
 
 val on_error : t -> (string -> unit) -> unit
 (** Replaces the server-side log sink for handler exceptions (default:
-    stderr). The message carries the method, path, and exception text. *)
+    stderr). The message carries the method, the route pattern (never
+    the raw path) and the exception's constructor name (never its
+    text). *)
 
 val routes : t -> (Meth.t * string) list
 (** Registered routes, for diagnostics. *)

@@ -64,8 +64,6 @@ let rejection_to_string r = Format.asprintf "%a" pp_rejection r
 type stats = {
   functions_analyzed : int;
   duration_s : float;
-  summary_cache_hits : int;
-  summary_cache_misses : int;
 }
 
 type verdict = { accepted : bool; rejections : rejection list; stats : stats }
@@ -161,81 +159,6 @@ let effect_equal a b =
 type skey = { kfn : string; ktaints : bool list; kpc : bool }
 
 (* ------------------------------------------------------------------ *)
-(* Cross-check summary cache.
-
-   Summaries are pure facts about a function body *within a fixed program*
-   (callee names resolve through the program), so an entry is keyed by the
-   program fingerprint plus a hash of the function's normalized source —
-   reusing the signing pipeline's normalizer and SHA-256. Keying on content
-   rather than name means two structurally identical bodies share one
-   entry, and a rebuilt program with identical content (the common corpus
-   pattern: every app registers many specs against one program) hits
-   without any invalidation protocol. The digest tag is versioned; v2
-   entries carry per-path write-back sets and witness traces, which v1
-   consumers could not replay, so the tag bump keeps the generations
-   disjoint. *)
-
-module Summary_cache = struct
-  module Sha256 = Sesame_signing.Sha256
-  module Normalize = Sesame_signing.Normalize
-
-  let version_tag = "sesame-summary-v2"
-
-  type t = {
-    entries : (string, fn_effect) Hashtbl.t;
-    body_hashes : (string, string) Hashtbl.t;
-        (* (fingerprint, fname) -> body-hash hex, memoized because the same
-           function is looked up once per calling context per check *)
-    (* Atomics: a shared cross-spec cache may serve checks running on
-       several domains; the counters must not lose increments. *)
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-  }
-
-  let create () =
-    {
-      entries = Hashtbl.create 256;
-      body_hashes = Hashtbl.create 256;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-    }
-
-  let hits t = Atomic.get t.hits
-  let misses t = Atomic.get t.misses
-  let entries t = Hashtbl.length t.entries
-
-  let hit_rate t =
-    let total = Atomic.get t.hits + Atomic.get t.misses in
-    if total = 0 then 0.0 else float_of_int (Atomic.get t.hits) /. float_of_int total
-
-  let body_hash t ~program (f : Ir.func) =
-    let fp = Sha256.to_hex (Program.fingerprint program) in
-    let memo_key = fp ^ "\x00" ^ f.Ir.fname in
-    match Hashtbl.find_opt t.body_hashes memo_key with
-    | Some h -> h
-    | None ->
-        let h =
-          Sha256.to_hex
-            (Sha256.digest_list [ version_tag; Normalize.source (Ir.func_source f) ])
-        in
-        Hashtbl.add t.body_hashes memo_key h;
-        h
-
-  let entry_key t ~program ~f ~taints ~pc =
-    let fp = Sha256.to_hex (Program.fingerprint program) in
-    let bh = body_hash t ~program f in
-    Printf.sprintf "%s|%s|%s|%c" fp bh
-      (String.concat "" (List.map (fun b -> if b then "1" else "0") taints))
-      (if pc then '1' else '0')
-
-  let find t ~program ~f ~taints ~pc =
-    Hashtbl.find_opt t.entries (entry_key t ~program ~f ~taints ~pc)
-
-  let store t ~program ~f ~taints ~pc eff =
-    Hashtbl.replace t.entries (entry_key t ~program ~f ~taints ~pc) eff
-end
-
-(* ------------------------------------------------------------------ *)
 (* Worklist engine state. *)
 
 type item = Spec_body | Fn of skey
@@ -249,7 +172,6 @@ end)
 type summary = {
   mutable eff : fn_effect;
   mutable dependents : Iset.t;  (* items to re-run when [eff] grows *)
-  from_cache : bool;  (* cache entries are final fixpoints: never re-run *)
 }
 
 type ctx = {
@@ -267,15 +189,13 @@ type ctx = {
   summaries : (skey, summary) Hashtbl.t;
   queue : item Queue.t;
   queued : (item, unit) Hashtbl.t;
-  (* Cross-check cache. *)
-  cache : Summary_cache.t option;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
 }
 
 (* The per-run mutable state of the item being analyzed: its name, its
-   parameter set (empty for the spec body), and the effect accumulated by
-   this run. *)
+   parameter set (empty for the spec body), the effect accumulated by
+   this run, and [fr_exit]: once a return is taken under sensitive
+   control flow, whether any later statement runs depends on sensitive
+   data, so later statements run under that (witnessed) pc. *)
 type frame = {
   fname : string;
   params : Sset.t;
@@ -284,6 +204,7 @@ type frame = {
   mutable fr_ret_trace : step list;
   mutable fr_writes : step list Wmap.t;
   mutable fr_rejs : step list Rmap.t;
+  mutable fr_exit : step list option;
 }
 
 let reject ctx frame ~trace reason =
@@ -296,11 +217,10 @@ let reject ctx frame ~trace reason =
 
 (* The region's by-ref captures, as seen from the running frame. Only the
    spec body can name a capture: a callee's local that shares a capture's
-   name is a different variable, and a callee's summary, which the
-   cross-check cache shares between specs with different captures, must
-   not depend on the region's capture names. A callee reaches a capture
-   only through an argument; the spec body's call sites reject a [&mut]
-   of capture-derived data escaping into any call. *)
+   name is a different variable, so a callee's summary must not depend on
+   the region's capture names. A callee reaches a capture only through an
+   argument; the spec body's call sites reject a [&mut] of
+   capture-derived data escaping into any call. *)
 let capture_roots ctx frame =
   match frame.item with Spec_body -> ctx.capture_roots | Fn _ -> Sset.empty
 
@@ -398,6 +318,11 @@ let normalize_taints (f : Ir.func) arg_taints =
 let set_ret frame trace =
   frame.fr_ret <- true;
   if frame.fr_ret_trace = [] then frame.fr_ret_trace <- trace
+
+let exit_under frame (pc : pc) =
+  if pc_on pc && not (pc_on frame.fr_exit) then
+    frame.fr_exit <-
+      Some (cap (pc_trace pc @ [ step Branch frame.fname "returns early under sensitive control flow" ]))
 
 let rec eval ctx frame (env : env) ~pc (e : Ir.expr) : info =
   match e with
@@ -541,7 +466,7 @@ and eval_call ctx frame env ~pc callee args : info =
                 let key =
                   { kfn = f.Ir.fname; ktaints = normalize_taints f arg_taints; kpc = pc_on pc }
                 in
-                apply_effect name f (request_summary ctx ~dependent:frame.item key f))
+                apply_effect name f (request_summary ctx ~dependent:frame.item key))
   in
   let ret_trace =
     match callee with
@@ -579,45 +504,22 @@ and eval_call ctx frame env ~pc callee args : info =
   | Some tr -> { taint = true; roots = arg_roots; trace = tr }
   | None -> { taint = false; roots = arg_roots; trace = [] }
 
-(* Look up (or start computing) the summary for [key]. New keys are first
-   sought in the cross-check cache; on a miss they are seeded at bottom and
-   analyzed eagerly (depth-first, like the seed engine's memoized descent),
-   with the worklist only re-running items whose dependencies grow — which
-   happens on recursive cycles. The requesting item is recorded as a
-   dependent either way; the registry is a set, so re-requests are O(log n)
-   instead of a linear membership scan. *)
-and request_summary ctx ~dependent key f : fn_effect =
+(* Look up (or start computing) the summary for [key]. New keys are seeded
+   at bottom and analyzed eagerly (depth-first), with the worklist only
+   re-running items whose dependencies grow — which happens on recursive
+   cycles. The requesting item is recorded as a dependent either way; the
+   registry is a set, so re-requests are O(log n) instead of a linear
+   membership scan. *)
+and request_summary ctx ~dependent key : fn_effect =
   match Hashtbl.find_opt ctx.summaries key with
   | Some s ->
       s.dependents <- Iset.add dependent s.dependents;
       s.eff
-  | None -> (
-      let cached =
-        match ctx.cache with
-        | None -> None
-        | Some cache ->
-            Summary_cache.find cache ~program:ctx.program ~f ~taints:key.ktaints ~pc:key.kpc
-      in
-      match cached with
-      | Some eff ->
-          ctx.cache_hits <- ctx.cache_hits + 1;
-          (match ctx.cache with
-          | Some c -> Atomic.incr c.Summary_cache.hits
-          | None -> ());
-          Hashtbl.add ctx.summaries key
-            { eff; dependents = Iset.singleton dependent; from_cache = true };
-          eff
-      | None ->
-          if Option.is_some ctx.cache then begin
-            ctx.cache_misses <- ctx.cache_misses + 1;
-            match ctx.cache with
-            | Some c -> Atomic.incr c.Summary_cache.misses
-            | None -> ()
-          end;
-          let s = { eff = bottom_effect; dependents = Iset.singleton dependent; from_cache = false } in
-          Hashtbl.add ctx.summaries key s;
-          run_fn ctx key;
-          s.eff)
+  | None ->
+      let s = { eff = bottom_effect; dependents = Iset.singleton dependent } in
+      Hashtbl.add ctx.summaries key s;
+      run_fn ctx key;
+      s.eff
 
 (* Analyze one function body under one calling context and join the result
    into its summary; if the summary grew, every dependent is re-queued. *)
@@ -638,6 +540,7 @@ and run_fn ctx key =
               fr_ret_trace = [];
               fr_writes = Wmap.empty;
               fr_rejs = Rmap.empty;
+              fr_exit = None;
             }
           in
           let env : env = Hashtbl.create 16 in
@@ -689,6 +592,7 @@ and eval_lhs_index ctx frame env ~pc = function
   | Ir.Lvar _ | Ir.Lfield _ | Ir.Lderef _ | Ir.Lglobal _ -> untainted
 
 and exec_stmt ctx frame env ~pc (stmt : Ir.stmt) =
+  let pc = if pc_on pc then pc else frame.fr_exit in
   match stmt with
   | Ir.Let (v, e) ->
       let i = eval ctx frame env ~pc e in
@@ -728,14 +632,28 @@ and exec_stmt ctx frame env ~pc (stmt : Ir.stmt) =
         (Unsafe_mutation { func = frame.fname });
       List.iter (fun e -> ignore (eval ctx frame env ~pc e)) args
   | Ir.If (c, then_, else_) ->
+      (* Each branch starts from the state before the [if]; the state
+         after it is their join. Running the else branch on the then
+         branch's output would let a strong update on one path erase a
+         fact that still holds on the other. *)
       let ci = eval ctx frame env ~pc c in
       let pc' = raise_pc frame ~pc c ci in
+      let else_env = Hashtbl.copy env in
       exec_stmts ctx frame env ~pc:pc' then_;
-      exec_stmts ctx frame env ~pc:pc' else_
+      exec_stmts ctx frame else_env ~pc:pc' else_;
+      Hashtbl.iter
+        (fun v cell ->
+          let cur = Option.value (Hashtbl.find_opt env v) ~default:Pathmap.empty in
+          Hashtbl.replace env v (Pathmap.union (fun _ a b -> Some (info_join a b)) cur cell))
+        else_env
   | Ir.While (c, body) ->
       fixpoint ctx frame env (fun () ->
           let ci = eval ctx frame env ~pc c in
-          exec_stmts ctx frame env ~pc:(raise_pc frame ~pc c ci) body)
+          let pc' = raise_pc frame ~pc c ci in
+          exec_stmts ctx frame env ~pc:pc' body;
+          (* Every later test of the condition runs only because this one
+             held: its calls execute under the raised pc. *)
+          if pc_on pc' && not (pc_on pc) then ignore (eval ctx frame env ~pc:pc' c))
   | Ir.For (v, e, body) ->
       fixpoint ctx frame env (fun () ->
           let ei = eval ctx frame env ~pc e in
@@ -752,12 +670,15 @@ and exec_stmt ctx frame env ~pc (stmt : Ir.stmt) =
           env_strong env v { taint; roots = ei.roots; trace };
           let pc' = raise_pc frame ~pc e ei in
           exec_stmts ctx frame env ~pc:pc' body)
-  | Ir.Return None -> if pc_on pc then set_ret frame (pc_trace pc)
+  | Ir.Return None ->
+      if pc_on pc then set_ret frame (pc_trace pc);
+      exit_under frame pc
   | Ir.Return (Some e) ->
       let i = eval ctx frame env ~pc e in
       if i.taint then set_ret frame (cap (i.trace @ [ step Return frame.fname "returned to caller" ]))
       else if pc_on pc then
-        set_ret frame (cap (pc_trace pc @ [ step Return frame.fname "return under sensitive control flow" ]))
+        set_ret frame (cap (pc_trace pc @ [ step Return frame.fname "return under sensitive control flow" ]));
+      exit_under frame pc
   | Ir.Expr_stmt e -> ignore (eval ctx frame env ~pc e)
 
 and assign ctx frame env lhs (value : info) =
@@ -816,8 +737,10 @@ and assign ctx frame env lhs (value : info) =
    loop may execute zero times, and the join makes the head state grow
    monotonically, which guarantees convergence — taint, root sets, and
    path keys only range over finitely many program variables and fields at
-   bounded depth). Re-iterate while the head state grew or this frame
-   raised a new rejection; the comparison is structural and trace-blind.
+   bounded depth). Re-iterate while the head state grew, this frame
+   raised a new rejection, or a return under sensitive control flow was
+   first seen (the next iteration runs only if it was not taken); the
+   comparison is structural and trace-blind.
    The iteration bound is a safety net only — monotone growth cannot
    cycle. *)
 and fixpoint ctx frame env body =
@@ -827,6 +750,7 @@ and fixpoint ctx frame env body =
   let rec go n =
     let head = Hashtbl.copy env in
     let rejections_before = Rmap.cardinal frame.fr_rejs in
+    let exit_before = pc_on frame.fr_exit in
     body ();
     Hashtbl.iter
       (fun v head_cell ->
@@ -845,14 +769,33 @@ and fixpoint ctx frame env body =
              | Some head_cell -> not (cell_equal cell head_cell))
            env false
     in
-    if (grew || Rmap.cardinal frame.fr_rejs <> rejections_before) && n < max_iterations then
+    if
+      (grew || Rmap.cardinal frame.fr_rejs <> rejections_before || pc_on frame.fr_exit <> exit_before)
+      && n < max_iterations
+    then
       go (n + 1)
   in
   go 0
 
 (* ------------------------------------------------------------------ *)
 
-let run_spec ctx =
+let fresh_ctx ~allowlist program (spec : Spec.t) =
+  {
+    program;
+    allowlist;
+    spec;
+    capture_roots = Sset.of_list (Spec.by_ref_captures spec);
+    publishing = false;
+    rejections = [];
+    rejection_seen = Hashtbl.create 16;
+    summaries = Hashtbl.create 64;
+    queue = Queue.create ();
+    queued = Hashtbl.create 16;
+  }
+
+(* One walk of the spec body. [seed] binds the region's parameters in the
+   fresh environment; captures start untainted. *)
+let run_spec ctx ~seed =
   let spec = ctx.spec in
   let frame =
     {
@@ -863,37 +806,39 @@ let run_spec ctx =
       fr_ret_trace = [];
       fr_writes = Wmap.empty;
       fr_rejs = Rmap.empty;
+      fr_exit = None;
     }
   in
   let env : env = Hashtbl.create 16 in
-  List.iter
-    (fun p ->
-      env_strong env p
-        {
-          taint = true;
-          roots = Sset.empty;
-          trace = [ step Source spec.Spec.name ("sensitive region argument " ^ p) ];
-        })
-    spec.Spec.params;
+  seed env;
   List.iter (fun (c : Ir.capture) -> env_strong env c.cap_var untainted) spec.Spec.captures;
-  exec_stmts ctx frame env ~pc:None spec.Spec.body
+  exec_stmts ctx frame env ~pc:None spec.Spec.body;
+  frame
 
 (* Drain the worklist: re-run every item one of whose dependency summaries
    grew since it last ran. Monotone effects over finite lattices make this
-   terminate; when the queue is empty every summary is a fixpoint. *)
-let solve ctx =
-  run_spec ctx;
+   terminate; when the queue is empty every summary is a fixpoint.
+
+   Then the witness pass: one final program-order walk of the spec body
+   publishes the rejections with fully spliced traces, and its frame is
+   returned. Publication is deferred to this pass so rejection order and
+   traces depend only on the program text and the (deterministic) fixpoint
+   effects, not on worklist scheduling. *)
+let solve ctx ~seed =
+  ignore (run_spec ctx ~seed);
   let rec drain () =
     match Queue.take_opt ctx.queue with
     | None -> ()
     | Some item ->
         Hashtbl.remove ctx.queued item;
-        (match item with Spec_body -> run_spec ctx | Fn key -> run_fn ctx key);
+        (match item with Spec_body -> ignore (run_spec ctx ~seed) | Fn key -> run_fn ctx key);
         drain ()
   in
-  drain ()
+  drain ();
+  ctx.publishing <- true;
+  run_spec ctx ~seed
 
-let check ?(allowlist = Allowlist.default) ?cache program (spec : Spec.t) =
+let check ?(allowlist = Allowlist.default) program (spec : Spec.t) =
   let started = Sesame_clock.now_ns () in
   let graph = Callgraph.collect program ~allowlist spec in
   let collection_rejections =
@@ -920,45 +865,19 @@ let check ?(allowlist = Allowlist.default) ?cache program (spec : Spec.t) =
         })
       (Spec.by_mut_ref_captures spec)
   in
-  let capture_roots = Sset.of_list (Spec.by_ref_captures spec) in
-  let ctx =
-    {
-      program;
-      allowlist;
-      spec;
-      capture_roots;
-      publishing = false;
-      rejections = [];
-      rejection_seen = Hashtbl.create 16;
-      summaries = Hashtbl.create 64;
-      queue = Queue.create ();
-      queued = Hashtbl.create 16;
-      cache;
-      cache_hits = 0;
-      cache_misses = 0;
-    }
+  let ctx = fresh_ctx ~allowlist program spec in
+  let seed env =
+    List.iter
+      (fun p ->
+        env_strong env p
+          {
+            taint = true;
+            roots = Sset.empty;
+            trace = [ step Source spec.Spec.name ("sensitive region argument " ^ p) ];
+          })
+      spec.Spec.params
   in
-  solve ctx;
-  (* The witness pass: with every summary at its fixpoint, one final
-     program-order walk of the spec body publishes the verdict's
-     rejections with fully spliced traces. Publication is deferred to
-     this pass so rejection order and traces depend only on the program
-     text and the (deterministic) fixpoint effects — not on worklist
-     scheduling, and not on whether summaries were computed here or
-     loaded from the cross-check cache. *)
-  ctx.publishing <- true;
-  run_spec ctx;
-  (* Publish every freshly computed fixpoint for reuse by later checks. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Hashtbl.iter
-        (fun key s ->
-          if not s.from_cache then
-            match Program.find program key.kfn with
-            | Some f -> Summary_cache.store c ~program ~f ~taints:key.ktaints ~pc:key.kpc s.eff
-            | None -> ())
-        ctx.summaries);
+  ignore (solve ctx ~seed);
   let rejections = capture_rejections @ collection_rejections @ List.rev ctx.rejections in
   (* Dedup by reason preserving first-occurrence order (and so each
      reason's first witness trace), linear in the number of rejections. *)
@@ -977,8 +896,6 @@ let check ?(allowlist = Allowlist.default) ?cache program (spec : Spec.t) =
     {
       functions_analyzed = Callgraph.functions_analyzed graph;
       duration_s = Sesame_clock.elapsed_s ~since:started;
-      summary_cache_hits = ctx.cache_hits;
-      summary_cache_misses = ctx.cache_misses;
     }
   in
   { accepted = rejections = []; rejections; stats }
@@ -993,9 +910,7 @@ let check ?(allowlist = Allowlist.default) ?cache program (spec : Spec.t) =
    parameter starts untainted and only the probed place carries taint.
    The place escapes iff the final deterministic walk taints the return
    value or publishes any rejection. Everything else — summaries, the
-   worklist, the witness pass, the cross-check cache — is shared with
-   [check], so probe results replay byte-identically from cached
-   summaries. *)
+   worklist, the witness pass — is shared with [check]. *)
 
 type exposure = {
   exp_param : string;
@@ -1006,7 +921,7 @@ type exposure = {
 
 let render_path path = String.concat "" (List.map (fun f -> "." ^ f) path)
 
-let param_exposures ?(allowlist = Allowlist.default) ?cache program (spec : Spec.t) ~places =
+let param_exposures ?(allowlist = Allowlist.default) program (spec : Spec.t) ~places =
   let graph = Callgraph.collect program ~allowlist spec in
   let structural_block =
     (* A region the whole-region analysis cannot even walk (unresolvable
@@ -1027,38 +942,10 @@ let param_exposures ?(allowlist = Allowlist.default) ?cache program (spec : Spec
     match structural_block with
     | Some trace -> { exp_param = param; exp_path = path; exp_released = true; exp_trace = trace }
     | None ->
-        let ctx =
-          {
-            program;
-            allowlist;
-            spec;
-            capture_roots = Sset.of_list (Spec.by_ref_captures spec);
-            publishing = false;
-            rejections = [];
-            rejection_seen = Hashtbl.create 16;
-            summaries = Hashtbl.create 64;
-            queue = Queue.create ();
-            queued = Hashtbl.create 16;
-            cache;
-            cache_hits = 0;
-            cache_misses = 0;
-          }
-        in
-        let run_seeded () =
-          let frame =
-            {
-              fname = spec.Spec.name;
-              params = Sset.empty;
-              item = Spec_body;
-              fr_ret = false;
-              fr_ret_trace = [];
-              fr_writes = Wmap.empty;
-              fr_rejs = Rmap.empty;
-            }
-          in
-          let env : env = Hashtbl.create 16 in
+        let ctx = fresh_ctx ~allowlist program spec in
+        let seed env =
           List.iter (fun p -> env_strong env p untainted) spec.Spec.params;
-          let seed =
+          let probed =
             {
               taint = true;
               roots = Sset.empty;
@@ -1070,37 +957,9 @@ let param_exposures ?(allowlist = Allowlist.default) ?cache program (spec : Spec
                 ];
             }
           in
-          if path = [] then env_strong env param seed else env_weak env param path seed;
-          List.iter
-            (fun (c : Ir.capture) -> env_strong env c.cap_var untainted)
-            spec.Spec.captures;
-          exec_stmts ctx frame env ~pc:None spec.Spec.body;
-          frame
+          if path = [] then env_strong env param probed else env_weak env param path probed
         in
-        ignore (run_seeded ());
-        let rec drain () =
-          match Queue.take_opt ctx.queue with
-          | None -> ()
-          | Some item ->
-              Hashtbl.remove ctx.queued item;
-              (match item with Spec_body -> ignore (run_seeded ()) | Fn key -> run_fn ctx key);
-              drain ()
-        in
-        drain ();
-        (* Deterministic witness pass, as in [check]. *)
-        ctx.publishing <- true;
-        let frame = run_seeded () in
-        (match cache with
-        | None -> ()
-        | Some c ->
-            Hashtbl.iter
-              (fun key s ->
-                if not s.from_cache then
-                  match Program.find program key.kfn with
-                  | Some f ->
-                      Summary_cache.store c ~program ~f ~taints:key.ktaints ~pc:key.kpc s.eff
-                  | None -> ())
-              ctx.summaries);
+        let frame = solve ctx ~seed in
         let rejections = List.rev ctx.rejections in
         if frame.fr_ret then
           {

@@ -46,7 +46,7 @@
     branches, and call boundaries to the rejected sink, spliced across
     calls from the callee-relative traces stored in summaries. Traces are
     decoration — they never influence verdicts or termination — and are
-    deterministic: cached and uncached runs produce byte-identical
+    deterministic: two checks of one region produce byte-identical
     rejections.
 
     The engine is a worklist-based fixpoint solver over per-function
@@ -59,7 +59,12 @@
     re-iterated until stable rather than pessimistically assumed tainted.
     Verdict rejections are published by one final deterministic walk of
     the spec body after the fixpoint is reached, so their order and
-    traces are independent of worklist scheduling and caching. *)
+    traces are independent of worklist scheduling.
+
+    Accepted verdicts are checked against execution: the test suite runs
+    accepted regions in a reference interpreter for the IR and checks
+    that changing the sensitive arguments never changes what an observer
+    sees. *)
 
 type reason =
   | Mutable_capture of { var : string }
@@ -105,8 +110,6 @@ val rejection_to_string : rejection -> string
 type stats = {
   functions_analyzed : int;  (** distinct functions in the call tree *)
   duration_s : float;  (** monotonic wall-clock seconds *)
-  summary_cache_hits : int;  (** cross-check cache hits during this check *)
-  summary_cache_misses : int;  (** cross-check cache misses during this check *)
 }
 
 type verdict = {
@@ -115,48 +118,8 @@ type verdict = {
   stats : stats;
 }
 
-(** Cross-check summary cache.
-
-    Checking a corpus of regions against one program re-analyzes the same
-    library functions under the same calling contexts over and over. A
-    [Summary_cache.t] shared across {!check} calls persists each computed
-    fixpoint, keyed by the program's content fingerprint
-    ({!Program.fingerprint}), a SHA-256 of the callee's normalized source
-    under the [sesame-summary-v2] digest tag, the argument taint
-    signature, and the pc — so entries are reused across specs (and
-    across structurally identical rebuilt programs) but can never be
-    confused between different function bodies or summary generations.
-    Cached effects carry their subtree rejections and witness traces,
-    which are replayed at every use site: a cache hit yields byte-for-byte
-    the same verdict a fresh analysis would. *)
-module Summary_cache : sig
-  type t
-
-  val version_tag : string
-  (** The digest tag versioning entry keys: ["sesame-summary-v2"]. *)
-
-  val create : unit -> t
-
-  val hits : t -> int
-  (** Lifetime hits across all checks. *)
-
-  val misses : t -> int
-  (** Lifetime misses across all checks. *)
-
-  val entries : t -> int
-  (** Number of stored summaries. *)
-
-  val hit_rate : t -> float
-  (** [hits / (hits + misses)]; [0.] if the cache was never consulted. *)
-end
-
-val check :
-  ?allowlist:Allowlist.t -> ?cache:Summary_cache.t -> Program.t -> Spec.t -> verdict
-(** Analyze one privacy region. Defaults to {!Allowlist.default} and no
-    summary cache. Passing [~cache] reuses function summaries computed by
-    earlier checks against a program with the same fingerprint and
-    publishes this check's summaries for later ones; the verdict —
-    including witness traces — is unchanged by caching. *)
+val check : ?allowlist:Allowlist.t -> Program.t -> Spec.t -> verdict
+(** Analyze one privacy region. Defaults to {!Allowlist.default}. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 (** Renders each rejection with its witness trace indented beneath it. *)
@@ -169,8 +132,7 @@ val pp_verdict : Format.formatter -> verdict -> unit
     fixpoint with every parameter untainted except the probed place, and
     reports the place released iff the final deterministic walk taints
     the return value or publishes any rejection. Probes share the
-    summary machinery (and [?cache]) with {!check}, so results replay
-    byte-identically from cached summaries. A region whose call graph is
+    summary machinery with {!check}. A region whose call graph is
     incomplete (unresolvable dispatch, function pointers, mutable
     captures) proves nothing about any place: every probe on it reports
     released, conservatively. *)
@@ -184,7 +146,6 @@ type exposure = {
 
 val param_exposures :
   ?allowlist:Allowlist.t ->
-  ?cache:Summary_cache.t ->
   Program.t ->
   Spec.t ->
   places:(string * string list) list ->

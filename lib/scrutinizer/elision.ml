@@ -77,7 +77,7 @@ let context_satisfaction (site : site) ~sink (fam : family) =
 (* R1: every place the family's verdict can depend on is either not
    carried by any region parameter at this site, or provably never
    released by the region. Returns the witness probe list on success. *)
-let field_disjointness ?allowlist ?cache ~program (site : site) (fam : family) =
+let field_disjointness ?allowlist ~program (site : site) (fam : family) =
   match (site.region, fam.inspects) with
   | None, _ | _, [] -> None
   | Some spec, inspects ->
@@ -101,7 +101,7 @@ let field_disjointness ?allowlist ?cache ~program (site : site) (fam : family) =
                 "no region parameter carries a row of an inspected table";
             ] )
       else
-        let exposures = Analysis.param_exposures ?allowlist ?cache program spec ~places in
+        let exposures = Analysis.param_exposures ?allowlist program spec ~places in
         if List.exists (fun (e : Analysis.exposure) -> e.exp_released) exposures then None
         else
           let steps =
@@ -114,7 +114,7 @@ let field_disjointness ?allowlist ?cache ~program (site : site) (fam : family) =
           in
           Some (exposures, steps)
 
-let classify_triple ?allowlist ?cache ~program (site : site) ~sink (fam : family) =
+let classify_triple ?allowlist ~program (site : site) ~sink (fam : family) =
   let base kind =
     {
       cert_endpoint = site.endpoint;
@@ -141,7 +141,7 @@ let classify_triple ?allowlist ?cache ~program (site : site) ~sink (fam : family
       in
       { (base (Redundant (Context_satisfies { clause }))) with cert_witness = witness }
   | None -> (
-      match field_disjointness ?allowlist ?cache ~program site fam with
+      match field_disjointness ?allowlist ~program site fam with
       | Some (exposures, steps) ->
           let proof =
             match exposures with
@@ -180,12 +180,12 @@ let classify_triple ?allowlist ?cache ~program (site : site) ~sink (fam : family
                     "no satisfying clause entailed at sink %s and no disjointness proof" sink))
       )
 
-let classify ?allowlist ?cache ~program ~families ~sites () =
+let classify ?allowlist ~program ~families ~sites () =
   List.concat_map
     (fun site ->
       List.concat_map
         (fun sink ->
-          List.map (fun fam -> classify_triple ?allowlist ?cache ~program site ~sink fam) families)
+          List.map (fun fam -> classify_triple ?allowlist ~program site ~sink fam) families)
         site.sinks)
     sites
 
@@ -201,13 +201,13 @@ let verdict_equal a b =
   | Residual x, Residual y -> String.equal x y
   | _ -> false
 
-let replay ?allowlist ?cache ~program ~families ~sites cert =
+let replay ?allowlist ~program ~families ~sites cert =
   match
     ( List.find_opt (fun s -> String.equal s.endpoint cert.cert_endpoint) sites,
       List.find_opt (fun f -> String.equal f.family cert.cert_family) families )
   with
   | Some site, Some fam when List.mem cert.cert_sink site.sinks ->
-      let fresh = classify_triple ?allowlist ?cache ~program site ~sink:cert.cert_sink fam in
+      let fresh = classify_triple ?allowlist ~program site ~sink:cert.cert_sink fam in
       verdict_equal fresh.cert_verdict cert.cert_verdict
       && List.equal
            (fun (a : Analysis.step) b -> a = b)

@@ -90,7 +90,6 @@ val entails : atom list -> atom -> bool
 
 val classify :
   ?allowlist:Allowlist.t ->
-  ?cache:Analysis.Summary_cache.t ->
   program:Program.t ->
   families:family list ->
   sites:site list ->
@@ -103,7 +102,6 @@ val classify :
 
 val replay :
   ?allowlist:Allowlist.t ->
-  ?cache:Analysis.Summary_cache.t ->
   program:Program.t ->
   families:family list ->
   sites:site list ->

@@ -1,19 +1,13 @@
 type t = {
   functions : (string, Ir.func) Hashtbl.t;
   impls : (string, string list ref) Hashtbl.t;  (* method -> impl names *)
-  (* Content fingerprint, memoized between mutations. Summary caching keys
-     on it so that analysis results are never reused against a program
-     that resolves names differently. *)
-  mutable fingerprint : Sesame_signing.Sha256.t option;
 }
 
-let create () =
-  { functions = Hashtbl.create 64; impls = Hashtbl.create 16; fingerprint = None }
+let create () = { functions = Hashtbl.create 64; impls = Hashtbl.create 16 }
 
 let define t (f : Ir.func) =
   if Hashtbl.mem t.functions f.fname then
     invalid_arg (Printf.sprintf "function %s is already defined" f.fname);
-  t.fingerprint <- None;
   Hashtbl.add t.functions f.fname f
 
 let define_all t fs = List.iter (define t) fs
@@ -27,14 +21,8 @@ let size t = Hashtbl.length t.functions
 
 let register_impl t ~method_name ~impl =
   match Hashtbl.find_opt t.impls method_name with
-  | Some cell ->
-      if not (List.mem impl !cell) then begin
-        t.fingerprint <- None;
-        cell := impl :: !cell
-      end
-  | None ->
-      t.fingerprint <- None;
-      Hashtbl.add t.impls method_name (ref [ impl ])
+  | Some cell -> if not (List.mem impl !cell) then cell := impl :: !cell
+  | None -> Hashtbl.add t.impls method_name (ref [ impl ])
 
 let impls t method_name =
   match Hashtbl.find_opt t.impls method_name with
@@ -50,22 +38,3 @@ let resolve_dynamic t ~method_name ~receiver_hint =
       match impls t method_name with
       | [] -> None
       | candidates -> Some candidates)
-
-let fingerprint t =
-  match t.fingerprint with
-  | Some d -> d
-  | None ->
-      let function_parts =
-        List.concat_map (fun (f : Ir.func) -> [ f.Ir.fname; Ir.func_source f ]) (functions t)
-      in
-      let impl_parts =
-        Hashtbl.fold (fun m cell acc -> (m, List.sort compare !cell) :: acc) t.impls []
-        |> List.sort compare
-        |> List.concat_map (fun (m, is) -> m :: is)
-      in
-      let d =
-        Sesame_signing.Sha256.digest_list
-          (("sesame-program-v1" :: function_parts) @ impl_parts)
-      in
-      t.fingerprint <- Some d;
-      d

@@ -32,9 +32,3 @@ val resolve_dynamic :
 (** The candidate set for a dynamic call: with a receiver hint ["Type"],
     the single impl named ["Type::method"] if registered; otherwise every
     registered impl. [None] when the set cannot be constructed. *)
-
-val fingerprint : t -> Sesame_signing.Sha256.t
-(** Digest of every function source plus the impl registry, memoized until
-    the next {!define} or {!register_impl}. Two programs with equal
-    fingerprints resolve every call identically, which is what makes
-    cross-program reuse of analysis summaries sound. *)

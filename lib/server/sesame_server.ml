@@ -242,12 +242,13 @@ let handle_connection t fd =
               try t.handler request
               with exn ->
                 (* Same redaction discipline as Router.dispatch: the
-                   client sees a fixed body, the log sees the
-                   exception. *)
+                   client sees a fixed body, the log sees the method and
+                   the exception's constructor name, never its text or
+                   the raw path. *)
                 t.on_error
-                  (Printf.sprintf "%s %s: handler raised %s"
+                  (Printf.sprintf "%s: handler raised %s"
                      (Http.Meth.to_string request.Http.Request.meth)
-                     request.Http.Request.path (Printexc.to_string exn));
+                     (Printexc.exn_slot_name exn));
                 Http.Response.error Http.Status.Internal_error "internal error"
             in
             let budget_ms = request_budget_ms t request in

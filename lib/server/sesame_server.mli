@@ -80,7 +80,8 @@ val start :
   (t, string) result
 (** Binds, listens, and returns once the listener and handler domains
     are running. Handler exceptions become redacted 500s ("internal
-    error"); the exception text goes to [on_error] (default stderr).
+    error"); [on_error] (default stderr) gets the method and the
+    exception's constructor name, never its text or the raw path.
     HEAD requests are dispatched to the handler as GET and answered
     with the body stripped, so routers only register GET routes.
 

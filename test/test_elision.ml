@@ -168,6 +168,118 @@ let corpus_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Property 2, by execution: a field-disjointness certificate claims the
+   site's region never releases the places its family inspects. Two runs
+   of the region in the reference interpreter ([Ir_interp]) that differ
+   only at one such place must return the same value and produce the
+   same observable events. *)
+
+module Interp = Ir_interp
+
+(* The field paths the region body reads from each variable. *)
+let paths_read (spec : Scrut.Spec.t) =
+  let acc = ref [] in
+  let rec expr (e : Scrut.Ir.expr) =
+    (match Scrut.Ir.place_of_expr e with
+    | Some pl when pl.Scrut.Ir.path <> [] -> acc := (pl.base, pl.path) :: !acc
+    | _ -> ());
+    match e with
+    | Field (e, _) | Unop (_, e) | Deref e -> expr e
+    | Index (a, b) | Binop (_, a, b) -> expr a; expr b
+    | Tuple es | Vec es | Call (_, es) -> List.iter expr es
+    | Unit | Int_lit _ | Float_lit _ | Str_lit _ | Bool_lit _ | Var _ | Global _ | Ref _
+    | Ref_mut _ ->
+        ()
+  and stmt (s : Scrut.Ir.stmt) =
+    match s with
+    | Let (_, e) | Assign (_, e) | Unsafe_write (_, e) | Expr_stmt e | Return (Some e) -> expr e
+    | Return None -> ()
+    | Opaque_unsafe es -> List.iter expr es
+    | If (c, t, e) -> expr c; List.iter stmt t; List.iter stmt e
+    | While (c, b) | For (_, c, b) -> expr c; List.iter stmt b
+  in
+  List.iter stmt spec.Scrut.Spec.body;
+  !acc
+
+(* Set [path] in [v] to [leaf], making records along the way. *)
+let rec set_path v path leaf =
+  match path with
+  | [] -> leaf
+  | f :: rest ->
+      let fields = match v with Interp.Record fs -> fs | _ -> [] in
+      let cur = Option.value (List.assoc_opt f fields) ~default:Interp.Unit in
+      Interp.Record
+        (List.sort compare ((f, set_path cur rest leaf) :: List.remove_assoc f fields))
+
+let certified_places_are_not_released app_program certs (sites : Elision.site list)
+    (families : Elision.family list) =
+  let checked = ref 0 in
+  List.iter
+    (fun (c : Elision.certificate) ->
+      match c.cert_verdict with
+      | Elision.Redundant (Elision.Field_disjoint _) -> (
+          let site = List.find (fun (s : Elision.site) -> s.endpoint = c.cert_endpoint) sites in
+          let fam = List.find (fun (f : Elision.family) -> f.family = c.cert_family) families in
+          match site.region with
+          | None -> ()
+          | Some spec ->
+              (* A base argument per parameter: a record holding every
+                 path the body reads from it, or a number. *)
+              let read = paths_read spec in
+              let base =
+                List.mapi
+                  (fun i p ->
+                    List.fold_left
+                      (fun v (b, path) ->
+                        if b = p then set_path v path (Interp.Float (float_of_int (i + 2)))
+                        else v)
+                      (Interp.Float (float_of_int (i + 2)))
+                      read)
+                  spec.Scrut.Spec.params
+              in
+              let places =
+                List.concat_map
+                  (fun (table, path) ->
+                    List.filter_map
+                      (fun (param, ptable) -> if ptable = table then Some (param, path) else None)
+                      site.row_params)
+                  fam.inspects
+              in
+              List.iter
+                (fun (param, path) ->
+                  let perturbed =
+                    List.map2
+                      (fun p v -> if p = param then set_path v path (Interp.Str "perturbed") else v)
+                      spec.Scrut.Spec.params base
+                  in
+                  let run args = Interp.run app_program spec ~args ~captures:[] in
+                  let a = run base and b = run perturbed in
+                  let what =
+                    Printf.sprintf "%s %s: %s.%s" c.cert_endpoint c.cert_family param
+                      (String.concat "." path)
+                  in
+                  if a.Interp.result <> b.Interp.result || a.Interp.events <> b.Interp.events then
+                    Alcotest.failf "%s is released:@.%a@.vs@.%a" what Interp.pp_outcome a
+                      Interp.pp_outcome b;
+                  incr checked)
+                places)
+      | _ -> ())
+    certs;
+  !checked
+
+let execution_tests =
+  [
+    test "websubmit field-disjoint certificates hold under execution" (fun () ->
+        let app = websubmit () in
+        let checked =
+          certified_places_are_not_released (Apps.Websubmit.program app)
+            (Apps.Websubmit.elision_certificates app)
+            Apps.Websubmit.elision_sites Apps.Websubmit.elision_families
+        in
+        check_bool "some certified place was perturbed" true (checked > 0));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Runtime: stats counters and the installed plan. *)
 
 let retrain app = Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain")
@@ -350,6 +462,7 @@ let () =
     [
       ("classification", classification_tests);
       ("corpus", corpus_tests);
+      ("execution", execution_tests);
       ("stats", stats_tests);
       ("pushdown", pushdown_tests);
       ("stale-certificates", stale_tests);

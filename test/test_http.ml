@@ -249,9 +249,11 @@ let router_tests =
         check_int "500" 500 (Status.to_int resp.Response.status);
         check_str "redacted" "internal error" resp.Response.body;
         check_bool "no leak" false (contains resp.Response.body "secret");
-        (* The operator still gets the details, server-side. *)
-        check_bool "logged" true (contains !logged "secret-/etc/passwd-path");
-        check_bool "logged route" true (contains !logged "GET /boom"));
+        (* The log names the route and the exception's constructor, and
+           carries no exception text either. *)
+        check_bool "log redacted" false (contains !logged "secret");
+        check_bool "logged route" true (contains !logged "GET /boom");
+        check_bool "logged constructor" true (contains !logged "Failure"));
     test "specificity wins regardless of registration order" (fun () ->
         (* Entries are pre-sorted at registration, so every order must
            dispatch identically when specificities differ. *)

@@ -150,6 +150,28 @@ let acceptance_tests =
                   Unsafe_write (Lindex ("buf", Int_lit 0), Var "x");
                   Return (Some (Var "buf"));
                 ])));
+    test "a verdict does not depend on a callee's parameter names" (fun () ->
+        (* [helper] writes a field of its own parameter; rB hands it the
+           sensitive argument, never its by-ref capture [cap], so no
+           capture is mutated whatever [helper] names its parameter. *)
+        let program param =
+          let p = Program.create () in
+          Program.define_all p
+            [
+              func ~name:"helper" ~params:[ param ]
+                [ Assign (Lfield (param, "x"), Int_lit 0); Return (Some (Var param)) ];
+            ];
+          p
+        in
+        let body = [ Expr_stmt (Call (Static "helper", [ Var "x" ])) ] in
+        let r_a = spec "rA" [ "x" ] body in
+        let r_b = spec ~captures:[ { cap_var = "cap"; mode = By_ref } ] "rB" [ "x" ] body in
+        List.iter
+          (fun param ->
+            let program = program param in
+            check_bool (param ^ ": rA") true (accepted program r_a);
+            check_bool (param ^ ": rB") true (accepted program r_b))
+          [ "cap"; "y" ]);
   ]
 
 let rejection_tests =
@@ -529,14 +551,9 @@ let encapsulation_tests =
   ]
 
 (* Regression cases for the two seed-engine fixpoint bugs and the missing
-   write-back summaries. Each is checked against both engines: the frozen
-   seed engine ([Legacy_analysis]) must wrongly accept, the reworked engine
-   must reject — proving these are real soundness fixes, not behavior
-   drift. *)
+   write-back summaries. The seed engine wrongly accepted each of these
+   regions; the engine must reject them. *)
 let fixpoint_regression_tests =
-  let legacy_accepts program s =
-    (Legacy_analysis.check program s).Legacy_analysis.accepted
-  in
   [
     test "loop rejection appearing only on the second iteration is seen" (fun () ->
         (* p aliases a local on iteration 1 and the capture from iteration
@@ -561,7 +578,6 @@ let fixpoint_regression_tests =
                   ] );
             ]
         in
-        check_bool "legacy wrongly accepts" true (legacy_accepts (fixture ()) s);
         check_bool "fixed engine rejects" true
           (has_rejection (fixture ()) s (function
             | Analysis.Capture_mutation { var; _ } -> var = "cap"
@@ -586,7 +602,6 @@ let fixpoint_regression_tests =
                   ] );
             ]
         in
-        check_bool "legacy wrongly accepts" true (legacy_accepts (fixture ()) s);
         check_bool "fixed engine rejects" true
           (has_rejection (fixture ()) s (function
             | Analysis.Unsafe_mutation _ -> true
@@ -604,7 +619,6 @@ let fixpoint_regression_tests =
               Expr_stmt (Call (Static "fs_write", [ Var "s" ]));
             ]
         in
-        check_bool "legacy wrongly accepts" true (legacy_accepts (fixture ()) s);
         check_bool "fixed engine rejects" true
           (has_rejection (fixture ()) s (function
             | Analysis.Tainted_native_call _ -> true
@@ -637,128 +651,10 @@ let fixpoint_regression_tests =
         check_bool "terminates" true (v.Analysis.stats.duration_s < 60.0));
   ]
 
-let cache_tests =
-  let heavy_spec =
-    spec "r" [ "x" ]
-      [
-        Let ("y", Call (Static "launders", [ Var "x" ]));
-        Expr_stmt (Call (Static "leak_after_laundering", [ Var "y" ]));
-        Return (Some (Call (Static "recursive", [ Var "x" ])));
-      ]
-  in
-  let same_verdict (a : Analysis.verdict) (b : Analysis.verdict) =
-    a.Analysis.accepted = b.Analysis.accepted
-    && a.Analysis.rejections = b.Analysis.rejections
-  in
-  [
-    test "second check of the same spec hits instead of re-analyzing" (fun () ->
-        let program = fixture () in
-        let cache = Analysis.Summary_cache.create () in
-        let v1 = Analysis.check ~cache program heavy_spec in
-        check_bool "first pass misses" true (v1.Analysis.stats.summary_cache_misses > 0);
-        check_int "first pass has no hits" 0 v1.Analysis.stats.summary_cache_hits;
-        let v2 = Analysis.check ~cache program heavy_spec in
-        check_bool "second pass hits" true (v2.Analysis.stats.summary_cache_hits > 0);
-        check_int "second pass misses nothing" 0 v2.Analysis.stats.summary_cache_misses;
-        check_bool "entries published" true (Analysis.Summary_cache.entries cache > 0));
-    test "cached and uncached verdicts agree, including replayed rejections" (fun () ->
-        let program = fixture () in
-        let cache = Analysis.Summary_cache.create () in
-        let uncached = Analysis.check program heavy_spec in
-        let _warmup = Analysis.check ~cache program heavy_spec in
-        let cached = Analysis.check ~cache program heavy_spec in
-        check_bool "not accepted" false uncached.Analysis.accepted;
-        check_bool "verdicts agree" true (same_verdict uncached cached));
-    test "summaries are shared across different specs of one program" (fun () ->
-        let program = fixture () in
-        let cache = Analysis.Summary_cache.create () in
-        let s1 =
-          spec "r1" [ "x" ] [ Return (Some (Call (Static "launders", [ Var "x" ]))) ]
-        in
-        let s2 =
-          spec "r2" [ "secret" ]
-            [ Let ("d", Call (Static "launders", [ Var "secret" ])); Return (Some (Var "d")) ]
-        in
-        ignore (Analysis.check ~cache program s1);
-        let v2 = Analysis.check ~cache program s2 in
-        check_bool "cross-spec hit" true (v2.Analysis.stats.summary_cache_hits > 0));
-    test "defining a new function invalidates the program fingerprint" (fun () ->
-        let program = fixture () in
-        let fp1 = Program.fingerprint program in
-        let cache = Analysis.Summary_cache.create () in
-        ignore (Analysis.check ~cache program heavy_spec);
-        Program.define program (func ~name:"late_addition" ~params:[ "x" ] []);
-        let fp2 = Program.fingerprint program in
-        check_bool "fingerprint changed" false
-          (Sesame_signing.Sha256.to_hex fp1 = Sesame_signing.Sha256.to_hex fp2);
-        (* Old entries are keyed under fp1 and must not be reused — the
-           check must miss, not hit, and still produce the right verdict. *)
-        let v = Analysis.check ~cache program heavy_spec in
-        check_int "no stale hits" 0 v.Analysis.stats.summary_cache_hits;
-        check_bool "still rejected" false v.Analysis.accepted);
-    test "hit rate accounting is consistent" (fun () ->
-        let cache = Analysis.Summary_cache.create () in
-        Alcotest.(check (float 0.0)) "unused cache rate" 0.0
-          (Analysis.Summary_cache.hit_rate cache);
-        let program = fixture () in
-        ignore (Analysis.check ~cache program heavy_spec);
-        ignore (Analysis.check ~cache program heavy_spec);
-        let total =
-          Analysis.Summary_cache.hits cache + Analysis.Summary_cache.misses cache
-        in
-        check_bool "counters populated" true (total > 0);
-        let rate = Analysis.Summary_cache.hit_rate cache in
-        check_bool "rate in range" true (rate > 0.0 && rate <= 1.0));
-    test "a verdict depends neither on cache state nor on a callee's parameter names"
-      (fun () ->
-        (* [helper] writes a field of its own parameter; rB hands it the
-           sensitive argument, never its by-ref capture [cap], so no
-           capture is mutated whatever [helper] names its parameter. *)
-        let program param =
-          let p = Program.create () in
-          Program.define_all p
-            [
-              func ~name:"helper" ~params:[ param ]
-                [ Assign (Lfield (param, "x"), Int_lit 0); Return (Some (Var param)) ];
-            ];
-          p
-        in
-        let body = [ Expr_stmt (Call (Static "helper", [ Var "x" ])) ] in
-        let r_a = spec "rA" [ "x" ] body in
-        let r_b = spec ~captures:[ { cap_var = "cap"; mode = By_ref } ] "rB" [ "x" ] body in
-        List.iter
-          (fun param ->
-            check_bool (param ^ ": fresh") true (accepted (program param) r_b);
-            let program = program param in
-            let cache = Analysis.Summary_cache.create () in
-            ignore (Analysis.check ~cache program r_a);
-            let warm = Analysis.check ~cache program r_b in
-            check_bool (param ^ ": warm check hits") true
-              (warm.Analysis.stats.summary_cache_hits > 0);
-            check_bool (param ^ ": warmed by rA") true warm.Analysis.accepted)
-          [ "cap"; "y" ]);
-  ]
-
 (* Place sensitivity, witness provenance, and the seed-engine bug fixes:
-   dynamic-dispatch candidate sets and recursive cycles checked
-   differentially against [Legacy_analysis] and with the cache on/off,
-   surplus-argument taint joining, and Lindex index-expression
-   evaluation. *)
+   dynamic-dispatch candidate sets, recursive cycles, surplus-argument
+   taint joining, and Lindex index-expression evaluation. *)
 let place_provenance_tests =
-  let legacy_accepted program s = (Legacy_analysis.check program s).Legacy_analysis.accepted in
-  let cache_agrees program s =
-    let cache = Analysis.Summary_cache.create () in
-    let plain = Analysis.check program s in
-    let cold = Analysis.check ~cache program s in
-    let warm = Analysis.check ~cache program s in
-    check_bool "cold cache verdict" plain.Analysis.accepted cold.Analysis.accepted;
-    check_bool "warm cache verdict" plain.Analysis.accepted warm.Analysis.accepted;
-    check_bool "cold rejections + traces identical" true
-      (plain.Analysis.rejections = cold.Analysis.rejections);
-    check_bool "warm rejections + traces identical" true
-      (plain.Analysis.rejections = warm.Analysis.rejections);
-    plain
-  in
   [
     test "dispatch: hintless call tries every candidate, leaky impl rejects" (fun () ->
         let program = fixture () in
@@ -769,9 +665,8 @@ let place_provenance_tests =
                 (Call (Dynamic { method_name = "Show::show"; receiver_hint = None }, [ Var "x" ]));
             ]
         in
-        let v = cache_agrees program s in
+        let v = verdict program s in
         check_bool "rejected (Logging::show leaks)" false v.Analysis.accepted;
-        check_bool "legacy agrees" false (legacy_accepted program s);
         List.iter
           (fun (r : Analysis.rejection) ->
             check_bool "witness trace" true (r.Analysis.trace <> []))
@@ -798,7 +693,7 @@ let place_provenance_tests =
                 );
             ]
         in
-        check_bool "all candidates clean: accepted" true (cache_agrees program clean).Analysis.accepted;
+        check_bool "all candidates clean: accepted" true (verdict program clean).Analysis.accepted;
         (* Register the leaky impl: the hintless candidate set now rejects,
            but a receiver hint that excludes it still verifies. *)
         Program.register_impl program ~method_name:"Render::render" ~impl:"Loud::render";
@@ -812,14 +707,13 @@ let place_provenance_tests =
                       [ Var "x" ] ) );
             ]
         in
-        check_bool "widened candidate set: rejected" false (cache_agrees program clean).Analysis.accepted;
-        check_bool "legacy agrees on the widened set" false (legacy_accepted program clean);
+        check_bool "widened candidate set: rejected" false (verdict program clean).Analysis.accepted;
         check_bool "hint excludes the leaky impl: accepted" true
-          (cache_agrees program hinted).Analysis.accepted);
+          (verdict program hinted).Analysis.accepted);
     test "recursion: pure cycle accepted where the seed engine gives up" (fun () ->
         let program = fixture () in
         let s = spec "r" [ "x" ] [ Let ("y", Call (Static "recursive", [ Var "x" ])) ] in
-        check_bool "place-sensitive accepts" true (cache_agrees program s).Analysis.accepted);
+        check_bool "place-sensitive accepts" true (verdict program s).Analysis.accepted);
     test "recursion: leak at the bottom of the cycle rejected with a trace" (fun () ->
         let program = fixture () in
         Program.define program
@@ -837,9 +731,8 @@ let place_provenance_tests =
         let s =
           spec "r" [ "x" ] [ Expr_stmt (Call (Static "leak_rec", [ Var "x"; Int_lit 3 ])) ]
         in
-        let v = cache_agrees program s in
+        let v = verdict program s in
         check_bool "rejected" false v.Analysis.accepted;
-        check_bool "legacy agrees" false (legacy_accepted program s);
         check_bool "trace spans the recursive call" true
           (List.exists
              (fun (r : Analysis.rejection) ->
@@ -855,9 +748,7 @@ let place_provenance_tests =
               Expr_stmt (Call (Static "fs_write", [ Var "slot" ]));
             ]
         in
-        let v = cache_agrees program s in
-        check_bool "rejected" false v.Analysis.accepted;
-        check_bool "legacy agrees" false (legacy_accepted program s));
+        check_bool "rejected" false (verdict program s).Analysis.accepted);
     test "surplus arguments: extra tainted arg joins into the summary key" (fun () ->
         (* The callee declares one parameter but the site passes two; the
            seed engine dropped the surplus taint on the floor and accepted
@@ -873,7 +764,7 @@ let place_provenance_tests =
           spec "r" [ "x" ]
             [ Expr_stmt (Call (Static "one_param", [ Str_lit "ok"; Var "x" ])) ]
         in
-        check_bool "surplus taint rejects" false (cache_agrees program s).Analysis.accepted);
+        check_bool "surplus taint rejects" false (verdict program s).Analysis.accepted);
     test "Lindex: the index expression is evaluated, not ignored" (fun () ->
         (* a[leaky(x)] = 0 — the store is clean but computing the index
            leaks; the seed engine never evaluated index expressions. *)
@@ -894,16 +785,14 @@ let place_provenance_tests =
               Assign (Lindex ("a", Call (Static "leaky_len", [ Var "x" ])), Int_lit 0);
             ]
         in
-        let v = cache_agrees program s in
-        check_bool "index leak rejected" false v.Analysis.accepted;
-        check_bool "seed engine missed it" true (legacy_accepted program s));
+        check_bool "index leak rejected" false (verdict program s).Analysis.accepted);
     test "witness traces span call boundaries source-to-sink" (fun () ->
         let program = fixture () in
         let s =
           spec "r" [ "x" ]
             [ Expr_stmt (Call (Static "leak_after_laundering", [ Var "x" ])) ]
         in
-        let v = cache_agrees program s in
+        let v = verdict program s in
         check_bool "rejected" false v.Analysis.accepted;
         List.iter
           (fun (r : Analysis.rejection) ->
@@ -915,16 +804,396 @@ let place_provenance_tests =
           v.Analysis.rejections);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Property 1, by execution: for every region the engine accepts, two runs
+   of the reference interpreter ([Ir_interp]) whose sensitive arguments
+   differ produce the same observable events and leave the by-reference
+   captures with the same contents. Pairs where either run runs out of
+   fuel (or writes through a shared reference, which Rust rejects) are
+   discarded: timing and termination channels are out of scope. *)
+
+module Interp = Ir_interp
+
+(* Callees: the std-collection methods (renamed out of the allow-list so
+   their bodies run), two Synthetic call trees, helpers that write back
+   through parameters, publish, or return early, and two dispatch
+   candidate sets. *)
+let oracle_program =
+  lazy
+    (let p = Sesame_corpus.Stdlib_corpus.program () in
+     List.iter
+       (fun (c : Sesame_corpus.Stdlib_corpus.case) ->
+         Program.define p
+           (func ~name:("std::" ^ c.name) ~params:c.spec.Spec.params c.spec.Spec.body))
+       (Sesame_corpus.Stdlib_corpus.cases ());
+     let trees =
+       [
+         Sesame_corpus.Synthetic.define_tree p ~package:"synth" ~prefix:"syn_a" ~depth:1;
+         Sesame_corpus.Synthetic.define_tree p ~package:"synth" ~prefix:"syn_b" ~depth:3;
+       ]
+     in
+     Program.define_all p
+       [
+         native ~package:"net" ~name:"net::send" ~params:[ "data" ] ();
+         func ~name:"h::id" ~params:[ "x" ] [ Return (Some (Var "x")) ];
+         func ~name:"h::inner" ~params:[ "r" ]
+           [ Return (Some (Field (Field (Var "r", "f"), "g"))) ];
+         func ~name:"h::set_f" ~params:[ "dst"; "v" ] [ Assign (Lfield ("dst", "f"), Var "v") ];
+         func ~name:"h::store" ~params:[ "dst"; "v" ] [ Assign (Lderef "dst", Var "v") ];
+         func ~name:"h::publish" ~params:[ "x" ]
+           [ Expr_stmt (Call (Static "net::send", [ Var "x" ])) ];
+         func ~name:"h::note" ~params:[ "x" ] [ Assign (Lglobal "NOTE", Var "x") ];
+         func ~name:"h::count" ~params:[ "n" ]
+           [
+             If
+               ( Binop (Gt, Var "n", Int_lit 0),
+                 [
+                   Return
+                     (Some
+                        (Binop
+                           ( Add,
+                             Int_lit 1,
+                             Call (Static "h::count", [ Binop (Sub, Var "n", Int_lit 1) ]) )));
+                 ],
+                 [ Return (Some (Int_lit 0)) ] );
+           ];
+         func ~name:"h::early" ~params:[ "x"; "y" ]
+           [
+             If (Binop (Gt, Var "x", Int_lit 1), [ Return (Some (Int_lit 1)) ], []);
+             Expr_stmt (Call (Static "net::send", [ Var "y" ]));
+             Return (Some (Int_lit 0));
+           ];
+         func ~name:"A::show" ~params:[ "x" ]
+           [ Return (Some (Binop (Concat, Str_lit "a", Var "x"))) ];
+         func ~name:"B::show" ~params:[ "x" ]
+           [ Expr_stmt (Call (Static "net::send", [ Var "x" ])) ];
+         func ~name:"C::show" ~params:[ "x" ] [ Return (Some (Field (Var "x", "k"))) ];
+         func ~name:"A::len" ~params:[ "x" ] [ Return (Some (Int_lit 1)) ];
+         func ~name:"C::len" ~params:[ "x" ] [ Return (Some (Field (Var "x", "k"))) ];
+       ];
+     List.iter
+       (fun (m, i) -> Program.register_impl p ~method_name:m ~impl:i)
+       [
+         ("Show::show", "A::show"); ("Show::show", "B::show"); ("Show::show", "C::show");
+         ("Len::len", "A::len"); ("Len::len", "C::len");
+       ];
+     let callees =
+       List.filter_map
+         (fun (f : Ir.func) ->
+           if String.starts_with ~prefix:"syn_" f.Ir.fname then None
+           else Some (f.Ir.fname, List.length f.Ir.params))
+         (Program.functions p)
+       @ List.map (fun t -> (t, 1)) trees
+       @ [ ("Vec::push", 2); ("Vec::len", 1); ("missing::fn", 1) ]
+     in
+     (p, Array.of_list callees))
+
+type case = {
+  spec : Spec.t;
+  dispatch : int;
+  args_a : Interp.value list;
+  args_b : Interp.value list;
+}
+
+let params = [ "x"; "y" ]
+let locals = [ "a"; "b"; "c" ]
+let fields = [ "f"; "g"; "k" ]
+
+(* Two values of one shape whose leaves may differ: what two runs that
+   change only the sensitive arguments receive. Vector lengths may
+   differ too. *)
+let rec value_pair depth =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (3, map2 (fun a b -> (Interp.Int a, Interp.Int b)) (int_range 0 4) (int_range 0 4));
+        ( 1,
+          map2 (fun a b -> (Interp.Str a, Interp.Str b)) (oneofl [ "p"; "q" ])
+            (oneofl [ "p"; "q" ]) );
+        (1, map2 (fun a b -> (Interp.Bool a, Interp.Bool b)) bool bool);
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    frequency
+      [
+        (2, leaf);
+        ( 3,
+          map3
+            (fun (fa, fb) (ga, gb) (ka, kb) ->
+              ( Interp.Record [ ("f", fa); ("g", ga); ("k", ka) ],
+                Interp.Record [ ("f", fb); ("g", gb); ("k", kb) ] ))
+            (value_pair (depth - 1)) (value_pair (depth - 1)) (value_pair (depth - 1)) );
+        ( 1,
+          map2
+            (fun items extra ->
+              let a = List.map fst items and b = List.map snd items in
+              (Interp.Vec (a @ extra), Interp.Vec b))
+            (list_size (int_range 0 3) (value_pair 0))
+            (list_size (int_range 0 1) (map fst (value_pair 0))) );
+      ]
+
+let capture_value =
+  Interp.Record
+    [ ("f", Interp.Record [ ("g", Interp.Int 1); ("k", Interp.Int 2) ]); ("k", Interp.Int 3) ]
+
+let gen_case : case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let _, callees = Lazy.force oracle_program in
+  let* captures =
+    let* by_value = bool and* by_ref = frequency [ (3, return true); (1, return false) ] in
+    let* by_mut = frequency [ (1, return true); (12, return false) ] in
+    return
+      (List.concat
+         [
+           (if by_value then [ { cap_var = "cv"; mode = By_value } ] else []);
+           (if by_ref then [ { cap_var = "cr"; mode = By_ref } ] else []);
+           (if by_mut then [ { cap_var = "cm"; mode = By_mut_ref } ] else []);
+         ])
+  in
+  let cap_vars = List.map (fun c -> c.cap_var) captures in
+  (* Sensitive parameters are read less often than the rest, so that a
+     fair share of the regions is accepted. *)
+  let readable = frequency [ (1, oneofl params); (3, oneofl (locals @ cap_vars)) ] in
+  let writable =
+    frequency
+      ([ (4, oneofl locals); (2, oneofl params) ]
+      @ if cap_vars = [] then [] else [ (1, oneofl cap_vars) ])
+  in
+  (* Borrow discipline: references appear only as call arguments, at
+     most one per call, so no two live references alias. *)
+  let rec expr n =
+    let place =
+      oneof
+        [
+          map (fun v -> Var v) readable;
+          map2 (fun v f -> Field (Var v, f)) readable (oneofl fields);
+          map3 (fun v f g -> Field (Field (Var v, f), g)) readable (oneofl fields)
+            (oneofl fields);
+        ]
+    in
+    let leaf =
+      frequency
+        [
+          (2, map (fun n -> Int_lit n) (int_range 0 3));
+          (1, map (fun s -> Str_lit s) (oneofl [ "s"; "t" ]));
+          (1, map (fun b -> Bool_lit b) bool);
+          (5, place);
+          (1, return (Global "NOTE"));
+        ]
+    in
+    if n <= 0 then leaf
+    else
+      frequency
+        [
+          (4, leaf);
+          ( 2,
+            map3
+              (fun op a b -> Binop (op, a, b))
+              (oneofl [ Add; Sub; Gt; Eq; Lt; Concat ])
+              (sub_expr (n - 1)) (sub_expr (n - 1)) );
+          (1, map2 (fun v i -> Index (Var v, i)) readable (sub_expr (n - 1)));
+          (1, map (fun es -> Tuple es) (list_size (int_range 1 2) (sub_expr (n - 1))));
+          (3, call (n - 1));
+          ( 1,
+            map2
+              (fun (m, hint) a -> Call (Dynamic { method_name = m; receiver_hint = hint }, [ a ]))
+              (frequency
+                 [
+                   (4, return ("Show::show", None));
+                   (2, return ("Len::len", None));
+                   (1, return ("show", Some "A"));
+                   (1, return ("len", Some "C"));
+                   (1, return ("Missing::go", None));
+                 ])
+              (sub_expr (n - 1)) );
+        ]
+  (* Built on demand: [frequency] takes its alternatives eagerly, so
+     building them all up front would cost time exponential in depth. *)
+  and sub_expr n = delay (fun () -> expr n)
+  and call n =
+    let* name, arity = oneofa callees in
+    let* args = list_repeat arity (expr n) in
+    let* borrow =
+      frequency
+        [
+          (3, return None);
+          (1, map (fun v -> Some (Ref v)) readable);
+          (1, map (fun v -> Some (Ref_mut v)) writable);
+        ]
+    in
+    let args =
+      match (borrow, args) with Some r, _ :: rest -> r :: rest | _ -> args
+    in
+    return (Call (Static name, args))
+  in
+  (* Stored values read a sensitive place directly a third of the time,
+     so that stores of sensitive data are common. *)
+  let value =
+    frequency
+      [
+        (2, expr 2);
+        (1, map2 (fun v f -> Field (Var v, f)) (oneofl params) (oneofl fields));
+      ]
+  in
+  let rec stmts n : stmt list QCheck.Gen.t =
+    let simple =
+      frequency
+        [
+          (3, map2 (fun v e -> [ Let (v, e) ]) (oneofl locals) value);
+          ( 2,
+            map2
+              (fun v e -> [ Assign (Lvar v, e) ])
+              (oneofl (locals @ params @ List.filter (( = ) "cv") cap_vars))
+              value );
+          ( 2,
+            map3 (fun v f e -> [ Assign (Lfield (v, f), e) ]) writable (oneofl fields) value
+          );
+          ( 1,
+            map3 (fun v i e -> [ Assign (Lindex (v, i), e) ]) writable (expr 1) value );
+          ( 1,
+            map3 (fun v f e -> [ Unsafe_write (Lfield (v, f), e) ]) writable
+              (oneofl fields) value );
+          (1, map (fun e -> [ Assign (Lglobal "NOTE", e) ]) value);
+          (3, map (fun c -> [ Expr_stmt c ]) (call 1));
+          (1, map (fun e -> [ Return (Some e) ]) (expr 1));
+        ]
+    in
+    if n <= 0 then simple
+    else
+      frequency
+        [
+          (4, simple);
+          ( 2,
+            map3 (fun c t e -> [ If (c, t, e) ]) (expr 1) (sub_block (n - 1)) (sub_block (n - 1)) );
+          ( 1,
+            map2
+              (fun bound body ->
+                [
+                  Let ("i", Int_lit 0);
+                  While
+                    ( Binop (Lt, Var "i", bound),
+                      body @ [ Assign (Lvar "i", Binop (Add, Var "i", Int_lit 1)) ] );
+                ])
+              (expr 2) (sub_block (n - 1)) );
+          ( 1,
+            map2 (fun coll body -> [ For ("e", coll, body) ]) (expr 1) (sub_block (n - 1)) );
+        ]
+  and block n = map List.concat (list_size (int_range 1 3) (stmts n))
+  and sub_block n = delay (fun () -> block n) in
+  let* body = map List.concat (list_size (int_range 2 6) (stmts 2)) in
+  let* ret = frequency [ (1, return []); (1, map (fun e -> [ Return (Some e) ]) (expr 1)) ] in
+  let* dispatch = int_bound 1000 in
+  let* pairs = list_repeat (List.length params) (value_pair 2) in
+  return
+    {
+      spec = Spec.make ~name:"gen" ~params ~captures (body @ ret);
+      dispatch;
+      args_a = List.map fst pairs;
+      args_b = List.map snd pairs;
+    }
+
+let print_case c =
+  Format.asprintf "@[<v>%s@,dispatch %d@,run A args: %a@,run B args: %a@]" (Spec.source c.spec)
+    c.dispatch Interp.pp_values c.args_a Interp.pp_values c.args_b
+
+let run_case program c args =
+  match
+    Interp.run program c.spec ~dispatch:c.dispatch ~args
+      ~captures:
+        (List.map (fun (cap : capture) -> (cap.cap_var, capture_value)) c.spec.Spec.captures)
+  with
+  | o -> Some o
+  | exception (Interp.Out_of_fuel | Interp.Ill_formed _) -> None
+
+(* Regions the engine once accepted although execution shows them
+   leaking: the leak is demonstrated by two runs, and the engine must
+   reject. *)
+let execution_regression name body =
+  test name (fun () ->
+      let program, _ = Lazy.force oracle_program in
+      let c =
+        {
+          spec = spec "r" [ "x" ] body;
+          dispatch = 0;
+          args_a = [ Interp.Int 1 ];
+          args_b = [ Interp.Int 3 ];
+        }
+      in
+      match (run_case program c c.args_a, run_case program c c.args_b) with
+      | Some a, Some b ->
+          check_bool "the runs differ" true (a.Interp.events <> b.Interp.events);
+          check_bool "rejected" false (accepted program c.spec)
+      | _ -> Alcotest.fail "a run did not finish")
+
+let send e = Expr_stmt (Call (Static "net::send", [ e ]))
+
+let noninterference_tests =
+  [
+    execution_regression "a strong update in one branch keeps the other branch's taint"
+      [
+        Let ("y", Var "x");
+        If (Bool_lit false, [ Assign (Lvar "y", Int_lit 0) ], []);
+        send (Var "y");
+      ];
+    execution_regression "code after a sensitive early return is control-dependent"
+      [
+        If (Binop (Gt, Var "x", Int_lit 2), [ Return (Some (Int_lit 0)) ], []);
+        send (Str_lit "t");
+      ];
+    execution_regression "a loop condition's re-test runs under the condition's taint"
+      [
+        Let ("i", Int_lit 0);
+        While
+          ( Binop
+              ( Lt,
+                Var "i",
+                Binop
+                  ( Add,
+                    Var "x",
+                    Binop (Mul, Int_lit 0, Call (Static "net::send", [ Str_lit "tick" ])) ) ),
+            [ Assign (Lvar "i", Binop (Add, Var "i", Int_lit 1)) ] );
+      ];
+    test "accepted regions are noninterferent under execution" (fun () ->
+        let program, _ = Lazy.force oracle_program in
+        let generated = ref 0 and accepted = ref 0 and exercised = ref 0 in
+        let prop c =
+          incr generated;
+          if not (Analysis.check program c.spec).Analysis.accepted then true
+          else begin
+            incr accepted;
+            match (run_case program c c.args_a, run_case program c c.args_b) with
+            | Some a, Some b ->
+                incr exercised;
+                a.Interp.events = b.Interp.events && a.Interp.captures = b.Interp.captures
+                || QCheck.Test.fail_reportf "@[<v>run A:@,%a@,run B:@,%a@]" Interp.pp_outcome a
+                     Interp.pp_outcome b
+            | _ -> true
+          end
+        in
+        QCheck.Test.check_exn
+          ~rand:(Random.State.make [| 20261019 |])
+          (QCheck.Test.make ~count:5000 ~name:"noninterference"
+             (QCheck.make ~print:print_case gen_case)
+             prop);
+        Printf.printf "generated %d regions, %d accepted (%.1f%%), %d accepted pairs executed\n"
+          !generated !accepted
+          (100.0 *. float_of_int !accepted /. float_of_int !generated)
+          !exercised;
+        check_bool "at least 200 accepted regions executed" true (!exercised >= 200));
+  ]
+
 let () =
   Alcotest.run "scrutinizer"
     [
       ("acceptance", acceptance_tests);
       ("rejection", rejection_tests);
       ("fixpoint-regression", fixpoint_regression_tests);
-      ("summary-cache", cache_tests);
       ("allowlist", allowlist_tests);
       ("callgraph", callgraph_tests);
       ("ir", ir_tests);
       ("encapsulation", encapsulation_tests);
       ("place-provenance", place_provenance_tests);
+      ("noninterference", noninterference_tests);
     ]

@@ -454,6 +454,39 @@ let server_tests =
             let total = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
             check_int "all answered" (4 * per_client) total;
             check_bool "stat" true ((Server.stats t).Server.served >= 4 * per_client)));
+    test "the on_error stream carries neither exception text nor raw paths" (fun () ->
+        (* Both redaction points: the router's guard (for /boom/<x>) and
+           the server's own handler guard (for a handler that raises
+           outside any router). *)
+        let log = Buffer.create 256 and lock = Mutex.create () in
+        let capture msg = Mutex.protect lock (fun () -> Buffer.add_string log (msg ^ "\n")) in
+        let router = Router.create () in
+        Router.on_error router capture;
+        Router.get router "/boom/<x>" (fun _ -> failwith "s3cr3t");
+        let handler (req : Request.t) =
+          if String.starts_with ~prefix:"/raw/" req.Request.path then failwith "s3cr3t"
+          else Router.dispatch router req
+        in
+        let config = { Server.default_config with Server.domains = 2 } in
+        (match Server.start ~config ~on_error:capture ~handler () with
+        | Error m -> Alcotest.fail ("server start: " ^ m)
+        | Ok t ->
+            Fun.protect
+              ~finally:(fun () -> Server.stop t)
+              (fun () ->
+                List.iter
+                  (fun target ->
+                    let fd = connect (Server.port t) in
+                    write_all fd (get_target target);
+                    let status, _, body = read_resp (source_of_fd fd) in
+                    close_quietly fd;
+                    check_int (target ^ " status") 500 status;
+                    check_bool (target ^ " body") false (contains body "s3cr3t"))
+                  [ "/boom/s3cr3t"; "/raw/s3cr3t" ]));
+        let logged = Mutex.protect lock (fun () -> Buffer.contents log) in
+        check_bool "router guard logged the route" true (contains logged "GET /boom/<x>");
+        check_bool "server guard logged" true (contains logged "GET: handler raised Failure");
+        check_bool "no secret in the log" false (contains logged "s3cr3t"));
   ]
 
 let () =
