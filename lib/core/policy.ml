@@ -8,11 +8,6 @@ type t = {
   family_join : (state -> state -> state option) option;
   family_no_folding : bool;
   family_describe : state -> string;
-  (* Optional row-predicate translation for predicate pushdown: when
-     [Some f], [f ctx] may return a DB expression admitting exactly the
-     rows this policy's check admits under [ctx]. Semantics-preserving
-     decoration only — never consulted by check/describe/join. *)
-  translation : (Context.t -> Sesame_db.Expr.t option) option;
 }
 
 (* Instance ids must stay unique under parallel checks and registrations:
@@ -49,7 +44,6 @@ let no_policy =
     family_join = Some (fun _ _ -> Some No_policy_state);
     family_no_folding = false;
     family_describe = (fun _ -> "NoPolicy");
-    translation = None;
   }
 
 let is_no_policy t = t.name = ".no-policy"
@@ -70,7 +64,6 @@ let deny_all ~reason =
     family_no_folding = true;
     family_describe =
       (function Deny_state reason -> "DenyAll(" ^ reason ^ ")" | _ -> "DenyAll");
-    translation = None;
   }
 
 let rec describe t =
@@ -113,7 +106,6 @@ let make_and members =
     family_join = None;
     family_no_folding = false (* computed structurally by no_folding *);
     family_describe = (fun _ -> "And");
-    translation = None;
   }
 
 let try_join a b =
@@ -122,10 +114,7 @@ let try_join a b =
     match a.family_join with
     | None -> None
     | Some join ->
-        Option.map
-          (* The joined state is new; any translation captured the old one. *)
-          (fun st -> { a with id = next_id (); state = st; translation = None })
-          (join a.state b.state)
+        Option.map (fun st -> { a with id = next_id (); state = st }) (join a.state b.state)
 
 (* Coalesce a conjunction's members (single pass, newest first): drop
    NoPolicy, drop duplicate instances (P AND P = P — common when memoized
@@ -225,35 +214,9 @@ module Make (F : FAMILY) = struct
       family_join;
       family_no_folding = F.no_folding;
       family_describe;
-      translation = None;
     }
 
   let state t = match t.state with S s when t.name = F.name -> Some s | _ -> None
 end
 
 let id t = t.id
-
-(* ------------------------------------------------------------------ *)
-(* Predicate pushdown decoration. A translation never changes what the
-   policy admits — it only gives consumers a way to ask the same
-   question of a scan predicate — so the decorated instance keeps its
-   id: dedup and the per-render verdict memo may treat the two as one
-   policy. *)
-
-let translate t f = { t with translation = Some f }
-
-let rec to_expr t ctx =
-  match t.state with
-  | No_policy_state -> Some Sesame_db.Expr.True
-  | And_state members ->
-      (* The conjunction translates iff every member does. *)
-      List.fold_left
-        (fun acc m ->
-          match acc with
-          | None -> None
-          | Some a -> (
-              match to_expr m ctx with
-              | Some b -> Some (Sesame_db.Expr.And (a, b))
-              | None -> None))
-        (Some Sesame_db.Expr.True) members
-  | _ -> ( match t.translation with None -> None | Some f -> f ctx)

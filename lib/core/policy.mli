@@ -95,17 +95,3 @@ val id : t -> int
 (** A unique instance identifier. Conjunction uses it to drop duplicate
     members ([P AND P = P]), and sinks use it to memoize check verdicts for
     a shared instance within one release operation. *)
-
-val translate : t -> (Context.t -> Sesame_db.Expr.t option) -> t
-(** Decorate the policy with an optional row-predicate translation for
-    predicate pushdown: [f ctx] must return an expression admitting
-    {e exactly} the rows [check _ ctx] admits (or [None] to decline for
-    that context). A translation is semantics-preserving decoration —
-    never consulted by {!check}/{!describe}/{!conjoin} — so the
-    decorated instance keeps its {!id}. Joins drop translations (the
-    joined state is new). *)
-
-val to_expr : t -> Context.t -> Sesame_db.Expr.t option
-(** The policy's scan predicate under [ctx], when it has one:
-    [no_policy] is [True]; a conjunction translates iff every member
-    does; an untranslated leaf is [None]. *)

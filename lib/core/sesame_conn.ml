@@ -560,7 +560,7 @@ let query t ~context sql ~params =
 (* [query] restricted to the rows whose [on]-column policy admits the
    caller's context — the retrain-style shape: fetch every row you are
    allowed to use. The reference path materializes all matching rows and
-   checks each one's policy post-hoc. When pushdown is enabled and the
+   checks each distinct policy among them post-hoc. When pushdown is on and the
    [on] binding carries a translation that speaks for this context, the
    predicate is conjoined into the statement's WHERE instead: the table
    layer compiles the conjunction once, serves an equality or IN list on
@@ -596,15 +596,30 @@ let query_filtered t ~context ~on sql ~params =
       match Db.Database.select_rows db sql ~params:raw_params with
       | Error msg -> Error (db_error_at ~sink msg)
       | Ok (schema, rows) ->
+          (* One check per distinct (immutable, interned) policy
+             instance, memoized for this statement only, as a render's
+             memo is, so it needs no invalidation. *)
           let policy_of = stage_column t schema on in
-          let keep row = Enforce.check (policy_of row) context in
+          let verdicts : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+          let keep row =
+            let policy = policy_of row in
+            match Hashtbl.find_opt verdicts (Policy.id policy) with
+            | Some verdict -> verdict
+            | None ->
+                let verdict = Enforce.check policy context in
+                Hashtbl.add verdicts (Policy.id policy) verdict;
+                verdict
+          in
           Ok (wrap_select_rows t schema (List.filter keep rows)))
 
 (* For aggregates we need the matching raw rows to build the conjunction of
-   the aggregated column's per-row policies. The per-group build —
-   re-running the match, grouping it, instantiating per-row policies, and
-   conjoining them — runs on every request, for each group and
-   aggregated column that neither elision nor pushdown discharges. *)
+   the aggregated column's per-row policies. When some bound column's
+   conjunction is not discharged by elision, the statement returns each
+   group's member rows from the same scan that computed its aggregates,
+   so a concurrent write cannot leave a released cell without its
+   contributors' policies. The per-group build — instantiating per-row
+   policies and conjoining them — runs on every request, for each group
+   and aggregated column that neither elision nor pushdown discharges. *)
 let query_agg t ~context sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
@@ -615,152 +630,126 @@ let query_agg t ~context sql ~params =
   let raw_params = unwrap_params params in
   match Db.Sql.parse sql ~params:raw_params with
   | Error msg -> Error (db_error_at ~sink msg)
-  | Ok (Db.Sql.Select_agg { table; aggregates; where; group_by } as stmt) -> (
-      match Db.Database.table db table with
-      | None -> Error (db_error_at ~sink (Printf.sprintf "no table named %s" table))
-      | Some tbl -> (
-          let schema = Db.Table.schema tbl in
-          match Db.Database.exec_stmt db stmt with
-          | Error msg -> Error (db_error_at ~sink msg)
-          | Ok (Db.Database.Affected _) -> Error (db_error "aggregate returned no rows")
-          | Ok (Db.Database.Rows { columns; rows }) ->
-              (* Matching rows grouped by their GROUP BY key; forced at
-                 most once per request, and only when some group needs
-                 its per-row policies. *)
-              let grouped =
-                lazy
-                  (let matching = Db.Table.select tbl ~where in
-                   let groups : (Db.Value.t list, Db.Row.t list ref) Hashtbl.t =
-                     Hashtbl.create 16
-                   in
-                   (* Walk backwards and prepend, so each group's members
-                      come out in match order. *)
-                   if group_by <> [] then begin
-                     let positions = List.map (Db.Schema.column_index_exn schema) group_by in
-                     List.iter
-                       (fun row ->
-                         let key = List.map (fun i -> row.(i)) positions in
-                         match Hashtbl.find_opt groups key with
-                         | Some cell -> cell := row :: !cell
-                         | None -> Hashtbl.add groups key (ref [ row ]))
-                       (List.rev matching)
-                   end;
-                   (matching, groups))
-              in
-              let members_for key =
-                let matching, groups = Lazy.force grouped in
-                if group_by = [] then matching
-                else
-                  match Hashtbl.find_opt groups key with
-                  | Some cell -> !cell
-                  | None -> []
-              in
-              (* Elision fast path: the app certified the binding's leaf
-                 families, declared the endpoint's release sinks, and a
-                 plan certificate covers every (sink, family) pair under
-                 this request's context — so every per-row policy the
-                 group conjunction would contain is identically Ok at
-                 release time. The whole build (grouping included) is
-                 skipped; the certified checks could never deny, so the
-                 cell's verdict at every declared sink is unchanged. *)
-              let binding_certified column =
-                Enforce.elision ()
-                && Enforce.Plan.active ()
-                &&
-                match Hashtbl.find_opt t.certified_families (table, column) with
-                | None -> false
-                | Some families -> (
-                    match Enforce.Plan.endpoint_sinks context with
-                    | Some (_ :: _ as sinks) ->
-                        List.for_all
-                          (fun s ->
-                            let rctx = Context.with_sink context s in
-                            List.for_all
-                              (fun f -> Enforce.Plan.certified_leaf ~sink:s ~family:f rctx)
-                              families)
-                          sinks
-                    | Some [] | None -> false)
-              in
-              (* Pushdown fast path (when not elided):
-                 evaluate the binding's translated predicate over the
-                 group's member rows for every declared release sink —
-                 no per-row policy objects, no conjunction. All rows
-                 admitted ⇒ the conjunction is identically Ok and
-                 [no_policy] stands in for it; any row failing (or any
-                 eval error) falls back to the reference build so denial
-                 messages stay byte-identical. *)
-              let pushdown_admits column members =
-                if not (Enforce.pushdown_enabled ()) then None
-                else
-                  match Hashtbl.find_opt t.translations (table, column) with
-                  | None -> None
-                  | Some f -> (
-                      match Enforce.Plan.endpoint_sinks context with
-                      | Some (_ :: _ as sinks) ->
-                          let exprs =
-                            List.map (fun s -> f (Context.with_sink context s)) sinks
-                          in
-                          if List.for_all Option.is_some exprs then
-                            let admits =
-                              List.map (fun e -> Db.Expr.compile schema (Option.get e)) exprs
-                            in
-                            Some
-                              (List.for_all
-                                 (fun row ->
-                                   List.for_all
-                                     (fun admits ->
-                                       match admits row with
-                                       | admitted -> admitted
-                                       | exception Invalid_argument _ -> false)
-                                     admits)
-                                 members)
-                          else None
-                      | Some [] | None -> None)
-              in
-              let policy_for_group column key =
-                if not (Hashtbl.mem t.bindings (table, column)) then Policy.no_policy
-                else if binding_certified column then begin
-                  Enforce.note_elision ();
+  | Ok (Db.Sql.Select_agg { table; aggregates; group_by; _ } as stmt) -> (
+      (* Elision fast path: the app certified the binding's leaf
+         families, declared the endpoint's release sinks, and a plan
+         certificate covers every (sink, family) pair under this
+         request's context — so every per-row policy the group
+         conjunction would contain is identically Ok at release
+         time. The whole build (member rows included) is skipped;
+         the certified checks could never deny, so the cell's
+         verdict at every declared sink is unchanged. Decided once
+         per column and statement, so that member rows are fetched
+         for every column the decision leaves to a build. *)
+      let certified = Hashtbl.create 4 in
+      let binding_certified column =
+        match Hashtbl.find_opt certified column with
+        | Some c -> c
+        | None ->
+            let c =
+              Enforce.elision ()
+              && Enforce.Plan.active ()
+              &&
+              match Hashtbl.find_opt t.certified_families (table, column) with
+              | None -> false
+              | Some families -> (
+                  match Enforce.Plan.endpoint_sinks context with
+                  | Some (_ :: _ as sinks) ->
+                      List.for_all
+                        (fun s ->
+                          let rctx = Context.with_sink context s in
+                          List.for_all
+                            (fun f -> Enforce.Plan.certified_leaf ~sink:s ~family:f rctx)
+                            families)
+                        sinks
+                  | Some [] | None -> false)
+            in
+            Hashtbl.add certified column c;
+            c
+      in
+      let bound column = Hashtbl.mem t.bindings (table, column) in
+      (* The column each result column reads: a group key's own, an
+         aggregate's argument ([None] for COUNT( * )). *)
+      let sources =
+        List.map Option.some group_by @ List.map Db.Sql.aggregate_column aggregates
+      in
+      let need_members =
+        List.exists
+          (function Some column -> bound column && not (binding_certified column) | None -> false)
+          sources
+      in
+      match Db.Database.exec_groups db ~members:need_members stmt with
+      | Error msg -> Error (db_error_at ~sink msg)
+      | Ok (schema, columns, groups) ->
+          (* Pushdown fast path (when not elided):
+             evaluate the binding's translated predicate over the
+             group's member rows for every declared release sink —
+             no per-row policy objects, no conjunction. All rows
+             admitted ⇒ the conjunction is identically Ok and
+             [no_policy] stands in for it; any row failing (or any
+             eval error) falls back to the reference build so denial
+             messages stay byte-identical. *)
+          let pushdown_admits column members =
+            if not (Enforce.pushdown_enabled ()) then None
+            else
+              match Hashtbl.find_opt t.translations (table, column) with
+              | None -> None
+              | Some f -> (
+                  match Enforce.Plan.endpoint_sinks context with
+                  | Some (_ :: _ as sinks) ->
+                      let exprs =
+                        List.map (fun s -> f (Context.with_sink context s)) sinks
+                      in
+                      if List.for_all Option.is_some exprs then
+                        let admits =
+                          List.map (fun e -> Db.Expr.compile schema (Option.get e)) exprs
+                        in
+                        Some
+                          (List.for_all
+                             (fun row ->
+                               List.for_all
+                                 (fun admits ->
+                                   match admits row with
+                                   | admitted -> admitted
+                                   | exception Invalid_argument _ -> false)
+                                 admits)
+                             members)
+                      else None
+                  | Some [] | None -> None)
+          in
+          let policy_for_group column members =
+            if not (bound column) then Policy.no_policy
+            else if binding_certified column then begin
+              Enforce.note_elision ();
+              Policy.no_policy
+            end
+            else
+              match pushdown_admits column members with
+              | Some true ->
+                  Enforce.note_pushdown ();
                   Policy.no_policy
-                end
-                else
-                  let members = members_for key in
-                  match pushdown_admits column members with
-                  | Some true ->
-                      Enforce.note_pushdown ();
-                      Policy.no_policy
-                  | Some false | None ->
-                      Policy.conjoin_distinct (List.map (stage_column t schema column) members)
-              in
-              let group_count = List.length group_by in
-              let group_cols = Array.of_list group_by in
-              let agg_specs = Array.of_list aggregates in
-              let wrap_row out_row =
-                let key = List.init group_count (fun i -> out_row.(i)) in
-                (* Several cells may aggregate the same column (e.g. AVG
-                   and COUNT over grades); they share one conjunction. *)
-                let column_policies = Hashtbl.create 4 in
-                let policy_for col =
+              | Some false | None ->
+                  Policy.conjoin_distinct (List.map (stage_column t schema column) members)
+          in
+          let wrap_row (out_row, members) =
+            (* Several cells may aggregate the same column (e.g. AVG
+               and COUNT over grades); they share one conjunction. *)
+            let column_policies = Hashtbl.create 4 in
+            let policy_for = function
+              | None -> Policy.no_policy
+              | Some col -> (
                   match Hashtbl.find_opt column_policies col with
                   | Some policy -> policy
                   | None ->
-                      let policy = policy_for_group col key in
+                      let policy = policy_for_group col members in
                       Hashtbl.add column_policies col policy;
-                      policy
-                in
-                List.mapi
-                  (fun i column_label ->
-                    let policy =
-                      if i < group_count then policy_for group_cols.(i)
-                      else
-                        match Db.Sql.aggregate_column agg_specs.(i - group_count) with
-                        | Some col -> policy_for col
-                        | None -> Policy.no_policy
-                    in
-                    (column_label, Pcon.Internal.make policy out_row.(i)))
-                  columns
-              in
-              Ok (List.map wrap_row rows)))
+                      policy)
+            in
+            List.mapi
+              (fun i (label, source) -> (label, Pcon.Internal.make (policy_for source) out_row.(i)))
+              (List.combine columns sources)
+          in
+          Ok (List.map wrap_row groups))
   | Ok (Db.Sql.Select _ | Db.Sql.Insert _ | Db.Sql.Update _ | Db.Sql.Delete _) ->
       Error (db_error "query_agg expects an aggregate SELECT")
 

@@ -237,7 +237,8 @@ val query_filtered :
 (** {!query} restricted to the rows whose [on]-column policy admits
     [context] — the "fetch everything I may use" shape (e.g. training
     data selection). Reference semantics: run the query, then drop rows
-    whose [on] cell policy denies. When pushdown is enabled and the
+    whose [on] cell policy denies, checking each distinct policy
+    instance once per statement. When pushdown is enabled and the
     [on] binding's [to_expr] speaks for this context, the predicate is
     conjoined into the scan instead; both paths return byte-identical
     rows, in scan order, with identical cell policies attached. *)
@@ -250,7 +251,8 @@ val query_agg :
   ((string * Db.Value.t Pcon.t) list list, error) result
 (** An aggregate [SELECT]; each output row maps result columns to wrapped
     cells (group-by keys under the conjunction of their column's policies
-    over the group, aggregates likewise). *)
+    over the group, aggregates likewise, both over the rows the same scan
+    aggregated). *)
 
 val insert :
   t ->

@@ -147,6 +147,8 @@ let rec take n = function
   | x :: rest when n > 0 -> x :: take (n - 1) rest
   | _ -> []
 
+let positions_of schema columns = Array.of_list (List.map (Schema.column_index_exn schema) columns)
+
 let run_plain_select tbl ~columns ~where ~order_by ~limit =
   let schema = Table.schema tbl in
   let* () = Expr.validate schema where in
@@ -180,47 +182,95 @@ let run_plain_select tbl ~columns ~where ~order_by ~limit =
             let sorted = List.stable_sort cmp rows in
             Ok (match limit with None -> sorted | Some n -> take n sorted))
   in
-  let positions = Array.of_list (List.map (Schema.column_index_exn schema) cols) in
-  let projected = List.map (fun row -> Array.map (fun i -> row.(i)) positions) rows in
-  Ok (Rows { columns = cols; rows = projected })
+  (* [SELECT *] returns the stored rows themselves: they are never
+     written once stored (see {!Table.select}). Only a column list
+     projects. *)
+  match columns with
+  | None -> Ok (cols, rows)
+  | Some _ ->
+      let positions = positions_of schema cols in
+      Ok (cols, List.map (fun row -> Array.map (fun i -> row.(i)) positions) rows)
 
-(* One aggregate's running state over a group's rows, fed in match
-   order: [n] counts the rows (COUNT( * )) or the non-NULL values seen,
-   [sum] adds them left to right from 0.0, and [best] holds the first
-   minimum or maximum (a later value replaces it only when strictly
-   smaller or larger). *)
-type agg_state = { mutable n : int; mutable sum : float; mutable best : Value.t }
+(* GROUP BY keys are equal exactly when their structural tuples are:
+   constructors stay apart, every NaN is one key and -0.0 is 0.0, as
+   [compare] and [Hashtbl.hash] see them. [key_hash] agrees, hashing an
+   int as itself. *)
+let same_key a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Float x, Value.Float y -> Float.compare x y = 0
+  | _ -> a = b
 
-let fresh_states aggregates =
-  Array.map (fun _ -> { n = 0; sum = 0.0; best = Value.Null }) aggregates
+let key_hash = function Value.Int i -> i | v -> Hashtbl.hash v
 
-(* The per-row step of one aggregate, with its column resolved to a
-   position once. *)
-let agg_step schema agg =
-  let at c = Schema.column_index_exn schema c in
-  let non_null i f st (row : Row.t) =
-    let v = row.(i) in
-    if not (Value.is_null v) then begin
-      st.n <- st.n + 1;
-      f st v
-    end
+(* The rows [where] matches, grouped in one pass by their values at the
+   key positions [by]; [add] feeds each group's [fresh] state its rows
+   in match order. Keyed on the rows themselves, so no key is built.
+   Returns each group's first row and state in first-seen order. *)
+let fold_groups tbl ~where ~by ~fresh ~add =
+  let module Groups = Hashtbl.Make (struct
+    type t = Row.t
+
+    let equal a b =
+      let j = ref 0 in
+      while !j < Array.length by && same_key a.(by.(!j)) b.(by.(!j)) do incr j done;
+      !j = Array.length by
+
+    let hash row =
+      let h = ref 0 in
+      for j = 0 to Array.length by - 1 do h := (!h * 31) + key_hash row.(by.(j)) done;
+      !h
+  end) in
+  let groups = Groups.create 16 in
+  let order =
+    Table.fold_matching tbl ~where ~init:[] ~f:(fun order row ->
+        match Groups.find groups row with
+        | state ->
+            add state row;
+            order
+        | exception Not_found ->
+            let state = fresh () in
+            Groups.add groups row state;
+            add state row;
+            (row, state) :: order)
   in
-  match agg with
-  | Sql.Count_all -> fun st _ -> st.n <- st.n + 1
-  | Sql.Count c -> non_null (at c) (fun _ _ -> ())
-  | Sql.Sum c | Sql.Avg c -> non_null (at c) (fun st v -> st.sum <- st.sum +. Value.to_float v)
-  | Sql.Min c -> non_null (at c) (fun st v -> if st.n = 1 || Value.compare v st.best < 0 then st.best <- v)
-  | Sql.Max c -> non_null (at c) (fun st v -> if st.n = 1 || Value.compare v st.best > 0 then st.best <- v)
+  List.rev order
 
-let agg_result agg st =
-  match agg with
-  | Sql.Count_all | Sql.Count _ -> Value.Int st.n
-  | _ when st.n = 0 -> Value.Null
-  | Sql.Sum _ -> Value.Float st.sum
-  | Sql.Avg _ -> Value.Float (st.sum /. float_of_int st.n)
-  | Sql.Min _ | Sql.Max _ -> st.best
+(* One group's running aggregates, fed in match order. For aggregate
+   [k] over the column at [cols.(k)], [n.(k)] counts the rows
+   (COUNT( * )) or the non-NULL values seen, [sum.(k)] adds them left
+   to right from 0.0 in an unboxed float array, and [best.(k)] holds
+   the first minimum or maximum (a later value replaces it only when
+   strictly smaller or larger). *)
+type acc = { n : int array; sum : float array; best : Value.t array }
 
-let run_agg_select tbl ~aggregates ~where ~group_by =
+let feed aggs cols acc (row : Row.t) =
+  for k = 0 to Array.length aggs - 1 do
+    match aggs.(k) with
+    | Sql.Count_all -> acc.n.(k) <- acc.n.(k) + 1
+    | agg -> (
+        let v = row.(cols.(k)) in
+        if not (Value.is_null v) then begin
+          acc.n.(k) <- acc.n.(k) + 1;
+          match agg with
+          | Sql.Sum _ | Sql.Avg _ ->
+              acc.sum.(k) <- (acc.sum.(k) +. match v with Value.Float f -> f | _ -> Value.to_float v)
+          | Sql.Min _ -> if acc.n.(k) = 1 || Value.compare v acc.best.(k) < 0 then acc.best.(k) <- v
+          | Sql.Max _ -> if acc.n.(k) = 1 || Value.compare v acc.best.(k) > 0 then acc.best.(k) <- v
+          | Sql.Count_all | Sql.Count _ -> ()
+        end)
+  done
+
+let agg_result acc k = function
+  | Sql.Count_all | Sql.Count _ -> Value.Int acc.n.(k)
+  | _ when acc.n.(k) = 0 -> Value.Null
+  | Sql.Sum _ -> Value.Float acc.sum.(k)
+  | Sql.Avg _ -> Value.Float (acc.sum.(k) /. float_of_int acc.n.(k))
+  | Sql.Min _ | Sql.Max _ -> acc.best.(k)
+
+(* Each result row with its group's matching rows in match order when
+   [members] (otherwise [[]]): one scan computes both. *)
+let run_agg_select ~members tbl ~aggregates ~where ~group_by =
   let schema = Table.schema tbl in
   let* () = Expr.validate schema where in
   let referenced = group_by @ List.filter_map Sql.aggregate_column aggregates in
@@ -230,41 +280,25 @@ let run_agg_select tbl ~aggregates ~where ~group_by =
     | None -> Ok ()
   in
   let aggs = Array.of_list aggregates in
-  let steps = Array.map (agg_step schema) aggs in
-  let feed states row = Array.iteri (fun k step -> step states.(k) row) steps in
-  let finish states = Array.mapi (fun k agg -> agg_result agg states.(k)) aggs in
-  let columns = group_by @ List.map Sql.aggregate_label aggregates in
-  if group_by = [] then begin
-    let states = fresh_states aggs in
-    Table.fold_matching tbl ~where ~init:() ~f:(fun () row -> feed states row);
-    Ok (Rows { columns; rows = [ finish states ] })
-  end
-  else begin
-    (* Groups are keyed by the structural tuple of group-by values and
-       kept in first-seen order; every aggregate folds in one pass over
-       the matches. *)
-    let positions = List.map (Schema.column_index_exn schema) group_by in
-    let groups : (Value.t list, agg_state array) Hashtbl.t = Hashtbl.create 16 in
-    let order =
-      Table.fold_matching tbl ~where ~init:[] ~f:(fun order row ->
-          let key = List.map (fun i -> row.(i)) positions in
-          match Hashtbl.find_opt groups key with
-          | Some states ->
-              feed states row;
-              order
-          | None ->
-              let states = fresh_states aggs in
-              Hashtbl.add groups key states;
-              feed states row;
-              key :: order)
-    in
-    let out =
-      List.rev_map
-        (fun key -> Array.append (Array.of_list key) (finish (Hashtbl.find groups key)))
-        order
-    in
-    Ok (Rows { columns; rows = out })
-  end
+  let cols =
+    Array.map (fun agg -> Option.fold ~none:(-1) ~some:(Schema.column_index_exn schema) (Sql.aggregate_column agg)) aggs
+  in
+  let k = Array.length aggs in
+  let fresh () =
+    ({ n = Array.make k 0; sum = Array.make k 0.0; best = Array.make k Value.Null }, ref [])
+  in
+  let add (acc, rows) row =
+    feed aggs cols acc row;
+    if members then rows := row :: !rows
+  in
+  let by = positions_of schema group_by in
+  let groups = fold_groups tbl ~where ~by ~fresh ~add in
+  (* Without GROUP BY an aggregate answers one row, over no rows too. *)
+  let groups = match (groups, group_by) with [], [] -> [ ([||], fresh ()) ] | _ -> groups in
+  let row (first, (acc, rows)) =
+    (Array.append (Array.map (fun p -> first.(p)) by) (Array.mapi (agg_result acc) aggs), List.rev !rows)
+  in
+  Ok (group_by @ List.map Sql.aggregate_label aggregates, List.map row groups)
 
 let run_insert tbl ~columns ~values =
   let schema = Table.schema tbl in
@@ -304,18 +338,25 @@ let admit_write () =
   Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
   Sesame_deadline.guard "wal commit admission"
 
-let exec_stmt t stmt =
-  protect_faults @@ fun () ->
+(* Every statement is refused on a quarantined store or a spent budget,
+   then charged one round trip. *)
+let admit_statement t =
   let* () = guard t in
   let* () = Sesame_deadline.guard "db statement" in
-  charge t;
+  Ok (charge t)
+
+let exec_stmt t stmt =
+  protect_faults @@ fun () ->
+  let* () = admit_statement t in
   match stmt with
   | Sql.Select { table; columns; where; order_by; limit } ->
       let* tbl = lookup t table in
-      run_plain_select tbl ~columns ~where ~order_by ~limit
+      let* columns, rows = run_plain_select tbl ~columns ~where ~order_by ~limit in
+      Ok (Rows { columns; rows })
   | Sql.Select_agg { table; aggregates; where; group_by } ->
       let* tbl = lookup t table in
-      run_agg_select tbl ~aggregates ~where ~group_by
+      let* columns, groups = run_agg_select ~members:false tbl ~aggregates ~where ~group_by in
+      Ok (Rows { columns; rows = List.map fst groups })
   | Sql.Insert { table; columns; values } ->
       let* tbl = lookup t table in
       let* () = admit_write () in
@@ -336,6 +377,17 @@ let exec_stmt t stmt =
       let n = Table.delete tbl ~where in
       let* () = journal_applied t (J_stmt stmt) in
       Ok (Affected n)
+
+let exec_groups t ~members stmt =
+  match stmt with
+  | Sql.Select_agg { table; aggregates; where; group_by } ->
+      protect_faults @@ fun () ->
+      let* () = admit_statement t in
+      let* tbl = lookup t table in
+      let* columns, groups = run_agg_select ~members tbl ~aggregates ~where ~group_by in
+      Ok (Table.schema tbl, columns, groups)
+  | Sql.Select _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
+      Error "exec_groups expects an aggregate SELECT"
 
 let exec t src ~params =
   let* stmt = Sql.parse src ~params in
@@ -359,15 +411,12 @@ let select_rows_under t src ~params ~pred =
             let* () = Expr.validate (Table.schema tbl) extra in
             Ok (match where with Expr.True -> extra | w -> Expr.And (w, extra))
       in
-      let* result =
+      let* _, rows =
         protect_faults (fun () ->
-            let* () = Sesame_deadline.guard "db statement" in
-            charge t;
+            let* () = admit_statement t in
             run_plain_select tbl ~columns:None ~where ~order_by ~limit)
       in
-      match result with
-      | Rows { rows; _ } -> Ok (Table.schema tbl, rows)
-      | Affected _ -> assert false)
+      Ok (Table.schema tbl, rows))
   | Sql.Select _ | Sql.Select_agg _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
       Error "select_rows expects a SELECT * statement"
 

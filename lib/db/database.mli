@@ -57,15 +57,28 @@ val table_names : t -> string list
 val drop_table : t -> string -> (unit, string) result
 
 val exec : t -> string -> params:Value.t list -> (exec_result, string) result
-(** Parses, binds, and runs one statement. *)
+(** Parses, binds, and runs one statement. A [SELECT *] returns the
+    table's stored rows, shared rather than copied (see {!Table.select}):
+    they stay a snapshot, and callers must not write to them. *)
 
 val exec_stmt : t -> Sql.stmt -> (exec_result, string) result
+
+val exec_groups :
+  t ->
+  members:bool ->
+  Sql.stmt ->
+  (Schema.t * string list * (Value.t array * Row.t list) list, string) result
+(** Runs an aggregate [SELECT] as {!exec_stmt} does (one statement) and
+    returns the table's schema, the result columns and the result rows,
+    each with its group's matching rows in match order when [members]
+    (otherwise [[]]), from the same scan. Fails on any other statement. *)
 
 val select_rows :
   t -> string -> params:Value.t list -> ((Schema.t * Row.t list), string) result
 (** Convenience for [SELECT *] queries: returns the table schema along with
     the full rows, which the Sesame connector needs to instantiate
-    per-row policies. Fails if the statement is not a [SELECT *]. *)
+    per-row policies. The rows are shared, as {!exec}'s are. Fails if
+    the statement is not a [SELECT *]. *)
 
 val select_rows_under :
   t ->

@@ -22,7 +22,8 @@ type t = {
   pk_index : (Value.t, int) Hashtbl.t option;
   pk_col : int option;
   secondary : (int, (Value.t, int list ref) Hashtbl.t) Hashtbl.t;
-      (* column position -> value -> slots (unordered) *)
+      (* column position -> value -> slots, newest first unless an UPDATE
+         moved a row in *)
 }
 
 (* Cooperative cancellation: long scans poll the ambient request deadline
@@ -137,41 +138,49 @@ let probe_keys t pin ~where col =
       Some keys
   | Some _ | None -> None
 
+(* The buckets' slots, ascending and distinct. [index_add] prepends
+   ever-larger slots, so a bucket is descending unless an UPDATE moved a
+   row into it: copying back to front yields ascending slots whenever
+   the gathered ones came strictly descending; only others are sorted. *)
+let slots_in_order buckets =
+  let n = List.fold_left (fun n bucket -> n + List.length bucket) 0 buckets in
+  let slots = Array.make n 0 in
+  let next = ref n and descending = ref true in
+  List.iter
+    (List.iter (fun slot ->
+         decr next;
+         slots.(!next) <- slot;
+         if !next < n - 1 && slot >= slots.(!next + 1) then descending := false))
+    buckets;
+  if !descending then slots else Array.of_list (List.sort_uniq Int.compare (List.concat buckets))
+
 (* Candidate slots from an index, if an equality or an IN list in
    [where] pins an indexed column: an equality on the primary key,
    then one on a secondary index, then an IN list on either. [None]
    means "no index applies: scan". Candidates are a superset filter —
    every candidate is still checked against the full WHERE clause —
-   de-duplicated and sorted so results keep insertion (slot) order.
+   distinct and ascending, so results keep insertion (slot) order.
    Caller must hold [rd] or [wr]. *)
 let index_candidates_unlocked t ~where =
+  let probe index pin col bucket =
+    Option.map
+      (List.filter_map (fun key -> Option.map bucket (Hashtbl.find_opt index key)))
+      (probe_keys t pin ~where col)
+  in
   let pk pin =
     match (t.pk_col, t.pk_index) with
-    | Some col, Some index ->
-        Option.map
-          (List.filter_map (Hashtbl.find_opt index))
-          (probe_keys t pin ~where col)
+    | Some col, Some index -> probe index pin col (fun slot -> [ slot ])
     | _ -> None
   in
   let secondary pin =
     Hashtbl.fold
-      (fun col index acc ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            Option.map
-              (fun keys ->
-                List.concat_map
-                  (fun key ->
-                    match Hashtbl.find_opt index key with Some bucket -> !bucket | None -> [])
-                  keys)
-              (probe_keys t pin ~where col))
+      (fun col index acc -> match acc with Some _ -> acc | None -> probe index pin col ( ! ))
       t.secondary None
   in
   List.find_map
     (fun (probe, pin) -> probe pin)
     [ (pk, `Equal); (secondary, `Equal); (pk, `In); (secondary, `In) ]
-  |> Option.map (List.sort_uniq Int.compare)
+  |> Option.map slots_in_order
 
 (* Caller must hold [wr] (mutation read phase: checkpoint polls may
    abort the statement here, before any row has changed). *)
@@ -179,9 +188,10 @@ let matching_slots_unlocked t ~where =
   let holds = Expr.compile t.schema where in
   match index_candidates_unlocked t ~where with
   | Some candidates ->
-      List.filter
-        (fun slot -> match t.rows.(slot) with Some row -> holds row | None -> false)
-        candidates
+      Array.fold_right
+        (fun slot acc ->
+          match t.rows.(slot) with Some row when holds row -> slot :: acc | Some _ | None -> acc)
+        candidates []
   | None ->
       let scanned = ref 0 in
       let acc = ref [] in
@@ -237,7 +247,7 @@ let iter_matching t ~where f =
   let snap =
     Rwlock.rd t.lock (fun () ->
         match index_candidates_unlocked t ~where with
-        | Some candidates -> Array.of_list (List.map (fun slot -> t.rows.(slot)) candidates)
+        | Some candidates -> Array.map (fun slot -> t.rows.(slot)) candidates
         | None -> Array.sub t.rows 0 t.size)
   in
   let scanned = ref 0 in
@@ -351,7 +361,6 @@ let fold t ~init ~f =
     (fun acc slot -> match slot with Some row -> f acc row | None -> acc)
     init snap
 
-let iter t ~f = fold t ~init:() ~f:(fun () row -> f row)
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc row -> row :: acc))
 
 let of_rows schema rows =

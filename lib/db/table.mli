@@ -35,7 +35,12 @@ val select : ?limit:int -> t -> where:Expr.t -> Row.t list
     the primary-key or a secondary index when [where] pins the indexed
     column to a value, or to the values of an IN list (the union of
     their buckets). Raises [Invalid_argument] on unknown columns (use
-    {!Expr.validate} to check first). *)
+    {!Expr.validate} to check first).
+
+    The rows are the table's stored rows, shared, not copies. A stored
+    row is never written (insert copies, an update installs a fresh
+    row), so each stays a snapshot of its row as of the read; callers
+    must not write to them. *)
 
 val fold_matching : t -> where:Expr.t -> init:'a -> f:('a -> Row.t -> 'a) -> 'a
 (** Folds [f] over the rows {!select} would return, in the same order,
@@ -51,7 +56,6 @@ val delete : t -> where:Expr.t -> int
 (** Returns the number of rows removed. *)
 
 val fold : t -> init:'a -> f:('a -> Row.t -> 'a) -> 'a
-val iter : t -> f:(Row.t -> unit) -> unit
 val to_list : t -> Row.t list
 
 val of_rows : Schema.t -> Row.t list -> (t, string) result

@@ -755,6 +755,38 @@ let conn_tests =
         with
         | Ok rows -> check_int "ada may use nothing now" 0 (List.length rows)
         | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
+    test "pushdown off: a filtered statement checks each distinct policy once" (fun () ->
+        let conn = conn_fixture () in
+        let owners = [| "ada"; "eve"; "bob" |] in
+        for id = 3 to 32 do
+          ignore
+            (Result.get_ok
+               (Db.Database.exec (Sesame_conn.database conn) "INSERT INTO notes VALUES (?, ?, ?)"
+                  ~params:Db.Value.[ Int id; Text owners.(id mod 3); Text "n" ]))
+        done;
+        (* Interned per owner, as an application binding stages them. *)
+        Sesame_conn.attach_policy conn ~table:"notes" ~column:"note" (fun schema ->
+            let owner = Db.Schema.column_index_exn schema "owner" in
+            let interned = Hashtbl.create 4 in
+            fun row ->
+              let who = Db.Value.to_text row.(owner) in
+              match Hashtbl.find_opt interned who with
+              | Some policy -> policy
+              | None ->
+                  let policy = Only.make { who } in
+                  Hashtbl.add interned who policy;
+                  policy);
+        let pushdown = Enforce.pushdown_enabled () in
+        Enforce.set_pushdown false;
+        Fun.protect ~finally:(fun () -> Enforce.set_pushdown pushdown) @@ fun () ->
+        Enforce.reset_stats ();
+        match
+          Sesame_conn.query_filtered conn ~context:ada ~on:"note" "SELECT * FROM notes" ~params:[]
+        with
+        | Ok rows ->
+            check_int "ada's 11 of 32 rows" 11 (List.length rows);
+            check_int "one check per owner" 3 (Enforce.stats ()).Enforce.misses
+        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
     test "execute runs updates with checked params" (fun () ->
         let conn = conn_fixture () in
         match

@@ -397,6 +397,20 @@ let sql_tests =
           (Result.is_error (Database.exec db "INSERT INTO people VALUES (9, 'X')" ~params:[]));
         check_bool "full" true
           (Result.is_ok (Database.exec db "INSERT INTO people VALUES (9, 'X', NULL)" ~params:[])));
+    test "SELECT * rows stay a snapshot across a later UPDATE and DELETE" (fun () ->
+        let db = fresh_db () in
+        let before = rows_of db "SELECT * FROM people" [] in
+        let copies = List.map Array.copy before in
+        (match Database.exec db "UPDATE people SET name = ? WHERE id <= 2" ~params:[ Value.Text "x" ] with
+        | Ok (Database.Affected 2) -> ()
+        | _ -> Alcotest.fail "update");
+        (match Database.exec db "DELETE FROM people WHERE id = 3" ~params:[] with
+        | Ok (Database.Affected 1) -> ()
+        | _ -> Alcotest.fail "delete");
+        check_bool "returned rows unchanged" true (List.for_all2 Row.equal before copies);
+        check_bool "the table moved on" true
+          (List.map (fun r -> r.(1)) (rows_of db "SELECT * FROM people" [])
+          = Value.[ Text "x"; Text "x" ]));
     test "drop_table then recreate" (fun () ->
         let db = fresh_db () in
         check_bool "drop" true (Database.drop_table db "people" = Ok ());
@@ -722,7 +736,9 @@ let gen_agg_case =
     map
       (fun ((g, h), (x, y, s)) -> [| Value.Int id; g; h; x; y; s |])
       (pair
-         (pair (oneofl Value.[ Null; Int 1; Int 2 ]) (oneofl Value.[ Null; Float 1.0; Float (-0.0); Float 0.0 ]))
+         (pair
+            (oneofl Value.[ Null; Int 1; Int 2 ])
+            (oneofl Value.[ Null; Float 1.0; Float (-0.0); Float 0.0; Float nan; Float (-.nan) ]))
          (triple
             (oneofl Value.[ Null; Int (-3); Int 0; Int 5; Int 5 ])
             (oneofl Value.[ Null; Float 0.1; Float 0.2; Float 0.3; Float (-0.0); Float 0.0; Float 1e16; Float 1.0 ])
@@ -855,6 +871,57 @@ let compile_tests =
         check_bool "NULL is never a member" false (holds (Value.Null :: many) Value.Null));
   ]
 
+(* Index probes against scans: the same random INSERT / UPDATE / DELETE
+   sequence runs on a table indexed on [g] and on a copy with no index
+   at all (no primary key either). UPDATEs set [g] on one row or on a
+   whole bucket, so low slots move into buckets of later ones. *)
+let unindexed_agg_schema = Schema.make_exn ~name:"agg" (Schema.columns agg_schema)
+
+let gen_index_ops =
+  let open QCheck.Gen in
+  let g = oneofl Value.[ Null; Int 0; Int 1; Int 2; Int 3 ] in
+  list_size (int_range 0 60)
+    (frequency
+       [
+         (4, map (fun v -> `Insert v) g);
+         (3, map2 (fun id v -> `Update (id, v)) (int_range 0 40) g);
+         (1, map2 (fun a b -> `Move (a, b)) g g);
+         (1, map (fun id -> `Delete id) (int_range 0 40));
+       ])
+
+let index_probes =
+  let g = Expr.Col "g" and id = Expr.Col "id" in
+  Expr.(
+    List.map (fun k -> Cmp (Eq, g, Lit (Value.Int k))) [ 0; 1; 2; 3; 4 ]
+    @ List.map (fun ks -> In (g, List.map (fun k -> Value.Int k) ks)) [ [ 3; 1 ]; [ 2; 0; 2 ]; [ 0; 1; 2; 3 ]; [] ]
+    @ [ Cmp (Eq, id, Lit (Value.Int 5)); In (id, Value.[ Int 7; Int 3; Int 7; Int 30; Int 0 ]) ])
+
+let probe_tests =
+  [
+    prop "index probes equal scans after random writes"
+      (QCheck.make gen_index_ops) (fun ops ->
+        let indexed = Table.create agg_schema and scanned = Table.create unindexed_agg_schema in
+        Table.ensure_index indexed "g";
+        let next = ref 0 in
+        let on_id id = Expr.Cmp (Expr.Eq, Expr.Col "id", Expr.Lit (Value.Int id)) in
+        let apply tbl = function
+          | `Insert v -> Table.insert_exn tbl Value.[| Int !next; v; Null; Null; Null; Null |]
+          | `Update (id, v) -> ignore (Table.update tbl ~where:(on_id id) ~set:[ ("g", v) ])
+          | `Move (a, b) ->
+              ignore (Table.update tbl ~where:(Expr.Cmp (Expr.Eq, Expr.Col "g", Expr.Lit a)) ~set:[ ("g", b) ])
+          | `Delete id -> ignore (Table.delete tbl ~where:(on_id id))
+        in
+        List.iter
+          (fun op ->
+            apply indexed op;
+            apply scanned op;
+            match op with `Insert _ -> incr next | `Update _ | `Move _ | `Delete _ -> ())
+          ops;
+        List.for_all
+          (fun where -> same_rows (Table.select indexed ~where) (Table.select scanned ~where))
+          index_probes);
+  ]
+
 let () =
   Alcotest.run "db"
     [
@@ -865,4 +932,5 @@ let () =
       ("sql", sql_tests);
       ("index", index_tests);
       ("compile", compile_tests);
+      ("probe", probe_tests);
     ]

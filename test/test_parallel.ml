@@ -527,6 +527,61 @@ let websubmit_tests =
         in
         let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
         check_bool "every verdict matches" true (List.for_all Domain.join domains));
+    test "aggregate cells keep the policies of the rows they counted under racing writes"
+      (fun () ->
+        (* With elision and pushdown off, each group's grade cell carries
+           the conjunction of its member rows' policies; a writer moves
+           every answer to a new lecture meanwhile, so members read in a
+           second scan could miss the rows the aggregate counted. *)
+        let app = Result.get_ok (Apps.Websubmit.create ()) in
+        (match Apps.Websubmit.seed app ~students:6 ~questions:4 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        let db = Apps.Websubmit.database app in
+        let context =
+          C.Context.Internal.trusted ~endpoint:"/aggregates" ~user:"admin@school.edu"
+            ~source:"test" ()
+        in
+        let elide = C.Enforce.elision () and push = C.Enforce.pushdown_enabled () in
+        C.Enforce.set_elision false;
+        C.Enforce.set_pushdown false;
+        let stop = Atomic.make false in
+        let writer =
+          Domain.spawn (fun () ->
+              let lecture = ref 0 in
+              while not (Atomic.get stop) do
+                incr lecture;
+                exec db "UPDATE answers SET lecture = ? WHERE lecture <> ?"
+                  [ Db.Value.Int !lecture; Db.Value.Int !lecture ]
+              done)
+        in
+        let uncovered = ref 0 and counted = ref 0 in
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Domain.join writer;
+            C.Enforce.set_elision elide;
+            C.Enforce.set_pushdown push)
+          (fun () ->
+            for _ = 1 to 300 do
+              match
+                C.Sesame_conn.query_agg (Apps.Websubmit.conn app) ~context
+                  "SELECT AVG(grade), COUNT(grade) FROM answers GROUP BY lecture" ~params:[]
+              with
+              | Error e -> Alcotest.failf "%a" C.Sesame_conn.pp_error e
+              | Ok rows ->
+                  List.iter
+                    (fun row ->
+                      match C.Pcon.Internal.unwrap (List.assoc "COUNT(grade)" row) with
+                      | Db.Value.Int n when n > 0 ->
+                          incr counted;
+                          if C.Policy.is_no_policy (C.Pcon.policy (List.assoc "AVG(grade)" row))
+                          then incr uncovered
+                      | _ -> ())
+                    rows
+            done);
+        check_bool "groups counted" true (!counted > 0);
+        check_int "counted groups released without their rows' policies" 0 !uncovered);
   ]
 
 let () =
