@@ -1449,7 +1449,7 @@ let chaos_call ~port ?(headers = []) ?(body = "") meth path =
       {
         cr_status = status;
         cr_retry_after = Http.Headers.get headers "Retry-After" <> None;
-        cr_degraded = Http.Headers.get headers Http.Serving.header_name <> None;
+        cr_degraded = Http.Headers.get headers Sesame_server.degraded_header <> None;
         cr_body = body;
       }
   | `Eof | `Error _ ->

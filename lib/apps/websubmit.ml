@@ -747,8 +747,8 @@ let elision_sites : Elision.site list =
 
 (* Family -> the binding its certificates ride on: revalidation pins the
    binding version a certificate was issued under, so re-attaching a
-   policy drops the certificate (next epoch move) and the residual
-   runtime check runs until a new plan is installed. *)
+   policy drops the certificate at its next consultation and the
+   residual runtime check runs until a new plan is installed. *)
 let family_bindings =
   [
     (Answer_access_family.name, ("answers", "answer"));
@@ -794,8 +794,9 @@ let install_plan t =
             match List.assoc_opt cert.cert_family family_bindings with
             | None -> fun () -> true
             | Some (table, column) ->
-                let issued = Conn.binding_version conn ~table ~column in
-                fun () -> Conn.binding_version conn ~table ~column = issued
+                let version = Conn.binding_version conn ~table ~column in
+                let issued = Atomic.get version in
+                fun () -> Atomic.get version = issued
           in
           Enforce.Plan.install
             (Enforce.Plan.entry ~endpoint:cert.cert_endpoint ~sink:cert.cert_sink

@@ -27,15 +27,6 @@ let reset_stats () =
 let note_pushdown () = Atomic.incr pushdowns
 let note_elision () = Atomic.incr elisions
 
-(* Plan certificates revalidate against [base]: binding bumps plus
-   schema-level events (create/drop/clear/restore). Row mutations are
-   excluded on purpose — a certificate's claim is about binding and
-   schema state, which rows cannot change. *)
-
-let bumps = Atomic.make 0
-let bump () = Atomic.incr bumps
-let base () = Atomic.get bumps + Sesame_db.Epoch.structure ()
-
 (* Elision and pushdown default on: with no plan installed and no
    binding translation registered they are exact no-ops, so the flags
    only matter once an app compiles its static verdicts in. *)
@@ -51,14 +42,11 @@ let pushdown_enabled () = Atomic.get pushdown
 (* The enforcement plan: elision certificates compiled from the static
    pass. A certificate says "every check of family F at sink S (under
    endpoint E) whose context satisfies the guard is identically Ok".
-   Certificates are keyed by [base] (binding bumps + structural schema
-   events): while the base an entry was last validated under is
-   current, the fast path is one guard evaluation; when it moves, the
-   entry's [revalidate] closure (supplied by the installer, typically
-   checking policy-binding versions and table schemas) must re-approve
-   it or the entry is dropped and the residual runtime check runs.
-   Row mutations never move [base] — a certificate's claim is about
-   binding/schema state, which rows cannot change. *)
+   Every consultation runs the entry's [revalidate] closure (supplied
+   by the installer: typically one read of a policy-binding version)
+   before its guard; an entry that fails it is dropped and the residual
+   runtime check runs. Row mutations never matter — a certificate's
+   claim is about binding state, which rows cannot change. *)
 
 module Plan = struct
   type entry = {
@@ -68,7 +56,6 @@ module Plan = struct
     pe_guard : Context.t -> bool;
     pe_revalidate : unit -> bool;
     pe_witness : string;
-    pe_checked_at : int Atomic.t;
   }
 
   let entry ?endpoint ~sink ~family ~guard ~revalidate ~witness () =
@@ -79,7 +66,6 @@ module Plan = struct
       pe_guard = guard;
       pe_revalidate = revalidate;
       pe_witness = witness;
-      pe_checked_at = Atomic.make min_int;
     }
 
   (* An immutable snapshot list behind an Atomic: the hot path scans
@@ -131,20 +117,14 @@ module Plan = struct
           (fun (e, sinks) -> if path_covers e ep then Some sinks else None)
           (Atomic.get decls)
 
-  (* Is this one entry usable right now? Entries current against [base]
-     (binding bumps + structural events; row traffic does not move it)
-     answer with a guard evaluation; stale ones must revalidate first. *)
+  (* Is this one entry usable right now? One that fails revalidation is
+     dropped for good. *)
   let entry_live entry =
-    let e = base () in
-    if Atomic.get entry.pe_checked_at = e then true
-    else if entry.pe_revalidate () then begin
-      Atomic.set entry.pe_checked_at e;
-      true
-    end
-    else begin
-      drop entry;
-      false
-    end
+    entry.pe_revalidate ()
+    || begin
+         drop entry;
+         false
+       end
 
   let certified_leaf ~sink ~family ctx =
     List.exists
@@ -215,8 +195,8 @@ let rec check_verbose policy ctx =
         let rec walk = function
           | [] -> Ok ()
           | m :: rest -> (
-              if Sesame_deadline.expired_now () then
-                Error (Sesame_deadline.error_message "policy conjunction")
+              if Sesame_request.expired_now () then
+                Error (Sesame_request.error_message "policy conjunction")
               else
                 match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
         in

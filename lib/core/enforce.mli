@@ -5,12 +5,11 @@
 
     - {b Elision.} A check whose every conjunction leaf is covered by an
       installed {!Plan} certificate for the context is discharged
-      without running. Certificates revalidate when {!bump} or the
-      structural schema epoch ({!Sesame_db.Epoch}) moves.
+      without running. Each certificate revalidates at every use.
     - {b Deadlines.} A conjunction's members are checked in member order
       on the calling domain, stopping at the first denial, which is the
       one reported. The walk stops early, with a
-      {!Sesame_deadline.error_message} refusal, once the ambient
+      {!Sesame_request.error_message} refusal, once the ambient
       deadline has expired.
 
     Every other check runs, every time: no verdict is cached.
@@ -19,11 +18,6 @@
 
 val check : Policy.t -> Context.t -> bool
 val check_verbose : Policy.t -> Context.t -> (unit, string) result
-
-val bump : unit -> unit
-(** Make every plan certificate revalidate before its next use (all
-    domains observe it: it moves every entry's base). Called on policy
-    binding. *)
 
 val set_elision : bool -> unit
 (** Default on. Off = certified checks run anyway (the ablation
@@ -52,11 +46,10 @@ val note_elision : unit -> unit
     {!check_verbose} discharges a policy without running it when {e
     every} leaf of its conjunction tree is certified for the context.
 
-    An entry validated under the current base (binding {!bump}s +
-    structural schema events; row traffic does not move it) is trusted
-    until that base moves; after a re-binding or schema event its
-    [revalidate] closure must re-approve it, and an entry that fails
-    revalidation is dropped so the residual runtime check runs. *)
+    Every consultation of an entry first runs its [revalidate] closure
+    (typically one read of a {!Sesame_conn.binding_version}; keep it
+    that cheap). An entry that fails revalidation is dropped, so the
+    residual runtime check runs. *)
 module Plan : sig
   type entry
 

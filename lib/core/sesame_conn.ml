@@ -50,11 +50,11 @@ let is_transient_db_message message =
   List.exists (contains_substring lower) transient_markers
 
 (* Deadline refusals surface through the ordinary error channel as
-   messages prefixed [Sesame_deadline.marker]; reclassify them so they
+   messages prefixed [Sesame_request.marker]; reclassify them so they
    are never mistaken for backend faults (and never retried — a request
    that is out of budget only gets further out of budget). *)
 let db_error_at ~sink message =
-  if Sesame_deadline.is_deadline_error message then Deadline_exceeded { sink; message }
+  if Sesame_request.is_deadline_error message then Deadline_exceeded { sink; message }
   else Db_error { message; transient = is_transient_db_message message }
 
 let db_error message = db_error_at ~sink:"db" message
@@ -149,8 +149,10 @@ type t = {
      single per-row policy. Cleared on rebinding. *)
   certified_families : (string * string, string list) Hashtbl.t;
   (* Monotone per-binding version, bumped by every [attach_policy]:
-     the cheap revalidation handle for plan certificates. *)
-  binding_versions : (string * string, int) Hashtbl.t;
+     the cheap revalidation handle for plan certificates. A binding's
+     cell is created once and never replaced, so a holder reads it with
+     one [Atomic.get]. *)
+  binding_versions : (string * string, int Atomic.t) Hashtbl.t;
   health : (string, health) Hashtbl.t;  (* per sink *)
   mutable retry : retry_policy;
   mutable breaker : breaker_config;
@@ -347,8 +349,8 @@ let with_resilience t ~sink op =
          structured, feed the breaker nothing, never retry. *)
       let op () =
         try op ()
-        with Sesame_deadline.Expired what ->
-          Error (Deadline_exceeded { sink; message = Sesame_deadline.error_message what })
+        with Sesame_request.Expired what ->
+          Error (Deadline_exceeded { sink; message = Sesame_request.error_message what })
       in
       let rec attempt k =
         h.attempts <- h.attempts + 1;
@@ -372,6 +374,14 @@ let with_resilience t ~sink op =
 
 (* ------------------------------------------------------------------ *)
 
+let binding_version t ~table ~column =
+  match Hashtbl.find_opt t.binding_versions (table, column) with
+  | Some version -> version
+  | None ->
+      let version = Atomic.make 0 in
+      Hashtbl.add t.binding_versions (table, column) version;
+      version
+
 let attach_policy ?to_expr t ~table ~column source =
   Hashtbl.replace t.bindings (table, column) source;
   (match to_expr with
@@ -379,14 +389,7 @@ let attach_policy ?to_expr t ~table ~column source =
   | None -> Hashtbl.remove t.translations (table, column));
   (* Any family certification described the previous binding. *)
   Hashtbl.remove t.certified_families (table, column);
-  let v = Option.value ~default:0 (Hashtbl.find_opt t.binding_versions (table, column)) in
-  Hashtbl.replace t.binding_versions (table, column) (v + 1);
-  (* Rebinding changes what a cell's policy means: retire every cached
-     verdict and group conjunction. *)
-  Enforce.bump ()
-
-let binding_version t ~table ~column =
-  Option.value ~default:0 (Hashtbl.find_opt t.binding_versions (table, column))
+  Atomic.incr (binding_version t ~table ~column)
 
 let certify_binding t ~table ~column ~families =
   Hashtbl.replace t.certified_families (table, column) families
@@ -412,7 +415,7 @@ let require_trusted context =
 (* Sink handoff: a request that has already missed its budget is refused
    before any policy check or backend call runs. *)
 let deadline_guard ~sink =
-  match Sesame_deadline.guard ("sink " ^ sink) with
+  match Sesame_request.guard ("sink " ^ sink) with
   | Ok () -> Ok ()
   | Error message -> Error (Deadline_exceeded { sink; message })
 
@@ -459,7 +462,7 @@ let with_brownout_read t op =
       match enter_brownout t with
       | None -> e
       | Some snap ->
-          Sesame_http.Serving.mark_degraded "snapshot";
+          Sesame_request.mark_degraded "snapshot";
           op snap)
   | r -> r
 
@@ -489,7 +492,6 @@ let exit_brownout t =
       | Ok store ->
           t.db <- Sesame_wal.Durable.db store;
           t.brownout <- None;
-          Enforce.bump ();
           Ok store
       | Error _ as e -> e
       | exception Sesame_faults.Injected { point; action; transient } ->
@@ -510,7 +512,7 @@ let check_param context ~sink ~index pcon =
     Enforce.check_verbose (Pcon.policy pcon) context
   with
   | Ok () -> Ok ()
-  | Error msg when Sesame_deadline.is_deadline_error msg ->
+  | Error msg when Sesame_request.is_deadline_error msg ->
       (* A check abandoned for budget is not a verdict on the policy:
          surface it as the budget refusal it is, not as a denial. *)
       Error (Deadline_exceeded { sink; message = msg })

@@ -90,7 +90,7 @@ val create_durable :
     notice rebuilds the last consistent on-disk state via
     {!Sesame_wal.Durable.read_state} and serves reads from it — under
     full policy enforcement — while marking each such response degraded
-    ({!Sesame_http.Serving.mark_degraded}); writes refuse with
+    ({!Sesame_request.mark_degraded}); writes refuse with
     {!Brownout_write_refused} until {!exit_brownout} recovers the
     store. In-memory connectors have no snapshot and keep the original
     whole-store fail-closed behavior. *)
@@ -203,10 +203,13 @@ val attach_policy :
     without [to_expr] drops any previous translation, and always drops
     {!certify_binding} claims and bumps the {!binding_version}. *)
 
-val binding_version : t -> table:string -> column:string -> int
-(** Monotone counter bumped by every {!attach_policy} on the binding
-    (0 = never bound): the cheap revalidation handle for
-    {!Enforce.Plan} certificates issued against the binding. *)
+val binding_version : t -> table:string -> column:string -> int Atomic.t
+(** The binding's monotone version, incremented by every
+    {!attach_policy} on it (0 = never bound): the cheap revalidation
+    handle for {!Enforce.Plan} certificates issued against the binding.
+    The cell is created on first use and never replaced, so a
+    certificate keeps it and reads it with one [Atomic.get]; take it
+    at set-up, not on a request path. *)
 
 val certify_binding : t -> table:string -> column:string -> families:string list -> unit
 (** App-supplied static claim: every policy this binding produces has

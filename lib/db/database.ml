@@ -66,14 +66,12 @@ let create_table t schema =
   if Hashtbl.mem t.tables name then Error (Printf.sprintf "table %s already exists" name)
   else begin
     Hashtbl.add t.tables name (Table.create schema);
-    Epoch.bump_structural ();
     match journal_applied t (J_create schema) with
     | Ok () -> Ok ()
     | Error _ as e ->
         (* Creation was not acknowledged: take the table back out so a
            recovered store and this one agree. *)
         Hashtbl.remove t.tables name;
-        Epoch.bump_structural ();
         e
   end
 
@@ -86,7 +84,6 @@ let restore_table t schema rows =
     | Error _ as e -> e
     | Ok tbl ->
         Hashtbl.add t.tables name tbl;
-        Epoch.bump_structural ();
         Ok ()
 
 let table t name = Hashtbl.find_opt t.tables name
@@ -112,12 +109,10 @@ let drop_table t name =
   match Hashtbl.find_opt t.tables name with
   | Some table -> begin
       Hashtbl.remove t.tables name;
-      Epoch.bump_structural ();
       match journal_applied t (J_drop name) with
       | Ok () -> Ok ()
       | Error _ as e ->
           Hashtbl.add t.tables name table;
-          Epoch.bump_structural ();
           e
     end
   | None -> Error (Printf.sprintf "no table named %s" name)
@@ -325,7 +320,7 @@ let protect_faults f =
   try f () with
   | Sesame_faults.Injected { point; action; transient } ->
       Error (Sesame_faults.injected_message point action ~transient)
-  | Sesame_deadline.Expired what -> Error (Sesame_deadline.error_message what)
+  | Sesame_request.Expired what -> Error (Sesame_request.error_message what)
 
 (* Write admission: a mutation that has already missed its budget is
    refused here, before the engine applies anything — memory and journal
@@ -336,13 +331,13 @@ let protect_faults f =
    statement runs to completion, journal included. *)
 let admit_write () =
   Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
-  Sesame_deadline.guard "wal commit admission"
+  Sesame_request.guard "wal commit admission"
 
 (* Every statement is refused on a quarantined store or a spent budget,
    then charged one round trip. *)
 let admit_statement t =
   let* () = guard t in
-  let* () = Sesame_deadline.guard "db statement" in
+  let* () = Sesame_request.guard "db statement" in
   Ok (charge t)
 
 let exec_stmt t stmt =

@@ -28,7 +28,7 @@ type t = {
 
 (* Cooperative cancellation: long scans poll the ambient request deadline
    every [scan_checkpoint_rows] slots (power of two so the poll gate is a
-   mask). An expired budget aborts the scan via [Sesame_deadline.Expired]
+   mask). An expired budget aborts the scan via [Sesame_request.Expired]
    before any mutation has been applied — callers observe a structured
    refusal, never a partial row set presented as complete. [fold]/[iter]
    stay checkpoint-free on purpose: they feed durable checkpointing,
@@ -39,7 +39,7 @@ let scan_checkpoint counter =
   incr counter;
   if !counter land (scan_checkpoint_rows - 1) = 0 then begin
     Sesame_faults.hit Sesame_faults.Db_scan_cancel;
-    Sesame_deadline.check "db scan"
+    Sesame_request.check "db scan"
   end
 
 let create schema =
@@ -141,7 +141,8 @@ let probe_keys t pin ~where col =
 (* The buckets' slots, ascending and distinct. [index_add] prepends
    ever-larger slots, so a bucket is descending unless an UPDATE moved a
    row into it: copying back to front yields ascending slots whenever
-   the gathered ones came strictly descending; only others are sorted. *)
+   the gathered ones came strictly descending. Other gathers (several
+   buckets, or a moved row) are sorted in place and compacted. *)
 let slots_in_order buckets =
   let n = List.fold_left (fun n bucket -> n + List.length bucket) 0 buckets in
   let slots = Array.make n 0 in
@@ -152,7 +153,19 @@ let slots_in_order buckets =
          slots.(!next) <- slot;
          if !next < n - 1 && slot >= slots.(!next + 1) then descending := false))
     buckets;
-  if !descending then slots else Array.of_list (List.sort_uniq Int.compare (List.concat buckets))
+  if !descending then slots
+  else begin
+    Array.sort Int.compare slots;
+    let distinct = ref 0 in
+    Array.iteri
+      (fun i slot ->
+        if i = 0 || slot <> slots.(!distinct - 1) then begin
+          slots.(!distinct) <- slot;
+          incr distinct
+        end)
+      slots;
+    if !distinct = n then slots else Array.sub slots 0 !distinct
+  end
 
 (* Candidate slots from an index, if an equality or an IN list in
    [where] pins an indexed column: an equality on the primary key,
@@ -381,5 +394,4 @@ let clear t =
       t.size <- 0;
       t.live <- 0;
       Option.iter Hashtbl.reset t.pk_index;
-      Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary);
-  Epoch.bump_structural ()
+      Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary)

@@ -6,7 +6,7 @@
     writer-preferring RW lock; reads run concurrently, and full scans
     copy the slot array under the read lock and evaluate off-lock, so a
     long scan sees a consistent statement-level snapshot instead of
-    racing writers. {!clear} moves the structural {!Epoch}. *)
+    racing writers. *)
 
 type t
 

@@ -1,16 +1,23 @@
-(** Per-request deadline budgets.
+(** Per-request state: the request's deadline and its degraded mark.
+
+    Each request owns one record, carried in domain-local storage and
+    installed by {!serve} when the server takes the request. Domain-local
+    storage does not cross domains, so this holds because a request runs
+    start to finish on the domain that took it.
 
     A deadline is an absolute instant on the monotonic clock by which the
-    current request must have produced an answer. The server stamps one at
-    the HTTP edge; every blocking layer below (policy conjunctions, DB
-    scans, WAL commit admission, sandbox runs) consults the *ambient*
-    deadline — carried in domain-local storage — and turns "about to miss
-    the budget" into a fast structured refusal instead of a hang.
-    Domain-local storage does not cross domains, so this holds because a
-    request runs start to finish on the domain that took it.
+    request must have produced an answer. Every blocking layer below the
+    HTTP edge (policy conjunctions, DB scans, WAL commit admission,
+    sandbox runs) consults the {e ambient} deadline — the current
+    record's — and turns "about to miss the budget" into a fast
+    structured refusal instead of a hang. The ambient deadline only ever
+    tightens: installing a looser deadline inside a tighter scope keeps
+    the tighter one. A sandbox run's wall budget is such a tightening
+    (see [Sesame_sandbox.Runtime.run]), not a clock of its own.
 
-    The ambient deadline only ever tightens: installing a looser deadline
-    inside a tighter scope keeps the tighter one. *)
+    The degraded mark records that a layer served the request in a
+    degraded mode (e.g. brownout snapshot reads while the durable store
+    is poisoned); {!serve} returns it so the server can tell the client. *)
 
 type t
 (** An absolute deadline, or "none". Immutable; cheap to copy. *)
@@ -29,7 +36,21 @@ val is_none : t -> bool
 
 val current : unit -> t
 (** The ambient deadline for this domain ({!none} outside any
-    {!with_deadline} scope). *)
+    {!with_deadline} or {!serve} scope). *)
+
+val serve : t -> (unit -> 'a) -> 'a * string option
+(** [serve d f] runs [f] under a fresh request record whose deadline is
+    [d] tightened by the ambient one and whose degraded mark is clear,
+    then restores the previous record (on exit, normal or exceptional).
+    Returns [f]'s result with the reason {!mark_degraded} last recorded
+    during the call, if any. Nothing set inside one [serve] call is
+    visible to the next. *)
+
+val mark_degraded : string -> unit
+(** Mark the current request as degraded, with a short reason token
+    (e.g. ["snapshot"]). Later marks overwrite earlier ones. Outside any
+    {!serve} scope the mark lands on the domain's root record, which no
+    server reads. *)
 
 val with_deadline : t -> (unit -> 'a) -> 'a
 (** [with_deadline d f] runs [f] with the ambient deadline tightened to

@@ -69,27 +69,20 @@ type usage = { fuel_used : int; mem_bytes : int }
 type outcome = { status : status; timings : timings; usage : usage }
 
 (* Per-domain sandbox state: the nesting depth that backs [guard_syscall]
-   plus the active budget, so concurrent domains neither observe each
-   other's sandboxes nor share fuel. *)
+   plus the active fuel budget, so concurrent domains neither observe
+   each other's sandboxes nor share fuel. It lives outside any request
+   because [guard_syscall] must hold wherever a sandbox runs. The wall
+   budget is not here: a run tightens the request's own deadline
+   (Sesame_request) instead. *)
 type dstate = {
   mutable depth : int;
   mutable fuel_left : int;  (* < 0: unlimited *)
   mutable fuel_limit : int;
-  mutable deadline : float;  (* absolute, [infinity]: none *)
-  mutable deadline_limit_s : float;
   mutable ticks : int;  (* monotone tick count — usage metering, never restored *)
 }
 
 let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        depth = 0;
-        fuel_left = -1;
-        fuel_limit = 0;
-        deadline = infinity;
-        deadline_limit_s = 0.0;
-        ticks = 0;
-      })
+  Domain.DLS.new_key (fun () -> { depth = 0; fuel_left = -1; fuel_limit = 0; ticks = 0 })
 
 let state () = Domain.DLS.get dls
 
@@ -102,7 +95,7 @@ let guard_syscall what =
 let now () = Sesame_clock.now_s ()
 
 exception Out_of_fuel of int
-exception Past_deadline of float
+exception Past_deadline
 exception Mem_exceeded of int * int
 
 (* The WASM engine's interruption points, modelled as an explicit callback:
@@ -116,7 +109,7 @@ let tick () =
       if st.fuel_left = 0 then raise (Out_of_fuel st.fuel_limit);
       st.fuel_left <- st.fuel_left - 1
     end;
-    if now () > st.deadline then raise (Past_deadline st.deadline_limit_s)
+    if Sesame_request.expired_now () then raise Past_deadline
   end
 
 (* Busy-wait to model the guest's slower code. *)
@@ -129,28 +122,32 @@ let simulate_slowdown elapsed slowdown =
     done
   end
 
-let trap_of_exn = function
+(* [limit_s] is the trapped run's own wall budget: a deadline that
+   expires inside a run is reported against that run's budget. *)
+let trap_of_exn ~limit_s = function
   | Forbidden_syscall msg -> Syscall_blocked msg
   | Arena.Sandbox_trap msg -> Sandbox_fault msg
   | Sesame_faults.Injected { point; action; transient } ->
       Fault_injected (Sesame_faults.injected_message point action ~transient)
   | Out_of_fuel limit -> Fuel_exhausted { limit }
-  | Past_deadline limit_s -> Deadline_exceeded { limit_s }
+  | Past_deadline -> Deadline_exceeded { limit_s }
   | Mem_exceeded (used_bytes, limit_bytes) -> Memory_exceeded { used_bytes; limit_bytes }
   | exn -> Guest_exception (Printexc.to_string exn)
 
 let run config ~input ~f =
   let budget = config.budget in
   (* The region's wall budget is capped by the ambient request deadline
-     (Sesame_deadline): a region can never outlive the request that
+     (Sesame_request): a region can never outlive the request that
      spawned it, even when its configured budget is looser or absent. An
      already-expired request yields a zero budget, trapped on the first
-     tick or at the post-execution check. *)
+     tick or at the post-execution check. The guest runs with the
+     request's deadline tightened to this budget, which a nested run can
+     tighten further but never extend. *)
   let wall_budget_s =
-    let ambient = Sesame_deadline.current () in
+    let ambient = Sesame_request.current () in
     let remaining =
-      if Sesame_deadline.is_none ambient then None
-      else Some (Float.max 0.0 (Sesame_deadline.remaining_s ambient))
+      if Sesame_request.is_none ambient then None
+      else Some (Float.max 0.0 (Sesame_request.remaining_s ambient))
     in
     match (budget.deadline_s, remaining) with
     | Some d, Some r -> Some (Float.min d r)
@@ -199,7 +196,7 @@ let run config ~input ~f =
         if used > cap then raise (Mem_exceeded (used, cap))
     | None -> ()
   in
-  let saved = (st.fuel_left, st.fuel_limit, st.deadline, st.deadline_limit_s) in
+  let saved = (st.fuel_left, st.fuel_limit) in
   match
     let addr_in = Copier.copy_in config.strategy arena input in
     let guest_input = Copier.copy_out config.strategy arena addr_in in
@@ -211,34 +208,28 @@ let run config ~input ~f =
         st.fuel_left <- fuel;
         st.fuel_limit <- fuel
     | None -> ());
-    (match wall_budget_s with
-    | Some d ->
-        (* A nested sandbox may tighten, never extend, the deadline. *)
-        if t2 +. d < st.deadline then begin
-          st.deadline <- t2 +. d;
-          st.deadline_limit_s <- d
-        end
-    | None -> ());
+    let deadline =
+      match wall_budget_s with Some d -> Sesame_request.after_s d | None -> Sesame_request.none
+    in
     let guest_result =
       Fun.protect
         ~finally:(fun () ->
           st.depth <- st.depth - 1;
-          let fuel_left, fuel_limit, deadline, deadline_limit_s = saved in
+          let fuel_left, fuel_limit = saved in
           st.fuel_left <- fuel_left;
-          st.fuel_limit <- fuel_limit;
-          st.deadline <- deadline;
-          st.deadline_limit_s <- deadline_limit_s)
+          st.fuel_limit <- fuel_limit)
         (fun () ->
-          let e0 = now () in
-          Sesame_faults.hit Sesame_faults.Guest_body;
-          let r = f guest_input in
-          simulate_slowdown (now () -. e0) config.slowdown;
-          r)
+          Sesame_request.with_deadline deadline (fun () ->
+              let e0 = now () in
+              Sesame_faults.hit Sesame_faults.Guest_body;
+              let r = f guest_input in
+              simulate_slowdown (now () -. e0) config.slowdown;
+              r))
     in
     (* A guest that never ticked but overran its deadline is still caught
        before its result is copied out. *)
     (match wall_budget_s with
-    | Some d when now () -. t2 > d -> raise (Past_deadline d)
+    | Some d when now () -. t2 > d -> raise Past_deadline
     | _ -> ());
     let t3 = now () in
     let addr_out = Copier.copy_in config.strategy arena guest_result in
@@ -248,9 +239,7 @@ let run config ~input ~f =
     (result, t2, t3, t4)
   with
   | result, t2, t3, t4 -> finish (Ok result) t2 t3 t4
-  | exception Fun.Finally_raised exn ->
+  | exception (Fun.Finally_raised exn | exn) ->
       let t = now () in
-      finish (Trapped (trap_of_exn exn)) t t t
-  | exception exn ->
-      let t = now () in
-      finish (Trapped (trap_of_exn exn)) t t t
+      let limit_s = Option.value wall_budget_s ~default:0.0 in
+      finish (Trapped (trap_of_exn ~limit_s exn)) t t t

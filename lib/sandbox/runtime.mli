@@ -13,7 +13,15 @@
     SFI violation, forbidden syscall, injected fault, or budget overrun
     (wall-clock deadline, fuel, arena high-water mark) surfaces as a
     structured {!trap}, and the arena that hosted it is quarantined —
-    poisoned and dropped from the pool, never reused. *)
+    poisoned and dropped from the pool, never reused.
+
+    The wall-clock budget is not a second clock: a run tightens the
+    ambient request deadline ({!Sesame_request.with_deadline}) to its
+    budget for the guest's extent and restores it afterwards, so a run
+    can never outlive its request and a nested run can never extend the
+    run around it. Nesting depth and fuel are per-domain state, kept
+    outside any request so {!guard_syscall} holds wherever a sandbox
+    runs. *)
 
 exception Forbidden_syscall of string
 
@@ -21,7 +29,9 @@ type mode = Naive | Pooled of Pool.t
 
 (** Resource budgets enforced on the guest. All default to unlimited. *)
 type budget = {
-  deadline_s : float option;  (** wall-clock limit on guest execution *)
+  deadline_s : float option;
+      (** wall-clock limit on guest execution, capped by the ambient
+          request deadline *)
   fuel : int option;  (** max {!tick} calls (the WASM fuel/step limit) *)
   mem_bytes : int option;  (** cap on the arena high-water mark *)
 }
@@ -68,7 +78,7 @@ type trap =
   | Syscall_blocked of string  (** {!guard_syscall} fired inside the guest *)
   | Sandbox_fault of string  (** SFI bounds/exhaustion/corrupt-object trap *)
   | Fault_injected of string  (** a {!Sesame_faults} plan fired at a sandbox seam *)
-  | Deadline_exceeded of { limit_s : float }
+  | Deadline_exceeded of { limit_s : float }  (** [limit_s]: the run's effective wall budget *)
   | Fuel_exhausted of { limit : int }
   | Memory_exceeded of { used_bytes : int; limit_bytes : int }
 
@@ -95,9 +105,9 @@ val run : config -> input:Value.t -> f:(Value.t -> Value.t) -> outcome
 val tick : unit -> unit
 (** Guest progress callback — the moral equivalent of WASM fuel
     interruption points. Guest closures should call it on loop
-    back-edges; it burns one unit of fuel and checks the deadline,
-    raising internal trap exceptions that {!run} converts to [Trapped].
-    Outside a sandbox it is a no-op. *)
+    back-edges; it burns one unit of fuel and checks the ambient
+    deadline, raising internal trap exceptions that {!run} converts to
+    [Trapped]. Outside a sandbox it is a no-op. *)
 
 val in_sandbox : unit -> bool
 (** True while any sandbox invocation is active on this domain. Each

@@ -176,6 +176,8 @@ let unavailable t body =
     "Retry-After"
     (string_of_int t.config.retry_after_s)
 
+let degraded_header = "X-Sesame-Degraded"
+
 (* The request's wall budget: the client's X-Deadline-Ms (capped by the
    server ceiling) or the configured default. 0 means unbounded. *)
 let request_budget_ms t request =
@@ -233,11 +235,11 @@ let handle_connection t fd =
             unavailable t "server overloaded; mutations shed before reads"
           end
           else begin
-            (* Fresh per-request serving state, then the whole handler
-               runs under the request's wall budget: every blocking
-               layer below (policy conjunctions, DB scans, WAL
-               admission, sandbox runs) observes the same deadline. *)
-            Http.Serving.reset ();
+            (* The whole handler runs under a fresh request record
+               carrying the request's wall budget: every blocking layer
+               below (policy conjunctions, DB scans, WAL admission,
+               sandbox runs) observes the same deadline, and a degraded
+               mark set for one request never reaches the next. *)
             let run () =
               try t.handler request
               with exn ->
@@ -252,14 +254,12 @@ let handle_connection t fd =
                 Http.Response.error Http.Status.Internal_error "internal error"
             in
             let budget_ms = request_budget_ms t request in
-            let response =
-              if budget_ms <= 0 then run ()
-              else Sesame_deadline.with_deadline (Sesame_deadline.after_ms budget_ms) run
+            let deadline =
+              if budget_ms <= 0 then Sesame_request.none else Sesame_request.after_ms budget_ms
             in
-            match Http.Serving.degraded_reason () with
-            | None -> response
-            | Some reason ->
-                Http.Response.add_header response Http.Serving.header_name reason
+            match Sesame_request.serve deadline run with
+            | response, None -> response
+            | response, Some reason -> Http.Response.add_header response degraded_header reason
           end
         in
         let requests_served = requests_served + 1 in

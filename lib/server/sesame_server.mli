@@ -91,6 +91,12 @@ val start :
     arenas in step with handler concurrency. Never called when
     [config.autoscale] is [None]. *)
 
+val degraded_header : string
+(** ["X-Sesame-Degraded"]: stamped on a response whose request a layer
+    below the handler marked degraded ({!Sesame_request.mark_degraded}),
+    with the mark's reason as its value, so clients can tell a fresh
+    answer from a last-known-good one. *)
+
 val port : t -> int
 (** The bound port (useful with [config.port = 0]). *)
 

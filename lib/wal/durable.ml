@@ -347,15 +347,16 @@ let replay_record db ~lsn record =
                 | Ok _ -> Ok ()
                 | Error detail -> Error (Replay_failed { lsn; detail }))))
 
-let recover ~dir ~config =
-  (* Recovery may run on a request-serving domain (a brownout exit
-     reopens the store mid-traffic); its replay must not be abandoned by
-     that request's budget. *)
-  Sesame_deadline.unrestricted @@ fun () ->
-  let wal_file = Filename.concat dir "wal" in
-  (* A leftover temp file is a crash mid-checkpoint: the rename never
-     happened, so the old checkpoint + WAL are authoritative. *)
-  (try Sys.remove (Filename.concat dir Checkpoint.temp_file) with Sys_error _ -> ());
+(* The state a directory describes: its checkpoint installed into a
+   fresh database, then every WAL record past the checkpoint replayed
+   over it. [scan] reads the WAL's records (and whatever else its caller
+   needs from the scan); it runs after the checkpoint loads, so a
+   corrupt checkpoint fails before the WAL is touched. Replay runs with
+   the ambient request deadline suspended: it may run on a request's
+   domain (a brownout snapshot build, a brownout exit's reopen), and a
+   half-replayed state would help nobody. *)
+let replay_dir ~dir ~scan =
+  Sesame_request.unrestricted @@ fun () ->
   let db = Db.create () in
   let* ckpt_lsn =
     match Checkpoint.load ~dir with
@@ -371,16 +372,7 @@ let recover ~dir ~config =
         in
         install tables
   in
-  let* records, valid_end, tail =
-    if Sys.file_exists wal_file then
-      match Wal.scan wal_file with
-      | Ok v -> Ok v
-      | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
-    else
-      match Wal.create wal_file with
-      | Ok () -> Ok ([], Wal.header_size, Wal.Clean)
-      | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
-  in
+  let* records, scanned = scan () in
   let rec replay last_lsn n = function
     | [] -> Ok (last_lsn, n)
     | ({ offset; payload } : Wal.record) :: rest -> (
@@ -398,6 +390,24 @@ let recover ~dir ~config =
               | Error reason -> fail dir reason))
   in
   let* last_lsn, replayed = replay ckpt_lsn 0 records in
+  Ok (db, ckpt_lsn, last_lsn, replayed, scanned)
+
+let recover ~dir ~config =
+  let wal_file = Filename.concat dir "wal" in
+  (* A leftover temp file is a crash mid-checkpoint: the rename never
+     happened, so the old checkpoint + WAL are authoritative. *)
+  (try Sys.remove (Filename.concat dir Checkpoint.temp_file) with Sys_error _ -> ());
+  let scan () =
+    if Sys.file_exists wal_file then
+      match Wal.scan wal_file with
+      | Ok (records, valid_end, tail) -> Ok (records, (valid_end, tail))
+      | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
+    else
+      match Wal.create wal_file with
+      | Ok () -> Ok ([], (Wal.header_size, Wal.Clean))
+      | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
+  in
+  let* db, ckpt_lsn, last_lsn, replayed, (valid_end, tail) = replay_dir ~dir ~scan in
   let* () =
     match tail with
     | Wal.Clean -> Ok ()
@@ -427,48 +437,17 @@ let recover ~dir ~config =
    no temp-file cleanup, no torn-tail truncation, no quarantine marker,
    no writer — so it can run while the (poisoned) writer still owns the
    files. A torn tail is tolerated, not repaired: the valid prefix is
-   replayed and the tear is left for a real reopen to truncate. Replay
-   runs with the ambient request deadline suspended: the snapshot build
-   happens on whichever request's domain noticed the poisoning, and an
-   aborted half-replayed snapshot would help nobody. *)
+   replayed and the tear is left for a real reopen to truncate. *)
 let read_state ~dir =
-  Sesame_deadline.unrestricted @@ fun () ->
   let wal_file = Filename.concat dir "wal" in
-  let db = Db.create () in
-  let* ckpt_lsn =
-    match Checkpoint.load ~dir with
-    | Error detail -> fail dir (Corrupt_checkpoint detail)
-    | Ok None -> Ok 0L
-    | Ok (Some (lsn, tables)) ->
-        let rec install = function
-          | [] -> Ok lsn
-          | (schema, rows) :: rest -> (
-              match Db.restore_table db schema rows with
-              | Ok () -> install rest
-              | Error detail -> fail dir (Corrupt_checkpoint detail))
-        in
-        install tables
-  in
-  let* records =
+  let scan () =
     if Sys.file_exists wal_file then
       match Wal.scan wal_file with
-      | Ok (records, _, _) -> Ok records
+      | Ok (records, _, _) -> Ok (records, ())
       | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
-    else Ok []
+    else Ok ([], ())
   in
-  let rec replay last_lsn n = function
-    | [] -> Ok (last_lsn, n)
-    | ({ offset; payload } : Wal.record) :: rest -> (
-        match decode_record payload with
-        | Error detail -> fail dir (Corrupt_record { offset; detail })
-        | Ok (lsn, record) ->
-            if Int64.compare lsn ckpt_lsn <= 0 then replay last_lsn n rest
-            else (
-              match replay_record db ~lsn record with
-              | Ok () -> replay lsn (n + 1) rest
-              | Error reason -> fail dir reason))
-  in
-  let* last_lsn, replayed = replay ckpt_lsn 0 records in
+  let* db, _, last_lsn, replayed, () = replay_dir ~dir ~scan in
   Ok (db, last_lsn, replayed)
 
 let open_store ?(config = default_config) ~provenance ~dir () =

@@ -6,7 +6,7 @@
    full storm (seeded load, two servers, cross-phase gates) lives in
    [bench/main.exe chaos]; this suite is the deterministic tier-1 core. *)
 
-module D = Sesame_deadline
+module D = Sesame_request
 module F = Sesame_faults
 module Db = Sesame_db
 module Sbx = Sesame_sandbox
@@ -196,6 +196,62 @@ let propagation_tests =
         | Sbx.Runtime.Trapped trap ->
             Alcotest.failf "wrong trap: %s" (Sbx.Runtime.trap_message trap)
         | Sbx.Runtime.Ok _ -> Alcotest.fail "sandbox run outlived the request budget");
+    test "a sandbox run restores the ambient deadline it tightened" (fun () ->
+        let config =
+          Sbx.Runtime.config ~mode:Sbx.Runtime.Naive ~arena_size:(64 * 1024)
+            ~budget:(Sbx.Runtime.budget ~deadline_s:0.005 ())
+            ()
+        in
+        D.with_deadline (D.after_s 60.0) (fun () ->
+            let before = D.current () in
+            let inside = ref D.none in
+            let guest v =
+              inside := D.current ();
+              v
+            in
+            let run = Sbx.Runtime.run config ~input:(Sbx.Value.Int 7) ~f:guest in
+            (match run.Sbx.Runtime.status with
+            | Sbx.Runtime.Ok _ -> ()
+            | Sbx.Runtime.Trapped trap ->
+                Alcotest.failf "run trapped: %s" (Sbx.Runtime.trap_message trap));
+            check_bool "the guest ran under the run's budget" true (D.remaining_s !inside < 1.0);
+            check_bool "the ambient deadline is what it was" true (D.current () = before)));
+    test "a nested sandbox run cannot extend the outer run's deadline" (fun () ->
+        let config deadline_s =
+          Sbx.Runtime.config ~mode:Sbx.Runtime.Naive ~arena_size:(64 * 1024)
+            ~budget:(Sbx.Runtime.budget ~deadline_s ())
+            ()
+        in
+        let outer_deadline = ref D.none and inner_deadline = ref D.none in
+        let inner_status = ref None and after_inner = ref D.none in
+        let inner v =
+          inner_deadline := D.current ();
+          (* Tick until the deadline traps, bounded in case it never does. *)
+          let stop = Unix.gettimeofday () +. 5.0 in
+          while Unix.gettimeofday () < stop do
+            Sbx.Runtime.tick ()
+          done;
+          v
+        in
+        let outer v =
+          outer_deadline := D.current ();
+          inner_status :=
+            Some (Sbx.Runtime.run (config 60.0) ~input:v ~f:inner).Sbx.Runtime.status;
+          after_inner := D.current ();
+          v
+        in
+        ignore (Sbx.Runtime.run (config 0.05) ~input:(Sbx.Value.Int 7) ~f:outer);
+        check_bool "the inner run's deadline is no later than the outer's" true
+          (compare !inner_deadline !outer_deadline <= 0);
+        check_bool "the outer deadline is back after the inner run" true
+          (!after_inner = !outer_deadline);
+        match !inner_status with
+        | Some (Sbx.Runtime.Trapped (Sbx.Runtime.Deadline_exceeded { limit_s })) ->
+            check_bool "reported against the outer budget" true (limit_s <= 0.05)
+        | Some (Sbx.Runtime.Trapped trap) ->
+            Alcotest.failf "wrong trap: %s" (Sbx.Runtime.trap_message trap)
+        | Some (Sbx.Runtime.Ok _) -> Alcotest.fail "the inner run outlived the outer budget"
+        | None -> Alcotest.fail "the outer guest never ran the inner run");
     test "an expired budget stops a wide conjunction before its tail" (fun () ->
         let conj = C.Policy.conjoin_all (List.init 500 (fun i -> Allow_all.make i)) in
         let ctx = C.Mock.context ~user:"student0@school.edu" () in
@@ -247,7 +303,7 @@ let call ~port ?(headers = []) ?(body = "") meth path =
   | `Error e -> Alcotest.fail ("client parse error: " ^ Wire.error_message e)
 
 let retry_after headers = Http.Headers.get headers "Retry-After"
-let degraded headers = Http.Headers.get headers Http.Serving.header_name
+let degraded headers = Http.Headers.get headers Sesame_server.degraded_header
 
 let seeded_websubmit ?data_dir () =
   F.disarm ();
@@ -400,6 +456,41 @@ let server_tests =
                 ~body:"answer=chaos" Http.Meth.POST "/submit/1/9004"
             in
             check_int "writes acknowledge again" 201 status);
+        Option.iter (fun s -> ignore (Sesame_wal.Durable.close s)) store;
+        rm_rf dir);
+    test "the degraded mark belongs to one request, not its connection" (fun () ->
+        let dir = Filename.concat (Filename.get_temp_dir_name ()) "sesame-chaos-keepalive" in
+        rm_rf dir;
+        let app, store = seeded_websubmit ~data_dir:dir () in
+        with_app_server app (fun t ->
+            let port = Server.port t in
+            F.arm [ F.plan ~nth:0 F.Db_wal_append F.Raise ];
+            let status, _, _ =
+              call ~port
+                ~headers:[ student_cookie; form ]
+                ~body:"answer=chaos" Http.Meth.POST "/submit/1/9005"
+            in
+            F.disarm ();
+            check_bool "poisoning write refused" true (status >= 400);
+            (* Both requests on one keep-alive connection, so one handler
+               domain serves them back to back. *)
+            let fd = connect port in
+            Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
+            let src = source_of_fd fd in
+            let get headers path =
+              write_all fd
+                (Wire.write_request ~headers:(Http.Headers.of_list headers) ~host:"127.0.0.1"
+                   Http.Meth.GET path);
+              match Wire.read_response src with
+              | `Response (status, headers, _) -> (status, headers)
+              | `Eof -> Alcotest.fail "connection closed before a response arrived"
+              | `Error e -> Alcotest.fail ("client parse error: " ^ Wire.error_message e)
+            in
+            let status, headers = get [ admin_cookie ] "/aggregates" in
+            check_int "degraded read serves" 200 status;
+            check_str "marked" "snapshot" (Option.value ~default:"" (degraded headers));
+            let _, headers = get [ ("Connection", "close") ] "/health" in
+            check_bool "the next request is not marked" true (degraded headers = None));
         Option.iter (fun s -> ignore (Sesame_wal.Durable.close s)) store;
         rm_rf dir);
     test "expired in-flight budgets refuse rather than hang under load" (fun () ->

@@ -484,16 +484,14 @@ let submit_as app ~user n =
        Http.Meth.POST
        (Printf.sprintf "/submit/1/%d" (100 + n)))
 
-(* Read through the handler with the per-request serving state reset, so
-   the degraded marker observed is this request's own. The probe is
+(* Read through the handler under a fresh request record, so the
+   degraded marker observed is this request's own. The probe is
    [/aggregates]: unlike [/view/<id>] (whose SQL filters on the caller's
    own email, so the admin fallback legitimately sees no rows) it serves
    any admin, and its aggregation always re-scans the store, so the
    snapshot fallback is exercised on every request. *)
 let aggregates_tracking_degraded app =
-  Http.Serving.reset ();
-  let r = aggregates app in
-  (r, Http.Serving.degraded_reason ())
+  Sesame_request.serve Sesame_request.none (fun () -> aggregates app)
 
 let brownout_enter_case action =
   let name = Printf.sprintf "brownout-enter × %s" (F.action_name action) in
@@ -967,16 +965,15 @@ let brownout_staging_tests =
             let email = Db.Schema.column_index_exn schema "email" in
             fun row -> Only.make { who = Db.Value.to_text row.(email) });
         let student0 = "student0@school.edu" in
-        Http.Serving.reset ();
         (match
-           Sesame_conn.query conn ~context:(Mock.context ~user:student0 ())
-             "SELECT * FROM answers WHERE email = ?"
-             ~params:[ Pcon.wrap_no_policy (Db.Value.Text student0) ]
+           Sesame_request.serve Sesame_request.none (fun () ->
+               Sesame_conn.query conn ~context:(Mock.context ~user:student0 ())
+                 "SELECT * FROM answers WHERE email = ?"
+                 ~params:[ Pcon.wrap_no_policy (Db.Value.Text student0) ])
          with
-        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e
-        | Ok rows ->
-            check_str "served from the snapshot" "snapshot"
-              (Option.value ~default:"" (Http.Serving.degraded_reason ()));
+        | Error e, _ -> Alcotest.failf "%a" Sesame_conn.pp_error e
+        | Ok rows, degraded ->
+            check_str "served from the snapshot" "snapshot" (Option.value ~default:"" degraded);
             check_bool "rows served" true (rows <> []);
             (match !staged with
             | [ schema ] ->

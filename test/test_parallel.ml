@@ -227,31 +227,6 @@ let enforce_tests =
         check_bool "ada still allowed" true (C.Enforce.check ada ctx);
         exec db "UPDATE inv_team SET team = 3 WHERE who = ?" [ Db.Value.Text "ada" ];
         check_bool "ada denied" false (C.Enforce.check ada ctx));
-    test "bump invalidates even without a visible DB change" (fun () ->
-        (* Plan certificates revalidate when the base moves, and a bump
-           moves it with no DB write at all. *)
-        let revalidations = ref 0 in
-        let entry =
-          C.Enforce.Plan.entry ~sink:"test::sink" ~family:"par::parity"
-            ~guard:(fun _ -> true)
-            ~revalidate:(fun () ->
-              incr revalidations;
-              true)
-            ~witness:"test" ()
-        in
-        let ctx = C.Mock.context ~user:"ada" ~sink:"test::sink" () in
-        let certified () =
-          C.Enforce.Plan.certified_leaf ~sink:"test::sink" ~family:"par::parity" ctx
-        in
-        Fun.protect ~finally:C.Enforce.Plan.clear (fun () ->
-            C.Enforce.Plan.install entry;
-            check_bool "certified" true (certified ());
-            let validated = !revalidations in
-            check_bool "still certified" true (certified ());
-            check_int "current base: no revalidation" validated !revalidations;
-            C.Enforce.bump ();
-            check_bool "revalidated" true (certified ());
-            check_int "bump forces one revalidation" (validated + 1) !revalidations));
     test "table creation invalidates verdicts that read its absence" (fun () ->
         let db = Db.Database.create () in
         let p = Consent.make { db; table = "inv_late"; user = "ada" } in

@@ -1028,13 +1028,47 @@ let gen_case : case QCheck.Gen.t =
     in
     return (Call (Static name, args))
   in
+  let sensitive =
+    oneof
+      [
+        map (fun v -> Var v) (oneofl params);
+        map2 (fun v f -> Field (Var v, f)) (oneofl params) (oneofl fields);
+      ]
+  in
   (* Stored values read a sensitive place directly a third of the time,
      so that stores of sensitive data are common. *)
-  let value =
+  let value = frequency [ (2, expr 2); (1, sensitive) ] in
+  (* An argument that reads no parameter: a literal or a local. *)
+  let insensitive =
+    oneof
+      [
+        map (fun n -> Int_lit n) (int_range 0 3);
+        map (fun s -> Str_lit s) (oneofl [ "s"; "t" ]);
+        map (fun v -> Var v) (oneofl locals);
+      ]
+  in
+  (* A loop condition over the counter [i]. A third of the bounds are a
+     small integer computed from a sensitive place (the allow-listed
+     [Vec::len] of it), so the trip count often depends on sensitive
+     data. Some shapes add a term evaluated at every test, to which a
+     call contributes its effects but not its value ([0 * call]), so
+     each re-test of the condition is observable. *)
+  let loop_cond =
+    let bound =
+      frequency [ (2, expr 2); (1, map (fun s -> Call (Static "Vec::len", [ s ])) sensitive) ]
+    in
+    let effect =
+      frequency
+        [ (1, call 0); (1, map (fun a -> Call (Static "net::send", [ a ])) insensitive) ]
+    in
+    let i = Var "i" in
     frequency
       [
-        (2, expr 2);
-        (1, map2 (fun v f -> Field (Var v, f)) (oneofl params) (oneofl fields));
+        (2, map (fun b -> Binop (Lt, i, b)) bound);
+        (1, map (fun b -> Binop (Gt, b, i)) bound);
+        (1, map2 (fun b e -> Binop (And, Binop (Lt, i, b), e)) bound (expr 1));
+        ( 2,
+          map2 (fun b c -> Binop (Lt, i, Binop (Add, b, Binop (Mul, Int_lit 0, c)))) bound effect );
       ]
   in
   let rec stmts n : stmt list QCheck.Gen.t =
@@ -1057,6 +1091,13 @@ let gen_case : case QCheck.Gen.t =
               (oneofl fields) value );
           (1, map (fun e -> [ Assign (Lglobal "NOTE", e) ]) value);
           (3, map (fun c -> [ Expr_stmt c ]) (call 1));
+          (* [h::early] returns before its send when its first argument
+             is large: sensitive data decides whether the insensitive
+             second argument is published. *)
+          ( 1,
+            map2
+              (fun x y -> [ Expr_stmt (Call (Static "h::early", [ x; y ])) ])
+              sensitive insensitive );
           (1, map (fun e -> [ Return (Some e) ]) (expr 1));
         ]
     in
@@ -1069,14 +1110,12 @@ let gen_case : case QCheck.Gen.t =
             map3 (fun c t e -> [ If (c, t, e) ]) (expr 1) (sub_block (n - 1)) (sub_block (n - 1)) );
           ( 1,
             map2
-              (fun bound body ->
+              (fun cond body ->
                 [
                   Let ("i", Int_lit 0);
-                  While
-                    ( Binop (Lt, Var "i", bound),
-                      body @ [ Assign (Lvar "i", Binop (Add, Var "i", Int_lit 1)) ] );
+                  While (cond, body @ [ Assign (Lvar "i", Binop (Add, Var "i", Int_lit 1)) ]);
                 ])
-              (expr 2) (sub_block (n - 1)) );
+              loop_cond (sub_block (n - 1)) );
           ( 1,
             map2 (fun coll body -> [ For ("e", coll, body) ]) (expr 1) (sub_block (n - 1)) );
         ]
