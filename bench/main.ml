@@ -663,60 +663,6 @@ let pcon_micro () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: the three shapes a conjunction of N policies can take —
-   distinct instances (stacked), one shared instance repeated (dedup
-   collapses it), and same-family joinable instances (join collapses
-   them) — and what each costs to build and check. *)
-
-module Viewer_family = struct
-  type s = { who : string }
-
-  let name = "bench::viewer"
-  let check s ctx = C.Context.user ctx = Some s.who
-  let join = None
-  let no_folding = false
-  let describe s = "Viewer(" ^ s.who ^ ")"
-end
-
-module Viewer = C.Policy.Make (Viewer_family)
-
-module Cohort_family = struct
-  type s = { members : int }
-
-  let name = "bench::cohort"
-  let check s _ = s.members > 0
-  let join = Some (fun a b -> Some { members = min a.members b.members })
-  let no_folding = false
-  let describe s = Printf.sprintf "Cohort(%d)" s.members
-end
-
-module Cohort = C.Policy.Make (Cohort_family)
-
-let conjoin_ablation () =
-  header "Ablation: policy conjunction — stacking vs dedup vs join (N = 10000)";
-  let n = 10_000 in
-  let ctx = C.Mock.context ~user:"who0" () in
-  let scenario label policies =
-    let t0 = Sesame_clock.now_s () in
-    let conj = C.Policy.conjoin_all policies in
-    let t1 = Sesame_clock.now_s () in
-    C.Policy.reset_check_count ();
-    ignore (C.Policy.check conj ctx);
-    let t2 = Sesame_clock.now_s () in
-    Printf.printf "%-28s %6d leaves %8.0f us build %8.0f us check %8d leaf checks
-"
-      label
-      (List.length (C.Policy.conjuncts conj))
-      (us (t1 -. t0)) (us (t2 -. t1)) (C.Policy.check_count ())
-  in
-  (* Fresh instances with identical state: no dedup (ids differ), and the
-     check passes every leaf so the full traversal cost is visible. *)
-  scenario "distinct (stacked)" (List.init n (fun _ -> Viewer.make { who = "who0" }));
-  let shared = Viewer.make { who = "who0" } in
-  scenario "one instance repeated (dedup)" (List.init n (fun _ -> shared));
-  scenario "same family (join)" (List.init n (fun i -> Cohort.make { members = i + 1 }))
-
-(* ------------------------------------------------------------------ *)
 (* Ablation: what elision and pushdown each buy on the enforcement hot
    path. Two workloads per mode: a wide conjunction of distinct
    moderately-expensive leaves (the Fold/Pcon_row shape) and the
@@ -831,64 +777,6 @@ let parcheck () =
          ("host_cores", Json.Int (Domain.recommended_domain_count ()));
          ("modes", Json.List rows);
        ])
-
-(* ------------------------------------------------------------------ *)
-(* Ablation: what the fault-injection seams cost. Disarmed (the
-   production configuration) a hit is one load and branch; armed with a
-   plan that never fires it also walks the plan list. Measured both as a
-   micro-benchmark of the hook itself and end-to-end on a WebSubmit
-   endpoint that crosses the DB, policy and render seams. *)
-
-module F = Sesame_faults
-
-let faults_ablation () =
-  header "Ablation: fault-injection hook overhead (disarmed vs armed-not-firing)";
-  let n = 1_000_000 in
-  F.disarm ();
-  let hits () =
-    for _ = 1 to n do
-      F.hit F.Db_query
-    done
-  in
-  let baseline () =
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity ())
-    done
-  in
-  let per_hit t = (median t -. 0.0) /. float_of_int n *. 1e9 in
-  let t_base = sample ~n:11 baseline in
-  let t_disarmed = sample ~n:11 hits in
-  F.arm [ F.plan ~nth:max_int F.Db_query F.Raise ];
-  let t_armed = sample ~n:11 hits in
-  F.disarm ();
-  Printf.printf "empty loop:          %10.1f us\n" (us (median t_base));
-  Printf.printf "disarmed hit:        %10.1f us (%5.2f ns/hit)\n" (us (median t_disarmed))
-    (per_hit t_disarmed);
-  Printf.printf "armed, never fires:  %10.1f us (%5.2f ns/hit)\n" (us (median t_armed))
-    (per_hit t_armed);
-  let app = match Apps.Websubmit.create () with Ok a -> a | Error m -> failwith m in
-  (match Apps.Websubmit.seed app ~students:10 ~questions:2 with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  let view () =
-    expect_status "view"
-      (Apps.Websubmit.handle app (req ~cookies:"user=student0@school.edu" Http.Meth.GET "/view/1"))
-      200
-  in
-  F.disarm ();
-  let t_view_off = sample ~n:31 view in
-  F.arm [ F.plan ~nth:max_int F.Db_query F.Raise ];
-  let t_view_on = sample ~n:31 view in
-  F.disarm ();
-  Printf.printf "GET /view, disarmed: %10.1f us\n" (us (median t_view_off));
-  Printf.printf "GET /view, armed:    %10.1f us (%.3fx)\n" (us (median t_view_on))
-    (median t_view_on /. median t_view_off);
-  Printf.printf "\nBechamel (OLS ns/run):\n";
-  run_bechamel
-    [
-      Bechamel.Test.make ~name:"faults/hit-disarmed"
-        (Bechamel.Staged.stage (fun () -> Sys.opaque_identity (F.hit F.Db_query)));
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: what durability costs. The same insert workload runs
@@ -1344,8 +1232,6 @@ let serve () =
             ("wall_s", Json.Num c.Sbx.Quota.wall_s);
             ("peak_mem_bytes", Json.Int c.Sbx.Quota.peak_mem_bytes);
             ("denied", Json.Int c.Sbx.Quota.denied);
-            ("throttled", Json.Int c.Sbx.Quota.throttled);
-            ("quarantine_events", Json.Int c.Sbx.Quota.quarantine_events);
           ]
       in
       Json.to_file "BENCH_serve.json"
@@ -1774,9 +1660,7 @@ let experiments =
     ("stdlib", "Scrutinizer over std-collection methods", stdlib_study);
     ("precision", "Place-sensitive precision over the field-disjoint corpus", precision);
     ("pcon-micro", "PCon layout indirection", pcon_micro);
-    ("conjoin", "Policy conjunction ablation (stack/dedup/join)", conjoin_ablation);
     ("parcheck", "Enforcement hot-path ablation (elision, pushdown)", parcheck);
-    ("faults", "Fault-injection hook overhead ablation", faults_ablation);
     ("wal", "Durable-store ablation (in-memory/no-sync/fsync/checkpoint)", wal_ablation);
     ("serve", "Open-loop socket load curves over all four apps", serve);
     ("chaos", "Deadline/overload/brownout chaos gates over real sockets", chaos);

@@ -288,19 +288,6 @@ let seed t ~candidates =
 
 let conn_error e = Conn.error_response e
 
-(* Explicit variants, no catch-all: region failures carry internal
-   detail (trap renderings, hash/decode messages) that must never reach
-   a client body, and the compiler should flag any new variant here. *)
-let region_err e =
-  match e with
-  | Region.Policy_denied _ -> Http.Response.error Http.Status.Forbidden "policy check failed"
-  | Region.Quota_denied _ ->
-      Http.Response.error (Http.Status.Code 503) "service temporarily unavailable"
-  | Region.Not_leakage_free _ | Region.Unsigned _ | Region.Signature_invalid _
-  | Region.Hashing_failed _ | Region.Decode_failed _ | Region.Sandbox_trapped _
-  | Region.Attest_failed _ ->
-      Http.Response.error Http.Status.Internal_error "internal error"
-
 let authenticate request = Http.Request.cookie request "user"
 
 let require_auth request k =
@@ -332,7 +319,7 @@ let register t request =
         let cr_context = Context.untrusted ~endpoint:"/register" ~user:email () in
         let seed_pcon = C.Pcon.Internal.make name_policy email in
         match Region.Critical.run t.regions.generate_keypair ~context:cr_context seed_pcon with
-        | Error e -> region_err e
+        | Error e -> Region.error_response e
         | Ok (_public, priv) -> (
             let context = Web.context_for request ~user:email () in
             match
@@ -392,7 +379,7 @@ let upload_document t request =
                 Region.Critical.run t.regions.encrypt_document ~context:cr_context
                   (Pcon.pair data key_pcon)
               with
-              | Error e -> region_err e
+              | Error e -> Region.error_response e
               | Ok ciphertext -> (
                   let context = Web.context_for request ~user () in
                   match
@@ -442,7 +429,7 @@ let view_document t request =
                 Region.Critical.run t.regions.decrypt_document ~context:cr_context
                   (Pcon.pair ciphertext key_pcon)
               with
-              | Error e -> region_err e
+              | Error e -> Region.error_response e
               | Ok (Error msg) -> Http.Response.error Http.Status.Forbidden msg
               | Ok (Ok plaintext) -> Http.Response.text plaintext)))
 

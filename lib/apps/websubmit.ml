@@ -328,7 +328,6 @@ type hardening = {
 }
 
 let harden ?(pool_capacity = 4) ?max_pool_capacity ?(arena_size = 256 * 1024) ?quota_limits
-    ?(quota_policy = Sbx.Quota.Deny)
     ?(budget = Sbx.Runtime.budget ~deadline_s:5.0 ~fuel:1_000_000 ~mem_bytes:(128 * 1024) ())
     () =
   match
@@ -337,7 +336,7 @@ let harden ?(pool_capacity = 4) ?max_pool_capacity ?(arena_size = 256 * 1024) ?q
   | Error report ->
       Error (Printf.sprintf "sandbox preflight failed closed: %s" (Sbx.Preflight.summary report))
   | Ok (pool, preflight) ->
-      let quota = Sbx.Quota.create ?limits:quota_limits ~policy:quota_policy () in
+      let quota = Sbx.Quota.create ?limits:quota_limits () in
       let sandbox_config = Sbx.Runtime.config ~mode:(Sbx.Runtime.Pooled pool) ~budget () in
       Ok { sandbox_pool = pool; preflight; quota; sandbox_config }
 
@@ -874,20 +873,6 @@ let web_error e = Web.error_response e
 (* One shared rendering for connector errors (redaction lives there). *)
 let conn_error = Conn.error_response
 
-(* Region failures carry internal detail (sandbox traps, hash/decode
-   messages, Scrutinizer verdicts); like DB errors, none of it belongs in
-   a client-facing body. *)
-let region_err e =
-  match e with
-  | Region.Policy_denied _ -> Http.Response.error Http.Status.Forbidden "policy check failed"
-  | Region.Quota_denied _ ->
-      (* Quota exhaustion is load shedding, not a server bug: retryable. *)
-      Http.Response.error (Http.Status.Code 503) "service temporarily unavailable"
-  | Region.Not_leakage_free _ | Region.Unsigned _ | Region.Signature_invalid _
-  | Region.Hashing_failed _ | Region.Decode_failed _ | Region.Sandbox_trapped _
-  | Region.Attest_failed _ ->
-      Http.Response.error Http.Status.Internal_error "internal error"
-
 (* The Sesame authentication guard (framework-level, like Fig. 2's
    [student: Student] cookie guard): resolves the session cookie to a
    known user. Trusted code. *)
@@ -919,7 +904,7 @@ let register_user t request =
         C.Pcon.Internal.make (Api_key.make { owner = email }) apikey
       in
       match Region.Sandboxed.run t.regions.hash_key key_pcon with
-      | Error e -> region_err e
+      | Error e -> Region.error_response e
       | Ok hash_pcon -> (
           let context = Web.context_for request ~user:email () in
           match
@@ -989,7 +974,7 @@ let submit_answer t request =
                 Region.Critical.run t.regions.email_confirmation ~context:cr_context body
               with
               | Ok () -> Http.Response.text ~status:Http.Status.Created "submitted"
-              | Error e -> region_err e)))
+              | Error e -> Region.error_response e)))
 
 (* GET /view/<answer_id>: Fig. 2's endpoint. *)
 let view_answer_template =
@@ -1217,7 +1202,7 @@ let retrain_model t request =
             if points = [] then bad_request "no consenting training data"
             else
               match Region.Sandboxed.run t.regions.train (C.Fold.out_list points) with
-              | Error e -> region_err e
+              | Error e -> Region.error_response e
               | Ok weights_pcon -> (
                   match C.Pcon.Internal.unwrap weights_pcon with
                   | [ w; b ] ->

@@ -54,7 +54,6 @@ val harden :
   ?max_pool_capacity:int ->
   ?arena_size:int ->
   ?quota_limits:Sbx.Quota.limits ->
-  ?quota_policy:Sbx.Quota.policy ->
   ?budget:Sbx.Runtime.budget ->
   unit ->
   (hardening, string) result
@@ -63,7 +62,7 @@ val harden :
     caught — an app asked to harden never falls back to an unverified
     pool. Defaults: 4 arenas of 256 KiB (growable to [max_pool_capacity]
     via {!Sbx.Pool.set_capacity}), a 5 s / 1M-fuel / 128 KiB per-run
-    budget, no cumulative limits, [Deny] policy. *)
+    budget, no cumulative limits. *)
 
 val hardening : t -> hardening option
 (** The bundle this instance was created with, for stats surfacing. *)

@@ -1,6 +1,7 @@
 module Scrut = Sesame_scrutinizer
 module Sbx = Sesame_sandbox
 module Sign = Sesame_signing
+module Http = Sesame_http
 
 type error =
   | Not_leakage_free of Scrut.Analysis.verdict
@@ -38,6 +39,41 @@ let check_policy policy context =
   | Ok () -> Ok ()
   | Error msg ->
       Error (Policy_denied { policy = msg; context = Context.describe context })
+
+(* Region failures carry internal detail (sandbox traps, hash/decode
+   messages, Scrutinizer verdicts); none of it belongs in a client-facing
+   body. Explicit variants, no catch-all, so a new variant must be
+   placed here. *)
+let error_response = function
+  | Policy_denied _ -> Http.Response.error Http.Status.Forbidden "policy check failed"
+  | Quota_denied _ ->
+      (* Quota exhaustion is load shedding, not a server bug: retryable. *)
+      Http.Response.error (Http.Status.Code 503) "service temporarily unavailable"
+  | Not_leakage_free _ | Unsigned _ | Signature_invalid _ | Hashing_failed _ | Decode_failed _
+  | Sandbox_trapped _ | Attest_failed _ ->
+      Http.Response.error Http.Status.Internal_error "internal error"
+
+let ( let* ) = Result.bind
+
+(* The one quota gate sandboxed and critical runs pass: admit the run on
+   the region's books and hand back the charge for it. A refusal, or a
+   charge the [quota-account] seam stops, is a [Quota_denied] — a run is
+   never served unaccounted. Without a quota every run admits and the
+   charge is free. *)
+let admit_run quota ~region ~key =
+  let deny state = Error (Quota_denied { region; state }) in
+  match quota with
+  | None -> Ok (fun ~trapped:_ ~fuel:_ ~wall_s:_ ~mem_bytes:_ -> Ok ())
+  | Some q -> (
+      match Sbx.Quota.admit q ~key with
+      | Sbx.Quota.Deny_quota _ as refused -> deny (Sbx.Quota.admission_message refused)
+      | Sbx.Quota.Admit ->
+          Ok
+            (fun ~trapped ~fuel ~wall_s ~mem_bytes ->
+              match Sbx.Quota.account q ~key ~trapped ~fuel ~wall_s ~mem_bytes with
+              | () -> Ok ()
+              | exception Sesame_faults.Injected _ ->
+                  deny "usage accounting failed; result withheld"))
 
 (* Attestation hooks. When an ambient recorder is installed
    (Sign.Attest.install — bench serve, the demo with --attest-log),
@@ -191,57 +227,31 @@ module Sandboxed = struct
           ~preflight:t.preflight_hex
 
   let run_value t policy value =
-    let deny state = Error (Quota_denied { region = t.name; state }) in
-    let admitted =
-      match t.quota with
-      | None -> Result.Ok ()
-      | Some q -> (
-          match Sbx.Quota.admit q ~key:t.body_hex with
-          | Sbx.Quota.Admit -> Result.Ok ()
-          | refused -> deny (Sbx.Quota.admission_message refused))
-    in
-    match admitted with
-    | Error _ as e -> e
-    | Ok () ->
-        if t.attest_broken then Error (Attest_failed { region = t.name })
-        else begin
-          let outcome = Sbx.Runtime.run t.config ~input:value ~f:t.f in
-          t.last <- Some outcome.Sbx.Runtime.timings;
-          let trapped =
-            match outcome.Sbx.Runtime.status with
+    let* charge = admit_run t.quota ~region:t.name ~key:t.body_hex in
+    if t.attest_broken then Error (Attest_failed { region = t.name })
+    else begin
+      let outcome = Sbx.Runtime.run t.config ~input:value ~f:t.f in
+      t.last <- Some outcome.Sbx.Runtime.timings;
+      let* () =
+        charge
+          ~trapped:
+            (match outcome.Sbx.Runtime.status with
             | Sbx.Runtime.Trapped _ -> true
-            | Sbx.Runtime.Ok _ -> false
-          in
-          let accounted =
-            match t.quota with
-            | None -> Result.Ok ()
-            | Some q -> (
-                match
-                  Sbx.Quota.account q ~key:t.body_hex ~trapped
-                    ~fuel:outcome.Sbx.Runtime.usage.Sbx.Runtime.fuel_used
-                    ~wall_s:(Sbx.Runtime.total_s outcome.Sbx.Runtime.timings)
-                    ~mem_bytes:outcome.Sbx.Runtime.usage.Sbx.Runtime.mem_bytes
-                with
-                | () -> Result.Ok ()
-                | exception Sesame_faults.Injected _ ->
-                    (* The books could not be charged: the run must not
-                       be served unaccounted. *)
-                    deny "usage accounting failed; result withheld")
-          in
-          match accounted with
-          | Error _ as e -> e
-          | Ok () -> (
-              match record_run t outcome with
-              | Error _ -> Error (Attest_failed { region = t.name })
-              | Ok () -> (
-                  match outcome.Sbx.Runtime.status with
-                  | Sbx.Runtime.Trapped trap ->
-                      Error (Sandbox_trapped { region = t.name; trap })
-                  | Sbx.Runtime.Ok value -> (
-                      match t.decode value with
-                      | Ok result -> Ok (Pcon.Internal.make policy result)
-                      | Error msg -> Error (Decode_failed msg))))
-        end
+            | Sbx.Runtime.Ok _ -> false)
+          ~fuel:outcome.Sbx.Runtime.usage.Sbx.Runtime.fuel_used
+          ~wall_s:(Sbx.Runtime.total_s outcome.Sbx.Runtime.timings)
+          ~mem_bytes:outcome.Sbx.Runtime.usage.Sbx.Runtime.mem_bytes
+      in
+      match record_run t outcome with
+      | Error _ -> Error (Attest_failed { region = t.name })
+      | Ok () -> (
+          match outcome.Sbx.Runtime.status with
+          | Sbx.Runtime.Trapped trap -> Error (Sandbox_trapped { region = t.name; trap })
+          | Sbx.Runtime.Ok value -> (
+              match t.decode value with
+              | Ok result -> Ok (Pcon.Internal.make policy result)
+              | Error msg -> Error (Decode_failed msg)))
+    end
 
   let run t pcon =
     run_value t (Pcon.policy pcon) (t.encode (Pcon.Internal.unwrap pcon))
@@ -327,8 +337,6 @@ module Critical = struct
         | Ok () -> Ok ()
         | Error e -> Error (Signature_invalid e))
 
-  let ( let* ) = Result.bind
-
   let quota_counters t =
     Option.bind t.quota (fun q -> Sbx.Quota.counters_for q ~key:t.digest_hex)
 
@@ -337,34 +345,14 @@ module Critical = struct
      (the body runs unsandboxed, so only wall-clock and run counts are
      observable); an exception still charges a trap before re-raising. *)
   let run t ~context pcon =
-    let deny state = Error (Quota_denied { region = t.name; state }) in
     let* () =
       if Build_mode.is_release () then validate_signature t else Ok ()
     in
-    let* () =
-      match t.quota with
-      | None -> Ok ()
-      | Some q -> (
-          match Sbx.Quota.admit q ~key:t.digest_hex with
-          | Sbx.Quota.Admit -> Ok ()
-          | refused -> deny (Sbx.Quota.admission_message refused))
-    in
+    let* charge = admit_run t.quota ~region:t.name ~key:t.digest_hex in
     let* () = check_policy (Pcon.policy pcon) context in
     let started = Sesame_clock.now_s () in
     let account ~trapped =
-      match t.quota with
-      | None -> Ok ()
-      | Some q -> (
-          match
-            Sbx.Quota.account q ~key:t.digest_hex ~trapped ~fuel:0
-              ~wall_s:(Sesame_clock.now_s () -. started)
-              ~mem_bytes:0
-          with
-          | () -> Ok ()
-          | exception Sesame_faults.Injected _ ->
-              (* The books could not be charged: the run must not be
-                 served unaccounted. *)
-              deny "usage accounting failed; result withheld")
+      charge ~trapped ~fuel:0 ~wall_s:(Sesame_clock.now_s () -. started) ~mem_bytes:0
     in
     match t.f ~context (Pcon.Internal.unwrap pcon) with
     | result ->

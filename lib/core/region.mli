@@ -44,6 +44,12 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
+val error_response : error -> Sesame_http.Response.t
+(** The shared client-facing rendering: a policy denial is a 403, a
+    quota refusal a retryable 503, and every other variant a 500
+    "internal error" — trap renderings, hash/decode messages and
+    verdicts never reach a client body. *)
+
 module Verified : sig
   type ('a, 'b) t
 

@@ -621,7 +621,8 @@ let query_filtered t ~context ~on sql ~params =
    so a concurrent write cannot leave a released cell without its
    contributors' policies. The per-group build — instantiating per-row
    policies and conjoining them — runs on every request, for each group
-   and aggregated column that neither elision nor pushdown discharges. *)
+   and aggregated column that elision does not discharge; a binding's
+   [to_expr] is not consulted here. *)
 let query_agg t ~context sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
@@ -683,55 +684,13 @@ let query_agg t ~context sql ~params =
       match Db.Database.exec_groups db ~members:need_members stmt with
       | Error msg -> Error (db_error_at ~sink msg)
       | Ok (schema, columns, groups) ->
-          (* Pushdown fast path (when not elided):
-             evaluate the binding's translated predicate over the
-             group's member rows for every declared release sink —
-             no per-row policy objects, no conjunction. All rows
-             admitted ⇒ the conjunction is identically Ok and
-             [no_policy] stands in for it; any row failing (or any
-             eval error) falls back to the reference build so denial
-             messages stay byte-identical. *)
-          let pushdown_admits column members =
-            if not (Enforce.pushdown_enabled ()) then None
-            else
-              match Hashtbl.find_opt t.translations (table, column) with
-              | None -> None
-              | Some f -> (
-                  match Enforce.Plan.endpoint_sinks context with
-                  | Some (_ :: _ as sinks) ->
-                      let exprs =
-                        List.map (fun s -> f (Context.with_sink context s)) sinks
-                      in
-                      if List.for_all Option.is_some exprs then
-                        let admits =
-                          List.map (fun e -> Db.Expr.compile schema (Option.get e)) exprs
-                        in
-                        Some
-                          (List.for_all
-                             (fun row ->
-                               List.for_all
-                                 (fun admits ->
-                                   match admits row with
-                                   | admitted -> admitted
-                                   | exception Invalid_argument _ -> false)
-                                 admits)
-                             members)
-                      else None
-                  | Some [] | None -> None)
-          in
           let policy_for_group column members =
             if not (bound column) then Policy.no_policy
             else if binding_certified column then begin
               Enforce.note_elision ();
               Policy.no_policy
             end
-            else
-              match pushdown_admits column members with
-              | Some true ->
-                  Enforce.note_pushdown ();
-                  Policy.no_policy
-              | Some false | None ->
-                  Policy.conjoin_distinct (List.map (stage_column t schema column) members)
+            else Policy.conjoin_distinct (List.map (stage_column t schema column) members)
           in
           let wrap_row (out_row, members) =
             (* Several cells may aggregate the same column (e.g. AVG

@@ -196,10 +196,12 @@ val attach_policy :
     [to_expr] is the binding's predicate-pushdown translation: for a
     given context it may return a row predicate admitting {e exactly}
     the rows whose bound policy admits that context (or [None] to
-    decline). When present, {!query_filtered} and {!query_agg} can
-    filter denied rows while the table reads them (through an index
-    when the predicate pins an indexed column to a value or an IN list)
-    instead of instantiating per-row policy objects post-hoc. Rebinding
+    decline). When present, {!query_filtered} can filter denied rows
+    while the table reads them (through an index when the predicate
+    pins an indexed column to a value or an IN list) instead of
+    instantiating per-row policy objects post-hoc. {!query_agg} does
+    not consult it: it discharges a group's conjunction only through
+    {!certify_binding} and plan certificates. Rebinding
     without [to_expr] drops any previous translation, and always drops
     {!certify_binding} claims and bumps the {!binding_version}. *)
 

@@ -1,40 +1,16 @@
-(* A rate allowance over a sliding window, alongside the cumulative
-   books: at most [max_runs] admissions in any [window_s]-second span.
-   Admission timestamps are kept per entry and pruned at the leading
-   edge, so memory is bounded by [max_runs] per region. *)
-type window = { max_runs : int; window_s : float }
-
 type limits = {
   max_runs : int option;
   max_traps : int option;
   max_fuel : int option;
   max_wall_s : float option;
   max_mem_bytes : int option;
-  runs_per_window : window option;
 }
 
 let no_limits =
-  {
-    max_runs = None;
-    max_traps = None;
-    max_fuel = None;
-    max_wall_s = None;
-    max_mem_bytes = None;
-    runs_per_window = None;
-  }
+  { max_runs = None; max_traps = None; max_fuel = None; max_wall_s = None; max_mem_bytes = None }
 
-let limits ?max_runs ?max_traps ?max_fuel ?max_wall_s ?max_mem_bytes ?runs_per_window () =
-  { max_runs; max_traps; max_fuel; max_wall_s; max_mem_bytes; runs_per_window }
-
-type policy =
-  | Deny
-  | Throttle of { initial_backoff_s : float; max_backoff_s : float }
-  | Quarantine
-
-let policy_name = function
-  | Deny -> "deny"
-  | Throttle _ -> "throttle"
-  | Quarantine -> "quarantine"
+let limits ?max_runs ?max_traps ?max_fuel ?max_wall_s ?max_mem_bytes () =
+  { max_runs; max_traps; max_fuel; max_wall_s; max_mem_bytes }
 
 type counters = {
   runs : int;
@@ -43,21 +19,10 @@ type counters = {
   wall_s : float;
   peak_mem_bytes : int;
   denied : int;
-  throttled : int;
-  quarantine_events : int;
 }
 
 let zero_counters =
-  {
-    runs = 0;
-    traps = 0;
-    fuel = 0;
-    wall_s = 0.0;
-    peak_mem_bytes = 0;
-    denied = 0;
-    throttled = 0;
-    quarantine_events = 0;
-  }
+  { runs = 0; traps = 0; fuel = 0; wall_s = 0.0; peak_mem_bytes = 0; denied = 0 }
 
 type entry = {
   mutable runs : int;
@@ -66,27 +31,15 @@ type entry = {
   mutable wall_s : float;
   mutable peak_mem_bytes : int;
   mutable denied : int;
-  mutable throttled : int;
-  mutable quarantined : bool;
-  mutable quarantine_events : int;
-  mutable backoff_s : float;  (* current throttle window; 0 = not backing off *)
-  mutable next_admit_at : float;
-  window_admits : float Queue.t;  (* admission times inside the sliding window *)
 }
 
 (* One mutex over the whole table: admissions and accounting from worker
    domains must observe exact counters (a lost increment under-charges a
-   region; a double quarantine event breaks the exactly-once contract). *)
-type t = {
-  limits : limits;
-  policy : policy;
-  now : unit -> float;
-  lock : Mutex.t;
-  entries : (string, entry) Hashtbl.t;
-}
+   region or under-reports its refusals). *)
+type t = { limits : limits; lock : Mutex.t; entries : (string, entry) Hashtbl.t }
 
-let create ?(now = Sesame_clock.now_s) ?(limits = no_limits) ?(policy = Deny) () =
-  { limits; policy; now; lock = Mutex.create (); entries = Hashtbl.create 16 }
+let create ?(limits = no_limits) () =
+  { limits; lock = Mutex.create (); entries = Hashtbl.create 16 }
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -96,22 +49,7 @@ let entry_of t key =
   match Hashtbl.find_opt t.entries key with
   | Some e -> e
   | None ->
-      let e =
-        {
-          runs = 0;
-          traps = 0;
-          fuel = 0;
-          wall_s = 0.0;
-          peak_mem_bytes = 0;
-          denied = 0;
-          throttled = 0;
-          quarantined = false;
-          quarantine_events = 0;
-          backoff_s = 0.0;
-          next_admit_at = neg_infinity;
-          window_admits = Queue.create ();
-        }
-      in
+      let e = { runs = 0; traps = 0; fuel = 0; wall_s = 0.0; peak_mem_bytes = 0; denied = 0 } in
       Hashtbl.add t.entries key e;
       e
 
@@ -127,106 +65,20 @@ let breach_of limits (e : entry) =
   else if over_int limits.max_mem_bytes e.peak_mem_bytes then Some "memory"
   else None
 
-type admission =
-  | Admit
-  | Deny_quota of { breached : string }
-  | Backoff of { retry_in_s : float; breached : string }
-  | Quarantined of { breached : string }
+type admission = Admit | Deny_quota of { breached : string }
 
 let admission_message = function
   | Admit -> "admitted"
   | Deny_quota { breached } -> Printf.sprintf "region exceeded its %s quota" breached
-  | Backoff { retry_in_s; breached } ->
-      Printf.sprintf "region exceeded its %s quota; throttled (retry in %.3fs)" breached
-        retry_in_s
-  | Quarantined { breached } ->
-      Printf.sprintf "region quarantined after exceeding its %s quota" breached
-
-(* Drop admission timestamps that have slid out of the window. *)
-let prune_window w (e : entry) ~now =
-  while
-    (not (Queue.is_empty e.window_admits)) && Queue.peek e.window_admits <= now -. w.window_s
-  do
-    ignore (Queue.pop e.window_admits)
-  done
 
 let admit t ~key =
   with_lock t (fun () ->
       let e = entry_of t key in
-      let now = t.now () in
-      if e.quarantined then begin
-        e.denied <- e.denied + 1;
-        Quarantined { breached = "quota" }
-      end
-      else begin
-        (* Windowed rate check, after pruning the leading edge. Unlike
-           the cumulative books it self-heals: once enough admissions
-           slide out of the window, runs admit again with no operator
-           action. The throttle decision therefore lands exactly on the
-           window boundary — retry when the oldest admission expires —
-           rather than on an exponential backoff. *)
-        let window_breach =
-          match t.limits.runs_per_window with
-          | Some w ->
-              prune_window w e ~now;
-              if Queue.length e.window_admits >= w.max_runs then
-                Some (w, "runs-per-window")
-              else None
-          | None -> None
-        in
-        let record_admission () =
-          if t.limits.runs_per_window <> None then Queue.push now e.window_admits;
-          Admit
-        in
-        match window_breach with
-        | Some (w, breached) -> (
-            match t.policy with
-            | Deny ->
-                e.denied <- e.denied + 1;
-                Deny_quota { breached }
-            | Quarantine ->
-                e.quarantined <- true;
-                e.quarantine_events <- e.quarantine_events + 1;
-                e.denied <- e.denied + 1;
-                Quarantined { breached }
-            | Throttle _ ->
-                let retry_in_s =
-                  Float.max 0.0 (Queue.peek e.window_admits +. w.window_s -. now)
-                in
-                e.throttled <- e.throttled + 1;
-                Backoff { retry_in_s; breached })
-        | None -> (
-            match breach_of t.limits e with
-            | None ->
-                (* Back under quota (e.g. a wall-clock window policy upstream
-                   reset the entry): stop backing off. *)
-                e.backoff_s <- 0.0;
-                record_admission ()
-            | Some breached -> (
-                match t.policy with
-                | Deny ->
-                    e.denied <- e.denied + 1;
-                    Deny_quota { breached }
-                | Quarantine ->
-                    (* The transition happens exactly once, under the lock. *)
-                    e.quarantined <- true;
-                    e.quarantine_events <- e.quarantine_events + 1;
-                    e.denied <- e.denied + 1;
-                    Quarantined { breached }
-                | Throttle { initial_backoff_s; max_backoff_s } ->
-                    if now >= e.next_admit_at then begin
-                      (* Admit one probe run, then exponentially widen the gap. *)
-                      e.backoff_s <-
-                        (if e.backoff_s <= 0.0 then initial_backoff_s
-                         else Float.min max_backoff_s (e.backoff_s *. 2.0));
-                      e.next_admit_at <- now +. e.backoff_s;
-                      record_admission ()
-                    end
-                    else begin
-                      e.throttled <- e.throttled + 1;
-                      Backoff { retry_in_s = e.next_admit_at -. now; breached }
-                    end))
-      end)
+      match breach_of t.limits e with
+      | None -> Admit
+      | Some breached ->
+          e.denied <- e.denied + 1;
+          Deny_quota { breached })
 
 let account t ~key ~trapped ~fuel ~wall_s ~mem_bytes =
   (* The seam fires before any counter moves: an injected accounting
@@ -242,7 +94,7 @@ let account t ~key ~trapped ~fuel ~wall_s ~mem_bytes =
       e.wall_s <- e.wall_s +. wall_s;
       if mem_bytes > e.peak_mem_bytes then e.peak_mem_bytes <- mem_bytes)
 
-let counters_of (e : entry) =
+let counters_of (e : entry) : counters =
   {
     runs = e.runs;
     traps = e.traps;
@@ -250,16 +102,10 @@ let counters_of (e : entry) =
     wall_s = e.wall_s;
     peak_mem_bytes = e.peak_mem_bytes;
     denied = e.denied;
-    throttled = e.throttled;
-    quarantine_events = e.quarantine_events;
   }
 
 let counters_for t ~key =
   with_lock t (fun () -> Option.map counters_of (Hashtbl.find_opt t.entries key))
-
-let quarantined t ~key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.entries key with Some e -> e.quarantined | None -> false)
 
 let snapshot t =
   with_lock t (fun () ->
@@ -277,15 +123,12 @@ let totals t =
             wall_s = acc.wall_s +. e.wall_s;
             peak_mem_bytes = max acc.peak_mem_bytes e.peak_mem_bytes;
             denied = acc.denied + e.denied;
-            throttled = acc.throttled + e.throttled;
-            quarantine_events = acc.quarantine_events + e.quarantine_events;
           })
         t.entries zero_counters)
 
 let describe_counters (c : counters) =
-  Printf.sprintf
-    "runs=%d traps=%d fuel=%d wall=%.3fs peak-mem=%d denied=%d throttled=%d quarantines=%d"
-    c.runs c.traps c.fuel c.wall_s c.peak_mem_bytes c.denied c.throttled c.quarantine_events
+  Printf.sprintf "runs=%d traps=%d fuel=%d wall=%.3fs peak-mem=%d denied=%d" c.runs c.traps
+    c.fuel c.wall_s c.peak_mem_bytes c.denied
 
 (* Compact state string for the attestation manifest — what the region's
    books said when this run was recorded. *)
@@ -294,5 +137,4 @@ let state_string t ~key =
       match Hashtbl.find_opt t.entries key with
       | None -> "fresh"
       | Some e ->
-          Printf.sprintf "runs=%d traps=%d fuel=%d denied=%d%s" e.runs e.traps e.fuel e.denied
-            (if e.quarantined then " quarantined" else ""))
+          Printf.sprintf "runs=%d traps=%d fuel=%d denied=%d" e.runs e.traps e.fuel e.denied)

@@ -5,28 +5,14 @@
     little under the limit on {e every} invocation from starving the
     rest of the application. This layer keeps cumulative books — runs,
     traps, total fuel, total wall-clock, peak arena memory — keyed by
-    region-body hash, and applies a configurable policy once a region
-    exceeds its allowance:
-
-    - [Deny]: every further run is refused with a structured denial;
-    - [Throttle]: one probe run is admitted per exponentially-growing
-      backoff window (a misbehaving region degrades, the pool survives);
-    - [Quarantine]: the region is switched off — the transition fires
-      {e exactly once}, and every later run is refused.
+    region-body hash. Once a region's books reach any ceiling, every
+    further run of it is refused with a structured denial; other
+    regions' books are untouched.
 
     All counters are exact under concurrency (one mutex over the table);
     the accounting seam ([quota-account]) fires {e before} any counter
     moves, so an injected accounting fault leaves the books untouched
     and the caller must deny the response. *)
-
-type window = { max_runs : int; window_s : float }
-(** A sliding-window rate allowance: at most [max_runs] admissions in
-    any [window_s]-second span. Unlike the cumulative books this
-    self-heals — admissions sliding out of the window free capacity
-    with no operator action — so under [Throttle] the retry hint lands
-    exactly on the window boundary (when the oldest admission expires)
-    instead of an exponential backoff. Memory is bounded by [max_runs]
-    timestamps per region. *)
 
 type limits = {
   max_runs : int option;  (** admissible runs; the (n+1)th breaches *)
@@ -34,7 +20,6 @@ type limits = {
   max_fuel : int option;  (** cumulative {!Runtime.tick} calls *)
   max_wall_s : float option;  (** cumulative guest wall-clock *)
   max_mem_bytes : int option;  (** peak arena high-water mark *)
-  runs_per_window : window option;  (** sliding-window rate, e.g. runs/hour *)
 }
 
 val no_limits : limits
@@ -45,16 +30,8 @@ val limits :
   ?max_fuel:int ->
   ?max_wall_s:float ->
   ?max_mem_bytes:int ->
-  ?runs_per_window:window ->
   unit ->
   limits
-
-type policy =
-  | Deny
-  | Throttle of { initial_backoff_s : float; max_backoff_s : float }
-  | Quarantine
-
-val policy_name : policy -> string
 
 type counters = {
   runs : int;
@@ -62,31 +39,22 @@ type counters = {
   fuel : int;
   wall_s : float;
   peak_mem_bytes : int;
-  denied : int;  (** admissions refused (deny or quarantine) *)
-  throttled : int;  (** admissions deferred into a backoff window *)
-  quarantine_events : int;  (** quarantine transitions — 0 or 1 per region *)
+  denied : int;  (** admissions refused *)
 }
-
-val zero_counters : counters
 
 type t
 
-val create : ?now:(unit -> float) -> ?limits:limits -> ?policy:policy -> unit -> t
-(** Defaults: wall clock, {!no_limits} (everything admits), [Deny].
-    [now] is injectable so throttle-window tests run without sleeping. *)
+val create : ?limits:limits -> unit -> t
+(** Default {!no_limits}: everything admits. *)
 
-type admission =
-  | Admit
-  | Deny_quota of { breached : string }
-  | Backoff of { retry_in_s : float; breached : string }
-  | Quarantined of { breached : string }
+type admission = Admit | Deny_quota of { breached : string }
 
 val admission_message : admission -> string
 (** Structured rendering — names the breached limit, never region data. *)
 
 val admit : t -> key:string -> admission
 (** Gate a run on the region's cumulative books. Refusals also count
-    (into [denied]/[throttled]) so starvation shows up in stats. *)
+    (into [denied]) so starvation shows up in stats. *)
 
 val account : t -> key:string -> trapped:bool -> fuel:int -> wall_s:float -> mem_bytes:int -> unit
 (** Charge one completed run. Hits the [quota-account] fault seam before
@@ -95,7 +63,6 @@ val account : t -> key:string -> trapped:bool -> fuel:int -> wall_s:float -> mem
     fail the run closed. *)
 
 val counters_for : t -> key:string -> counters option
-val quarantined : t -> key:string -> bool
 
 val snapshot : t -> (string * counters) list
 (** All regions' books, sorted by key. *)

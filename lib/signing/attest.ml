@@ -1,46 +1,23 @@
 (* The signed run-attestation log.
 
-   Append-only, CRC-framed (the WAL's framing idiom: magic header, then
-   [u32 len | u32 crc | payload] little-endian frames), with every frame
-   carrying an HMAC-style signature under the attestor's secret. Two
-   frame kinds close the loop between static verdicts and runtime
-   isolation: an [Approval] binds a region-body hash to the Scrutinizer
-   verdict it was installed under, and a [Run] manifest binds one
-   sandbox invocation to {body hash, verdict fingerprint, budgets,
-   outcome, quota state, preflight report hash}. The verifier replays
-   the log and fails on any run whose body hash has no approving
-   verdict — or any frame whose CRC or signature does not check out. *)
+   Append-only, framed by {!Sesame_wal.Wal} (an [SSMATT01] magic
+   header, then [u32 len | u32 crc | payload] little-endian frames),
+   with every frame carrying an HMAC-style signature under the
+   attestor's secret. Two frame kinds close the loop between static
+   verdicts and runtime isolation: an [Approval] binds a region-body
+   hash to the Scrutinizer verdict it was installed under, and a [Run]
+   manifest binds one sandbox invocation to {body hash, verdict
+   fingerprint, budgets, outcome, quota state, preflight report hash}.
+   The verifier replays the log and fails on any run whose body hash has
+   no approving verdict — or any frame whose CRC or signature does not
+   check out. *)
+
+module Wal = Sesame_wal.Wal
 
 let magic = "SSMATT01"
-let header_size = String.length magic
-let frame_header = 8
 
 let default_secret = "sesame-attestor-secret"
 let default_signer = "sesame-attestor"
-
-(* Standard CRC-32 (IEEE), table-driven; kept local so [lib/signing]
-   stays below the DB/WAL layers. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc_of s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)
 (* Frame payloads: tab-separated [key=value] pairs, values escaped so
@@ -151,60 +128,47 @@ let signed_payload ~secret ~signer ~at fields =
 (* Recorder *)
 
 type recorder = {
-  path : string;
   secret : string;
   signer : string;
-  fsync : bool;
-  fd : Unix.file_descr;
+  writer : Wal.writer;
   lock : Lockfile.File_lock.held;
   mutex : Mutex.t;
   seq : int Atomic.t;
   mutable closed : bool;
 }
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
-  end
-
-let add_u32 buf n = Buffer.add_int32_le buf (Int32.of_int n)
-
 let create_recorder ?(fsync = false) ?(secret = default_secret) ?(signer = default_signer) path =
   match Lockfile.File_lock.acquire (path ^ ".lock") with
   | Error e ->
       Error (Printf.sprintf "attest %s: %s" path (Lockfile.File_lock.error_message e))
   | Ok lock -> (
-      match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 with
-      | exception Unix.Unix_error (e, _, _) ->
+      let fresh =
+        match Unix.stat path with
+        | st -> st.Unix.st_size = 0
+        | exception Unix.Unix_error _ -> true
+      in
+      let opened =
+        Result.bind
+          (if fresh then Wal.create ~magic path else Ok ())
+          (fun () ->
+            Wal.open_writer ~append_seam:Sesame_faults.Attest_append
+              ~fsync_seam:Sesame_faults.Attest_fsync ~sync:fsync path)
+      in
+      match opened with
+      | Ok writer ->
+          Ok
+            {
+              secret;
+              signer;
+              writer;
+              lock;
+              mutex = Mutex.create ();
+              seq = Atomic.make 0;
+              closed = false;
+            }
+      | Error e ->
           Lockfile.File_lock.release lock;
-          Error (Printf.sprintf "attest %s: %s" path (Unix.error_message e))
-      | fd -> (
-          match
-            let size = (Unix.fstat fd).Unix.st_size in
-            if size = 0 then begin
-              write_all fd magic 0 header_size;
-              if fsync then Unix.fsync fd
-            end;
-            ()
-          with
-          | () ->
-              Ok
-                {
-                  path;
-                  secret;
-                  signer;
-                  fsync;
-                  fd;
-                  lock;
-                  mutex = Mutex.create ();
-                  seq = Atomic.make 0;
-                  closed = false;
-                }
-          | exception Unix.Unix_error (e, _, _) ->
-              (try Unix.close fd with _ -> ());
-              Lockfile.File_lock.release lock;
-              Error (Printf.sprintf "attest %s: %s" path (Unix.error_message e))))
+          Error (Printf.sprintf "attest %s: %s" path e))
 
 let close_recorder r =
   Mutex.lock r.mutex;
@@ -213,14 +177,15 @@ let close_recorder r =
     (fun () ->
       if not r.closed then begin
         r.closed <- true;
-        (try Unix.close r.fd with _ -> ());
+        ignore (Wal.close r.writer : (unit, string) result);
         Lockfile.File_lock.release r.lock
       end)
 
 (* Every append hits the [attest-append] seam before anything is
-   written, and [attest-fsync] between write and flush: an injected
-   fault at either leaves the caller with an error it must convert into
-   a denial — a run that cannot be attested must not be served. *)
+   written, and (with [fsync]) [attest-fsync] between write and flush:
+   an injected fault at either leaves the caller with an error it must
+   convert into a denial — a run that cannot be attested must not be
+   served. *)
 let append_frame r fields ~at =
   Mutex.lock r.mutex;
   Fun.protect
@@ -228,25 +193,11 @@ let append_frame r fields ~at =
     (fun () ->
       if r.closed then Error "attestation log is closed"
       else
-        match
-          Sesame_faults.hit Sesame_faults.Attest_append;
-          let payload = signed_payload ~secret:r.secret ~signer:r.signer ~at fields in
-          let buf = Buffer.create (String.length payload + frame_header) in
-          add_u32 buf (String.length payload);
-          add_u32 buf (crc_of payload);
-          Buffer.add_string buf payload;
-          let s = Buffer.contents buf in
-          write_all r.fd s 0 (String.length s);
-          if r.fsync then begin
-            Sesame_faults.hit Sesame_faults.Attest_fsync;
-            Unix.fsync r.fd
-          end
-        with
-        | () -> Ok ()
+        match Wal.append r.writer (signed_payload ~secret:r.secret ~signer:r.signer ~at fields) with
+        | Ok () -> Ok ()
+        | Error e -> Error ("attest append: " ^ e)
         | exception Sesame_faults.Injected { point; action; transient } ->
-            Error (Sesame_faults.injected_message point action ~transient)
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "attest append: %s" (Unix.error_message e)))
+            Error (Sesame_faults.injected_message point action ~transient))
 
 let now_unix () = int_of_float (Unix.gettimeofday ())
 
@@ -295,12 +246,6 @@ type verify_summary = {
 }
 
 let field fields k = List.assoc_opt k fields
-
-let u32_at s pos =
-  Char.code s.[pos]
-  lor (Char.code s.[pos + 1] lsl 8)
-  lor (Char.code s.[pos + 2] lsl 16)
-  lor (Char.code s.[pos + 3] lsl 24)
 
 let verify_payload ~secret ~offset payload =
   let fields = parse_fields payload in
@@ -404,42 +349,23 @@ let parse_frame ~secret ~offset payload =
                })
       | other -> Error (Printf.sprintf "frame at %d: unknown type %S" offset other))
 
+(* A partial header (a crash while creating the log) is a bad magic
+   here, not a torn tail: a log with no header holds no frames to
+   vouch for. *)
 let read_frames ~secret path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | contents ->
-      let n = String.length contents in
-      if n < header_size || String.sub contents 0 header_size <> magic then
-        Error (Printf.sprintf "%s: bad magic" path)
-      else begin
-        let frames = ref [] in
-        let torn = ref false in
-        let err = ref None in
-        let pos = ref header_size in
-        while !err = None && (not !torn) && !pos < n do
-          if !pos + frame_header > n then torn := true
-          else begin
-            let len = u32_at contents !pos in
-            let crc = u32_at contents (!pos + 4) in
-            if !pos + frame_header + len > n then torn := true
-            else begin
-              let payload = String.sub contents (!pos + frame_header) len in
-              if crc_of payload <> crc then
-                err := Some (Printf.sprintf "frame at %d: CRC mismatch" !pos)
-              else begin
-                match parse_frame ~secret ~offset:!pos payload with
-                | Error e -> err := Some e
-                | Ok frame ->
-                    frames := frame :: !frames;
-                    pos := !pos + frame_header + len
-              end
-            end
-          end
-        done;
-        match !err with
-        | Some e -> Error e
-        | None -> Ok (List.rev !frames, !torn)
-      end
+  match Wal.scan ~magic path with
+  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  | Ok (_, valid_end, _) when valid_end < String.length magic ->
+      Error (Printf.sprintf "%s: bad magic header" path)
+  | Ok (records, _, tail) ->
+      let rec parse acc = function
+        | [] -> Ok (List.rev acc, match tail with Wal.Clean -> false | Wal.Torn _ -> true)
+        | { Wal.offset; payload } :: rest -> (
+            match parse_frame ~secret ~offset payload with
+            | Error _ as e -> e
+            | Ok frame -> parse (frame :: acc) rest)
+      in
+      parse [] records
 
 (* Replay: collect the approved body-hash set, then demand every run's
    body hash be in it. A torn trailing frame (crash mid-append) is

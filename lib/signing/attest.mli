@@ -6,10 +6,10 @@
     {e approval} frame binding its body hash to the Scrutinizer verdict
     it passed, and every sandbox invocation appends a signed {e run}
     manifest binding {body hash, verdict fingerprint, budgets, outcome,
-    quota state, preflight report hash}. Frames are CRC-framed
-    ([u32 len | u32 crc | payload], little-endian, after an [SSMATT01]
-    header) and individually MAC'd with {!Signature} under the
-    attestor's secret; {!verify} replays the log and fails on any run
+    quota state, preflight report hash}. Frames are written and read by
+    [Sesame_wal.Wal] ([u32 len | u32 crc | payload], little-endian,
+    after an [SSMATT01] header) and individually MAC'd with
+    {!Signature} under the attestor's secret; {!verify} replays the log and fails on any run
     whose body hash lacks an approving verdict, any CRC mismatch, and
     any signature that does not check out.
 

@@ -10,6 +10,12 @@ type config = { sync : sync_mode; checkpoint_every : int option }
 
 let default_config = { sync = Fsync; checkpoint_every = Some 256 }
 
+let wal_magic = "SSMWAL01"
+
+let open_wal ~sync path =
+  Wal.open_writer ~append_seam:Sesame_faults.Db_wal_append ~fsync_seam:Sesame_faults.Db_wal_fsync
+    ~sync:(sync = Fsync) path
+
 type reason =
   | Quarantined of string
   | Corrupt_checkpoint of string
@@ -249,8 +255,8 @@ let checkpoint t =
         let* () = Wal.close w in
         t.retired <- writer_stats t w;
         t.writer <- None;
-        let* () = Wal.create (wal_path t) in
-        let* w' = Wal.open_writer ~sync:(t.config.sync = Fsync) (wal_path t) in
+        let* () = Wal.create ~magic:wal_magic (wal_path t) in
+        let* w' = open_wal ~sync:t.config.sync (wal_path t) in
         t.writer <- Some w';
         Ok ()
       in
@@ -399,12 +405,12 @@ let recover ~dir ~config =
   (try Sys.remove (Filename.concat dir Checkpoint.temp_file) with Sys_error _ -> ());
   let scan () =
     if Sys.file_exists wal_file then
-      match Wal.scan wal_file with
+      match Wal.scan ~magic:wal_magic wal_file with
       | Ok (records, valid_end, tail) -> Ok (records, (valid_end, tail))
       | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
     else
-      match Wal.create wal_file with
-      | Ok () -> Ok ([], (Wal.header_size, Wal.Clean))
+      match Wal.create ~magic:wal_magic wal_file with
+      | Ok () -> Ok ([], (String.length wal_magic, Wal.Clean))
       | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
   in
   let* db, ckpt_lsn, last_lsn, replayed, (valid_end, tail) = replay_dir ~dir ~scan in
@@ -416,7 +422,7 @@ let recover ~dir ~config =
            so the log ends on a frame boundary. A tail torn inside the
            magic header means creation itself crashed — start fresh. *)
         let repair =
-          if valid_end < Wal.header_size then Wal.create wal_file
+          if valid_end < String.length wal_magic then Wal.create ~magic:wal_magic wal_file
           else Wal.truncate wal_file valid_end
         in
         match repair with
@@ -424,14 +430,14 @@ let recover ~dir ~config =
         | Error detail -> fail dir (Corrupt_record { offset = valid_end; detail }))
   in
   let* writer =
-    match Wal.open_writer ~sync:(config.sync = Fsync) wal_file with
+    match open_wal ~sync:config.sync wal_file with
     | Ok w -> Ok w
     | Error detail -> fail dir (Corrupt_record { offset = valid_end; detail })
   in
   Ok (db, writer, ckpt_lsn, last_lsn, replayed)
 
 (* Read-only snapshot recovery: the brownout read path. When the live
-   store poisons mid-flight (journal fault, quota quarantine), reads can
+   store poisons mid-flight (a journal fault), reads can
    continue from the last consistent on-disk state — checkpoint plus
    every intact WAL record. Strictly side-effect-free on the directory:
    no temp-file cleanup, no torn-tail truncation, no quarantine marker,
@@ -442,7 +448,7 @@ let read_state ~dir =
   let wal_file = Filename.concat dir "wal" in
   let scan () =
     if Sys.file_exists wal_file then
-      match Wal.scan wal_file with
+      match Wal.scan ~magic:wal_magic wal_file with
       | Ok (records, _, _) -> Ok (records, ())
       | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
     else Ok ([], ())

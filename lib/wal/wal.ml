@@ -1,8 +1,5 @@
 module B = Sesame_db.Bincodec
 
-let magic = "SSMWAL01"
-let header_size = String.length magic
-
 (* Frame header: u32 length + u32 crc, little-endian. *)
 let frame_header = 8
 
@@ -18,19 +15,21 @@ let rec write_all fd s off len =
 
 let io_error what e = Error (Printf.sprintf "wal %s: %s" what (Unix.error_message e))
 
-let create path =
+let create ~magic path =
   try
     let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> Unix.close fd)
       (fun () ->
-        write_all fd magic 0 header_size;
+        write_all fd magic 0 (String.length magic);
         Unix.fsync fd);
     Ok ()
   with Unix.Unix_error (e, _, _) -> io_error "create" e
 
 type writer = {
   fd : Unix.file_descr;
+  append_seam : Sesame_faults.point;
+  fsync_seam : Sesame_faults.point;
   mutable appended : int;
   mutable closed : bool;
   sync : bool;
@@ -38,10 +37,10 @@ type writer = {
   mutable fsyncs : int;
 }
 
-let open_writer ~sync path =
+let open_writer ~append_seam ~fsync_seam ~sync path =
   try
     let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
-    Ok { fd; appended = 0; closed = false; sync; writes = 0; fsyncs = 0 }
+    Ok { fd; append_seam; fsync_seam; appended = 0; closed = false; sync; writes = 0; fsyncs = 0 }
   with Unix.Unix_error (e, _, _) -> io_error "open" e
 
 let appended w = w.appended
@@ -51,7 +50,7 @@ let fsyncs w = w.fsyncs
 let append w payload =
   if w.closed then Error "wal append: writer closed"
   else begin
-    Sesame_faults.hit Sesame_faults.Db_wal_append;
+    Sesame_faults.hit w.append_seam;
     let frame = Buffer.create (frame_header + String.length payload) in
     add_u32 frame (String.length payload);
     add_u32 frame (crc_of payload);
@@ -67,7 +66,7 @@ let append w payload =
           (* The seam sits between write and fsync: an injected fault here
              models a frame the disk never saw, so it must not be
              acknowledged. *)
-          Sesame_faults.hit Sesame_faults.Db_wal_fsync;
+          Sesame_faults.hit w.fsync_seam;
           match Unix.fsync w.fd with
           | () ->
               w.fsyncs <- w.fsyncs + 1;
@@ -99,18 +98,19 @@ let read_file path =
 let u32_at s pos =
   Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-let scan path =
+let scan ~magic path =
   match read_file path with
   | Error _ as e -> e
   | Ok s ->
       let len = String.length s in
+      let header_size = String.length magic in
       if len < header_size then
         if String.equal s (String.sub magic 0 len) then
           (* A crash during initial creation left a partial header. *)
           Ok ([], 0, Torn { offset = 0 })
-        else Error "wal: bad magic header"
+        else Error "bad magic header"
       else if not (String.equal (String.sub s 0 header_size) magic) then
-        Error "wal: bad magic header"
+        Error "bad magic header"
       else begin
         let rec go pos acc =
           let remaining = len - pos in
@@ -127,9 +127,7 @@ let scan path =
             else begin
               let payload = String.sub s (pos + frame_header) plen in
               if crc_of payload <> crc then
-                Error
-                  (Printf.sprintf
-                     "wal: checksum mismatch in record at offset %d (not a torn tail)" pos)
+                Error (Printf.sprintf "CRC mismatch in frame at offset %d (not a torn tail)" pos)
               else
                 go (pos + frame_header + plen) ({ offset = pos; payload } :: acc)
             end

@@ -1,13 +1,16 @@
-(** The physical write-ahead log: a file of length-prefixed, CRC-32
-    checksummed frames behind a magic header.
+(** The physical frame log: a file of length-prefixed, CRC-32
+    checksummed frames behind a caller-chosen magic header. It frames
+    the database's redo log ([SSMWAL01], {!Durable}) and the signed
+    attestation log ([SSMATT01], [Sesame_signing.Attest]); each caller
+    passes its magic and its fault seams.
 
     Frame layout (all little-endian):
 
     {v u32 length | u32 crc32(payload) | payload v}
 
-    The payload bytes are opaque here — {!Durable} owns their meaning
-    (LSN, record kind, statement, policy provenance). This module only
-    guarantees the crash-consistency story of the {e framing}:
+    The payload bytes are opaque here — the caller owns their meaning.
+    This module only guarantees the crash-consistency story of the
+    {e framing}:
 
     - a frame that extends past end-of-file (including a partially
       written header) is a {e torn tail} — the expected residue of a
@@ -18,24 +21,24 @@
       fails closed with an error instead of guessing.
 
     Every append writes its frame before returning and, on a [sync]
-    writer, [fsync]s it: an acknowledged frame is on disk. The fault
-    seams [Db_wal_append] and [Db_wal_fsync] fire before the write and
-    between the write and the [fsync] respectively. *)
-
-val magic : string
-(** File header, ["SSMWAL01"]. *)
-
-val header_size : int
+    writer, [fsync]s it: an acknowledged frame is on disk. The writer's
+    append seam fires before the write and its fsync seam between the
+    write and the [fsync]. *)
 
 (** {1 Writing} *)
 
 type writer
 
-val create : string -> (unit, string) result
-(** Creates (or truncates to) a fresh log containing only the magic
+val create : magic:string -> string -> (unit, string) result
+(** Creates (or truncates to) a fresh log containing only the [magic]
     header, [fsync]ed. *)
 
-val open_writer : sync:bool -> string -> (writer, string) result
+val open_writer :
+  append_seam:Sesame_faults.point ->
+  fsync_seam:Sesame_faults.point ->
+  sync:bool ->
+  string ->
+  (writer, string) result
 (** Opens an existing log for appending. With [sync] every acknowledged
     append is [fsync]ed before it returns. *)
 
@@ -67,11 +70,12 @@ type tail =
       (** a final, incomplete frame starts at [offset]; truncating the
           file back to [offset] yields a clean log *)
 
-val scan : string -> (record list * int * tail, string) result
-(** [scan path] is [Ok (records, valid_end, tail)] where [records] are
+val scan : magic:string -> string -> (record list * int * tail, string) result
+(** [scan ~magic path] is [Ok (records, valid_end, tail)] where [records] are
     the whole, CRC-valid frames in order and [valid_end] the byte offset
-    just past the last of them. Fails closed ([Error]) on a bad magic
-    header or on a complete frame whose CRC does not match — mid-log
+    just past the last of them (0 when the file holds only a prefix of
+    [magic], a crash during {!create}). Fails closed ([Error]) on a bad
+    magic header or on a complete frame whose CRC does not match — mid-log
     corruption, never the signature of a crash. *)
 
 val truncate : string -> int -> (unit, string) result

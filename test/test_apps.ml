@@ -61,9 +61,8 @@ let consent_withdrawal ~pushdown () =
      the consent filter rides the scan instead. *)
   ignore (Apps.Websubmit.retrain_model app (req ~cookies:as_admin Http.Meth.POST "/retrain"));
   check_int "trains before" 3 (training_rows ());
-  (* A schema event anywhere in the process moves the structural epoch
-     and makes plan certificates revalidate; the verdicts must not
-     change, and the withdrawal below must still take effect. *)
+  (* A schema event in an unrelated database must leave the verdicts
+     as they were, and the withdrawal below must still take effect. *)
   (match
      Sesame_db.Database.create_table (Sesame_db.Database.create ())
        (Sesame_db.Schema.make_exn ~name:"unrelated"

@@ -35,12 +35,11 @@ let allowed =
     ( "http/router.ml",
       "prerr_",
       "Router.default_error_logger: the method and the exception's constructor name" );
-    ("wal/wal.ml", "Unix.write", "WAL frames into the store's own log file");
+    ("wal/wal.ml", "Unix.write", "frames into the store's redo log and the attestation log");
     ("wal/checkpoint.ml", "Unix.write", "checkpoint snapshots into the store's own directory");
     ( "wal/durable.ml",
       "output_string",
       "the quarantine marker: a fixed-vocabulary reason, no row data" );
-    ("signing/attest.ml", "Unix.write", "signed frames into the attestation log");
     ("signing/lockfile.ml", "Unix.write", "the lock file's owner line: pid and time");
     ("signing/lockfile.ml", "prerr_", "the default stale-lock warning: a lock path and pid");
   ]
