@@ -343,10 +343,10 @@ let harden ?(pool_capacity = 4) ?max_pool_capacity ?(arena_size = 256 * 1024) ?q
 type regions = {
   fmt_confirmation : (string, string) Region.Verified.t;
   join_answers : (string list, string) Region.Verified.t;
-  mean_grades : (float list, float) Region.Verified.t;
+  mean_grades : (Db.Value.t array list, float) Region.Verified.t;
   predict : ((float * float) * float, float) Region.Verified.t;
   hash_key : (string, string) Region.Sandboxed.t;
-  train : ((float * float) list, float list) Region.Sandboxed.t;
+  train : (Db.Value.t array list, float list) Region.Sandboxed.t;
   email_confirmation : (string, unit) Region.Critical.t;
   export_employer : (string * float, string) Region.Critical.t;
 }
@@ -435,7 +435,9 @@ let make_regions ?hardening program keystore db =
          ~spec:
            (spec "aggregate::mean_grades" [ "grades" ]
               [ Return (Some (Call (Static "ws::mean", [ Var "grades" ]))) ])
-         ~f:(fun grades -> Sesame_ml.Stats.mean grades)
+         ~f:(fun grades ->
+           (* One grade cell a row, as Employer's fold reads them. *)
+           Sesame_ml.Stats.mean (List.map (fun cells -> Db.Value.to_float cells.(0)) grades))
          ())
   in
   let* predict =
@@ -462,16 +464,17 @@ let make_regions ?hardening program keystore db =
   in
   (* The training points cross as one flat f64 run, interleaved
      [x0; y0; x1; y1; ...] (§7.2's direct copy): 16 bytes a point, and
-     the guest trains straight off the array. *)
+     the guest trains straight off the array. Each point arrives as the
+     (question, grade) cells Retrain's fold reads. *)
   let train =
     Region.Sandboxed.make ~app:app_name ~name:"ml::train" ?config:sbx_config ?quota:sbx_quota
       ~loc:19
       ~encode:(fun points ->
         let xy = Array.create_float (2 * List.length points) in
         List.iteri
-          (fun i (x, y) ->
-            xy.(2 * i) <- x;
-            xy.((2 * i) + 1) <- y)
+          (fun i cells ->
+            xy.(2 * i) <- float_of_int (Db.Value.to_int cells.(0));
+            xy.((2 * i) + 1) <- Db.Value.to_float cells.(1))
           points;
         Sbx.Value.Floats xy)
       ~decode:(fun value ->
@@ -1108,43 +1111,22 @@ let get_employer_info t request =
   with
   | Error e -> conn_error e
   | Ok users -> (
-      let rows =
-        List.map
-          (fun row ->
-            let email = C.Pcon_row.text row "email" in
-            let raw_email =
-              (* Needed to look up this student's grades; flows only into
-                 the policy-checked query parameters. *)
-              C.Pcon.Internal.map (fun e -> Db.Value.Text e) email
-            in
-            (email, raw_email))
-          users
-      in
       let export_rows =
         List.filter_map
-          (fun (email, raw_email) ->
+          (fun row ->
+            (* The email cell goes in as the policy-checked parameter.
+               The statement drops NULL grades, so a student with no
+               grade left reads no row and is not released. *)
             match
-              Conn.query t.conn ~context "SELECT * FROM answers WHERE email = ?"
-                ~params:[ raw_email ]
+              Conn.query_fold t.conn ~context
+                "SELECT * FROM answers WHERE email = ? AND grade IS NOT NULL"
+                ~params:[ C.Pcon_row.get row "email" ] ~columns:[ "grade" ]
             with
-            | Error _ -> None
-            | Ok answer_rows ->
-                let grades =
-                  List.filter_map
-                    (fun row ->
-                      (* One read per row: each [get] wraps the cell
-                         afresh. *)
-                      let grade = C.Pcon_row.get row "grade" in
-                      match C.Pcon.Internal.unwrap grade with
-                      | Db.Value.Null -> None
-                      | _ -> Some (C.Pcon.Internal.map Db.Value.to_float grade))
-                    answer_rows
-                in
-                if grades = [] then None
-                else
-                  let avg = Region.Verified.run_list t.regions.mean_grades grades in
-                  Some (Pcon.pair email avg))
-          rows
+            | Error _ | Ok { rows = 0; _ } -> None
+            | Ok { payload = grades; _ } ->
+                let avg = Region.Verified.run t.regions.mean_grades grades in
+                Some (Pcon.pair (C.Pcon_row.text row "email") avg))
+          users
       in
       let cr_context =
         Context.untrusted ~endpoint:request.Http.Request.path ~custom:[ ("role", "employer") ] ()
@@ -1162,9 +1144,10 @@ let get_employer_info t request =
       Http.Response.text (String.concat "\n" lines))
 
 (* POST /retrain: train the grade model on consenting students' grades in
-   the training sandbox ("Retrain Model", Fig. 9b). The (question, grade)
-   points fold out into one container carrying their policies'
-   conjunction, and the region copies them in as one flat f64 run. *)
+   the training sandbox ("Retrain Model", Fig. 9b). The connector folds
+   the statement's (question, grade) points straight into one container
+   carrying their policies' conjunction, with no per-cell container, and
+   the region copies them in as one flat f64 run. *)
 let retrain_model t request =
   require_auth t request (fun user ->
       if not (is_admin user) then
@@ -1182,34 +1165,23 @@ let retrain_model t request =
              consenting students' buckets, so only their rows are read
              and no row is checked. Otherwise the reference path scans
              every graded answer and checks each row's grade policy
-             post-hoc. Either way the grade cells read below carry the
-             binding's per-student policy instances. *)
-          Conn.query_filtered t.conn ~context ~on:"grade"
+             post-hoc. Either way the payload carries the grade binding's
+             per-student policy instances. *)
+          Conn.query_fold t.conn ~context ~on:"grade"
             "SELECT * FROM answers WHERE grade IS NOT NULL" ~params:[]
+            ~columns:[ "question"; "grade" ]
         with
         | Error e -> conn_error e
-        | Ok rows -> (
-            let points =
-              List.map
-                (fun row ->
-                  let grade = C.Pcon_row.get row "grade" in
-                  let question = C.Pcon_row.int row "question" in
-                  C.Pcon.Internal.map2
-                    (fun q g -> (float_of_int q, Db.Value.to_float g))
-                    question grade)
-                rows
-            in
-            if points = [] then bad_request "no consenting training data"
-            else
-              match Region.Sandboxed.run t.regions.train (C.Fold.out_list points) with
-              | Error e -> Region.error_response e
-              | Ok weights_pcon -> (
-                  match C.Pcon.Internal.unwrap weights_pcon with
-                  | [ w; b ] ->
-                      t.model <-
-                        Some (C.Pcon.Internal.map (fun _ -> (w, b)) weights_pcon);
-                      Http.Response.text "model retrained"
-                  | _ -> Http.Response.error Http.Status.Internal_error "bad model shape")))
+        | Ok { rows = 0; _ } -> bad_request "no consenting training data"
+        | Ok { payload = points; _ } -> (
+            match Region.Sandboxed.run t.regions.train points with
+            | Error e -> Region.error_response e
+            | Ok weights_pcon -> (
+                match C.Pcon.Internal.unwrap weights_pcon with
+                | [ w; b ] ->
+                    t.model <- Some (C.Pcon.Internal.map (fun _ -> (w, b)) weights_pcon);
+                    Http.Response.text "model retrained"
+                | _ -> Http.Response.error Http.Status.Internal_error "bad model shape")))
 
 (* GET /predict/<question>: model inference in a verified region ("Predict
    Grades"). *)

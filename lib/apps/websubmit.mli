@@ -174,5 +174,5 @@ val sandbox_hash_region : t -> (string, string) C.Region.Sandboxed.t
 (** The "Register Users" hashing region, exposed for the Fig. 9a
     drill-down. *)
 
-val sandbox_train_region : t -> ((float * float) list, float list) C.Region.Sandboxed.t
+val sandbox_train_region : t -> (Db.Value.t array list, float list) C.Region.Sandboxed.t
 (** The "Retrain Model" region, exposed for Fig. 9b. *)

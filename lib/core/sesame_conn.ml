@@ -548,30 +548,21 @@ let wrap_select_rows t schema rows =
   in
   List.map wrap_row rows
 
-let query t ~context sql ~params =
-  let* () = require_trusted context in
-  let sink = "db::query" in
-  let* () = deadline_guard ~sink in
-  let* () = check_params context ~sink params in
-  with_resilience t ~sink @@ fun () ->
-  with_brownout_read t @@ fun db ->
-  match Db.Database.select_rows db sql ~params:(unwrap_params params) with
-  | Error msg -> Error (db_error_at ~sink msg)
-  | Ok (schema, rows) -> Ok (wrap_select_rows t schema rows)
-
-(* [query] restricted to the rows whose [on]-column policy admits the
-   caller's context — the retrain-style shape: fetch every row you are
-   allowed to use. The reference path materializes all matching rows and
-   checks each distinct policy among them post-hoc. When pushdown is on and the
-   [on] binding carries a translation that speaks for this context, the
-   predicate is conjoined into the statement's WHERE instead: the table
-   layer compiles the conjunction once, serves an equality or IN list on
-   an indexed column from that index's buckets (it scans otherwise),
-   never materializes denied rows, and instantiates no per-row policy
-   objects. The translation admits exactly the rows the policy admits,
-   so both paths return byte-identical rows (in slot order) with
-   identical cell policies attached. *)
-let query_filtered t ~context ~on sql ~params =
+(* The rows a [SELECT *] returns, with the schema they came from (the
+   snapshot's during brownout): every row of the statement, or with
+   [on], only the rows whose [on]-column policy admits the caller's
+   context — the retrain-style shape: fetch every row you are allowed to
+   use. The reference path for [on] materializes all matching rows and
+   checks each distinct policy among them post-hoc. When pushdown is on
+   and the [on] binding carries a translation that speaks for this
+   context, the predicate is conjoined into the statement's WHERE
+   instead: the table layer compiles the conjunction once, serves an
+   equality or IN list on an indexed column from that index's buckets
+   (it scans otherwise), never materializes denied rows, and
+   instantiates no per-row policy objects. The translation admits
+   exactly the rows the policy admits, so both paths return the same
+   rows, in slot order. *)
+let select t ~context ?on sql ~params =
   let* () = require_trusted context in
   let sink = "db::query" in
   let* () = deadline_guard ~sink in
@@ -580,24 +571,26 @@ let query_filtered t ~context ~on sql ~params =
   with_brownout_read t @@ fun db ->
   let raw_params = unwrap_params params in
   let pushed =
-    if not (Enforce.pushdown_enabled ()) then None
-    else
-      match Db.Sql.parse sql ~params:raw_params with
-      | Ok (Db.Sql.Select { table; _ }) ->
-          Option.bind (Hashtbl.find_opt t.translations (table, on)) (fun f -> f context)
-      | _ -> None
+    match on with
+    | Some on when Enforce.pushdown_enabled () -> (
+        match Db.Sql.parse sql ~params:raw_params with
+        | Ok (Db.Sql.Select { table; _ }) ->
+            Option.bind (Hashtbl.find_opt t.translations (table, on)) (fun f -> f context)
+        | _ -> None)
+    | Some _ | None -> None
   in
   match pushed with
   | Some pred -> (
       match Db.Database.select_rows_under db sql ~params:raw_params ~pred:(Some pred) with
       | Error msg -> Error (db_error_at ~sink msg)
-      | Ok (schema, rows) ->
+      | Ok _ as selected ->
           Enforce.note_pushdown ();
-          Ok (wrap_select_rows t schema rows))
+          selected)
   | None -> (
-      match Db.Database.select_rows db sql ~params:raw_params with
-      | Error msg -> Error (db_error_at ~sink msg)
-      | Ok (schema, rows) ->
+      match (Db.Database.select_rows db sql ~params:raw_params, on) with
+      | Error msg, _ -> Error (db_error_at ~sink msg)
+      | (Ok _ as selected), None -> selected
+      | Ok (schema, rows), Some on ->
           (* One check per distinct (immutable, interned) policy
              instance, memoized for this statement only, as a render's
              memo is, so it needs no invalidation. *)
@@ -612,7 +605,55 @@ let query_filtered t ~context ~on sql ~params =
                 Hashtbl.add verdicts (Policy.id policy) verdict;
                 verdict
           in
-          Ok (wrap_select_rows t schema (List.filter keep rows)))
+          Ok (schema, List.filter keep rows))
+
+let query t ~context sql ~params =
+  let* schema, rows = select t ~context sql ~params in
+  Ok (wrap_select_rows t schema rows)
+
+let query_filtered t ~context ~on sql ~params =
+  let* schema, rows = select t ~context ~on sql ~params in
+  Ok (wrap_select_rows t schema rows)
+
+type folded = { rows : int; payload : Db.Value.t array list Pcon.t }
+
+(* The per-row wrap, read and fold-out, done once per statement: the
+   named columns are resolved and their bindings staged here, each row
+   pays only its staged policies and the copy of its named cells, and
+   the distinct instances are collected by id in first-seen order — the
+   member order [Fold.out_list] gives the same cells wrapped one by
+   one. *)
+let fold_rows t schema rows ~columns =
+  let positions = Array.of_list (List.map (Db.Schema.column_index_exn schema) columns) in
+  let staged = Array.of_list (List.map (stage_column t schema) columns) in
+  let width = Array.length positions in
+  let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let distinct = ref [] in
+  (* Loops, not [Array.iter]/[Array.map]: a row allocates only its
+     cells' array, not a closure per column walk. *)
+  let values =
+    List.map
+      (fun row ->
+        let cells = Array.make width Db.Value.Null in
+        for j = 0 to width - 1 do
+          let policy = staged.(j) row in
+          if not (Hashtbl.mem seen (Policy.id policy)) then begin
+            Hashtbl.add seen (Policy.id policy) ();
+            distinct := policy :: !distinct
+          end;
+          cells.(j) <- row.(positions.(j))
+        done;
+        cells)
+      rows
+  in
+  {
+    rows = List.length rows;
+    payload = Pcon.Internal.make (Policy.conjoin_all (List.rev !distinct)) values;
+  }
+
+let query_fold t ~context ?on sql ~params ~columns =
+  let* schema, rows = select t ~context ?on sql ~params in
+  Ok (fold_rows t schema rows ~columns)
 
 (* For aggregates we need the matching raw rows to build the conjunction of
    the aggregated column's per-row policies. When some bound column's

@@ -248,6 +248,37 @@ val query_filtered :
     conjoined into the scan instead; both paths return byte-identical
     rows, in scan order, with identical cell policies attached. *)
 
+type folded = {
+  rows : int;  (** rows the statement read (after [on]'s filter) *)
+  payload : Db.Value.t array list Pcon.t;
+      (** each row's cells in the named columns, in row order *)
+}
+
+val query_fold :
+  t ->
+  context:Context.t ->
+  ?on:string ->
+  string ->
+  params:Db.Value.t Pcon.t list ->
+  columns:string list ->
+  (folded, error) result
+(** {!query} (or, with [on], {!query_filtered}) folded straight into one
+    container: the region-payload path, for endpoints that read a few
+    columns of every row and hand them all to one region. The named
+    [columns] are resolved and their bindings staged once per statement;
+    each row contributes an array of its cells in those columns, in that
+    order, and the values stay raw inside the container, so the region
+    that receives it does any conversion. The payload's policy is
+    {!Policy.conjoin_distinct} of the distinct policy instances those
+    columns' cells carried, over every row read, in first-seen row
+    order: the policy [Fold.out_list] gives the same cells wrapped one
+    by one through {!Pcon_row}, built without them.
+
+    [rows] is plain data, as the length of {!query}'s list is, so a
+    caller tests for emptiness without unwrapping. Raises
+    [Invalid_argument] on a column the table lacks, as {!Pcon_row.get}
+    does. *)
+
 val query_agg :
   t ->
   context:Context.t ->

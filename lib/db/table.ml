@@ -140,22 +140,38 @@ let probe_keys t pin ~where col =
 
 (* The buckets' slots, ascending and distinct. [index_add] prepends
    ever-larger slots, so a bucket is descending unless an UPDATE moved a
-   row into it: copying back to front yields ascending slots whenever
-   the gathered ones came strictly descending. Other gathers (several
-   buckets, or a moved row) are sorted in place and compacted. *)
+   row into it. The buckets are laid out in order of their smallest
+   slot, each copied back to front, which is the answer in O(n) plus a
+   sort of the k buckets whenever each is strictly descending and their
+   slot ranges do not overlap: every equality probe of an insert-only
+   bucket, and an IN list over keys whose rows were inserted in
+   clusters, as seeding does. One pass checks that the layout came out
+   strictly ascending; any other gather (interleaved buckets, a moved
+   row, a key listed twice) is merge-sorted and compacted. *)
 let slots_in_order buckets =
-  let n = List.fold_left (fun n bucket -> n + List.length bucket) 0 buckets in
+  let laid_out =
+    List.filter_map
+      (function
+        | [] -> None
+        | bucket -> Some (List.fold_left min max_int bucket, List.length bucket, bucket))
+      buckets
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  in
+  let n = List.fold_left (fun n (_, len, _) -> n + len) 0 laid_out in
   let slots = Array.make n 0 in
-  let next = ref n and descending = ref true in
-  List.iter
-    (List.iter (fun slot ->
-         decr next;
-         slots.(!next) <- slot;
-         if !next < n - 1 && slot >= slots.(!next + 1) then descending := false))
-    buckets;
-  if !descending then slots
+  ignore
+    (List.fold_left
+       (fun start (_, len, bucket) ->
+         List.iteri (fun i slot -> slots.(start + len - 1 - i) <- slot) bucket;
+         start + len)
+       0 laid_out);
+  let ascending = ref true in
+  for i = 1 to n - 1 do
+    if slots.(i - 1) >= slots.(i) then ascending := false
+  done;
+  if !ascending then slots
   else begin
-    Array.sort Int.compare slots;
+    Array.stable_sort Int.compare slots;
     let distinct = ref 0 in
     Array.iteri
       (fun i slot ->

@@ -137,19 +137,40 @@ type recorder = {
   mutable closed : bool;
 }
 
-let create_recorder ?(fsync = false) ?(secret = default_secret) ?(signer = default_signer) path =
-  match Lockfile.File_lock.acquire (path ^ ".lock") with
+let create_recorder ?(fsync = false) ?(secret = default_secret) ?(signer = default_signer)
+    ?(warn = Lockfile.File_lock.default_warn) path =
+  match Lockfile.File_lock.acquire ~warn (path ^ ".lock") with
   | Error e ->
       Error (Printf.sprintf "attest %s: %s" path (Lockfile.File_lock.error_message e))
   | Ok lock -> (
-      let fresh =
+      let size =
         match Unix.stat path with
-        | st -> st.Unix.st_size = 0
-        | exception Unix.Unix_error _ -> true
+        | st -> st.Unix.st_size
+        | exception Unix.Unix_error _ -> 0
+      in
+      (* A crash mid-append leaves a torn last frame; new frames must
+         start on the last whole frame's boundary, or they sit behind the
+         tear and the log reads as mid-log corruption. A tear inside the
+         magic header means creation itself crashed: start fresh. The
+         cut is reported, since a corrupt length field mid-log reads as
+         a tear too and cuts every later frame. As in the store's
+         recovery, a CRC mismatch in a whole frame is not repaired: the
+         recorder refuses the log. *)
+      let repaired () =
+        if size = 0 then Wal.create ~magic path
+        else
+          match Wal.scan ~magic path with
+          | Error _ as e -> e
+          | Ok (_, _, Wal.Clean) -> Ok ()
+          | Ok (_, valid_end, Wal.Torn _) ->
+              warn
+                (Printf.sprintf "attest %s: cutting a torn tail of %d bytes at offset %d" path
+                   (size - valid_end) valid_end);
+              if valid_end < String.length magic then Wal.create ~magic path
+              else Wal.truncate path valid_end
       in
       let opened =
-        Result.bind
-          (if fresh then Wal.create ~magic path else Ok ())
+        Result.bind (repaired ())
           (fun () ->
             Wal.open_writer ~append_seam:Sesame_faults.Attest_append
               ~fsync_seam:Sesame_faults.Attest_fsync ~sync:fsync path)

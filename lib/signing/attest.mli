@@ -50,10 +50,25 @@ type frame = Approval of approval | Run of manifest
 type recorder
 
 val create_recorder :
-  ?fsync:bool -> ?secret:string -> ?signer:string -> string -> (recorder, string) result
+  ?fsync:bool ->
+  ?secret:string ->
+  ?signer:string ->
+  ?warn:(string -> unit) ->
+  string ->
+  (recorder, string) result
 (** Opens (appending) or creates the log at the given path, guarded by
     a {!Lockfile.File_lock} at [path ^ ".lock"] so two processes cannot
-    interleave frames. [fsync] (default false) flushes every frame. *)
+    interleave frames. [fsync] (default false) flushes every frame.
+
+    An existing log is scanned first. A torn tail (the bytes from the
+    first frame that claims more bytes than the file holds) is cut
+    before the first append, and [warn] (default:
+    {!Lockfile.File_lock.default_warn}, which also receives stale-lock
+    breaks) gets one line naming the offset and the number of bytes
+    cut: a crash mid-append cuts part of one frame, but a corrupt
+    length field in an earlier frame cuts every frame after it, and
+    only the count tells the two apart. A CRC mismatch in a whole frame
+    is refused. *)
 
 val append_approval :
   recorder -> kind:string -> body_hash:Sha256.t -> verdict:string -> (unit, string) result

@@ -64,9 +64,12 @@ module File_lock : sig
   (** Liveness probe via [kill pid 0]. [EPERM] counts as alive; only
       [ESRCH] proves death (never break a lock we can't reason about). *)
 
+  val default_warn : string -> unit
+  (** Writes one ["sesame: "]-prefixed line to stderr. *)
+
   val acquire : ?stale_after_s:float -> ?warn:(string -> unit) -> string -> (held, error) result
   (** [acquire path] takes the lock at [path]. [stale_after_s] defaults
-      to 600; [warn] (default: stderr) receives one line per broken
+      to 600; [warn] (default: {!default_warn}) receives one line per broken
       stale lock. Bounded retries, so two waiters racing to break the
       same stale lock resolve deterministically. *)
 

@@ -145,6 +145,54 @@ let retrain_weights_match_reference ~pushdown () =
       Alcotest.(check int64) "weight bits" (bits expected.Sesame_ml.Linreg.weights.(0)) (bits w);
       Alcotest.(check int64) "intercept bits" (bits expected.intercept) (bits b)
 
+(* The /employer body, computed straight from the store: every student
+   who consents to employer release (in slot order), with the mean of
+   their graded answers (in slot order), formatted as the export region
+   does; a student with no graded answer is left out. *)
+let employer_reference app =
+  let db = Apps.Websubmit.database app in
+  let rows sql params =
+    match Sesame_db.Database.exec db sql ~params with
+    | Ok (Sesame_db.Database.Rows { rows; _ }) -> rows
+    | Ok (Sesame_db.Database.Affected _) | Error _ -> Alcotest.fail sql
+  in
+  rows "SELECT email FROM users WHERE consent_employer = ?" [ Sesame_db.Value.Bool true ]
+  |> List.filter_map (fun user ->
+         let grades =
+           rows "SELECT grade FROM answers WHERE email = ?" [ user.(0) ]
+           |> List.filter_map (fun row ->
+                  match row.(0) with
+                  | Sesame_db.Value.Null -> None
+                  | grade -> Some (Sesame_db.Value.to_float grade))
+         in
+         if grades = [] then None
+         else
+           Some
+             (Printf.sprintf "%s,%.2f" (Sesame_db.Value.to_text user.(0))
+                (Sesame_ml.Stats.mean grades)))
+  |> String.concat "\n"
+
+let employer_matches_reference ~pushdown () =
+  C.Enforce.set_pushdown pushdown;
+  Fun.protect ~finally:(fun () -> C.Enforce.set_pushdown true) @@ fun () ->
+  let app = websubmit () in
+  let post cookies body target =
+    status (Apps.Websubmit.handle app (req ~cookies ~body Http.Meth.POST target))
+  in
+  (* A consenting student adds ungraded answers; a new consenting
+     student has nothing but an ungraded answer. *)
+  check_int "submitted" 201 (post (as_student 0) "answer=late" "/submit/1/7");
+  check_int "submitted again" 201 (post (as_student 3) "answer=later" "/submit/1/8");
+  check_bool "registered" true
+    (post "" "email=new@school.edu&apikey=k&consent=true" "/register" < 300);
+  check_int "new student submitted" 201 (post "user=new@school.edu" "answer=first" "/submit/1/0");
+  let r = Apps.Websubmit.get_employer_info app (req Http.Meth.GET "/employer") in
+  check_int "200" 200 (status r);
+  let expected = employer_reference app in
+  check_bool "reference lists the consenting graded students" true
+    (contains expected "student0@school.edu" && not (contains expected "new@school.edu"));
+  Alcotest.(check string) "body" expected (body r)
+
 let websubmit_tests =
   [
     test "students view their own answers" (fun () ->
@@ -285,6 +333,10 @@ let websubmit_tests =
         check_bool "no other index" false
           (Sesame_db.Table.has_index (table "answers") "lecture"
           || Sesame_db.Table.has_index (table "users") "email"));
+    test "employer's body equals the store's reference after ungraded submits (pushdown on)"
+      (employer_matches_reference ~pushdown:true);
+    test "employer's body equals the store's reference after ungraded submits (pushdown off)"
+      (employer_matches_reference ~pushdown:false);
     test "retrain's weights are bit-identical to train_simple (pushdown on)"
       (retrain_weights_match_reference ~pushdown:true);
     test "retrain's weights are bit-identical to train_simple (pushdown off)"

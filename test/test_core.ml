@@ -797,6 +797,217 @@ let conn_tests =
         | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The connector fold against the per-row path it replaces: the same
+   statement read through [query]/[query_filtered], each row's cells
+   wrapped by [Pcon_row], combined by [map2] and folded out by
+   [Fold.out_list]. Policies are interned for the whole test (not per
+   statement, as an application binding does), so both reads see the
+   same instances and member ids can be compared. *)
+
+module Tag_family = struct
+  type s = string
+
+  let name = "test::tag"
+  let check _ _ = true
+  let join = None
+  let no_folding = false
+  let describe s = "Tag(" ^ s ^ ")"
+end
+
+module Tag = Policy.Make (Tag_family)
+
+let consenting = [ "ada"; "cy" ]
+
+module Consent_family = struct
+  type s = string
+
+  let name = "test::consent"
+  let check owner _ = List.mem owner consenting
+  let join = None
+  let no_folding = false
+  let describe owner = "Consent(" ^ owner ^ ")"
+end
+
+module Consent = Policy.Make (Consent_family)
+
+let interned : (string, Policy.t) Hashtbl.t = Hashtbl.create 16
+
+let intern key make =
+  match Hashtbl.find_opt interned key with
+  | Some policy -> policy
+  | None ->
+      let policy = make () in
+      Hashtbl.add interned key policy;
+      policy
+
+let marks_schema =
+  Db.Schema.make_exn ~name:"marks" ~primary_key:"id"
+    [
+      { name = "id"; ty = Db.Value.Tint; nullable = false };
+      { name = "owner"; ty = Db.Value.Ttext; nullable = false };
+      { name = "question"; ty = Db.Value.Tint; nullable = false };
+      { name = "grade"; ty = Db.Value.Tfloat; nullable = true };
+    ]
+
+(* Owners cluster in runs of three slots and recur, some grades are
+   NULL; the grade binding's translation admits exactly the consenting
+   owners. *)
+let seed_marks conn =
+  let db = Sesame_conn.database conn in
+  Result.get_ok (Db.Database.create_table db marks_schema);
+  Result.get_ok (Db.Database.ensure_index db ~table:"marks" ~column:"owner");
+  let owners = [| "ada"; "bob"; "cy"; "dee" |] in
+  for id = 0 to 35 do
+    ignore
+      (Result.get_ok
+         (Db.Database.exec db "INSERT INTO marks VALUES (?, ?, ?, ?)"
+            ~params:
+              Db.Value.
+                [
+                  Int id;
+                  Text owners.(id / 3 mod 4);
+                  Int (id mod 5);
+                  (if id mod 7 = 3 then Null else Float (float_of_int (id * id mod 11) /. 4.0));
+                ]))
+  done;
+  let owner_of schema =
+    let owner = Db.Schema.column_index_exn schema "owner" in
+    fun row -> Db.Value.to_text row.(owner)
+  in
+  Sesame_conn.attach_policy conn ~table:"marks" ~column:"grade"
+    ~to_expr:(fun _ ->
+      Some (Db.Expr.In (Db.Expr.Col "owner", List.map (fun o -> Db.Value.Text o) consenting)))
+    (fun schema ->
+      let owner_of = owner_of schema in
+      fun row ->
+        let owner = owner_of row in
+        intern ("grade:" ^ owner) (fun () ->
+            Policy.conjoin (Consent.make owner) (Tag.make owner)));
+  Sesame_conn.attach_policy conn ~table:"marks" ~column:"question" (fun schema ->
+      let question = Db.Schema.column_index_exn schema "question" in
+      fun row ->
+        let q = string_of_int (Db.Value.to_int row.(question)) in
+        intern ("question:" ^ q) (fun () -> Tag.make ("q" ^ q)))
+
+let admin = Mock.context ~user:"root" ()
+let graded = "SELECT * FROM marks WHERE grade IS NOT NULL"
+let point cells = (Db.Value.to_int cells.(0), Db.Value.to_float cells.(1))
+
+let ok_or_fail = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e
+
+(* The per-row reference and the fold, for one read shape. *)
+let fold_against_rows conn ?on () =
+  let rows =
+    ok_or_fail
+      (match on with
+      | Some on -> Sesame_conn.query_filtered conn ~context:admin ~on graded ~params:[]
+      | None -> Sesame_conn.query conn ~context:admin graded ~params:[])
+  in
+  let reference =
+    Fold.out_list
+      (List.map
+         (fun row ->
+           Pcon.Internal.map2
+             (fun q g -> (q, Db.Value.to_float g))
+             (Pcon_row.int row "question") (Pcon_row.get row "grade"))
+         rows)
+  in
+  let folded =
+    ok_or_fail
+      (Sesame_conn.query_fold conn ~context:admin ?on graded ~params:[]
+         ~columns:[ "question"; "grade" ])
+  in
+  (List.length rows, reference, folded)
+
+let same_fold (n, reference, (folded : Sesame_conn.folded)) =
+  check_bool "rows read" true (n > 0);
+  check_int "row count" n folded.rows;
+  check_bool "same values, in row order" true
+    (Pcon.Internal.unwrap reference = List.map point (Pcon.Internal.unwrap folded.payload));
+  let ids p = List.map Policy.id (Policy.conjuncts (Pcon.policy p)) in
+  Alcotest.(check (list int)) "same member ids, same order" (ids reference) (ids folded.payload);
+  check_str "same description" (Policy.describe (Pcon.policy reference))
+    (Policy.describe (Pcon.policy folded.payload))
+
+let with_pushdown on f =
+  let before = Enforce.pushdown_enabled () in
+  Enforce.set_pushdown on;
+  Fun.protect ~finally:(fun () -> Enforce.set_pushdown before) f
+
+let durable_counter = ref 0
+
+let fold_tests_conn =
+  [
+    test "fold equals the per-row fold-out, pushdown on" (fun () ->
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        with_pushdown true @@ fun () ->
+        Enforce.reset_stats ();
+        let (n, _, folded) as filtered = fold_against_rows conn ~on:"grade" () in
+        same_fold filtered;
+        check_int "both reads pushed" 2 (Enforce.stats ()).Enforce.pushdowns;
+        check_bool "only consenting rows" true (n < 31);
+        check_bool "the payload admits the training principal" true
+          (Policy.check (Pcon.policy folded.payload) admin);
+        same_fold (fold_against_rows conn ()));
+    test "fold equals the per-row fold-out, pushdown off" (fun () ->
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        with_pushdown false @@ fun () ->
+        Enforce.reset_stats ();
+        let pushed_on = fold_against_rows conn ~on:"grade" () in
+        same_fold pushed_on;
+        check_int "nothing pushed" 0 (Enforce.stats ()).Enforce.pushdowns;
+        let (n, _, _) as all = fold_against_rows conn () in
+        same_fold all;
+        check_int "every graded row without a filter" 31 n);
+    test "fold equals the per-row fold-out on a brownout snapshot" (fun () ->
+        incr durable_counter;
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "sesame-core-fold-%d-%d" (Unix.getpid ()) !durable_counter)
+        in
+        List.iter Sesame_wal.Provenance.register
+          [ Tag_family.name; Consent_family.name ];
+        let conn, store =
+          match Sesame_conn.create_durable ~dir () with
+          | Ok pair -> pair
+          | Error e -> Alcotest.fail (Sesame_wal.Durable.error_message e)
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sesame_wal.Durable.close store : (unit, string) result);
+            Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+            Sys.rmdir dir)
+        @@ fun () ->
+        seed_marks conn;
+        let _, live, _ = fold_against_rows conn ~on:"grade" () in
+        Db.Database.poison (Sesame_conn.database conn) "test";
+        let results, degraded =
+          Sesame_request.serve Sesame_request.none (fun () ->
+              (fold_against_rows conn ~on:"grade" (), fold_against_rows conn ()))
+        in
+        Alcotest.(check (option string)) "served from the snapshot" (Some "snapshot") degraded;
+        let ((_, _, folded) as filtered), all = results in
+        same_fold filtered;
+        same_fold all;
+        check_bool "the snapshot holds the live rows" true
+          (Pcon.Internal.unwrap live = List.map point (Pcon.Internal.unwrap folded.payload)));
+    test "fold with no row read is empty under NoPolicy" (fun () ->
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        let folded =
+          ok_or_fail
+            (Sesame_conn.query_fold conn ~context:admin "SELECT * FROM marks WHERE id = ?"
+               ~params:[ Pcon.wrap_no_policy (Db.Value.Int 99) ] ~columns:[ "grade" ])
+        in
+        check_int "no rows" 0 folded.rows;
+        check_bool "no policy" true (Policy.is_no_policy (Pcon.policy folded.payload)));
+  ]
+
 let web_tests =
   let request =
     Http.Request.make
@@ -907,6 +1118,7 @@ let () =
       ("sandboxed-region", sandboxed_tests);
       ("critical-region", critical_tests);
       ("connector", conn_tests);
+      ("connector-fold", fold_tests_conn);
       ("web", web_tests);
       ("registry", registry_tests);
     ]

@@ -874,7 +874,11 @@ let compile_tests =
 (* Index probes against scans: the same random INSERT / UPDATE / DELETE
    sequence runs on a table indexed on [g] and on a copy with no index
    at all (no primary key either). UPDATEs set [g] on one row or on a
-   whole bucket, so low slots move into buckets of later ones. *)
+   whole bucket, so low slots move into buckets of later ones. A
+   clustered insert puts a run of rows under one key, so an IN list
+   gathers buckets whose slot ranges are disjoint (each key inserted in
+   one cluster) as well as buckets that interleave (a key inserted in
+   several) and buckets holding moved rows. *)
 let unindexed_agg_schema = Schema.make_exn ~name:"agg" (Schema.columns agg_schema)
 
 let gen_index_ops =
@@ -884,6 +888,7 @@ let gen_index_ops =
     (frequency
        [
          (4, map (fun v -> `Insert v) g);
+         (2, map2 (fun v n -> `Cluster (v, n)) g (int_range 2 8));
          (3, map2 (fun id v -> `Update (id, v)) (int_range 0 40) g);
          (1, map2 (fun a b -> `Move (a, b)) g g);
          (1, map (fun id -> `Delete id) (int_range 0 40));
@@ -894,7 +899,10 @@ let index_probes =
   Expr.(
     List.map (fun k -> Cmp (Eq, g, Lit (Value.Int k))) [ 0; 1; 2; 3; 4 ]
     @ List.map (fun ks -> In (g, List.map (fun k -> Value.Int k) ks)) [ [ 3; 1 ]; [ 2; 0; 2 ]; [ 0; 1; 2; 3 ]; [] ]
-    @ [ Cmp (Eq, id, Lit (Value.Int 5)); In (id, Value.[ Int 7; Int 3; Int 7; Int 30; Int 0 ]) ])
+    @ [ In (g, List.init 5 (fun k -> Value.Int (4 - k))) ]
+    @ [ Cmp (Eq, id, Lit (Value.Int 5)); In (id, Value.[ Int 7; Int 3; Int 7; Int 30; Int 0 ]) ]
+    (* Wide: every id the ops can insert, newest first. *)
+    @ [ In (id, List.init 480 (fun k -> Value.Int (479 - k))) ])
 
 let probe_tests =
   [
@@ -904,8 +912,10 @@ let probe_tests =
         Table.ensure_index indexed "g";
         let next = ref 0 in
         let on_id id = Expr.Cmp (Expr.Eq, Expr.Col "id", Expr.Lit (Value.Int id)) in
+        let insert tbl id v = Table.insert_exn tbl Value.[| Int id; v; Null; Null; Null; Null |] in
         let apply tbl = function
-          | `Insert v -> Table.insert_exn tbl Value.[| Int !next; v; Null; Null; Null; Null |]
+          | `Insert v -> insert tbl !next v
+          | `Cluster (v, n) -> for k = 0 to n - 1 do insert tbl (!next + k) v done
           | `Update (id, v) -> ignore (Table.update tbl ~where:(on_id id) ~set:[ ("g", v) ])
           | `Move (a, b) ->
               ignore (Table.update tbl ~where:(Expr.Cmp (Expr.Eq, Expr.Col "g", Expr.Lit a)) ~set:[ ("g", b) ])
@@ -915,7 +925,10 @@ let probe_tests =
           (fun op ->
             apply indexed op;
             apply scanned op;
-            match op with `Insert _ -> incr next | `Update _ | `Move _ | `Delete _ -> ())
+            match op with
+            | `Insert _ -> incr next
+            | `Cluster (_, n) -> next := !next + n
+            | `Update _ | `Move _ | `Delete _ -> ())
           ops;
         List.for_all
           (fun where -> same_rows (Table.select indexed ~where) (Table.select scanned ~where))

@@ -46,11 +46,11 @@ let allowed =
 
 let ident_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true | _ -> false
 
-(* Every (line, primitive) use in [code]. A primitive matches where an
+(* Every (line, marker) use in [code]. A marker matches where an
    identifier starts, so [Unix.write] covers [Unix.write_substring] and
    [print_] covers [print_endline], but [Format.pp_print_string] is not
    a use. *)
-let uses code =
+let uses ~markers code =
   let n = String.length code in
   let line_of i =
     let l = ref 1 in
@@ -67,7 +67,7 @@ let uses code =
         else from (i + 1) acc
       in
       from 0 [])
-    primitives
+    markers
 
 (* dune's copy of lib/ next to this executable's directory
    (_build/default/lib), which the test's deps keep current. *)
@@ -90,7 +90,7 @@ let lib_uses () =
   List.concat_map
     (fun file ->
       let src = read_file (Filename.concat lib_dir file) in
-      List.map (fun (line, prim) -> (file, line, prim)) (uses src))
+      List.map (fun (line, prim) -> (file, line, prim)) (uses ~markers:primitives src))
     (ml_files "")
 
 let is_allowed (file, _, prim) =
@@ -106,7 +106,7 @@ let audit_tests =
         Alcotest.(check (list (pair int string)))
           "the three uses on line 2"
           [ (2, "Unix.write"); (2, "prerr_"); (2, "print_") ]
-          (List.sort compare (uses src)));
+          (List.sort compare (uses ~markers:primitives src)));
     test "no egress primitive outside the allow-list" (fun () ->
         let files = ml_files "" in
         Alcotest.(check bool) "lib/ has sources" true (List.length files > 50);
@@ -126,4 +126,44 @@ let audit_tests =
           allowed);
   ]
 
-let () = Alcotest.run "egress" [ ("audit", audit_tests) ]
+(* The PCon boundary ratchet. pcon.mli reserves [Pcon.Internal] for
+   framework code, and [Mock.unwrap] is a test helper, yet application
+   code in lib/apps still calls them. Each such line is a place where
+   governed data is unwrapped, or wrapped by hand, outside any region
+   or sanctioned primitive. The count may only fall: a line above the
+   ceiling fails the audit, which names every such line, and a change
+   that removes some must lower the ceiling to the new count. *)
+let boundary_markers = [ "Pcon.Internal."; "Mock.unwrap" ]
+let boundary_ceiling = 27
+
+(* Every (file, line number, text) in lib/apps that uses a marker, once
+   per line. *)
+let boundary_lines () =
+  List.concat_map
+    (fun file ->
+      let src = read_file (Filename.concat lib_dir file) in
+      let lines = Array.of_list (String.split_on_char '\n' src) in
+      uses ~markers:boundary_markers src
+      |> List.map fst |> List.sort_uniq Int.compare
+      |> List.map (fun l -> (file, l, lines.(l - 1))))
+    (ml_files "apps")
+
+let boundary_tests =
+  [
+    test "application code stays at or under its Internal/unwrap ceiling" (fun () ->
+        let lines = boundary_lines () in
+        let listing () =
+          String.concat "\n"
+            (List.map (fun (f, l, text) -> Printf.sprintf "  lib/%s:%d: %s" f l (String.trim text)) lines)
+        in
+        if List.length lines > boundary_ceiling then
+          Alcotest.failf "%d lines of lib/apps use Pcon.Internal or Mock.unwrap (ceiling %d):\n%s"
+            (List.length lines) boundary_ceiling (listing ());
+        if List.length lines < boundary_ceiling then
+          Alcotest.failf "lib/apps is down to %d such lines: lower boundary_ceiling from %d"
+            (List.length lines) boundary_ceiling);
+  ]
+
+(* One group, so the runner's column widths and the printed test names
+   stay as they were before the boundary test joined. *)
+let () = Alcotest.run "egress" [ ("audit", audit_tests @ boundary_tests) ]

@@ -214,6 +214,17 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
+(* The offsets of a log's whole frames: an 8-byte magic, then frames of
+   a little-endian u32 payload length, a CRC and the payload. *)
+let frame_offsets log =
+  let rec go pos acc =
+    if pos + 8 > String.length log then List.rev acc
+    else
+      let len = Int32.to_int (String.get_int32_le log pos) land 0xFFFFFFFF in
+      if pos + 8 + len > String.length log then List.rev acc else go (pos + 8 + len) (pos :: acc)
+  in
+  go 8 []
+
 let body_a = Sign.Sha256.digest_string "sandboxed body A"
 let body_b = Sign.Sha256.digest_string "sandboxed body B"
 
@@ -289,6 +300,70 @@ let attest_tests =
         check_bool "torn tail reported" true s.Sign.Attest.torn_tail;
         check_int "the torn run frame is ignored" 0 s.Sign.Attest.runs;
         check_int "the intact approval survives" 1 s.Sign.Attest.approvals);
+    test "the next recorder cuts a torn tail before it appends" (fun () ->
+        let path = tmp_path () in
+        let r = ok_or_fail (Sign.Attest.create_recorder path) in
+        ok_or_fail (approve r body_a);
+        ok_or_fail (record_run r body_a);
+        Sign.Attest.close_recorder r;
+        let contents = read_file path in
+        let torn = String.length contents - 3 in
+        write_file path (String.sub contents 0 torn);
+        let warned = ref [] in
+        let warn m = warned := m :: !warned in
+        let r2 = ok_or_fail (Sign.Attest.create_recorder ~warn path) in
+        ok_or_fail (approve r2 body_b);
+        ok_or_fail (record_run r2 body_b);
+        Sign.Attest.close_recorder r2;
+        (match (!warned, List.rev (frame_offsets contents)) with
+        | [ m ], last :: _ ->
+            check_bool "the warning counts the torn frame's bytes" true
+              (contains m (Printf.sprintf "of %d bytes at offset %d" (torn - last) last))
+        | ws, _ -> Alcotest.failf "expected one warning, got %d" (List.length ws));
+        let s = ok_or_fail (Sign.Attest.verify path) in
+        check_bool "no torn tail left" false s.Sign.Attest.torn_tail;
+        check_int "both sessions' approvals" 2 s.Sign.Attest.approvals;
+        check_int "the torn run is gone, the new one verifies" 1 s.Sign.Attest.runs);
+    test "a corrupt length mid-log is cut as a tear, and the cut is reported" (fun () ->
+        let path = tmp_path () in
+        let r = ok_or_fail (Sign.Attest.create_recorder path) in
+        ok_or_fail (approve r body_a);
+        ok_or_fail (record_run r body_a);
+        ok_or_fail (approve r body_b);
+        Sign.Attest.close_recorder r;
+        let contents = Bytes.of_string (read_file path) in
+        let second = List.nth (frame_offsets (Bytes.to_string contents)) 1 in
+        (* The length's top byte: the frame now claims more bytes than
+           the file holds, which a scan cannot tell from a crashed
+           append. *)
+        Bytes.set contents (second + 3) '\x40';
+        write_file path (Bytes.to_string contents);
+        let warned = ref [] in
+        let r2 = ok_or_fail (Sign.Attest.create_recorder ~warn:(fun m -> warned := m :: !warned) path) in
+        Sign.Attest.close_recorder r2;
+        (match !warned with
+        | [ m ] ->
+            check_bool "the warning counts both later frames" true
+              (contains m
+                 (Printf.sprintf "of %d bytes at offset %d" (Bytes.length contents - second) second))
+        | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws));
+        let s = ok_or_fail (Sign.Attest.verify path) in
+        check_int "only the first frame is left" 1 s.Sign.Attest.approvals;
+        check_int "no run is left" 0 s.Sign.Attest.runs);
+    test "a recorder refuses a log with a corrupt whole frame" (fun () ->
+        let path = tmp_path () in
+        let r = ok_or_fail (Sign.Attest.create_recorder path) in
+        ok_or_fail (approve r body_a);
+        ok_or_fail (record_run r body_a);
+        Sign.Attest.close_recorder r;
+        let contents = Bytes.of_string (read_file path) in
+        Bytes.set contents 20 (Char.chr (Char.code (Bytes.get contents 20) lxor 0x01));
+        write_file path (Bytes.to_string contents);
+        match Sign.Attest.create_recorder path with
+        | Ok r2 ->
+            Sign.Attest.close_recorder r2;
+            Alcotest.fail "opened a recorder behind mid-log corruption"
+        | Error m -> check_bool "names the CRC" true (contains m "CRC"));
     test "the wrong secret fails every signature" (fun () ->
         let path = tmp_path () in
         let r = ok_or_fail (Sign.Attest.create_recorder path) in
