@@ -747,68 +747,11 @@ let elision_sites : Elision.site list =
     };
   ]
 
-(* Family -> the binding its certificates ride on: revalidation pins the
-   binding version a certificate was issued under, so re-attaching a
-   policy drops the certificate at its next consultation and the
-   residual runtime check runs until a new plan is installed. *)
-let family_bindings =
-  [
-    (Answer_access_family.name, ("answers", "answer"));
-    (Grade_access_family.name, ("answers", "grade"));
-    (Ml_training_family.name, ("answers", "grade"));
-    (Employer_release_family.name, ("users", "email"));
-    (Demographics_family.name, ("users", "gender"));
-    (Api_key_family.name, ("users", "apikey_hash"));
-  ]
-
 let elision_certificates t =
   Elision.classify ~program:t.program ~families:elision_families ~sites:elision_sites ()
 
 let install_plan t =
-  let conn = t.conn in
-  List.iter
-    (fun (cert : Elision.certificate) ->
-      match cert.cert_verdict with
-      | Elision.Redundant proof ->
-          let guard =
-            match proof with
-            | Elision.Context_satisfies { clause } -> Enforce.Plan.guard_of_atoms clause
-            | Elision.Field_disjoint _ -> (
-                (* This repo's reference semantics keeps policies
-                   attached to region outputs and still checks them, so
-                   a field-disjointness certificate is installed under
-                   the family's own satisfying clauses: the static proof
-                   stands on its own in the CLI and replay harness, the
-                   guard keeps runtime verdicts byte-identical to the
-                   reference. A family with no satisfying clause stays a
-                   static-only artifact. *)
-                match
-                  List.find_opt
-                    (fun (f : Elision.family) -> String.equal f.family cert.cert_family)
-                    elision_families
-                with
-                | Some { satisfied_when = _ :: _ as clauses; _ } ->
-                    fun ctx ->
-                      List.exists (fun c -> Enforce.Plan.guard_of_atoms c ctx) clauses
-                | Some _ | None -> fun _ -> false)
-          in
-          let revalidate =
-            match List.assoc_opt cert.cert_family family_bindings with
-            | None -> fun () -> true
-            | Some (table, column) ->
-                let version = Conn.binding_version conn ~table ~column in
-                let issued = Atomic.get version in
-                fun () -> Atomic.get version = issued
-          in
-          Enforce.Plan.install
-            (Enforce.Plan.entry ~endpoint:cert.cert_endpoint ~sink:cert.cert_sink
-               ~family:cert.cert_family ~guard ~revalidate
-               ~witness:(Format.asprintf "%a" Elision.pp_certificate cert)
-               ())
-      | Elision.Pushable | Elision.Residual _ -> ())
-    (elision_certificates t);
-  Enforce.Plan.declare_endpoint_sinks ~endpoint:"/aggregates" [ "http::render" ];
-  Enforce.Plan.declare_endpoint_sinks ~endpoint:"/predict" [ "http::respond" ]
+  Enforce.Plan.install ~families:elision_families ~sites:elision_sites (elision_certificates t)
 
 let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
   let keystore = Sign.Keystore.create () in

@@ -164,10 +164,9 @@ val elision_certificates : t -> Scrut.Elision.certificate list
     model, one certificate per (site, sink, family) triple. *)
 
 val install_plan : t -> unit
-(** Compiles the Redundant certificates into {!C.Enforce.Plan} entries
-    (guarded by their satisfying clauses, revalidated against the
-    issuing binding versions) and declares the endpoints' release
-    sinks. Called by {!create}/{!create_durable}; exposed so tests can
+(** Installs this instance's certificates and the sites' release sinks
+    with {!C.Enforce.Plan.install}; installing again adds nothing.
+    Called by {!create}/{!create_durable}; exposed so tests can
     reinstall after {!C.Enforce.Plan.clear}. *)
 
 val sandbox_hash_region : t -> (string, string) C.Region.Sandboxed.t

@@ -40,74 +40,66 @@ let pushdown_enabled () = Atomic.get pushdown
 
 (* ------------------------------------------------------------------ *)
 (* The enforcement plan: elision certificates compiled from the static
-   pass. A certificate says "every check of family F at sink S (under
-   endpoint E) whose context satisfies the guard is identically Ok".
-   Every consultation runs the entry's [revalidate] closure (supplied
-   by the installer: typically one read of a policy-binding version)
-   before its guard; an entry that fails it is dropped and the residual
-   runtime check runs. Row mutations never matter — a certificate's
-   claim is about binding state, which rows cannot change. *)
+   pass, held as data. An entry says "every check of family F at sink S
+   under endpoint E whose context satisfies one of these clauses is
+   identically Ok". The clauses are the family model's own, re-checked
+   on each live context, so an entry's truth rests only on the family's
+   check function: no rebinding or row mutation can make it stale. *)
 
 module Plan = struct
   type entry = {
-    pe_endpoint : string option;  (* None = any endpoint *)
-    pe_sink : string;
-    pe_family : string;
-    pe_guard : Context.t -> bool;
-    pe_revalidate : unit -> bool;
-    pe_witness : string;
+    endpoint : string;
+    sink : string;
+    family : string;
+    clauses : Elision.atom list list;  (* the guard, in DNF *)
   }
 
-  let entry ?endpoint ~sink ~family ~guard ~revalidate ~witness () =
-    {
-      pe_endpoint = endpoint;
-      pe_sink = sink;
-      pe_family = family;
-      pe_guard = guard;
-      pe_revalidate = revalidate;
-      pe_witness = witness;
-    }
+  (* [sinks]: each endpoint's release sinks, under one of which
+     everything it releases is checked. They let data-wrapping sites
+     (query_agg) consult certificates for checks that only run later,
+     at release time. An immutable snapshot behind an Atomic: the hot
+     path reads it lock-free; installs CAS-replace it. *)
+  type t = { entries : entry list; sinks : (string * string list) list }
 
-  (* An immutable snapshot list behind an Atomic: the hot path scans
-     lock-free; installs and drops CAS-replace the list. The plan is
-     tiny (one entry per certified (endpoint, sink, family) triple). *)
-  let cell : entry list Atomic.t = Atomic.make []
+  let cell = Atomic.make { entries = []; sinks = [] }
 
-  let rec install e =
+  (* A field-disjointness certificate rides its family's own clauses:
+     the reference semantics still checks the policies attached to
+     region outputs, so the static proof stands on its own in the CLI
+     and replay harness while the guard keeps verdicts byte-identical. *)
+  let clauses_of families (cert : Elision.certificate) =
+    match cert.cert_verdict with
+    | Elision.Redundant (Elision.Context_satisfies { clause }) -> [ clause ]
+    | Elision.Redundant (Elision.Field_disjoint _) -> (
+        let same (f : Elision.family) = String.equal f.family cert.cert_family in
+        match List.find_opt same families with Some f -> f.satisfied_when | None -> [])
+    | Elision.Pushable | Elision.Residual _ -> []
+
+  let rec install ~families ~(sites : Elision.site list) certs =
     let cur = Atomic.get cell in
-    if not (Atomic.compare_and_set cell cur (e :: cur)) then install e
+    let add entries (cert : Elision.certificate) =
+      match clauses_of families cert with
+      | [] -> entries (* could never discharge a check *)
+      | clauses ->
+          let { Elision.cert_endpoint = endpoint; cert_sink = sink; cert_family = family; _ } =
+            cert
+          in
+          let e = { endpoint; sink; family; clauses } in
+          if List.mem e entries then entries else e :: entries
+    in
+    let declare sinks (s : Elision.site) =
+      (s.endpoint, s.sinks) :: List.remove_assoc s.endpoint sinks
+    in
+    let entries = List.fold_left add cur.entries certs in
+    let next = { entries; sinks = List.fold_left declare cur.sinks sites } in
+    if not (Atomic.compare_and_set cell cur next) then install ~families ~sites certs
 
-  let size () = List.length (Atomic.get cell)
-  let active () = Atomic.get cell <> []
-
-  (* Endpoint release-sink declarations: "everything endpoint E releases
-     is checked under one of these sinks (with the request context)".
-     They let data-wrapping sites (query_agg) consult certificates for
-     checks that will only run later, at release time. *)
-  let decls : (string * string list) list Atomic.t = Atomic.make []
-
-  let rec declare_endpoint_sinks ~endpoint sinks =
-    let cur = Atomic.get decls in
-    let next = (endpoint, sinks) :: List.remove_assoc endpoint cur in
-    if not (Atomic.compare_and_set decls cur next) then declare_endpoint_sinks ~endpoint sinks
-
-  let clear () =
-    Atomic.set cell [];
-    Atomic.set decls []
-
-  let rec drop e =
-    let cur = Atomic.get cell in
-    let next = List.filter (fun x -> x != e) cur in
-    if not (Atomic.compare_and_set cell cur next) then drop e
+  let clear () = Atomic.set cell { entries = []; sinks = [] }
+  let size () = List.length (Atomic.get cell).entries
+  let active () = (Atomic.get cell).entries <> []
 
   let path_covers declared actual =
     String.equal declared actual || String.starts_with ~prefix:(declared ^ "/") actual
-
-  let endpoint_matches entry ctx =
-    match entry.pe_endpoint with
-    | None -> true
-    | Some e -> (
-        match Context.endpoint ctx with Some ep -> path_covers e ep | None -> false)
 
   let endpoint_sinks ctx =
     match Context.endpoint ctx with
@@ -115,43 +107,9 @@ module Plan = struct
     | Some ep ->
         List.find_map
           (fun (e, sinks) -> if path_covers e ep then Some sinks else None)
-          (Atomic.get decls)
+          (Atomic.get cell).sinks
 
-  (* Is this one entry usable right now? One that fails revalidation is
-     dropped for good. *)
-  let entry_live entry =
-    entry.pe_revalidate ()
-    || begin
-         drop entry;
-         false
-       end
-
-  let certified_leaf ~sink ~family ctx =
-    List.exists
-      (fun entry ->
-        String.equal entry.pe_sink sink
-        && String.equal entry.pe_family family
-        && endpoint_matches entry ctx
-        && entry_live entry && entry.pe_guard ctx)
-      (Atomic.get cell)
-
-  (* A whole policy is covered iff every leaf of its conjunction tree is
-     certified at this context's sink. *)
-  let covers policy ctx =
-    match Context.sink ctx with
-    | None -> false
-    | Some sink ->
-        let rec walk policy =
-          match Policy.members policy with
-          | None -> certified_leaf ~sink ~family:(Policy.name policy) ctx
-          | Some ms -> List.for_all walk ms
-        in
-        walk policy
-
-  (* Compile the static pass's satisfying clause into a runtime guard.
-     The guard re-checks each atom against the concrete context, so an
-     over-claimed site model can only lose elisions, never verdicts.
-     [Principal_in] mirrors the apps' acting-principal convention: the
+  (* [Principal_in] mirrors the apps' acting-principal convention: the
      "recipient" custom field when present, the user otherwise. *)
   let principal ctx =
     match Context.custom ctx "recipient" with Some r -> Some r | None -> Context.user ctx
@@ -168,7 +126,30 @@ module Plan = struct
     | Elision.Principal_in ps -> (
         match principal ctx with Some p -> List.exists (String.equal p) ps | None -> false)
 
-  let guard_of_atoms atoms ctx = List.for_all (atom_holds ctx) atoms
+  let certified_leaf ~sink ~family ctx =
+    match Context.endpoint ctx with
+    | None -> false
+    | Some ep ->
+        List.exists
+          (fun entry ->
+            String.equal entry.sink sink
+            && String.equal entry.family family
+            && path_covers entry.endpoint ep
+            && List.exists (List.for_all (atom_holds ctx)) entry.clauses)
+          (Atomic.get cell).entries
+
+  (* A whole policy is covered iff every leaf of its conjunction tree is
+     certified at this context's sink. *)
+  let covers policy ctx =
+    match Context.sink ctx with
+    | None -> false
+    | Some sink ->
+        let rec walk policy =
+          match Policy.members policy with
+          | None -> certified_leaf ~sink ~family:(Policy.name policy) ctx
+          | Some ms -> List.for_all walk ms
+        in
+        walk policy
 end
 
 (* ------------------------------------------------------------------ *)

@@ -5,7 +5,8 @@
 
     - {b Elision.} A check whose every conjunction leaf is covered by an
       installed {!Plan} certificate for the context is discharged
-      without running. Each certificate revalidates at every use.
+      without running. Each certificate's guard is re-checked on every
+      live context.
     - {b Deadlines.} A conjunction's members are checked in member order
       on the calling domain, stopping at the first denial, which is the
       one reported. The walk stops early, with a
@@ -40,33 +41,28 @@ val note_elision : unit -> unit
     connector when a plan certificate replaces a group conjunction). *)
 
 (** The enforcement plan: elision certificates compiled from the static
-    pass ({!Sesame_scrutinizer.Elision}). An installed entry asserts
-    that every check of [family] at [sink] (under [endpoint], when
-    given) whose context satisfies [guard] is identically [Ok].
+    pass ({!Sesame_scrutinizer.Elision}), held as data. An entry
+    asserts that every check of [family] at [sink] under [endpoint]
+    (exactly, or as a ["/"-separated] path prefix: ["/predict"] covers
+    ["/predict/3"]) whose context satisfies one of the entry's clauses
+    is identically [Ok]. The clauses are the family model's own,
+    checked on each live context, so an entry's truth depends only on
+    the family's check function and no binding change makes it stale.
     {!check_verbose} discharges a policy without running it when {e
-    every} leaf of its conjunction tree is certified for the context.
-
-    Every consultation of an entry first runs its [revalidate] closure
-    (typically one read of a {!Sesame_conn.binding_version}; keep it
-    that cheap). An entry that fails revalidation is dropped, so the
-    residual runtime check runs. *)
+    every} leaf of its conjunction tree is certified for the context. *)
 module Plan : sig
-  type entry
+  val install :
+    families:Sesame_scrutinizer.Elision.family list ->
+    sites:Sesame_scrutinizer.Elision.site list ->
+    Sesame_scrutinizer.Elision.certificate list ->
+    unit
+  (** Add an entry per Redundant certificate, guarded by its proven
+      clause ([Context_satisfies]) or its family's clauses
+      ([Field_disjoint]); one with no clause is skipped. Entries are
+      added by structural union, so installing a model twice adds
+      nothing. Each site's [sinks] replace its endpoint's release
+      sinks. *)
 
-  val entry :
-    ?endpoint:string ->
-    sink:string ->
-    family:string ->
-    guard:(Context.t -> bool) ->
-    revalidate:(unit -> bool) ->
-    witness:string ->
-    unit ->
-    entry
-  (** [endpoint] matches exactly or as a ["/"-separated] path prefix
-      (so ["/predict"] covers ["/predict/3"]); omitted = any endpoint.
-      [witness] is the rendered static proof, kept for introspection. *)
-
-  val install : entry -> unit
   val clear : unit -> unit
   val size : unit -> int
   val active : unit -> bool
@@ -77,21 +73,12 @@ module Plan : sig
 
   val certified_leaf : sink:string -> family:string -> Context.t -> bool
 
-  val declare_endpoint_sinks : endpoint:string -> string list -> unit
-  (** Declare the release sinks of an endpoint: every value the endpoint
-      releases is checked under one of these sinks with the request
-      context. Lets data-wrapping sites (the connector's [query_agg])
-      consult certificates for checks that only run later, at release
-      time. Re-declaring an endpoint replaces its sink list; {!clear}
-      forgets all declarations. *)
-
   val endpoint_sinks : Context.t -> string list option
-  (** The declared release sinks covering this context's endpoint
-      (exact or path-prefix match), if any. *)
-
-  val guard_of_atoms : Sesame_scrutinizer.Elision.atom list -> Context.t -> bool
-  (** Compile a satisfying clause from the static pass into a runtime
-      guard that re-checks each atom against the concrete context. *)
+  (** The release sinks of the site covering this context's endpoint,
+      if any: every value the endpoint releases is checked under one of
+      them with the request context. Lets data-wrapping sites (the
+      connector's [query_agg]) consult certificates for checks that only
+      run later, at release time. *)
 end
 
 (** [hits] and [misses] keep the shape of the deleted verdict cache's

@@ -148,12 +148,9 @@ type t = {
      [query_agg] consult elision certificates without instantiating a
      single per-row policy. Cleared on rebinding. *)
   certified_families : (string * string, string list) Hashtbl.t;
-  (* Monotone per-binding version, bumped by every [attach_policy]:
-     the cheap revalidation handle for plan certificates. A binding's
-     cell is created once and never replaced, so a holder reads it with
-     one [Atomic.get]. *)
-  binding_versions : (string * string, int Atomic.t) Hashtbl.t;
-  health : (string, health) Hashtbl.t;  (* per sink *)
+  (* One record per sink, all made by [create]: requests only read the
+     table, so handler domains share it without a lock. *)
+  health : (string, health) Hashtbl.t;
   mutable retry : retry_policy;
   mutable breaker : breaker_config;
   mutable rng : Random.State.t;
@@ -177,13 +174,26 @@ let busy_sleep seconds =
   end
 
 let create db =
+  let health = Hashtbl.create 4 in
+  List.iter
+    (fun sink ->
+      Hashtbl.replace health sink
+        {
+          bstate = Closed;
+          consecutive_failures = 0;
+          opened_at = 0.0;
+          opens = 0;
+          short_circuited = 0;
+          retries = 0;
+          attempts = 0;
+        })
+    [ "db::query"; "db::insert"; "db::execute" ];
   {
     db;
     bindings = Hashtbl.create 16;
     translations = Hashtbl.create 16;
     certified_families = Hashtbl.create 16;
-    binding_versions = Hashtbl.create 16;
-    health = Hashtbl.create 8;
+    health;
     retry = default_retry;
     breaker = default_breaker;
     rng = Random.State.make [| 0x5e5a; 0xe |];
@@ -271,20 +281,7 @@ let configure_resilience t ?retry ?breaker ?seed ?sleep ?now () =
 let health_for t sink =
   match Hashtbl.find_opt t.health sink with
   | Some h -> h
-  | None ->
-      let h =
-        {
-          bstate = Closed;
-          consecutive_failures = 0;
-          opened_at = 0.0;
-          opens = 0;
-          short_circuited = 0;
-          retries = 0;
-          attempts = 0;
-        }
-      in
-      Hashtbl.add t.health sink h;
-      h
+  | None -> invalid_arg ("Sesame_conn: no sink " ^ sink)
 
 (* An open breaker becomes half-open once the cooldown has elapsed; the
    next admitted call is the probe. *)
@@ -374,22 +371,13 @@ let with_resilience t ~sink op =
 
 (* ------------------------------------------------------------------ *)
 
-let binding_version t ~table ~column =
-  match Hashtbl.find_opt t.binding_versions (table, column) with
-  | Some version -> version
-  | None ->
-      let version = Atomic.make 0 in
-      Hashtbl.add t.binding_versions (table, column) version;
-      version
-
 let attach_policy ?to_expr t ~table ~column source =
   Hashtbl.replace t.bindings (table, column) source;
   (match to_expr with
   | Some f -> Hashtbl.replace t.translations (table, column) f
   | None -> Hashtbl.remove t.translations (table, column));
   (* Any family certification described the previous binding. *)
-  Hashtbl.remove t.certified_families (table, column);
-  Atomic.incr (binding_version t ~table ~column)
+  Hashtbl.remove t.certified_families (table, column)
 
 let certify_binding t ~table ~column ~families =
   Hashtbl.replace t.certified_families (table, column) families

@@ -157,8 +157,9 @@ val configure_resilience :
     clock without waiting. *)
 
 val sink_stats : t -> string -> sink_stats
-(** Health of one sink's breaker (e.g. ["db::query"]); creates a fresh
-    closed record if the sink was never used. *)
+(** Health of one sink's breaker: ["db::query"], ["db::insert"] or
+    ["db::execute"], each made closed with the connector.
+    @raise Invalid_argument on any other name. *)
 
 val breaker_state : t -> sink:string -> breaker_state
 
@@ -203,21 +204,14 @@ val attach_policy :
     not consult it: it discharges a group's conjunction only through
     {!certify_binding} and plan certificates. Rebinding
     without [to_expr] drops any previous translation, and always drops
-    {!certify_binding} claims and bumps the {!binding_version}. *)
-
-val binding_version : t -> table:string -> column:string -> int Atomic.t
-(** The binding's monotone version, incremented by every
-    {!attach_policy} on it (0 = never bound): the cheap revalidation
-    handle for {!Enforce.Plan} certificates issued against the binding.
-    The cell is created on first use and never replaced, so a
-    certificate keeps it and reads it with one [Atomic.get]; take it
-    at set-up, not on a request path. *)
+    the {!certify_binding} claim, the one elision fact that speaks
+    about a binding. *)
 
 val certify_binding : t -> table:string -> column:string -> families:string list -> unit
 (** App-supplied static claim: every policy this binding produces has
-    conjunction leaves within [families]. Together with
-    {!Enforce.Plan.declare_endpoint_sinks} and installed certificates,
-    it lets {!query_agg} discharge a whole group conjunction without
+    conjunction leaves within [families]. Together with the release
+    sinks and certificates {!Enforce.Plan.install} installs, it lets
+    {!query_agg} discharge a whole group conjunction without
     instantiating any per-row policy. Dropped on rebinding. *)
 
 (** {1 Sinks} *)

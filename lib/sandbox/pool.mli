@@ -11,9 +11,10 @@
     corrupted allocator) into a later invocation.
 
     Capacity is {e mutable} between the initial capacity and
-    [max_capacity]: the server's autoscaler ({!Sesame_server}) converts
-    sustained queue depth / shed rate into {!set_capacity} calls so load
-    spikes become scaling before they become 503s. By default
+    [max_capacity]: bench serve's [on_scale] hook calls {!set_capacity}
+    with the worker count each time the server's autoscaler
+    ({!Sesame_server}) changes it, keeping one arena per handler worker
+    so load spikes become scaling before they become 503s. By default
     [max_capacity] equals the initial capacity, so nothing scales unless
     explicitly enabled. *)
 

@@ -1,8 +1,9 @@
 (* The check-elision pass and the runtime plan compiled from it:
    static classification + certificate replay, differential
-   byte-identity (elide/pushdown on/off), the
-   stale-certificate regression (re-binding a policy drops the
-   certificates issued against it), and the Enforce stats counters. *)
+   byte-identity (elide/pushdown on/off), the rebinding regression
+   (re-binding a policy keeps every verdict and drops the binding's
+   certification, so the residual check runs), and the Enforce stats
+   counters and plan size. *)
 
 module Http = Sesame_http
 module Db = Sesame_db
@@ -315,6 +316,14 @@ let stats_tests =
         check_int "200" 200 (status r);
         check_string "body" "model retrained" (body r);
         check_bool "pushed" true ((C.Enforce.stats ()).C.Enforce.pushdowns > 0));
+    test "installing the same model twice adds nothing" (fun () ->
+        C.Enforce.Plan.clear ();
+        let (_ : Apps.Websubmit.t) = websubmit () in
+        let once = C.Enforce.Plan.size () in
+        let (_ : Apps.Websubmit.t) = websubmit () in
+        (* One entry per Redundant certificate that carries a clause. *)
+        check_int "one instance's entries" 14 once;
+        check_int "a second instance adds nothing" once (C.Enforce.Plan.size ()));
     test "reset_stats zeroes every counter" (fun () ->
         let app = websubmit () in
         check_int "retrain" 200 (status (retrain app));
@@ -367,9 +376,11 @@ let pushdown_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Stale certificates: re-attaching a policy to the binding a
-   certificate was issued against must drop it (fail-closed to the
-   residual check), not keep eliding under a stale proof. *)
+(* Rebinding: re-attaching a policy to answers.grade must keep every
+   verdict. Plan certificates are guarded by their families' own
+   clauses, so they stay true; the one claim about the binding, its
+   certification (the leaf families query_agg trusts), is dropped, so
+   the aggregates' group conjunctions are built and checked again. *)
 
 module Lockdown_family = struct
   type s = unit
@@ -390,26 +401,35 @@ let stale_tests =
         (* A plan holding exactly this instance's certificates. *)
         C.Enforce.Plan.clear ();
         Apps.Websubmit.install_plan app;
-        let size0 = C.Enforce.Plan.size () in
-        check_bool "plan installed" true (size0 > 0);
+        check_bool "plan installed" true (C.Enforce.Plan.size () > 0);
+        let aggregates () =
+          Apps.Websubmit.get_aggregates app (req ~cookies:as_admin Http.Meth.GET "/aggregates")
+        in
+        let before = aggregates () in
+        check_int "aggregates" 200 (status before);
         check_int "retrain" 200 (status (retrain app));
         C.Enforce.reset_stats ();
         check_int "predict (elided)" 200 (status (predict app));
         let st = C.Enforce.stats () in
         check_bool "fully elided before rebinding" true
           (st.C.Enforce.elisions > 0 && st.C.Enforce.misses = 0);
-        (* Re-bind answers.grade: the binding version bumps and the
-           epoch moves, so certificates issued against the old binding
-           must fail revalidation on their next consultation. *)
         C.Sesame_conn.attach_policy (Apps.Websubmit.conn app) ~table:"answers"
           ~column:"grade"
           (fun _schema _row -> Lockdown.make ());
         C.Enforce.reset_stats ();
-        check_int "predict (residual)" 200 (status (predict app));
+        let after = aggregates () in
+        check_int "aggregates after rebinding" 200 (status after);
+        check_string "aggregates body" (body before) (body after);
         let st = C.Enforce.stats () in
-        check_int "stale certificate no longer elides" 0 st.C.Enforce.elisions;
-        check_bool "residual check ran" true (st.C.Enforce.misses > 0);
-        check_bool "stale entries dropped" true (C.Enforce.Plan.size () < size0));
+        check_int "certified aggregate path off" 0 st.C.Enforce.elisions;
+        check_bool "group conjunctions checked" true (st.C.Enforce.misses > 0);
+        (* The model trained before the rebinding still carries the old
+           binding's leaves. *)
+        check_int "predict (old model)" 200 (status (predict app));
+        check_int "retrain after rebinding" 200 (status (retrain app));
+        C.Enforce.reset_stats ();
+        check_int "predict (residual)" 200 (status (predict app));
+        check_bool "residual check ran" true ((C.Enforce.stats ()).C.Enforce.misses > 0));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -775,6 +775,17 @@ let breaker_tests =
         check_bool "closed" true (s.Sesame_conn.state = Sesame_conn.Closed);
         check_int "no failures recorded" 0 s.Sesame_conn.consecutive_failures;
         check_int "db never attempted" 0 s.Sesame_conn.attempts);
+    test "the connector's three sinks start closed; no other sink has a breaker" (fun () ->
+        let conn = conn_fixture () in
+        List.iter
+          (fun sink ->
+            let s = Sesame_conn.sink_stats conn sink in
+            check_bool (sink ^ " closed") true (s.Sesame_conn.state = Sesame_conn.Closed);
+            check_int (sink ^ " unused") 0 s.Sesame_conn.attempts)
+          [ "db::query"; "db::insert"; "db::execute" ];
+        match Sesame_conn.sink_stats conn "db::other" with
+        | _ -> Alcotest.fail "expected Invalid_argument for an unknown sink"
+        | exception Invalid_argument _ -> ());
   ]
 
 (* ------------------------------------------------------------------ *)
