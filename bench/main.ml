@@ -789,8 +789,10 @@ let parcheck () =
 (* Ablation: what durability costs. The same insert workload runs
    against the bare in-memory engine and three durable configurations —
    write-behind (No_sync), strict (fsync per commit), and strict with
-   periodic checkpoints — then each durable directory is reopened to
-   price recovery itself (WAL replay vs checkpoint load). *)
+   periodic checkpoints, the last also split over two writer domains —
+   then each durable directory is reopened to price recovery itself
+   (WAL replay vs checkpoint load). A run fails if the store poisons or
+   the recovered rows differ from the acknowledged ones. *)
 
 module W = Sesame_wal
 
@@ -825,24 +827,29 @@ let wal_ablation () =
       rm_rf dir;
       dir
   in
+  let row i =
+    [
+      Db.Value.Int i;
+      Db.Value.Text (Printf.sprintf "user%d@school.edu" (i mod 7));
+      Db.Value.Text (Printf.sprintf "note %d with some payload text" i);
+    ]
+  in
   let insert db i =
-    match
-      Db.Database.exec db "INSERT INTO notes VALUES (?, ?, ?)"
-        ~params:
-          [
-            Db.Value.Int i;
-            Db.Value.Text (Printf.sprintf "user%d@school.edu" (i mod 7));
-            Db.Value.Text (Printf.sprintf "note %d with some payload text" i);
-          ]
-    with
+    match Db.Database.exec db "INSERT INTO notes VALUES (?, ?, ?)" ~params:(row i) with
     | Ok _ -> ()
     | Error m -> failwith m
   in
-  let time_inserts db =
+  (* Writer [d] of [writers] inserts the notes [i] with [i mod writers = d]. *)
+  let time_inserts ?(writers = 1) db =
     let t0 = now () in
-    for i = 1 to n do
-      insert db i
-    done;
+    let run d () =
+      for i = 1 to n do
+        if i mod writers = d then insert db i
+      done
+    in
+    let others = List.init (writers - 1) (fun d -> Domain.spawn (run (d + 1))) in
+    run 0 ();
+    List.iter Domain.join others;
     now () -. t0
   in
   Printf.printf "%d inserts, each journaling values + policy provenance:\n\n" n;
@@ -855,7 +862,7 @@ let wal_ablation () =
   Printf.printf "%-24s %7.1f ms %9.1f us %9s %12s\n" "in-memory" (ms baseline)
     (us (baseline /. float_of_int n))
     "1.0x" "-";
-  let durable label config =
+  let durable ?writers label config =
     W.Provenance.reset ();
     W.Provenance.register "bench::owner";
     let dir = fresh_dir () in
@@ -867,7 +874,10 @@ let wal_ablation () =
     (match Db.Database.create_table (W.Durable.db store) schema with
     | Ok () -> ()
     | Error m -> failwith m);
-    let elapsed = time_inserts (W.Durable.db store) in
+    let elapsed = time_inserts ?writers (W.Durable.db store) in
+    Option.iter
+      (fun reason -> failwith (Printf.sprintf "%s: store poisoned: %s" label reason))
+      (Db.Database.poisoned (W.Durable.db store));
     (match W.Durable.close store with Ok () -> () | Error m -> failwith m);
     let t0 = now () in
     let reopened =
@@ -878,10 +888,13 @@ let wal_ablation () =
     let recovery = now () -. t0 in
     let recovered =
       match Db.Database.table (W.Durable.db reopened) "notes" with
-      | Some tbl -> Db.Table.length tbl
-      | None -> 0
+      | Some tbl -> List.sort compare (List.map Array.to_list (Db.Table.to_list tbl))
+      | None -> []
     in
-    if recovered <> n then failwith (Printf.sprintf "%s: recovered %d/%d rows" label recovered n);
+    if recovered <> List.init n (fun i -> row (i + 1)) then
+      failwith
+        (Printf.sprintf "%s: recovered rows differ from the %d acknowledged (%d recovered)" label n
+           (List.length recovered));
     (match W.Durable.close reopened with Ok () -> () | Error m -> failwith m);
     rm_rf dir;
     Printf.printf "%-24s %7.1f ms %9.1f us %8.1fx %9.1f ms\n" label (ms elapsed)
@@ -894,6 +907,8 @@ let wal_ablation () =
   durable "wal, fsync each commit"
     { W.Durable.sync = W.Durable.Fsync; checkpoint_every = None };
   durable "wal+checkpoint (64)"
+    { W.Durable.sync = W.Durable.Fsync; checkpoint_every = Some 64 };
+  durable ~writers:2 "wal+ckpt (64), 2 writers"
     { W.Durable.sync = W.Durable.Fsync; checkpoint_every = Some 64 };
   Printf.printf
     "\n(recovery column: reopen cost — WAL replay for the first two, checkpoint\n\

@@ -137,7 +137,6 @@ type t = {
   conn : Conn.t;
   db : Db.Database.t;
   regions : regions;
-  mutable next_id : int;
   routes : Http.Router.t;
 }
 
@@ -232,11 +231,6 @@ let make_regions program keystore =
       generate_keypair;
     }
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
-
 let candidate_email i = Printf.sprintf "candidate%d@school.cz" i
 
 let insert_candidate t ~email ~name ~school =
@@ -270,10 +264,9 @@ let seed t ~candidates =
       let ciphertext = Crypto.encrypt ~key (Printf.sprintf "transcript of %s" email) in
       let* _ =
         Db.Database.exec t.db
-          "INSERT INTO documents (id, email, filename, ciphertext, checksum) VALUES (?, ?, ?, ?, ?)"
+          "INSERT INTO documents (email, filename, ciphertext, checksum) VALUES (?, ?, ?, ?)"
           ~params:
             [
-              Db.Value.Int (fresh_id t);
               Db.Value.Text email;
               Db.Value.Text "transcript.pdf";
               Db.Value.Text ciphertext;
@@ -385,7 +378,6 @@ let upload_document t request =
                   match
                     Conn.insert t.conn ~context ~table:"documents"
                       [
-                        ("id", Pcon.wrap_no_policy (Db.Value.Int (fresh_id t)));
                         ("email", Pcon.wrap_no_policy (Db.Value.Text user));
                         ("filename", C.Pcon.Internal.make policy (Db.Value.Text filename));
                         ( "ciphertext",
@@ -503,6 +495,6 @@ let create ?(query_cost_ns = 0) () =
   let* () = sign regions.decrypt_document in
   let* () = sign regions.generate_keypair in
   (* Built once: dispatch only reads the table, so handler domains share it. *)
-  let t = { conn; db; regions; next_id = 1; routes = Http.Router.create () } in
+  let t = { conn; db; regions; routes = Http.Router.create () } in
   add_routes t t.routes;
   Ok t

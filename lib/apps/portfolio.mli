@@ -30,19 +30,10 @@ val seed : t -> candidates:int -> (unit, string) result
 (** [candidates] accounts, each with one encrypted uploaded document. *)
 
 val handle : t -> Http.Request.t -> Http.Response.t
-
-val register : t -> Http.Request.t -> Http.Response.t
-(** [POST /register]: creates the account, generates a keypair in a CR,
-    and sets the private key as the owner's cookie (policy 2's one
-    permitted exit). *)
-
-val upload_document : t -> Http.Request.t -> Http.Response.t
-(** [POST /documents]: encrypts the body in a CR and stores ciphertext. *)
-
-val view_document : t -> Http.Request.t -> Http.Response.t
-(** [GET /documents/<id>]: decrypts in a CR; candidate or admin only. *)
-
-val admin_list : t -> Http.Request.t -> Http.Response.t
-(** [GET /admin/candidates]: admissions officers list candidate names. *)
+(** [POST /register] makes the account and a keypair in a CR, and sets
+    the private key as the owner's cookie (policy 2's one permitted
+    exit); [POST /documents] encrypts the body in a CR;
+    [GET /documents/<id>] decrypts in a CR, for the candidate or an
+    admin; [GET /admin/candidates] lists names for admissions officers. *)
 
 val policy_inventory : (string * int * int) list

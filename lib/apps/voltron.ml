@@ -216,7 +216,6 @@ type t = {
   conn : Conn.t;
   db : Db.Database.t;
   regions : regions;
-  mutable next_id : int;
   synced : string list ref;  (** firebase-sync sink, observable in tests *)
   routes : Http.Router.t;
 }
@@ -287,16 +286,15 @@ let make_regions program keystore synced =
   in
   Ok { merge_edit; line_count; render_buffer; notify_instructor; sync_buffer }
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
-
 let student_email c i = Printf.sprintf "student%d_%d@university.edu" c i
 let instructor_email c = Printf.sprintf "instructor%d@university.edu" c
 
+(* Class [c]'s enrollment and buffer ids follow class [c - 1]'s, in
+   one sequence: enrollments first, then the group buffers. *)
 let seed t ~classes ~students_per_class =
   let check = function Ok _ -> Ok () | Error msg -> Error msg in
+  let groups = max 1 (students_per_class / 2) in
+  let first_id c = (c * (students_per_class + groups)) + 1 in
   List.fold_left
     (fun acc c ->
       let* () = acc in
@@ -319,7 +317,7 @@ let seed t ~classes ~students_per_class =
                  "INSERT INTO enrollments (id, class_id, group_id, student) VALUES (?, ?, ?, ?)"
                  ~params:
                    [
-                     Db.Value.Int (fresh_id t);
+                     Db.Value.Int (first_id c + i);
                      Db.Value.Int (c + 1);
                      Db.Value.Int ((i / 2) + 1);
                      Db.Value.Text (student_email c i);
@@ -335,13 +333,13 @@ let seed t ~classes ~students_per_class =
                "INSERT INTO buffers (id, class_id, group_id, code) VALUES (?, ?, ?, ?)"
                ~params:
                  [
-                   Db.Value.Int (fresh_id t);
+                   Db.Value.Int (first_id c + students_per_class + g);
                    Db.Value.Int (c + 1);
                    Db.Value.Int (g + 1);
                    Db.Value.Text "fn main() {}";
                  ]))
         (Ok ())
-        (List.init (max 1 (students_per_class / 2)) Fun.id))
+        (List.init groups Fun.id))
     (Ok ())
     (List.init classes Fun.id)
 
@@ -400,7 +398,6 @@ let enroll_student t request =
           match
             Conn.insert t.conn ~context ~table:"enrollments"
               [
-                ("id", Pcon.wrap_no_policy (Db.Value.Int (fresh_id t)));
                 ("class_id", Pcon.wrap_no_policy (Db.Value.Int class_id));
                 ("group_id", Pcon.wrap_no_policy (Db.Value.Int group_id));
                 ( "student",
@@ -518,6 +515,6 @@ let create ?(query_cost_ns = 0) () =
   let* () = sign regions.notify_instructor in
   let* () = sign regions.sync_buffer in
   (* Built once: dispatch only reads the table, so handler domains share it. *)
-  let t = { conn; db; regions; next_id = 1; synced; routes = Http.Router.create () } in
+  let t = { conn; db; regions; synced; routes = Http.Router.create () } in
   add_routes t t.routes;
   Ok t

@@ -28,19 +28,9 @@ val seed : t -> classes:int -> students_per_class:int -> (unit, string) result
     buffer per group. *)
 
 val handle : t -> Http.Request.t -> Http.Response.t
-
-val enroll_instructor : t -> Http.Request.t -> Http.Response.t
-(** [POST /instructors] (admins only, policy 1). *)
-
-val enroll_student : t -> Http.Request.t -> Http.Response.t
-(** [POST /classes/<class_id>/students] (class instructor only, policy
-    2). *)
-
-val read_buffer : t -> Http.Request.t -> Http.Response.t
-(** [GET /buffers/<id>] (policy 3, read side). *)
-
-val write_buffer : t -> Http.Request.t -> Http.Response.t
-(** [POST /buffers/<id>] (policy 3, write side; the edit is merged in a
-    verified region). *)
+(** [POST /instructors] (admins only, policy 1),
+    [POST /classes/<class_id>/students] (the class's instructor only,
+    policy 2), and [GET] and [POST /buffers/<id>] (policy 3's read and
+    write sides; an edit is merged in a verified region). *)
 
 val policy_inventory : (string * int * int) list

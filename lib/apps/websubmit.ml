@@ -363,7 +363,6 @@ type t = {
   regions : regions;
   hardening : hardening option;
   mutable model : (float * float) Pcon.t option;  (** (weight, intercept) *)
-  mutable next_answer_id : int;
   routes : Http.Router.t;
 }
 
@@ -753,7 +752,7 @@ let elision_certificates t =
 let install_plan t =
   Enforce.Plan.install ~families:elision_families ~sites:elision_sites (elision_certificates t)
 
-let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
+let assemble ?hardening ~conn ~db ~k_anonymity () =
   let keystore = Sign.Keystore.create () in
   Sign.Keystore.register keystore ~reviewer ~secret:"alice-reviewer-secret";
   let program = build_program () in
@@ -779,7 +778,6 @@ let assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () =
       regions;
       hardening;
       model = None;
-      next_answer_id;
       routes = Http.Router.create ();
     }
   in
@@ -803,11 +801,7 @@ let answer_count t =
 (* ------------------------------------------------------------------ *)
 (* Seeding (the Fig. 8 workload: a medium-sized course). *)
 
-let seed t ~students ~questions =
-  Websubmit_schema.seed t.db ~students ~questions ~next_id:(fun () ->
-      let id = t.next_answer_id in
-      t.next_answer_id <- id + 1;
-      id)
+let seed t ~students ~questions = Websubmit_schema.seed t.db ~students ~questions
 
 (* ------------------------------------------------------------------ *)
 (* Endpoints *)
@@ -890,13 +884,10 @@ let submit_answer t request =
           let question =
             Option.value (Http.Request.path_param request "question") ~default:"0"
           in
-          let id = t.next_answer_id in
-          t.next_answer_id <- id + 1;
           let context = Web.context_for request ~user () in
           match
             Conn.insert t.conn ~context ~table:"answers"
               [
-                ("id", Pcon.wrap_no_policy (Db.Value.Int id));
                 ("email", Pcon.wrap_no_policy (Db.Value.Text user));
                 ( "lecture",
                   Pcon.wrap_no_policy (Db.Value.Int (int_of_string lecture)) );
@@ -1199,7 +1190,7 @@ let create ?(query_cost_ns = 0) ?(k_anonymity = 5) ?hardening () =
   let* () = index_hot_columns db in
   let conn = Conn.create db in
   attach_policies conn db;
-  let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id:1 () in
+  let* t = assemble ?hardening ~conn ~db ~k_anonymity () in
   (* Built once: dispatch only reads the table, so handler domains share it. *)
   add_routes t t.routes;
   Ok t
@@ -1225,17 +1216,6 @@ let create_durable ?(query_cost_ns = 0) ?(k_anonymity = 5) ?durable_config ?hard
       let* () = ensure Websubmit_schema.leaders in
       let* () = index_hot_columns db in
       attach_policies conn db;
-      let next_answer_id =
-        match Db.Database.table db "answers" with
-        | None -> 1
-        | Some tbl ->
-            let schema = Db.Table.schema tbl in
-            1
-            + Db.Table.fold tbl ~init:0 ~f:(fun acc row ->
-                  match Db.Row.get schema row "id" with
-                  | Db.Value.Int i -> max acc i
-                  | _ -> acc)
-      in
-      let* t = assemble ?hardening ~conn ~db ~k_anonymity ~next_answer_id () in
+      let* t = assemble ?hardening ~conn ~db ~k_anonymity () in
       add_routes t t.routes;
       Ok (t, store)

@@ -87,8 +87,8 @@ val create_durable :
     [data_dir] (see {!Sesame_wal.Durable}): registers the seven policy
     families with the provenance registry, recovers checkpoint + WAL
     (fail-closed — a store that cannot prove every row's policy refuses
-    to open), creates any missing tables, and resumes the answer-id
-    sequence past the largest recovered id. *)
+    to open) and creates any missing tables. Recovery restores the
+    answer ids the store assigned, and new answers get ids past them. *)
 
 val policy_family_names : string list
 (** The seven families' stable constructor names, as journaled. *)
@@ -121,6 +121,8 @@ val seed : t -> students:int -> questions:int -> (unit, string) result
     discussion leaders. *)
 
 val handle : t -> Http.Request.t -> Http.Response.t
+(** Serves every endpoint, [POST /consent] (form [consent=true|false],
+    the §9 consent choice every later check reads) included. *)
 
 (** Direct handles used by benchmarks (bypassing routing, not policy): *)
 
@@ -134,12 +136,7 @@ val model : t -> (float * float) C.Pcon.t option
 (** The [(weight, intercept)] the last successful {!retrain_model}
     trained, under the training rows' folded policy. *)
 
-val submit_answer : t -> Http.Request.t -> Http.Response.t
-val view_answer : t -> Http.Request.t -> Http.Response.t
 val view_answers : t -> compose:bool -> Http.Request.t -> Http.Response.t
-val update_consent : t -> Http.Request.t -> Http.Response.t
-(** [POST /consent] with form [consent=true|false]: the §9 consent choice.
-    Every later check reads the updated consent. *)
 
 val policy_inventory : (string * int * int) list
 (** [(policy, policy_loc, check_loc)] accounting used for Fig. 5. *)

@@ -4,7 +4,6 @@ module Http = Sesame_http
 type t = {
   db : Db.Database.t;
   mutable model : (float * float) option;
-  mutable next_answer_id : int;
 }
 
 let database t = t.db
@@ -18,13 +17,9 @@ let create ?(query_cost_ns = 0) () =
   (* Get Employer Info looks up each consenting student's answers by
      email; that is the one lookup hot enough to declare an index for. *)
   let* () = Db.Database.ensure_index db ~table:"answers" ~column:"email" in
-  Ok { db; model = None; next_answer_id = 1 }
+  Ok { db; model = None }
 
-let seed t ~students ~questions =
-  Websubmit_schema.seed t.db ~students ~questions ~next_id:(fun () ->
-      let id = t.next_answer_id in
-      t.next_answer_id <- id + 1;
-      id)
+let seed t ~students ~questions = Websubmit_schema.seed t.db ~students ~questions
 
 let rows_of = function
   | Ok (Db.Database.Rows { rows; _ }) -> rows

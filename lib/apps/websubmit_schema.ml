@@ -38,7 +38,7 @@ let pseudo_grade student question =
 
 let student_email i = Printf.sprintf "student%d@school.edu" i
 
-let seed db ~students ~questions ~next_id =
+let seed db ~students ~questions =
   let ( let* ) = Result.bind in
   let check = function Ok _ -> Ok () | Error msg -> Error msg in
   let insert_user i =
@@ -60,10 +60,9 @@ let seed db ~students ~questions ~next_id =
   let insert_answer student question =
     let email = student_email student in
     Db.Database.exec db
-      "INSERT INTO answers (id, email, lecture, question, answer, grade) VALUES (?, ?, ?, ?, ?, ?)"
+      "INSERT INTO answers (email, lecture, question, answer, grade) VALUES (?, ?, ?, ?, ?)"
       ~params:
         [
-          Db.Value.Int (next_id ());
           Db.Value.Text email;
           Db.Value.Int 1;
           Db.Value.Int question;

@@ -19,8 +19,8 @@ val seed :
   Db.Database.t ->
   students:int ->
   questions:int ->
-  next_id:(unit -> int) ->
   (unit, string) result
 (** The Fig. 8 course load: [students] users (every third consenting), one
     graded answer per (student, question) in lecture 1, and two discussion
-    leaders for lecture 1. *)
+    leaders for lecture 1. Answer ids are the store's: 1, 2, ... in
+    insertion order on an empty table. *)

@@ -87,7 +87,6 @@ let messages_schema =
       { name = "recipient"; ty = Db.Value.Ttext; nullable = true };
       { name = "group_id"; ty = Db.Value.Tint; nullable = true };
       { name = "body"; ty = Db.Value.Ttext; nullable = false };
-      { name = "sent_at"; ty = Db.Value.Tint; nullable = false };
     ]
 
 (* YouChat's three verified regions (Fig. 6). *)
@@ -125,7 +124,6 @@ type t = {
   conn : Conn.t;
   db : Db.Database.t;
   regions : regions;
-  mutable next_id : int;
   routes : Http.Router.t;
 }
 
@@ -167,11 +165,6 @@ let make_regions program =
   in
   Ok { preview; join_thread; shout }
 
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  id
-
 let user_email i = Printf.sprintf "user%d@chat.io" i
 
 let seed t ~users ~messages =
@@ -197,9 +190,8 @@ let seed t ~users ~messages =
         let* () = acc in
         check
           (Db.Database.exec t.db
-             "INSERT INTO group_members (id, group_id, email) VALUES (?, ?, ?)"
-             ~params:
-               [ Db.Value.Int (fresh_id t); Db.Value.Int 1; Db.Value.Text (user_email i) ]))
+             "INSERT INTO group_members (group_id, email) VALUES (?, ?)"
+             ~params:[ Db.Value.Int 1; Db.Value.Text (user_email i) ]))
       (Ok ())
       (List.init (max 1 (users / 2)) Fun.id)
   in
@@ -210,16 +202,14 @@ let seed t ~users ~messages =
       let to_group = m mod 4 = 0 in
       check
         (Db.Database.exec t.db
-           "INSERT INTO messages (id, sender, recipient, group_id, body, sent_at) VALUES (?, ?, ?, ?, ?, ?)"
+           "INSERT INTO messages (sender, recipient, group_id, body) VALUES (?, ?, ?, ?)"
            ~params:
              [
-               Db.Value.Int (fresh_id t);
                Db.Value.Text sender;
                (if to_group then Db.Value.Null
                 else Db.Value.Text (user_email ((m + 1) mod users)));
                (if to_group then Db.Value.Int 1 else Db.Value.Null);
                Db.Value.Text (Printf.sprintf "message %d from %s" m sender);
-               Db.Value.Int m;
              ]))
     (Ok ())
     (List.init messages Fun.id)
@@ -264,7 +254,6 @@ let send_message t request =
           match
             Conn.insert t.conn ~context ~table:"messages"
               [
-                ("id", Pcon.wrap_no_policy (Db.Value.Int (fresh_id t)));
                 ("sender", Pcon.wrap_no_policy (Db.Value.Text user));
                 ( "recipient",
                   Pcon.wrap_no_policy
@@ -277,7 +266,6 @@ let send_message t request =
                     | Some g -> Db.Value.Int g
                     | None -> Db.Value.Null) );
                 ("body", C.Pcon.Internal.map (fun b -> Db.Value.Text b) body_pcon);
-                ("sent_at", Pcon.wrap_no_policy (Db.Value.Int t.next_id));
               ]
           with
           | Ok () -> Http.Response.text ~status:Http.Status.Created "sent"
@@ -305,7 +293,7 @@ let inbox t request =
       let context = Web.context_for request ~user () in
       match
         Conn.query t.conn ~context
-          "SELECT * FROM messages WHERE sender = ? OR recipient = ? ORDER BY sent_at"
+          "SELECT * FROM messages WHERE sender = ? OR recipient = ? ORDER BY id"
           ~params:
             [
               Pcon.wrap_no_policy (Db.Value.Text user);
@@ -324,7 +312,7 @@ let group_feed t request =
       let context = Web.context_for request ~user () in
       match
         Conn.query t.conn ~context
-          "SELECT * FROM messages WHERE group_id = ? ORDER BY sent_at"
+          "SELECT * FROM messages WHERE group_id = ? ORDER BY id"
           ~params:[ Pcon.wrap_no_policy (Db.Value.Int gid) ]
       with
       | Error e -> conn_error e
@@ -359,6 +347,6 @@ let create ?(query_cost_ns = 0) () =
           });
   let* regions = make_regions (build_program ()) in
   (* Built once: dispatch only reads the table, so handler domains share it. *)
-  let t = { conn; db; regions; next_id = 1; routes = Http.Router.create () } in
+  let t = { conn; db; regions; routes = Http.Router.create () } in
   add_routes t t.routes;
   Ok t

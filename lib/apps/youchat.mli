@@ -22,15 +22,9 @@ val seed : t -> users:int -> messages:int -> (unit, string) result
     "everyone" group containing the first half of the users. *)
 
 val handle : t -> Http.Request.t -> Http.Response.t
-
-val send_message : t -> Http.Request.t -> Http.Response.t
-(** [POST /send] with form [to] and [body] (direct), or [group] and
-    [body]. *)
-
-val inbox : t -> Http.Request.t -> Http.Response.t
-(** [GET /inbox]: messages sent or received by the signed-in user. *)
-
-val group_feed : t -> Http.Request.t -> Http.Response.t
-(** [GET /group/<id>]: the group's messages, member-only. *)
+(** [POST /send] (form [to] and [body], or [group] and [body]),
+    [GET /inbox] (messages the user sent or received) and
+    [GET /group/<id>] (the group's messages, for members), each feed in
+    sending order. *)
 
 val policy_inventory : (string * int * int) list

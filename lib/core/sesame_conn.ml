@@ -111,14 +111,15 @@ let breaker_state_name = function
   | Open -> "open"
   | Half_open -> "half-open"
 
+(* Atomic cells: every handler domain updates them. *)
 type health = {
-  mutable bstate : breaker_state;
-  mutable consecutive_failures : int;
-  mutable opened_at : float;
-  mutable opens : int;
-  mutable short_circuited : int;
-  mutable retries : int;
-  mutable attempts : int;
+  bstate : breaker_state Atomic.t;
+  consecutive_failures : int Atomic.t;
+  opened_at : float Atomic.t;
+  opens : int Atomic.t;
+  short_circuited : int Atomic.t;
+  retries : int Atomic.t;
+  attempts : int Atomic.t;
 }
 
 type sink_stats = {
@@ -153,7 +154,7 @@ type t = {
   health : (string, health) Hashtbl.t;
   mutable retry : retry_policy;
   mutable breaker : breaker_config;
-  mutable rng : Random.State.t;
+  mutable jitter : Random.State.t Domain.DLS.key;
   mutable sleep : float -> unit;
   mutable now : unit -> float;
   (* Brownout: installed by [create_durable]. [snapshot_load] rebuilds
@@ -161,9 +162,13 @@ type t = {
      poisoned store and recovers a fresh writable one. *)
   mutable snapshot_load : (unit -> (Db.Database.t, string) result) option;
   mutable reopen : (unit -> (Sesame_wal.Durable.t, string) result) option;
-  mutable brownout : Db.Database.t option;
-  mutable brownout_entries : int;
+  brownout : Db.Database.t option Atomic.t;  (* published by one compare-and-set *)
+  brownout_entries : int Atomic.t;
 }
+
+(* One jitter state per domain: a [Random.State.t] is not domain-safe. *)
+let jitter_states seed =
+  Domain.DLS.new_key (fun () -> Random.State.make (Array.append seed [| (Domain.self () :> int) |]))
 
 let busy_sleep seconds =
   if seconds > 0.0 then begin
@@ -179,13 +184,13 @@ let create db =
     (fun sink ->
       Hashtbl.replace health sink
         {
-          bstate = Closed;
-          consecutive_failures = 0;
-          opened_at = 0.0;
-          opens = 0;
-          short_circuited = 0;
-          retries = 0;
-          attempts = 0;
+          bstate = Atomic.make Closed;
+          consecutive_failures = Atomic.make 0;
+          opened_at = Atomic.make 0.0;
+          opens = Atomic.make 0;
+          short_circuited = Atomic.make 0;
+          retries = Atomic.make 0;
+          attempts = Atomic.make 0;
         })
     [ "db::query"; "db::insert"; "db::execute" ];
   {
@@ -196,13 +201,13 @@ let create db =
     health;
     retry = default_retry;
     breaker = default_breaker;
-    rng = Random.State.make [| 0x5e5a; 0xe |];
+    jitter = jitter_states [| 0x5e5a; 0xe |];
     sleep = busy_sleep;
     now = Sesame_clock.now_s;
     snapshot_load = None;
     reopen = None;
-    brownout = None;
-    brownout_entries = 0;
+    brownout = Atomic.make None;
+    brownout_entries = Atomic.make 0;
   }
 
 let database t = t.db
@@ -274,7 +279,7 @@ let create_durable ?config ~dir () =
 let configure_resilience t ?retry ?breaker ?seed ?sleep ?now () =
   Option.iter (fun r -> t.retry <- r) retry;
   Option.iter (fun b -> t.breaker <- b) breaker;
-  Option.iter (fun s -> t.rng <- Random.State.make [| s |]) seed;
+  Option.iter (fun s -> t.jitter <- jitter_states [| s |]) seed;
   Option.iter (fun s -> t.sleep <- s) sleep;
   Option.iter (fun n -> t.now <- n) now
 
@@ -286,46 +291,48 @@ let health_for t sink =
 (* An open breaker becomes half-open once the cooldown has elapsed; the
    next admitted call is the probe. *)
 let refresh t h =
-  if h.bstate = Open && t.now () -. h.opened_at >= t.breaker.cooldown_s then
-    h.bstate <- Half_open
+  if Atomic.get h.bstate = Open && t.now () -. Atomic.get h.opened_at >= t.breaker.cooldown_s
+  then ignore (Atomic.compare_and_set h.bstate Open Half_open : bool)
 
-let trip t h =
-  h.bstate <- Open;
-  h.opened_at <- t.now ();
-  h.opens <- h.opens + 1
+(* One compare-and-set opens the breaker, so a trip counts once. *)
+let trip t h ~from =
+  Atomic.set h.opened_at (t.now ());
+  if Atomic.compare_and_set h.bstate from Open then Atomic.incr h.opens
 
+(* Reads before writing, so healthy traffic leaves the record alone. *)
 let record_success (h : health) =
-  h.consecutive_failures <- 0;
-  h.bstate <- Closed
+  if Atomic.get h.consecutive_failures <> 0 then Atomic.set h.consecutive_failures 0;
+  if Atomic.get h.bstate <> Closed then Atomic.set h.bstate Closed
 
 let record_failure t (h : health) =
-  h.consecutive_failures <- h.consecutive_failures + 1;
-  match h.bstate with
-  | Half_open -> trip t h (* the probe failed: straight back to open *)
-  | Closed -> if h.consecutive_failures >= t.breaker.failure_threshold then trip t h
+  let failures = 1 + Atomic.fetch_and_add h.consecutive_failures 1 in
+  match Atomic.get h.bstate with
+  | Half_open -> trip t h ~from:Half_open (* the probe failed: straight back to open *)
+  | Closed -> if failures >= t.breaker.failure_threshold then trip t h ~from:Closed
   | Open -> ()
 
 let sink_stats t sink : sink_stats =
   let h = health_for t sink in
   refresh t h;
   {
-    state = h.bstate;
-    consecutive_failures = h.consecutive_failures;
-    opens = h.opens;
-    short_circuited = h.short_circuited;
-    retries = h.retries;
-    attempts = h.attempts;
+    state = Atomic.get h.bstate;
+    consecutive_failures = Atomic.get h.consecutive_failures;
+    opens = Atomic.get h.opens;
+    short_circuited = Atomic.get h.short_circuited;
+    retries = Atomic.get h.retries;
+    attempts = Atomic.get h.attempts;
   }
 
 let breaker_state t ~sink = (sink_stats t sink).state
 
 (* Backoff before retry [k] (1-based): min(max, base·2^(k-1)), spread by
-   ±jitter. The RNG is the connector's seeded state, so a fixed seed
-   reproduces the exact delay sequence. *)
+   ±jitter, drawn from this domain's state: a fixed seed reproduces
+   each domain's exact delay sequence. *)
 let backoff_delay t k =
   let exp = t.retry.base_delay_s *. (2.0 ** float_of_int (k - 1)) in
   let capped = Float.min t.retry.max_delay_s exp in
-  let spread = 1.0 +. (t.retry.jitter *. ((2.0 *. Random.State.float t.rng 1.0) -. 1.0)) in
+  let draw = Random.State.float (Domain.DLS.get t.jitter) 1.0 in
+  let spread = 1.0 +. (t.retry.jitter *. ((2.0 *. draw) -. 1.0)) in
   Float.max 0.0 (capped *. spread)
 
 (* Every built-in sink operation runs through this: short-circuit when the
@@ -335,9 +342,9 @@ let backoff_delay t k =
 let with_resilience t ~sink op =
   let h = health_for t sink in
   refresh t h;
-  match h.bstate with
+  match Atomic.get h.bstate with
   | Open ->
-      h.short_circuited <- h.short_circuited + 1;
+      Atomic.incr h.short_circuited;
       Error (Breaker_open { sink })
   | Closed | Half_open ->
       (* A deadline expiry raised mid-operation (e.g. from a scan
@@ -350,14 +357,14 @@ let with_resilience t ~sink op =
           Error (Deadline_exceeded { sink; message = Sesame_request.error_message what })
       in
       let rec attempt k =
-        h.attempts <- h.attempts + 1;
+        Atomic.incr h.attempts;
         match op () with
         | Ok _ as ok ->
             record_success h;
             ok
         | Error (Db_error { transient = true; _ }) as e ->
             if k < t.retry.max_attempts then begin
-              h.retries <- h.retries + 1;
+              Atomic.incr h.retries;
               t.sleep (backoff_delay t k);
               attempt (k + 1)
             end
@@ -414,15 +421,15 @@ let deadline_guard ~sink =
 (* The poison guard's client-facing message (Sesame_db.Database.guard). *)
 let is_quarantine_message msg = contains_substring msg "quarantined"
 
-let in_brownout t = t.brownout <> None
-let brownout_entries t = t.brownout_entries
+let in_brownout t = Atomic.get t.brownout <> None
+let brownout_entries t = Atomic.get t.brownout_entries
 
 (* Build (or reuse) the brownout snapshot. The Brownout_enter seam fires
    only on the transition; an injected fault there models the snapshot
    recovery itself failing, in which case reads keep failing closed
    exactly as they did before brownout existed. *)
 let enter_brownout t =
-  match t.brownout with
+  match Atomic.get t.brownout with
   | Some db -> Some db
   | None -> (
       match t.snapshot_load with
@@ -433,9 +440,12 @@ let enter_brownout t =
             load ()
           with
           | Ok db ->
-              t.brownout <- Some db;
-              t.brownout_entries <- t.brownout_entries + 1;
-              Some db
+              (* Of domains failing together, the first to publish wins. *)
+              if Atomic.compare_and_set t.brownout None (Some db) then begin
+                Atomic.incr t.brownout_entries;
+                Some db
+              end
+              else Atomic.get t.brownout
           | Error _ -> None
           | exception Sesame_faults.Injected _ -> None))
 
@@ -479,7 +489,7 @@ let exit_brownout t =
       with
       | Ok store ->
           t.db <- Sesame_wal.Durable.db store;
-          t.brownout <- None;
+          Atomic.set t.brownout None;
           Ok store
       | Error _ as e -> e
       | exception Sesame_faults.Injected { point; action; transient } ->

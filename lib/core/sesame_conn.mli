@@ -151,10 +151,10 @@ val configure_resilience :
   ?now:(unit -> float) ->
   unit ->
   unit
-(** [seed] reseeds the jitter RNG (the backoff sequence is a pure
-    function of the seed); [sleep] and [now] replace the busy-wait sleep
-    and {!Sesame_clock} reads so tests run the breaker script on a fake
-    clock without waiting. *)
+(** [seed] reseeds the per-domain jitter RNGs (each domain's delays are
+    a pure function of the seed and its id); [sleep] and [now] replace
+    the busy-wait sleep and {!Sesame_clock} reads, so tests run the
+    breaker script on a fake clock. *)
 
 val sink_stats : t -> string -> sink_stats
 (** Health of one sink's breaker: ["db::query"], ["db::insert"] or

@@ -7,8 +7,9 @@ type t = {
   tables : (string, Table.t) Hashtbl.t;
   mutable query_cost_ns : int;
   queries : int Atomic.t;  (* exact under concurrent statement execution *)
+  write : Mutex.t;  (* the write section: admission, apply and journal of one write *)
   mutable journal : (journal_event -> (unit, string) result) option;
-  mutable poisoned : string option;
+  poisoned : string option Atomic.t;  (* the first reason wins *)
 }
 
 type exec_result =
@@ -20,8 +21,9 @@ let create ?(query_cost_ns = 0) () =
     tables = Hashtbl.create 8;
     query_cost_ns;
     queries = Atomic.make 0;
+    write = Mutex.create ();
     journal = None;
-    poisoned = None;
+    poisoned = Atomic.make None;
   }
 
 let set_query_cost_ns t ns = t.query_cost_ns <- ns
@@ -29,14 +31,15 @@ let query_count t = Atomic.get t.queries
 let reset_query_count t = Atomic.set t.queries 0
 
 let set_journal t journal = t.journal <- journal
-let poison t reason = if t.poisoned = None then t.poisoned <- Some reason
-let poisoned t = t.poisoned
+let poison t reason = ignore (Atomic.compare_and_set t.poisoned None (Some reason) : bool)
+let poisoned t = Atomic.get t.poisoned
+let exclusive t f = Mutex.protect t.write f
 
 (* A store whose journal diverged from memory serves nothing — reads
    included — until it is reopened through recovery. The client-facing
    message is generic; the detailed reason stays in [poisoned]. *)
 let guard t =
-  match t.poisoned with
+  match Atomic.get t.poisoned with
   | None -> Ok ()
   | Some _ -> Error "database quarantined: durable log write failed"
 
@@ -63,6 +66,7 @@ let ( let* ) = Result.bind
 let create_table t schema =
   let* () = guard t in
   let name = Schema.name schema in
+  exclusive t @@ fun () ->
   if Hashtbl.mem t.tables name then Error (Printf.sprintf "table %s already exists" name)
   else begin
     Hashtbl.add t.tables name (Table.create schema);
@@ -106,6 +110,7 @@ let table_names t =
 
 let drop_table t name =
   let* () = guard t in
+  exclusive t @@ fun () ->
   match Hashtbl.find_opt t.tables name with
   | Some table -> begin
       Hashtbl.remove t.tables name;
@@ -295,23 +300,34 @@ let run_agg_select ~members tbl ~aggregates ~where ~group_by =
   in
   Ok (group_by @ List.map Sql.aggregate_label aggregates, List.map row groups)
 
-let run_insert tbl ~columns ~values =
+(* The row an INSERT binds, unchecked: {!Table.insert} validates it. *)
+let insert_row tbl ~columns ~values =
   let schema = Table.schema tbl in
-  let* row =
-    match columns with
-    | Some cols ->
-        if List.compare_lengths cols values <> 0 then
-          Error "INSERT: column/value count mismatch"
-        else Row.of_assoc schema (List.combine cols values)
-    | None ->
-        if List.compare_length_with values (Schema.arity schema) <> 0 then
-          Error
-            (Printf.sprintf "INSERT: expected %d values for table %s" (Schema.arity schema)
-               (Schema.name schema))
-        else Ok (Array.of_list values)
-  in
-  let* () = Table.insert tbl row in
-  Ok (Affected 1)
+  match columns with
+  | Some cols ->
+      if List.compare_lengths cols values <> 0 then Error "INSERT: column/value count mismatch"
+      else Row.of_assoc schema (List.combine cols values)
+  | None ->
+      if List.compare_length_with values (Schema.arity schema) <> 0 then
+        Error
+          (Printf.sprintf "INSERT: expected %d values for table %s" (Schema.arity schema)
+             (Schema.name schema))
+      else Ok (Array.of_list values)
+
+(* The INSERT as the log records it once the store assigned [key]: the
+   key leads the column list that left it out, or replaces its NULL. *)
+let with_key tbl stmt key =
+  let schema = Table.schema tbl in
+  match (stmt, Schema.primary_key schema) with
+  | Sql.Insert { table; columns = Some cols; values }, Some pk when not (List.mem pk cols) ->
+      Sql.Insert { table; columns = Some (pk :: cols); values = key :: values }
+  | Sql.Insert { table; columns; values }, Some pk ->
+      let names =
+        Option.value columns ~default:(List.init (Schema.arity schema) (Schema.column_name schema))
+      in
+      Sql.Insert
+        { table; columns; values = List.map2 (fun c v -> if c = pk then key else v) names values }
+  | _ -> stmt
 
 (* An injected fault at the query seam must surface through the ordinary
    error channel — classifiable by the connector's retry machinery — not
@@ -332,6 +348,15 @@ let protect_faults f =
 let admit_write () =
   Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
   Sesame_request.guard "wal commit admission"
+
+(* Admission, [apply] and the journal of its event, in the write
+   section: writes apply in the journal's order. *)
+let write t apply =
+  exclusive t @@ fun () ->
+  let* () = admit_write () in
+  let* result, event = apply () in
+  let* () = journal_applied t event in
+  Ok result
 
 (* Every statement is refused on a quarantined store or a spent budget,
    then charged one round trip. *)
@@ -354,24 +379,21 @@ let exec_stmt t stmt =
       Ok (Rows { columns; rows = List.map fst groups })
   | Sql.Insert { table; columns; values } ->
       let* tbl = lookup t table in
-      let* () = admit_write () in
-      let* result = run_insert tbl ~columns ~values in
-      let* () = journal_applied t (J_stmt stmt) in
-      Ok result
+      let* row = insert_row tbl ~columns ~values in
+      write t @@ fun () ->
+      let* key = Table.insert tbl row in
+      let logged = Option.fold ~none:stmt ~some:(fun k -> with_key tbl stmt (Value.Int k)) key in
+      Ok (Affected 1, J_stmt logged)
   | Sql.Update { table; set; where } ->
       let* tbl = lookup t table in
       let* () = Expr.validate (Table.schema tbl) where in
-      let* () = admit_write () in
+      write t @@ fun () ->
       let* n = Table.update tbl ~where ~set in
-      let* () = journal_applied t (J_stmt stmt) in
-      Ok (Affected n)
+      Ok (Affected n, J_stmt stmt)
   | Sql.Delete { table; where } ->
       let* tbl = lookup t table in
       let* () = Expr.validate (Table.schema tbl) where in
-      let* () = admit_write () in
-      let n = Table.delete tbl ~where in
-      let* () = journal_applied t (J_stmt stmt) in
-      Ok (Affected n)
+      write t @@ fun () -> Ok (Affected (Table.delete tbl ~where), J_stmt stmt)
 
 let exec_groups t ~members stmt =
   match stmt with

@@ -3,7 +3,12 @@
     A configurable per-statement cost models the round trip to a remote
     database server; the policy-composition experiment (Fig. 9c) depends on
     the fact that each policy check that needs fresh data issues one such
-    round trip, so joining policies that share a query amortizes it. *)
+    round trip, so joining policies that share a query amortizes it.
+
+    Writes are serialised by one mutex, the write section: each
+    [INSERT], [UPDATE], [DELETE], {!create_table} and {!drop_table}
+    applies and runs the journal hook inside it, so writes apply in the
+    journal's order. Reads take only their table's lock. *)
 
 type t
 
@@ -20,12 +25,17 @@ val create : ?query_cost_ns:int -> unit -> t
 (** [query_cost_ns] (default 0) is busy-waited before every statement. *)
 
 val set_journal : t -> (journal_event -> (unit, string) result) option -> unit
-(** Installs (or removes) the durable-mode journal hook. The hook runs
-    {e after} a mutating statement (or [create_table]/[drop_table]) has
-    been applied in memory; only accepted operations reach it, so a WAL
+(** Installs (or removes) the durable-mode journal hook, before the
+    database is shared. The hook runs inside the write section {e after}
+    a mutating statement (or [create_table]/[drop_table]) has been
+    applied in memory; only accepted operations reach it, so a WAL
     built from these events replays cleanly. If the hook fails (or
-    raises), the operation is reported failed — never acknowledged — and
-    the store is {!poison}ed, because memory and log have diverged. *)
+    raises), the operation is reported failed — never acknowledged —
+    and the store is {!poison}ed, because memory and log have diverged. *)
+
+val exclusive : t -> (unit -> 'a) -> 'a
+(** Runs [f] inside the write section. Not re-entrant: [f] must not
+    write to [t]. *)
 
 val poison : t -> string -> unit
 (** Quarantines the store: every subsequent statement — reads included —
@@ -62,6 +72,9 @@ val exec : t -> string -> params:Value.t list -> (exec_result, string) result
     they stay a snapshot, and callers must not write to them. *)
 
 val exec_stmt : t -> Sql.stmt -> (exec_result, string) result
+(** An [INSERT] that leaves an [Int] primary key out, or [NULL], gets
+    its key from the store ({!Table.insert}); the journal hook sees the
+    key bound, first in the column list if the list left it out. *)
 
 val exec_groups :
   t ->

@@ -22,7 +22,7 @@ let of_assoc schema bindings =
       List.iter
         (fun (col, v) -> row.(Schema.column_index_exn schema col) <- v)
         bindings;
-      Result.map (fun () -> row) (Schema.validate_row schema row)
+      Ok row
 
 let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
 

@@ -19,6 +19,7 @@ type t = {
   mutable rows : Row.t option array;
   mutable size : int;  (* slots used, including dead ones *)
   mutable live : int;
+  mutable high_key : int;  (* largest integer primary key the table has held *)
   pk_index : (Value.t, int) Hashtbl.t option;
   pk_col : int option;
   secondary : (int, (Value.t, int list ref) Hashtbl.t) Hashtbl.t;
@@ -50,6 +51,7 @@ let create schema =
     rows = Array.make 16 None;
     size = 0;
     live = 0;
+    high_key = 0;
     pk_index = Option.map (fun _ -> Hashtbl.create 64) pk_col;
     pk_col;
     secondary = Hashtbl.create 4;
@@ -234,35 +236,50 @@ let matching_slots_unlocked t ~where =
 
 (* ------------------------------------------------------------------ *)
 
+(* Every stored key raises [high_key] and no delete lowers it, so a key
+   assigned past it is never a live row's. Caller holds [wr]. *)
+let hold_key t = function Value.Int k when k > t.high_key -> t.high_key <- k | _ -> ()
+
 let insert t row =
-  match Schema.validate_row t.schema row with
+  let assigned =
+    match t.pk_col with
+    | Some i when i < Array.length row && Value.is_null row.(i) ->
+        if Schema.column_type t.schema i = Tint then Some i else None
+    | _ -> None
+  in
+  let stored = Array.copy row in
+  (* A placeholder key lets the other cells validate before the lock. *)
+  Option.iter (fun i -> stored.(i) <- Value.Int 0) assigned;
+  match Schema.validate_row t.schema stored with
   | Error _ as e -> e
   | Ok () ->
       Rwlock.wr t.lock (fun () ->
+          Option.iter (fun i -> stored.(i) <- Value.Int (t.high_key + 1)) assigned;
           let dup =
-            match (pk_value t row, t.pk_index) with
+            match (pk_value t stored, t.pk_index) with
             | Some key, Some index -> Hashtbl.mem index key
             | _ -> false
           in
           if dup then
             Error
               (Printf.sprintf "table %s: duplicate primary key %s" (Schema.name t.schema)
-                 (Value.to_string (Option.get (pk_value t row))))
+                 (Value.to_string (Option.get (pk_value t stored))))
           else begin
             grow t;
-            let stored = Array.copy row in
             t.rows.(t.size) <- Some stored;
-            (match (pk_value t row, t.pk_index) with
-            | Some key, Some index -> Hashtbl.replace index key t.size
+            (match (pk_value t stored, t.pk_index) with
+            | Some key, Some index ->
+                Hashtbl.replace index key t.size;
+                hold_key t key
             | _ -> ());
             secondary_add t stored t.size;
             t.size <- t.size + 1;
             t.live <- t.live + 1;
-            Ok ()
+            Ok (Option.map (fun _ -> t.high_key) assigned)
           end)
 
 let insert_exn t row =
-  match insert t row with Ok () -> () | Error msg -> invalid_arg msg
+  match insert t row with Ok _ -> () | Error msg -> invalid_arg msg
 
 (* Reads copy, under [rd], the rows [where] can match — the index
    candidates' rows, or the whole slot array — and evaluate the copy
@@ -357,7 +374,8 @@ let update t ~where ~set =
               | Some col, Some index ->
                   if not (Value.equal old_row.(col) row'.(col)) then begin
                     Hashtbl.remove index old_row.(col);
-                    Hashtbl.replace index row'.(col) slot
+                    Hashtbl.replace index row'.(col) slot;
+                    hold_key t row'.(col)
                   end
               | _ -> ());
               secondary_replace t ~old_row ~new_row:row' slot;
@@ -398,7 +416,7 @@ let of_rows schema rows =
     | [] -> Ok t
     | row :: rest -> (
         match insert t row with
-        | Ok () -> go rest
+        | Ok _ -> go rest
         | Error msg ->
             Error (Printf.sprintf "table %s: checkpoint row rejected: %s" (Schema.name schema) msg))
   in
@@ -409,5 +427,6 @@ let clear t =
       t.rows <- Array.make 16 None;
       t.size <- 0;
       t.live <- 0;
+      t.high_key <- 0;
       Option.iter Hashtbl.reset t.pk_index;
       Hashtbl.iter (fun _ index -> Hashtbl.reset index) t.secondary)

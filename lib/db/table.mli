@@ -14,8 +14,11 @@ val create : Schema.t -> t
 val schema : t -> Schema.t
 val length : t -> int
 
-val insert : t -> Row.t -> (unit, string) result
-(** Validates the row against the schema and primary-key uniqueness. *)
+val insert : t -> Row.t -> (int option, string) result
+(** Validates the row against the schema and primary-key uniqueness.
+    A [Null] [Int] primary key gets one more than the largest key the
+    table has held (stored, updated or loaded; deletes do not lower
+    it), returned as [Some key]. Other [Null] keys fail validation. *)
 
 val insert_exn : t -> Row.t -> unit
 

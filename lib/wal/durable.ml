@@ -233,7 +233,9 @@ let writer_stats t w =
     fsyncs = t.retired.fsyncs + Wal.fsyncs w;
   }
 
-let checkpoint t =
+(* Runs inside the database's write section, as every write to [t]'s
+   mutable fields does. *)
+let checkpoint_in_section t =
   match t.writer with
   | None -> Error "durable store closed"
   | Some w -> (
@@ -303,13 +305,16 @@ let journal t event =
           (* Auto-checkpoint failure must not fail the statement — the
              record is already durable in the WAL. It is recorded in
              [last_checkpoint_error] and retried after the next write. *)
-          ignore (checkpoint t : (unit, string) result)
+          ignore (checkpoint_in_section t : (unit, string) result)
       | _ -> ());
       Ok ()
 
 let commit_stats t = match t.writer with None -> t.retired | Some w -> writer_stats t w
 
+let checkpoint t = Db.exclusive t.db (fun () -> checkpoint_in_section t)
+
 let close t =
+  Db.exclusive t.db @@ fun () ->
   match t.writer with
   | None -> Ok ()
   | Some w ->

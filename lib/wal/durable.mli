@@ -15,6 +15,10 @@
     memory and log have diverged, and only a reopen through recovery may
     serve data again.
 
+    This module takes no lock: it relies on the database's write
+    section, which the hook runs in and {!checkpoint} and {!close}
+    enter, to keep LSNs in apply order and snapshots off running writes.
+
     Checkpoints (periodic via [checkpoint_every], or manual via
     {!checkpoint}) snapshot the full store atomically and reset the WAL.
     A checkpoint failure is {e recoverable} — it is recorded but the old

@@ -420,6 +420,106 @@ let sql_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Store-assigned keys *)
+
+let key_of tbl row = Table.insert tbl row |> Result.get_ok
+
+(* Every journaled statement of [db], in order. *)
+let journaled db =
+  let log = ref [] in
+  Database.set_journal db
+    (Some
+       (function
+       | Database.J_stmt stmt ->
+           log := stmt :: !log;
+           Ok ()
+       | Database.J_create _ | Database.J_drop _ -> Ok ()));
+  fun () -> List.rev !log
+
+let key_tests =
+  [
+    test "a NULL integer key gets one more than the largest held" (fun () ->
+        let tbl = fresh_table () in
+        check_bool "first" true (key_of tbl [| Value.Null; Value.Text "a"; Value.Null |] = Some 1);
+        check_bool "explicit" true
+          (key_of tbl [| Value.Int 10; Value.Text "b"; Value.Null |] = None);
+        check_bool "past explicit" true
+          (key_of tbl [| Value.Null; Value.Text "c"; Value.Null |] = Some 11);
+        ignore
+          (Table.update tbl
+             ~where:(Expr.Cmp (Expr.Eq, Expr.Col "id", Expr.Lit (Value.Int 1)))
+             ~set:[ ("id", Value.Int 20) ]);
+        check_bool "past an updated key" true
+          (key_of tbl [| Value.Null; Value.Text "d"; Value.Null |] = Some 21);
+        ignore
+          (Table.delete tbl ~where:(Expr.Cmp (Expr.Ge, Expr.Col "id", Expr.Lit (Value.Int 20))));
+        check_bool "a deleted key is not reused" true
+          (key_of tbl [| Value.Null; Value.Text "e"; Value.Null |] = Some 22);
+        check_bool "stored under its key" true
+          (List.exists (fun r -> r.(0) = Value.Int 22) (Table.to_list tbl)));
+    test "a checkpoint load raises the key mark" (fun () ->
+        let tbl =
+          Result.get_ok
+            (Table.of_rows people
+               [
+                 [| Value.Int 5; Value.Text "a"; Value.Null |];
+                 [| Value.Int 3; Value.Text "b"; Value.Null |];
+               ])
+        in
+        check_bool "past the loaded keys" true
+          (key_of tbl [| Value.Null; Value.Text "c"; Value.Null |] = Some 6));
+    test "a NULL key that is not an integer fails" (fun () ->
+        let named =
+          Schema.make_exn ~name:"named" ~primary_key:"name"
+            [ { name = "name"; ty = Value.Ttext; nullable = false } ]
+        in
+        check_bool "refused" true
+          (Result.is_error (Table.insert (Table.create named) [| Value.Null |]));
+        let db = Database.create () in
+        ignore (Database.create_table db named);
+        check_bool "refused by SQL too" true
+          (Result.is_error (Database.exec db "INSERT INTO named (name) VALUES (NULL)" ~params:[])));
+    test "the journal records the assigned key, and replay stores it" (fun () ->
+        let db = fresh_db () in
+        let log = journaled db in
+        let exec sql params = Result.get_ok (Database.exec db sql ~params) |> ignore in
+        exec "INSERT INTO people (name, age) VALUES (?, ?)" [ Value.Text "Barbara"; Value.Int 50 ];
+        exec "INSERT INTO people (id, name) VALUES (NULL, ?)" [ Value.Text "Alan" ];
+        exec "INSERT INTO people VALUES (NULL, ?, NULL)" [ Value.Text "Kurt" ];
+        exec "INSERT INTO people (id, name) VALUES (?, ?)" [ Value.Int 9; Value.Text "Emmy" ];
+        check_bool "keys first, as given, or in place" true
+          (log ()
+          = Sql.
+              [
+                Insert
+                  {
+                    table = "people";
+                    columns = Some [ "id"; "name"; "age" ];
+                    values = Value.[ Int 4; Text "Barbara"; Int 50 ];
+                  };
+                Insert
+                  {
+                    table = "people";
+                    columns = Some [ "id"; "name" ];
+                    values = Value.[ Int 5; Text "Alan" ];
+                  };
+                Insert
+                  { table = "people"; columns = None; values = Value.[ Int 6; Text "Kurt"; Null ] };
+                Insert
+                  {
+                    table = "people";
+                    columns = Some [ "id"; "name" ];
+                    values = Value.[ Int 9; Text "Emmy" ];
+                  };
+              ]);
+        let replica = fresh_db () in
+        List.iter (fun stmt -> ignore (Result.get_ok (Database.exec_stmt replica stmt))) (log ());
+        let all db = rows_of db "SELECT * FROM people ORDER BY id" [] in
+        check_bool "replay stores the acknowledged keys" true
+          (List.equal Row.equal (all db) (all replica)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Secondary indexes and limit pushdown *)
 
 let grp_schema =
@@ -943,6 +1043,7 @@ let () =
       ("expr", expr_tests);
       ("table", table_tests);
       ("sql", sql_tests);
+      ("keys", key_tests);
       ("index", index_tests);
       ("compile", compile_tests);
       ("probe", probe_tests);

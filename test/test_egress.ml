@@ -164,6 +164,163 @@ let boundary_tests =
             (List.length lines) boundary_ceiling);
   ]
 
+(* The mutable-state audit. Handler domains share the app, connector,
+   store and sandbox records, so every [mutable] record field in lib/
+   is listed with what keeps it race-free: a named lock, the database's
+   write section, or a reason no two domains write it at once. (Fields
+   that need neither hold [Atomic] cells instead.) A field the list
+   does not name fails the audit, and so does an entry that names no
+   field. *)
+let mutable_fields =
+  [
+    ("apps/websubmit.ml", "db", "setup, and recover (an operator action); one word, read whole");
+    ("apps/websubmit.ml", "model", "retrain publishes a whole model in one word");
+    ("apps/websubmit_baseline.ml", "model", "the Fig. 8 baseline, driven from one domain");
+    ("core/region.ml", "last", "a diagnostic sample: each run publishes its timings in one word");
+    ("core/region.ml", "signature", "setup only: signed at review, before serving");
+    ("core/sesame_conn.ml", "db", "exit_brownout, an operator action; one word, read per attempt");
+    ("core/sesame_conn.ml", "retry", "setup only (configure_resilience)");
+    ("core/sesame_conn.ml", "breaker", "setup only (configure_resilience)");
+    ("core/sesame_conn.ml", "jitter", "setup only (configure_resilience); states are per domain");
+    ("core/sesame_conn.ml", "sleep", "setup only (configure_resilience)");
+    ("core/sesame_conn.ml", "now", "setup only (configure_resilience)");
+    ("core/sesame_conn.ml", "snapshot_load", "setup only (create_durable)");
+    ("core/sesame_conn.ml", "reopen", "setup only (create_durable)");
+    ("db/bincodec.ml", "pos", "one decode's reader");
+    ("db/database.ml", "query_cost_ns", "setup only");
+    ("db/database.ml", "journal", "setup only: installed before the store is shared");
+    ("db/rwlock.ml", "readers", "the lock's own mutex");
+    ("db/rwlock.ml", "writer", "the lock's own mutex");
+    ("db/rwlock.ml", "waiting_writers", "the lock's own mutex");
+    ("db/sql.ml", "tokens", "one parse's state");
+    ("db/sql.ml", "params", "one parse's state");
+    ("db/table.ml", "rows", "the table's write lock");
+    ("db/table.ml", "size", "the table's write lock");
+    ("db/table.ml", "live", "the table's write lock");
+    ("db/table.ml", "high_key", "the table's write lock");
+    ("http/router.ml", "entries", "setup only: routes register before serving");
+    ("http/router.ml", "middlewares", "setup only: middleware registers before serving");
+    ("http/router.ml", "next_order", "setup only: routes register before serving");
+    ("http/router.ml", "on_error", "setup only");
+    ("http/wire.ml", "pending", "one connection's parser");
+    ("http/wire.ml", "pos", "one connection's parser");
+    ("request/sesame_request.ml", "deadline", "domain-local (Domain.DLS): one request at a time");
+    ("request/sesame_request.ml", "degraded", "domain-local (Domain.DLS): one request at a time");
+    ("sandbox/arena.ml", "brk", "the one guest that acquired the arena from its pool");
+    ("sandbox/arena.ml", "high_water", "the one guest that acquired the arena from its pool");
+    ("sandbox/arena.ml", "poisoned", "the one guest that acquired the arena from its pool");
+    ("sandbox/pool.ml", "capacity", "the pool's mutex");
+    ("sandbox/pool.ml", "free", "the pool's mutex");
+    ("sandbox/pool.ml", "free_count", "the pool's mutex");
+    ("sandbox/pool.ml", "preflight", "the pool's mutex");
+    ("sandbox/quota.ml", "runs", "the quota table's mutex");
+    ("sandbox/quota.ml", "traps", "the quota table's mutex");
+    ("sandbox/quota.ml", "fuel", "the quota table's mutex");
+    ("sandbox/quota.ml", "wall_s", "the quota table's mutex");
+    ("sandbox/quota.ml", "peak_mem_bytes", "the quota table's mutex");
+    ("sandbox/quota.ml", "denied", "the quota table's mutex");
+    ("sandbox/runtime.ml", "depth", "domain-local (Domain.DLS)");
+    ("sandbox/runtime.ml", "fuel_left", "domain-local (Domain.DLS)");
+    ("sandbox/runtime.ml", "fuel_limit", "domain-local (Domain.DLS)");
+    ("sandbox/runtime.ml", "ticks", "domain-local (Domain.DLS)");
+    ("scrutinizer/analysis.ml", "eff", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "dependents", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "publishing", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "rejections", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "fr_ret", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "fr_ret_trace", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "fr_writes", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "fr_rejs", "one analysis run, on one domain");
+    ("scrutinizer/analysis.ml", "fr_exit", "one analysis run, on one domain");
+    ("server/sesame_server.ml", "burst_handles", "the server's mutex");
+    ("server/sesame_server.ml", "listener", "start and stop, on the controlling domain");
+    ("server/sesame_server.ml", "workers", "start and stop, on the controlling domain");
+    ("server/sesame_server.ml", "supervisor", "start and stop, on the controlling domain");
+    ("signing/attest.ml", "closed", "the recorder's mutex");
+    ("signing/keystore.ml", "revoked_at", "setup, and revocation by an operator outside serving");
+    ("signing/lockfile.ml", "released", "its holder: the recorder's mutex or with_lock's caller");
+    ("wal/durable.ml", "writer", "the database's write section");
+    ("wal/durable.ml", "retired", "the database's write section");
+    ("wal/durable.ml", "next_lsn", "the database's write section");
+    ("wal/durable.ml", "ckpt_lsn", "the database's write section");
+    ("wal/durable.ml", "since_ckpt", "the database's write section");
+    ("wal/durable.ml", "replayed", "setup only: set by recovery");
+    ("wal/durable.ml", "last_ckpt_error", "the database's write section");
+    ("wal/wal.ml", "appended", "its owner's lock: the write section, or the recorder's mutex");
+    ("wal/wal.ml", "closed", "its owner's lock: the write section, or the recorder's mutex");
+    ("wal/wal.ml", "writes", "its owner's lock: the write section, or the recorder's mutex");
+    ("wal/wal.ml", "fsyncs", "its owner's lock: the write section, or the recorder's mutex");
+  ]
+
+(* Every (line, field) that [code] declares mutable: the word [mutable]
+   first on its line or after [{] or [;], then a field name and a
+   colon. Prose such as "by mutable reference:" does not match. *)
+let mutable_decls code =
+  let n = String.length code in
+  let blank i = i < n && (code.[i] = ' ' || code.[i] = '\t') in
+  let rec past_blanks i = if blank i then past_blanks (i + 1) else i in
+  let rec past_ident i = if i < n && ident_char code.[i] then past_ident (i + 1) else i in
+  let rec before_blanks i = if i >= 0 && blank i then before_blanks (i - 1) else i in
+  let rec scan i line acc =
+    if i >= n then List.rev acc
+    else if code.[i] = '\n' then scan (i + 1) (line + 1) acc
+    else if
+      i + 7 <= n && String.sub code i 7 = "mutable" && (i = 0 || not (ident_char code.[i - 1]))
+    then begin
+      let prev = before_blanks (i - 1) in
+      let opens = prev < 0 || code.[prev] = '\n' || code.[prev] = '{' || code.[prev] = ';' in
+      let start = past_blanks (i + 7) in
+      let stop = past_ident start in
+      let colon = past_blanks stop in
+      if opens && start > i + 7 && stop > start && colon < n && code.[colon] = ':' then
+        scan stop line ((line, String.sub code start (stop - start)) :: acc)
+      else scan (i + 7) line acc
+    end
+    else scan (i + 1) line acc
+  in
+  scan 0 1 []
+
+(* Every declared mutable field in lib/: (file, line, field). *)
+let lib_mutable_fields () =
+  List.concat_map
+    (fun file ->
+      List.map
+        (fun (line, field) -> (file, line, field))
+        (mutable_decls (read_file (Filename.concat lib_dir file))))
+    (ml_files "")
+
+let mutable_tests =
+  [
+    test "the field scanner matches declarations only" (fun () ->
+        let src =
+          "type t = { a : int; mutable b : int;\n\
+          \  mutable c: string }\n\
+           (* a mutable reference: prose *) let s = \"by mutable d : no\"\n\
+           mutablex : int\n"
+        in
+        Alcotest.(check (list (pair int string)))
+          "b and c" [ (1, "b"); (2, "c") ] (mutable_decls src));
+    test "every mutable field in lib/ is listed with its guard" (fun () ->
+        let listed (file, _, field) =
+          List.exists (fun (f, x, _) -> String.equal f file && String.equal x field) mutable_fields
+        in
+        match List.filter (fun d -> not (listed d)) (lib_mutable_fields ()) with
+        | [] -> ()
+        | stray ->
+            Alcotest.failf "mutable fields with no stated guard:\n%s"
+              (String.concat "\n"
+                 (List.map (fun (f, l, x) -> Printf.sprintf "  lib/%s:%d: %s" f l x) stray)));
+    test "every mutable-field entry names a field, and says why" (fun () ->
+        let declared = lib_mutable_fields () in
+        List.iter
+          (fun (file, field, guard) ->
+            let name = Printf.sprintf "lib/%s %s" file field in
+            Alcotest.(check bool) (name ^ " has a guard") true (guard <> "");
+            if not (List.exists (fun (f, _, x) -> f = file && x = field) declared) then
+              Alcotest.failf "stale entry: %s" name)
+          mutable_fields);
+  ]
+
 (* One group, so the runner's column widths and the printed test names
    stay as they were before the boundary test joined. *)
-let () = Alcotest.run "egress" [ ("audit", audit_tests @ boundary_tests) ]
+let () = Alcotest.run "egress" [ ("audit", audit_tests @ boundary_tests @ mutable_tests) ]

@@ -10,6 +10,8 @@
 module C = Sesame_core
 module Db = Sesame_db
 module Apps = Sesame_apps
+module Http = Sesame_http
+module Wal = Sesame_wal
 
 let test name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
@@ -65,6 +67,29 @@ let counter_tests =
         check_int "conserved" (2 * per_domain) (st.Sbx.Pool.wiped + st.Sbx.Pool.dropped);
         check_bool "healthy" true (Sbx.Pool.healthy pool);
         check_bool "bounded free list" true (Sbx.Pool.available pool <= 2));
+    test "breaker counters are exact under two hammering domains" (fun () ->
+        let per_domain = 20_000 in
+        let db = Db.Database.create () in
+        let schema =
+          Db.Schema.make_exn ~name:"notes" ~primary_key:"id"
+            [ { Db.Schema.name = "id"; ty = Db.Value.Tint; nullable = false } ]
+        in
+        (match Db.Database.create_table db schema with Ok () -> () | Error m -> failwith m);
+        let conn = C.Sesame_conn.create db in
+        let ctx = C.Mock.context ~user:"hammer" () in
+        let run () =
+          for _ = 1 to per_domain do
+            match C.Sesame_conn.query conn ~context:ctx "SELECT * FROM notes" ~params:[] with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%a" C.Sesame_conn.pp_error e
+          done
+        in
+        let d = Domain.spawn run in
+        run ();
+        Domain.join d;
+        let s = C.Sesame_conn.sink_stats conn "db::query" in
+        check_int "attempts" (2 * per_domain) s.C.Sesame_conn.attempts;
+        check_int "no retries" 0 s.C.Sesame_conn.retries);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -559,6 +584,170 @@ let websubmit_tests =
         check_int "counted groups released without their rows' policies" 0 !uncovered);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Creating writes from two domains. The store assigns every row key
+   and one write section orders each write's apply and journal, so no
+   write collides on a key and a durable store journals each one once. *)
+
+let req ?(cookies = "") ?(body = "") meth target =
+  Http.Request.make
+    ~headers:
+      (Http.Headers.of_list
+         [ ("Cookie", cookies); ("Content-Type", "application/x-www-form-urlencoded") ])
+    ~body meth target
+
+let status r = Http.Status.to_int r.Http.Response.status
+
+(* [f 0] and [f 1] on two domains, started together. *)
+let on_two_domains f =
+  let ready = Atomic.make 0 in
+  let run d () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    f d
+  in
+  let other = Domain.spawn (run 1) in
+  let mine = run 0 () in
+  mine @ Domain.join other
+
+(* Two domains each make [n] creating writes into [table] through
+   [handle]; [request d i] is domain [d]'s [i]th. Every answer is a 201,
+   and the table holds its seeded rows plus one row per write, each
+   under its own key (column 0). *)
+let concurrent_creates ?(n = 5_000) ~db ~table handle request =
+  let tbl = Db.Database.table_exn db table in
+  let seeded = Db.Table.length tbl in
+  let statuses = on_two_domains (fun d -> List.init n (fun i -> status (handle (request d i)))) in
+  check_int "no 5xx" 0 (List.length (List.filter (fun s -> s >= 500) statuses));
+  check_int "every write acknowledged" (2 * n) (List.length (List.filter (( = ) 201) statuses));
+  check_int "stored = seeded + acknowledged" (seeded + (2 * n)) (Db.Table.length tbl);
+  let keys = Db.Table.fold tbl ~init:[] ~f:(fun acc row -> row.(0) :: acc) in
+  check_int "distinct keys" (List.length keys) (List.length (List.sort_uniq compare keys))
+
+let rm_rf dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
+
+(* (id, email, answer) of every stored answer, by id. *)
+let answer_rows app =
+  Db.Table.fold
+    (Db.Database.table_exn (Apps.Websubmit.database app) "answers")
+    ~init:[]
+    ~f:(fun acc row -> (row.(0), row.(1), row.(4)) :: acc)
+  |> List.sort compare
+
+let write_tests =
+  [
+    test "WebSubmit submits from two domains each get a key" (fun () ->
+        let app = Result.get_ok (Apps.Websubmit.create ()) in
+        (match Apps.Websubmit.seed app ~students:4 ~questions:2 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        concurrent_creates ~db:(Apps.Websubmit.database app) ~table:"answers"
+          (Apps.Websubmit.handle app) (fun d i ->
+            req ~cookies:(Printf.sprintf "user=student%d@school.edu" d)
+              ~body:(Printf.sprintf "answer=a%d" i) Http.Meth.POST
+              (Printf.sprintf "/submit/1/%d" (10 + i)));
+        Apps.Email.clear_outbox ());
+    test "YouChat sends from two domains each get a key" (fun () ->
+        let app = Result.get_ok (Apps.Youchat.create ()) in
+        (match Apps.Youchat.seed app ~users:4 ~messages:8 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        concurrent_creates ~db:(Apps.Youchat.database app) ~table:"messages"
+          (Apps.Youchat.handle app) (fun d i ->
+            req ~cookies:(Printf.sprintf "user=user%d@chat.io" d)
+              ~body:(Printf.sprintf "to=user3%%40chat.io&body=m%d" i) Http.Meth.POST "/send"));
+    test "Voltron enrollments from two domains each get a key" (fun () ->
+        let app = Result.get_ok (Apps.Voltron.create ()) in
+        (match Apps.Voltron.seed app ~classes:2 ~students_per_class:4 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        concurrent_creates ~db:(Apps.Voltron.database app) ~table:"enrollments"
+          (Apps.Voltron.handle app) (fun d i ->
+            req ~cookies:(Printf.sprintf "user=instructor%d@university.edu" d)
+              ~body:(Printf.sprintf "email=kid%d_%d%%40university.edu&group=1" d i)
+              Http.Meth.POST
+              (Printf.sprintf "/classes/%d/students" (d + 1))));
+    test "Portfolio uploads from two domains each get a key" (fun () ->
+        let app = Result.get_ok (Apps.Portfolio.create ()) in
+        (match Apps.Portfolio.seed app ~candidates:2 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        let db = Apps.Portfolio.database app in
+        let cookies =
+          Array.init 2 (fun d ->
+              let email = Printf.sprintf "candidate%d@school.cz" d in
+              match
+                Db.Database.exec db "SELECT private_key FROM candidates WHERE email = ?"
+                  ~params:[ Db.Value.Text email ]
+              with
+              | Ok (Db.Database.Rows { rows = [ [| Db.Value.Text k |] ]; _ }) ->
+                  Printf.sprintf "user=%s; private_key=%s" email k
+              | _ -> Alcotest.fail "no key")
+        in
+        concurrent_creates ~db ~table:"documents" (Apps.Portfolio.handle app) (fun d i ->
+            req ~cookies:cookies.(d) ~body:(Printf.sprintf "essay %d" i) Http.Meth.POST
+              "/documents?filename=e.pdf"));
+    test "a durable WebSubmit journals every acknowledged submit once" (fun () ->
+        let dir =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "sesame-parallel-durable-%d" (Unix.getpid ()))
+        in
+        rm_rf dir;
+        let config = { Wal.Durable.sync = Wal.Durable.Fsync; checkpoint_every = Some 16 } in
+        let open_app () =
+          match Apps.Websubmit.create_durable ~durable_config:config ~data_dir:dir () with
+          | Ok opened -> opened
+          | Error m -> failwith m
+        in
+        Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+        let app, store = open_app () in
+        (match Apps.Websubmit.seed app ~students:4 ~questions:2 with
+        | Ok () -> ()
+        | Error m -> failwith m);
+        let seeded = answer_rows app in
+        let lsn0 = Wal.Durable.next_lsn store in
+        let n = 1_000 in
+        let run d =
+          List.init n (fun i ->
+              let answer = Printf.sprintf "d%d-%d" d i in
+              let r =
+                Apps.Websubmit.handle app
+                  (req ~cookies:(Printf.sprintf "user=student%d@school.edu" d)
+                     ~body:("answer=" ^ answer) Http.Meth.POST
+                     (Printf.sprintf "/submit/1/%d" (10 + i)))
+              in
+              (status r, answer))
+        in
+        let answers = on_two_domains run in
+        Apps.Email.clear_outbox ();
+        check_bool "never poisoned" true
+          (Db.Database.poisoned (Apps.Websubmit.database app) = None);
+        let acked = List.filter_map (fun (s, a) -> if s = 201 then Some a else None) answers in
+        check_int "every submit acknowledged" (2 * n) (List.length acked);
+        check_int "one record per acknowledged write" (List.length acked)
+          (Int64.to_int (Int64.sub (Wal.Durable.next_lsn store) lsn0));
+        let live = answer_rows app in
+        let fresh =
+          List.filter_map
+            (fun ((_, _, answer) as row) ->
+              if List.mem row seeded then None else Some (Db.Value.to_text answer))
+            live
+        in
+        check_bool "stored answers are the acknowledged ones" true
+          (List.sort compare fresh = List.sort compare acked);
+        ignore (Wal.Durable.close store);
+        let reopened, store' = open_app () in
+        Fun.protect ~finally:(fun () -> ignore (Wal.Durable.close store')) @@ fun () ->
+        check_bool "recovered rows equal the live rows, ids included" true
+          (answer_rows reopened = live));
+  ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -568,4 +757,5 @@ let () =
       ("snapshot", snapshot_tests);
       ("hammer", hammer_tests);
       ("websubmit", websubmit_tests);
+      ("writes", write_tests);
     ]
