@@ -436,13 +436,10 @@ let fig9b () =
   let flat_copy =
     let app = match Apps.Websubmit.create () with Ok t -> t | Error m -> failwith m in
     let region = Apps.Websubmit.sandbox_train_region app in
-    (* The region reads (question, grade) cells, as Retrain's fold
-       hands them over. *)
+    (* The region reads the flat (question, grade) run Retrain's fold
+       fills. *)
     let folded =
-      C.Mock.pcon
-        (List.map
-           (fun (x, y) -> [| Db.Value.Int (int_of_float x); Db.Value.Float y |])
-           points)
+      C.Mock.pcon (Array.of_list (List.concat_map (fun (x, y) -> [ x; y ]) points))
     in
     report "flat-f64" region (fun () -> C.Region.Sandboxed.run region folded)
   in

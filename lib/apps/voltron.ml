@@ -216,12 +216,14 @@ type t = {
   conn : Conn.t;
   db : Db.Database.t;
   regions : regions;
-  synced : string list ref;  (** firebase-sync sink, observable in tests *)
+  synced : string list Atomic.t;  (** firebase-sync sink, newest first *)
   routes : Http.Router.t;
 }
 
 let database t = t.db
 let conn t = t.conn
+let sync_buffer_region t = t.regions.sync_buffer
+let synced t = List.rev (Atomic.get t.synced)
 
 let ( let* ) = Result.bind
 let reviewer = "lead@university.edu"
@@ -281,7 +283,13 @@ let make_regions program keystore synced =
               [ Expr_stmt (Call (Static "vt::sync_buffer", [ Var "code" ])) ])
          ~lockfile ~keystore
          ~f:(fun ~context:_ code ->
-           synced := code :: !synced)
+           (* Handler domains sync concurrently: the append retries
+              until its compare-and-set lands, so none is lost. *)
+           let rec append () =
+             let seen = Atomic.get synced in
+             if not (Atomic.compare_and_set synced seen (code :: seen)) then append ()
+           in
+           append ())
          ())
   in
   Ok { merge_edit; line_count; render_buffer; notify_instructor; sync_buffer }
@@ -505,7 +513,7 @@ let create ?(query_cost_ns = 0) () =
           });
   let keystore = Sign.Keystore.create () in
   Sign.Keystore.register keystore ~reviewer ~secret:"voltron-reviewer-secret";
-  let synced = ref [] in
+  let synced = Atomic.make [] in
   let* regions = make_regions (build_program ()) keystore synced in
   let sign region =
     match Region.Critical.sign region ~reviewer ~at:2000 with

@@ -23,6 +23,12 @@ val create : ?query_cost_ns:int -> unit -> (t, string) result
 val database : t -> Db.Database.t
 val conn : t -> C.Sesame_conn.t
 
+val sync_buffer_region : t -> (string, unit) C.Region.Critical.t
+(** The signed firebase-sync region, whose sink is {!synced}. *)
+
+val synced : t -> string list
+(** What the sync region has sent, oldest first. *)
+
 val seed : t -> classes:int -> students_per_class:int -> (unit, string) result
 (** One instructor per class; students split into groups of two, one code
     buffer per group. *)

@@ -346,7 +346,7 @@ type regions = {
   mean_grades : (Db.Value.t array list, float) Region.Verified.t;
   predict : ((float * float) * float, float) Region.Verified.t;
   hash_key : (string, string) Region.Sandboxed.t;
-  train : (Db.Value.t array list, float list) Region.Sandboxed.t;
+  train : (float array, float list) Region.Sandboxed.t;
   email_confirmation : (string, unit) Region.Critical.t;
   export_employer : (string * float, string) Region.Critical.t;
 }
@@ -463,19 +463,12 @@ let make_regions ?hardening program keystore db =
   in
   (* The training points cross as one flat f64 run, interleaved
      [x0; y0; x1; y1; ...] (§7.2's direct copy): 16 bytes a point, and
-     the guest trains straight off the array. Each point arrives as the
-     (question, grade) cells Retrain's fold reads. *)
+     the guest trains straight off the array. Retrain's fold fills the
+     run from the (question, grade) cells, so encoding only tags it. *)
   let train =
     Region.Sandboxed.make ~app:app_name ~name:"ml::train" ?config:sbx_config ?quota:sbx_quota
       ~loc:19
-      ~encode:(fun points ->
-        let xy = Array.create_float (2 * List.length points) in
-        List.iteri
-          (fun i cells ->
-            xy.(2 * i) <- float_of_int (Db.Value.to_int cells.(0));
-            xy.((2 * i) + 1) <- Db.Value.to_float cells.(1))
-          points;
-        Sbx.Value.Floats xy)
+      ~encode:(fun xy -> Sbx.Value.Floats xy)
       ~decode:(fun value ->
         match Sbx.Value.to_floats value with
         | Some weights -> Ok weights
@@ -559,21 +552,33 @@ let attach_policies conn db =
      one policy per (author, lecture) or student, not one per row, and
      [conjoin_distinct] dedups them by identity. The tables live in the
      schema half, one per staged statement or aggregate group, so the
-     handler domains share no mutable state through them. *)
+     handler domains share no mutable state through them. A row of the
+     previous row's entity, as a run of one student's answers is, reuses
+     its policy without hashing. *)
   Conn.attach_policy conn ~table:"answers" ~column:"answer" (fun schema ->
       let email = Db.Schema.column_index_exn schema "email"
       and lecture = Db.Schema.column_index_exn schema "lecture" in
       let interned : (string * int, Policy.t) Hashtbl.t = Hashtbl.create 16 in
+      let previous = ref None in
       fun row ->
         let author = Db.Value.to_text row.(email) in
         let lecture = Db.Value.to_int row.(lecture) in
-        match Hashtbl.find_opt interned (author, lecture) with
-        | Some policy -> policy
-        | None ->
+        match !previous with
+        | Some (last_author, last_lecture, policy)
+          when last_lecture = lecture && String.equal last_author author ->
+            policy
+        | Some _ | None ->
             let policy =
-              Answer_access.make { authors = Sset.singleton author; lecture; db }
+              match Hashtbl.find_opt interned (author, lecture) with
+              | Some policy -> policy
+              | None ->
+                  let policy =
+                    Answer_access.make { authors = Sset.singleton author; lecture; db }
+                  in
+                  Hashtbl.add interned (author, lecture) policy;
+                  policy
             in
-            Hashtbl.add interned (author, lecture) policy;
+            previous := Some (author, lecture, policy);
             policy);
   (* The grade binding's pushdown translation. At the training sink the
      conjoined GradeAccess ∧ MlTraining policy admits exactly the
@@ -606,17 +611,25 @@ let attach_policies conn db =
     (fun schema ->
       let email = Db.Schema.column_index_exn schema "email" in
       let interned : (string, Policy.t) Hashtbl.t = Hashtbl.create 16 in
+      let previous = ref None in
       fun row ->
         let student = Db.Value.to_text row.(email) in
-        match Hashtbl.find_opt interned student with
-        | Some policy -> policy
-        | None ->
+        match !previous with
+        | Some (last, policy) when String.equal last student -> policy
+        | Some _ | None ->
             let policy =
-              Policy.conjoin
-                (Grade_access.make { student })
-                (Ml_training.make { student; db })
+              match Hashtbl.find_opt interned student with
+              | Some policy -> policy
+              | None ->
+                  let policy =
+                    Policy.conjoin
+                      (Grade_access.make { student })
+                      (Ml_training.make { student; db })
+                  in
+                  Hashtbl.add interned student policy;
+                  policy
             in
-            Hashtbl.add interned student policy;
+            previous := Some (student, policy);
             policy);
   (* Static claim backing aggregate elision: every policy the grade
      binding produces is a conjunction over exactly these two leaf
@@ -1034,7 +1047,10 @@ let get_aggregates t request =
 (* GET /employer: averages + emails of consenting students ("Get Employer
    Info"). The caller is an employer; consent is enforced by
    Employer_release, and the released rows leave through the signed
-   export CR. *)
+   export CR. One answers statement reads every consenting student's
+   grades: the email cells are its IN list's parameters, each checked at
+   db::query, and the grouped fold hands back one payload per student in
+   the users' order, each under that student's own rows' policies. *)
 let get_employer_info t request =
   let context =
     Web.context_for request ~user:"recruiter@corp.com" ~custom:[ ("role", "employer") ] ()
@@ -1044,44 +1060,45 @@ let get_employer_info t request =
       ~params:[ Pcon.wrap_no_policy (Db.Value.Bool true) ]
   with
   | Error e -> conn_error e
+  | Ok [] -> Http.Response.text ""
   | Ok users -> (
-      let export_rows =
-        List.filter_map
-          (fun row ->
-            (* The email cell goes in as the policy-checked parameter.
-               The statement drops NULL grades, so a student with no
-               grade left reads no row and is not released. *)
-            match
-              Conn.query_fold t.conn ~context
-                "SELECT * FROM answers WHERE email = ? AND grade IS NOT NULL"
-                ~params:[ C.Pcon_row.get row "email" ] ~columns:[ "grade" ]
-            with
-            | Error _ | Ok { rows = 0; _ } -> None
-            | Ok { payload = grades; _ } ->
-                let avg = Region.Verified.run t.regions.mean_grades grades in
-                Some (Pcon.pair (C.Pcon_row.text row "email") avg))
-          users
+      let emails = List.map (fun row -> C.Pcon_row.get row "email") users in
+      (* The statement drops NULL grades, so a student with no grade left
+         reads no row and is not released. *)
+      let sql =
+        "SELECT * FROM answers WHERE grade IS NOT NULL AND email IN ("
+        ^ String.concat ", " (List.map (fun _ -> "?") emails)
+        ^ ")"
       in
-      let cr_context =
-        Context.untrusted ~endpoint:request.Http.Request.path ~custom:[ ("role", "employer") ] ()
-      in
-      let lines =
-        List.filter_map
-          (fun pair ->
-            match
-              Region.Critical.run t.regions.export_employer ~context:cr_context pair
-            with
-            | Ok line -> Some line
-            | Error _ -> None)
-          export_rows
-      in
-      Http.Response.text (String.concat "\n" lines))
+      match
+        Conn.query_fold_groups t.conn ~context sql ~columns:[ "grade" ] ~key:"email" ~keys:emails
+      with
+      | Error e -> conn_error e
+      | Ok groups ->
+          let export_rows =
+            List.filter_map
+              (fun (row, (group : _ Conn.folded)) ->
+                if group.rows = 0 then None
+                else
+                  let avg = Region.Verified.run t.regions.mean_grades group.payload in
+                  Some (Pcon.pair (C.Pcon_row.text row "email") avg))
+              (List.combine users groups)
+          in
+          let cr_context =
+            Context.untrusted ~endpoint:request.Http.Request.path
+              ~custom:[ ("role", "employer") ] ()
+          in
+          let lines =
+            List.filter_map Result.to_option
+              (Region.Critical.run_each t.regions.export_employer ~context:cr_context export_rows)
+          in
+          Http.Response.text (String.concat "\n" lines))
 
 (* POST /retrain: train the grade model on consenting students' grades in
    the training sandbox ("Retrain Model", Fig. 9b). The connector folds
-   the statement's (question, grade) points straight into one container
-   carrying their policies' conjunction, with no per-cell container, and
-   the region copies them in as one flat f64 run. *)
+   the statement's (question, grade) points straight into one flat f64
+   run carrying their policies' conjunction, with no per-cell container
+   or per-row array, and the region copies the run in as it is. *)
 let retrain_model t request =
   require_auth t request (fun user ->
       if not (is_admin user) then
@@ -1101,7 +1118,7 @@ let retrain_model t request =
              every graded answer and checks each row's grade policy
              post-hoc. Either way the payload carries the grade binding's
              per-student policy instances. *)
-          Conn.query_fold t.conn ~context ~on:"grade"
+          Conn.query_fold_floats t.conn ~context ~on:"grade"
             "SELECT * FROM answers WHERE grade IS NOT NULL" ~params:[]
             ~columns:[ "question"; "grade" ]
         with

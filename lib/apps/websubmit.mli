@@ -170,5 +170,6 @@ val sandbox_hash_region : t -> (string, string) C.Region.Sandboxed.t
 (** The "Register Users" hashing region, exposed for the Fig. 9a
     drill-down. *)
 
-val sandbox_train_region : t -> (Db.Value.t array list, float list) C.Region.Sandboxed.t
-(** The "Retrain Model" region, exposed for Fig. 9b. *)
+val sandbox_train_region : t -> (float array, float list) C.Region.Sandboxed.t
+(** The "Retrain Model" region, exposed for Fig. 9b. Its input is the
+    flat [x0; y0; x1; y1; ...] run Retrain's fold fills. *)

@@ -340,14 +340,13 @@ module Critical = struct
   let quota_counters t =
     Option.bind t.quota (fun q -> Sbx.Quota.counters_for q ~key:t.digest_hex)
 
+  let release_check t = if Build_mode.is_release () then validate_signature t else Ok ()
+
   (* Critical runs go through the same books as sandboxed ones: the
      raw-policy path is not exempt from admission. Fuel and memory are 0
      (the body runs unsandboxed, so only wall-clock and run counts are
      observable); an exception still charges a trap before re-raising. *)
-  let run t ~context pcon =
-    let* () =
-      if Build_mode.is_release () then validate_signature t else Ok ()
-    in
+  let run_checked t ~context pcon =
     let* charge = admit_run t.quota ~region:t.name ~key:t.digest_hex in
     let* () = check_policy (Pcon.policy pcon) context in
     let started = Sesame_clock.now_s () in
@@ -365,4 +364,15 @@ module Critical = struct
            withholds the result. *)
         (match account ~trapped:true with Ok () | Error _ -> ());
         raise exn
+
+  let run t ~context pcon =
+    let* () = release_check t in
+    run_checked t ~context pcon
+
+  (* One signature check covers the batch: a revocation takes effect
+     from the next call, never part-way through one. *)
+  let run_each t ~context pcons =
+    match release_check t with
+    | Error e -> List.map (fun _ -> Error e) pcons
+    | Ok () -> List.map (run_checked t ~context) pcons
 end

@@ -179,4 +179,13 @@ module Critical : sig
       charges the books (fuel/mem 0 — the body is unsandboxed — wall-clock
       and trap counts are real). The result is {e not} wrapped: critical
       regions may externalize. *)
+
+  val run_each :
+    ('a, 'b) t -> context:Context.t -> 'a Pcon.t list -> ('b, error) result list
+  (** {!run} over a batch, one result per input in order, with the
+      signature validated once (release mode only) for the whole batch;
+      an invalid one fails every item with that error, before any is
+      admitted. Each item is then admitted, policy-checked, run and
+      charged exactly as {!run} does it. A reviewer revoked while a
+      batch runs is seen by the next call. *)
 end

@@ -613,45 +613,116 @@ let query_filtered t ~context ~on sql ~params =
   let* schema, rows = select t ~context ~on sql ~params in
   Ok (wrap_select_rows t schema rows)
 
-type folded = { rows : int; payload : Db.Value.t array list Pcon.t }
+type 'a folded = { rows : int; payload : 'a Pcon.t }
 
-(* The per-row wrap, read and fold-out, done once per statement: the
-   named columns are resolved and their bindings staged here, each row
-   pays only its staged policies and the copy of its named cells, and
-   the distinct instances are collected by id in first-seen order — the
-   member order [Fold.out_list] gives the same cells wrapped one by
-   one. *)
-let fold_rows t schema rows ~columns =
-  let positions = Array.of_list (List.map (Db.Schema.column_index_exn schema) columns) in
+(* The named columns' bindings, staged once per statement. Each call of
+   the result starts one payload's policy: [note] records a row's cells'
+   policies, collecting the distinct instances by id in first-seen order
+   — the member order [Fold.out_list] gives the same cells wrapped one
+   by one — and [policy] conjoins them. A cell whose policy is
+   physically the previous row's in the same column (an interned policy
+   over a run of one entity's rows) skips the distinct-instance table. *)
+let stage_policies t schema ~columns =
   let staged = Array.of_list (List.map (stage_column t schema) columns) in
-  let width = Array.length positions in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let distinct = ref [] in
-  (* Loops, not [Array.iter]/[Array.map]: a row allocates only its
-     cells' array, not a closure per column walk. *)
-  let values =
-    List.map
-      (fun row ->
-        let cells = Array.make width Db.Value.Null in
-        for j = 0 to width - 1 do
-          let policy = staged.(j) row in
+  let width = Array.length staged in
+  fun () ->
+    let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+    let distinct = ref [] in
+    (* [NoPolicy] to start: a conjunction drops it anyway. *)
+    let previous = Array.make width Policy.no_policy in
+    (* A loop, not [Array.iter]: a row allocates no closure. *)
+    let note row =
+      for j = 0 to width - 1 do
+        let policy = staged.(j) row in
+        if policy != previous.(j) then begin
+          previous.(j) <- policy;
           if not (Hashtbl.mem seen (Policy.id policy)) then begin
             Hashtbl.add seen (Policy.id policy) ();
             distinct := policy :: !distinct
-          end;
-          cells.(j) <- row.(positions.(j))
-        done;
-        cells)
-      rows
-  in
-  {
-    rows = List.length rows;
-    payload = Pcon.Internal.make (Policy.conjoin_all (List.rev !distinct)) values;
-  }
+          end
+        end
+      done
+    in
+    (note, fun () -> Policy.conjoin_all (List.rev !distinct))
 
-let query_fold t ~context ?on sql ~params ~columns =
+(* One flat float array, filled straight from the rows. *)
+let query_fold_floats t ~context ?on sql ~params ~columns =
   let* schema, rows = select t ~context ?on sql ~params in
-  Ok (fold_rows t schema rows ~columns)
+  let positions = Array.of_list (List.map (Db.Schema.column_index_exn schema) columns) in
+  let width = Array.length positions in
+  let note, policy = stage_policies t schema ~columns () in
+  let n = List.length rows in
+  let flat = Array.create_float (width * n) in
+  List.iteri
+    (fun i row ->
+      note row;
+      for j = 0 to width - 1 do
+        flat.((i * width) + j) <- Db.Value.to_float row.(positions.(j))
+      done)
+    rows;
+  Ok { rows = n; payload = Pcon.Internal.make (policy ()) flat }
+
+module Value_table = Hashtbl.Make (Db.Value)
+
+(* A key cell that is structurally the previous row's finds the same
+   keys; NULL and floats always look theirs up. *)
+let same_key_cell a b =
+  match (a, b) with
+  | Db.Value.Text x, Db.Value.Text y -> String.equal x y
+  | Db.Value.Int x, Db.Value.Int y -> x = y
+  | Db.Value.Bool x, Db.Value.Bool y -> x = y
+  | _ -> false
+
+(* The statement's rows split by their [key] cell among [keys], each
+   key's rows folded in row order: a row joins every key its cell equals
+   under [Db.Value.equal], as the statement's IN list admits it. A row
+   in the previous row's group, as one entity's clustered rows are,
+   joins it without hashing. Each row pays only its staged policies and
+   the copy of its named cells. *)
+let fold_groups t schema rows ~columns ~key ~keys =
+  let positions = Array.of_list (List.map (Db.Schema.column_index_exn schema) columns) in
+  let width = Array.length positions in
+  let policies = stage_policies t schema ~columns in
+  let column = Db.Schema.column_index_exn schema key in
+  let index = Value_table.create (2 * List.length keys) in
+  List.iteri (fun i k -> Value_table.add index k i) keys;
+  let groups = Array.make (List.length keys) [] in
+  let previous = ref (Db.Value.Null, []) in
+  List.iter
+    (fun row ->
+      let cell = row.(column) in
+      let members =
+        let last, members = !previous in
+        if same_key_cell last cell then members
+        else begin
+          let members = Value_table.find_all index cell in
+          previous := (cell, members);
+          members
+        end
+      in
+      List.iter (fun i -> groups.(i) <- row :: groups.(i)) members)
+    rows;
+  let fold group =
+    let note, policy = policies () in
+    (* A loop, not [Array.map]: a row allocates only its cells' array. *)
+    let values =
+      List.map
+        (fun row ->
+          note row;
+          let cells = Array.make width Db.Value.Null in
+          for j = 0 to width - 1 do
+            cells.(j) <- row.(positions.(j))
+          done;
+          cells)
+        group
+    in
+    { rows = List.length group; payload = Pcon.Internal.make (policy ()) values }
+  in
+  Array.fold_right (fun group acc -> fold (List.rev group) :: acc) groups []
+
+let query_fold_groups t ~context sql ~columns ~key ~keys =
+  let* schema, rows = select t ~context sql ~params:keys in
+  Ok (fold_groups t schema rows ~columns ~key ~keys:(unwrap_params keys))
 
 (* For aggregates we need the matching raw rows to build the conjunction of
    the aggregated column's per-row policies. When some bound column's

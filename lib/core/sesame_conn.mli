@@ -242,27 +242,25 @@ val query_filtered :
     conjoined into the scan instead; both paths return byte-identical
     rows, in scan order, with identical cell policies attached. *)
 
-type folded = {
-  rows : int;  (** rows the statement read (after [on]'s filter) *)
-  payload : Db.Value.t array list Pcon.t;
-      (** each row's cells in the named columns, in row order *)
+type 'a folded = {
+  rows : int;  (** rows folded into the payload (after [on]'s filter) *)
+  payload : 'a Pcon.t;  (** the named columns' cells of every row read *)
 }
 
-val query_fold :
+val query_fold_floats :
   t ->
   context:Context.t ->
   ?on:string ->
   string ->
   params:Db.Value.t Pcon.t list ->
   columns:string list ->
-  (folded, error) result
+  (float array folded, error) result
 (** {!query} (or, with [on], {!query_filtered}) folded straight into one
-    container: the region-payload path, for endpoints that read a few
-    columns of every row and hand them all to one region. The named
-    [columns] are resolved and their bindings staged once per statement;
-    each row contributes an array of its cells in those columns, in that
-    order, and the values stay raw inside the container, so the region
-    that receives it does any conversion. The payload's policy is
+    container: the region-payload path, for an endpoint that reads a few
+    numeric columns of every row and hands them all to one region as one
+    f64 run. The named [columns] are resolved and their bindings staged
+    once per statement; row [i]'s cell in the [j]th named column, through
+    {!Db.Value.to_float}, sits at [i * width + j]. The payload's policy is
     {!Policy.conjoin_distinct} of the distinct policy instances those
     columns' cells carried, over every row read, in first-seen row
     order: the policy [Fold.out_list] gives the same cells wrapped one
@@ -271,7 +269,33 @@ val query_fold :
     [rows] is plain data, as the length of {!query}'s list is, so a
     caller tests for emptiness without unwrapping. Raises
     [Invalid_argument] on a column the table lacks, as {!Pcon_row.get}
-    does. *)
+    does, and {!Db.Value.to_float}'s error on a cell that is not a
+    number. *)
+
+val query_fold_groups :
+  t ->
+  context:Context.t ->
+  string ->
+  columns:string list ->
+  key:string ->
+  keys:Db.Value.t Pcon.t list ->
+  (Db.Value.t array list folded list, error) result
+(** One {!query} statement folded per key: its parameters are the
+    [keys] — each policy-checked at ["db::query"], a denial naming its
+    index — and it returns one {!folded} per given key, in the order the
+    keys were given. Typically the statement ends in [key IN (?, …)]
+    over the keys.
+
+    Key [k]'s payload holds, in row order, the named [columns]' cells of
+    the rows whose [key] cell equals [k] under {!Db.Value.equal}, raw,
+    one array a row, so the region that receives it does any
+    conversion. It carries the conjunction of the distinct policies of
+    only those rows' cells, by {!query_fold_floats}'s rule: what a
+    statement reading those rows alone would give. A key that no row
+    matches has [rows = 0] and a [NoPolicy] empty payload. The caller
+    never unwraps a key to find its group: the payloads come back in key
+    order. Raises [Invalid_argument] on a [key] or named column the
+    table lacks. *)
 
 val query_agg :
   t ->

@@ -206,9 +206,11 @@ let key_hash = function Value.Int i -> i | v -> Hashtbl.hash v
 (* The rows [where] matches, grouped in one pass by their values at the
    key positions [by]; [add] feeds each group's [fresh] state its rows
    in match order. Keyed on the rows themselves, so no key is built.
-   Returns each group's first row and state in first-seen order. *)
+   A row that falls in the previous row's group, as a run of clustered
+   inserts does, joins it without hashing. Returns each group's first
+   row and state in first-seen order. *)
 let fold_groups tbl ~where ~by ~fresh ~add =
-  let module Groups = Hashtbl.Make (struct
+  let module Key = struct
     type t = Row.t
 
     let equal a b =
@@ -220,19 +222,28 @@ let fold_groups tbl ~where ~by ~fresh ~add =
       let h = ref 0 in
       for j = 0 to Array.length by - 1 do h := (!h * 31) + key_hash row.(by.(j)) done;
       !h
-  end) in
+  end in
+  let module Groups = Hashtbl.Make (Key) in
   let groups = Groups.create 16 in
+  let previous = ref None in
   let order =
     Table.fold_matching tbl ~where ~init:[] ~f:(fun order row ->
-        match Groups.find groups row with
-        | state ->
+        match !previous with
+        | Some (first, state) when Key.equal first row ->
             add state row;
             order
-        | exception Not_found ->
-            let state = fresh () in
-            Groups.add groups row state;
-            add state row;
-            (row, state) :: order)
+        | Some _ | None -> (
+            match Groups.find groups row with
+            | group ->
+                add (snd group) row;
+                previous := Some group;
+                order
+            | exception Not_found ->
+                let group = (row, fresh ()) in
+                Groups.add groups row group;
+                add (snd group) row;
+                previous := Some group;
+                group :: order))
   in
   List.rev order
 

@@ -136,6 +136,26 @@ let rec in_list_on e col =
       match in_list_on a col with Some vs -> Some vs | None -> in_list_on b col)
   | True | Cmp _ | Or _ | Not _ | In _ | Like _ | Is_null _ -> None
 
+(* [e] without the conjunct [equality_on e col] ([`Equal]) or
+   [in_list_on e col] ([`In]) finds, searched in the same left-to-right
+   order; [e] itself when there is none. *)
+let drop_pin e col pin =
+  let pinned = function
+    | Cmp (Eq, Col c, Lit _) | Cmp (Eq, Lit _, Col c) -> pin = `Equal && c = col
+    | In (Col c, _) -> pin = `In && c = col
+    | True | Cmp _ | And _ | Or _ | Not _ | In _ | Like _ | Is_null _ -> false
+  in
+  let rec go = function
+    | And (a, b) -> (
+        match go a with
+        | Some True -> Some b
+        | Some a -> Some (And (a, b))
+        | None -> (
+            match go b with Some True -> Some a | Some b -> Some (And (a, b)) | None -> None))
+    | c -> if pinned c then Some True else None
+  in
+  Option.value (go e) ~default:e
+
 let pp_operand fmt = function
   | Col c -> Format.pp_print_string fmt c
   | Lit v -> Value.pp fmt v

@@ -40,6 +40,12 @@ val in_list_on : t -> string -> Value.t list option
     conjunct [col IN vs] — the table layer unions index buckets over
     [vs]. *)
 
+val drop_pin : t -> string -> [ `Equal | `In ] -> t
+(** [drop_pin e col pin] is [e] without the conjunct that
+    {!equality_on} ([`Equal]) or {!in_list_on} ([`In]) reads for [col]
+    — the residual predicate once an exact index probe has decided that
+    conjunct. [e] itself when no such conjunct exists. *)
+
 val like_matches : pattern:string -> string -> bool
 (** Exposed for direct reuse and property tests. *)
 

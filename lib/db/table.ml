@@ -3,7 +3,8 @@
    The primary-key index maps key value -> slot; secondary indexes map a
    column value -> the slots holding it and are kept exact across
    insert/update/delete, so an equality or IN-list probe plus the
-   ordinary WHERE filter is equivalent to a full scan.
+   ordinary WHERE filter is equivalent to a full scan — less the probed
+   conjunct itself, which an exact probe has already decided.
 
    Concurrency: a writer-preferring RW lock per table. Mutations and
    index builds run under [wr]; reads copy, under [rd], the row
@@ -140,62 +141,101 @@ let probe_keys t pin ~where col =
       Some keys
   | Some _ | None -> None
 
-(* The buckets' slots, ascending and distinct. [index_add] prepends
-   ever-larger slots, so a bucket is descending unless an UPDATE moved a
-   row into it. The buckets are laid out in order of their smallest
-   slot, each copied back to front, which is the answer in O(n) plus a
-   sort of the k buckets whenever each is strictly descending and their
-   slot ranges do not overlap: every equality probe of an insert-only
-   bucket, and an IN list over keys whose rows were inserted in
-   clusters, as seeding does. One pass checks that the layout came out
-   strictly ascending; any other gather (interleaved buckets, a moved
-   row, a key listed twice) is merge-sorted and compacted. *)
-let slots_in_order buckets =
-  let laid_out =
-    List.filter_map
-      (function
-        | [] -> None
-        | bucket -> Some (List.fold_left min max_int bucket, List.length bucket, bucket))
-      buckets
-    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+(* [f] of the buckets' slots, in ascending slot order and each slot
+   once, as a list: a gather of thousands of slots stays on the minor
+   heap, where an array that long would be allocated straight into the
+   major one. [index_add] prepends ever-larger slots, so a bucket is
+   strictly descending unless an UPDATE moved a row into it (such a
+   bucket is sorted first). A max-heap of the buckets' heads merges
+   them largest first, consing, so the list comes out ascending with
+   no sort of the whole: the root bucket's run of slots above both
+   children's heads is taken without touching the heap, so buckets
+   whose slot ranges do not overlap (each key's rows inserted in one
+   cluster, as seeding does) cost O(n + k log k), and interleaved ones
+   (keys inserted in turn) O(n log k). A key listed twice, or a slot
+   in two buckets, is taken once. *)
+let gather buckets ~f =
+  let rec strictly_descending = function
+    | a :: (b :: _ as rest) -> a > b && strictly_descending rest
+    | [ _ ] | [] -> true
   in
-  let n = List.fold_left (fun n (_, len, _) -> n + len) 0 laid_out in
-  let slots = Array.make n 0 in
-  ignore
-    (List.fold_left
-       (fun start (_, len, bucket) ->
-         List.iteri (fun i slot -> slots.(start + len - 1 - i) <- slot) bucket;
-         start + len)
-       0 laid_out);
-  let ascending = ref true in
-  for i = 1 to n - 1 do
-    if slots.(i - 1) >= slots.(i) then ascending := false
+  let heap =
+    Array.of_list
+      (List.filter_map
+         (function
+           | [] -> None
+           | bucket when strictly_descending bucket -> Some bucket
+           | bucket -> Some (List.sort_uniq (fun a b -> Int.compare b a) bucket))
+         buckets)
+  in
+  let size = ref (Array.length heap) in
+  let head i = if i < !size then match heap.(i) with slot :: _ -> slot | [] -> min_int else min_int in
+  let rec sift i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let top = if head l > head i then l else i in
+    let top = if head r > head top then r else top in
+    if top <> i then begin
+      let bucket = heap.(i) in
+      heap.(i) <- heap.(top);
+      heap.(top) <- bucket;
+      sift top
+    end
+  in
+  for i = (!size / 2) - 1 downto 0 do
+    sift i
   done;
-  if !ascending then slots
-  else begin
-    Array.stable_sort Int.compare slots;
-    let distinct = ref 0 in
-    Array.iteri
-      (fun i slot ->
-        if i = 0 || slot <> slots.(!distinct - 1) then begin
-          slots.(!distinct) <- slot;
-          incr distinct
-        end)
-      slots;
-    if !distinct = n then slots else Array.sub slots 0 !distinct
-  end
+  let out = ref [] and last = ref max_int in
+  let take slot =
+    if slot < !last then begin
+      last := slot;
+      out := f slot :: !out
+    end
+  in
+  while !size > 0 do
+    let bound = max (head 1) (head 2) in
+    let rec run = function
+      | slot :: rest when slot > bound ->
+          take slot;
+          run rest
+      | rest -> rest
+    in
+    (match heap.(0) with
+    | slot :: rest -> (
+        take slot;
+        match run rest with
+        | [] ->
+            decr size;
+            heap.(0) <- heap.(!size)
+        | rest -> heap.(0) <- rest)
+    | [] -> assert false);
+    sift 0
+  done;
+  !out
 
-(* Candidate slots from an index, if an equality or an IN list in
-   [where] pins an indexed column: an equality on the primary key,
-   then one on a secondary index, then an IN list on either. [None]
-   means "no index applies: scan". Candidates are a superset filter —
-   every candidate is still checked against the full WHERE clause —
-   distinct and ascending, so results keep insertion (slot) order.
+(* An exact probe decides its conjunct: the index hashes a Text, Int or
+   Bool key structurally, which is [Value.equal] on keys of the column's
+   own type, so every candidate holds it. A Float index does not: it
+   finds NaN rows for a NaN key, which [Value.equal] never equates, so
+   Float keys keep the conjunct. *)
+let residual t ~where col pin =
+  match Schema.column_type t.schema col with
+  | Tint | Ttext | Tbool -> Expr.drop_pin where (Schema.column_name t.schema col) pin
+  | Tfloat -> where
+
+(* The index buckets holding the candidates, if an equality or an IN
+   list in [where] pins an indexed column: an equality on the primary
+   key, then one on a secondary index, then an IN list on either.
+   [None] means "no index applies: scan". [gather] makes the buckets
+   distinct, ascending candidates, so results keep insertion (slot)
+   order. They come with the predicate every candidate must still pass:
+   [where], less the conjunct the probe decided (see [residual]).
    Caller must hold [rd] or [wr]. *)
 let index_candidates_unlocked t ~where =
   let probe index pin col bucket =
     Option.map
-      (List.filter_map (fun key -> Option.map bucket (Hashtbl.find_opt index key)))
+      (fun keys ->
+        ( List.filter_map (fun key -> Option.map bucket (Hashtbl.find_opt index key)) keys,
+          residual t ~where col pin ))
       (probe_keys t pin ~where col)
   in
   let pk pin =
@@ -211,26 +251,21 @@ let index_candidates_unlocked t ~where =
   List.find_map
     (fun (probe, pin) -> probe pin)
     [ (pk, `Equal); (secondary, `Equal); (pk, `In); (secondary, `In) ]
-  |> Option.map slots_in_order
 
 (* Caller must hold [wr] (mutation read phase: checkpoint polls may
    abort the statement here, before any row has changed). *)
 let matching_slots_unlocked t ~where =
-  let holds = Expr.compile t.schema where in
+  let live holds slot = match t.rows.(slot) with Some row -> holds row | None -> false in
   match index_candidates_unlocked t ~where with
-  | Some candidates ->
-      Array.fold_right
-        (fun slot acc ->
-          match t.rows.(slot) with Some row when holds row -> slot :: acc | Some _ | None -> acc)
-        candidates []
+  | Some (buckets, residual) ->
+      List.filter (live (Expr.compile t.schema residual)) (gather buckets ~f:Fun.id)
   | None ->
+      let holds = Expr.compile t.schema where in
       let scanned = ref 0 in
       let acc = ref [] in
       for slot = t.size - 1 downto 0 do
         scan_checkpoint scanned;
-        match t.rows.(slot) with
-        | Some row -> if holds row then acc := slot :: !acc
-        | None -> ()
+        if live holds slot then acc := slot :: !acc
       done;
       !acc
 
@@ -282,29 +317,45 @@ let insert_exn t row =
   match insert t row with Ok _ -> () | Error msg -> invalid_arg msg
 
 (* Reads copy, under [rd], the rows [where] can match — the index
-   candidates' rows, or the whole slot array — and evaluate the copy
-   off-lock. The copy is the snapshot: rows are immutable once stored,
-   so concurrent writers cannot tear it — Retrain Model's 10k-row scan
-   sees the table exactly as of its start. The predicate is compiled
-   once per statement, and the walk stops as soon as [f] returns
-   [false]; no list of matches is materialized here. *)
+   candidates' rows, as a list, or the whole slot array — and evaluate
+   the copy off-lock. The copy is the snapshot: rows are immutable once
+   stored, so concurrent writers cannot tear it — Retrain Model's
+   10k-row scan sees the table exactly as of its start. The predicate
+   (the probe's residual, for candidates) is compiled once per
+   statement, and the walk stops as soon as [f] returns [false]; no
+   list of matches is materialized here. *)
 let iter_matching t ~where f =
-  let holds = Expr.compile t.schema where in
-  let snap =
+  let scanned = ref 0 in
+  let visit holds = function
+    | Some row when holds row -> f row
+    | Some _ | None -> true
+  in
+  match
     Rwlock.rd t.lock (fun () ->
         match index_candidates_unlocked t ~where with
-        | Some candidates -> Array.map (fun slot -> t.rows.(slot)) candidates
-        | None -> Array.sub t.rows 0 t.size)
-  in
-  let scanned = ref 0 in
-  let more = ref true in
-  let slot = ref 0 in
-  let n = Array.length snap in
-  while !more && !slot < n do
-    scan_checkpoint scanned;
-    (match snap.(!slot) with Some row when holds row -> more := f row | Some _ | None -> ());
-    incr slot
-  done
+        | Some (buckets, residual) ->
+            Either.Left (gather buckets ~f:(fun slot -> t.rows.(slot)), residual)
+        | None -> Either.Right (Array.sub t.rows 0 t.size))
+  with
+  | Either.Left (rows, residual) ->
+      let holds = Expr.compile t.schema residual in
+      let rec walk = function
+        | [] -> ()
+        | row :: rest ->
+            scan_checkpoint scanned;
+            if visit holds row then walk rest
+      in
+      walk rows
+  | Either.Right snap ->
+      let holds = Expr.compile t.schema where in
+      let more = ref true in
+      let slot = ref 0 in
+      let n = Array.length snap in
+      while !more && !slot < n do
+        scan_checkpoint scanned;
+        more := visit holds snap.(!slot);
+        incr slot
+      done
 
 let select ?limit t ~where =
   let cap = match limit with Some n -> max 0 n | None -> max_int in

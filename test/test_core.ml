@@ -898,39 +898,50 @@ let ok_or_fail = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e
 
-(* The per-row reference and the fold, for one read shape. *)
-let fold_against_rows conn ?on () =
+(* The per-row path for one statement: its rows read through
+   [query]/[query_filtered], each row's cells wrapped by [Pcon_row],
+   combined by [map2] and folded out by [Fold.out_list]. *)
+let per_row conn ?on sql ~params =
   let rows =
     ok_or_fail
       (match on with
-      | Some on -> Sesame_conn.query_filtered conn ~context:admin ~on graded ~params:[]
-      | None -> Sesame_conn.query conn ~context:admin graded ~params:[])
+      | Some on -> Sesame_conn.query_filtered conn ~context:admin ~on sql ~params
+      | None -> Sesame_conn.query conn ~context:admin sql ~params)
   in
-  let reference =
+  ( List.length rows,
     Fold.out_list
       (List.map
          (fun row ->
            Pcon.Internal.map2
              (fun q g -> (q, Db.Value.to_float g))
              (Pcon_row.int row "question") (Pcon_row.get row "grade"))
-         rows)
-  in
+         rows) )
+
+(* The per-row reference and the fold, for one read shape. *)
+let fold_against_rows conn ?on () =
+  let n, reference = per_row conn ?on graded ~params:[] in
   let folded =
     ok_or_fail
-      (Sesame_conn.query_fold conn ~context:admin ?on graded ~params:[]
+      (Sesame_conn.query_fold_floats conn ~context:admin ?on graded ~params:[]
          ~columns:[ "question"; "grade" ])
   in
-  (List.length rows, reference, folded)
+  (n, reference, folded)
 
-let same_fold (n, reference, (folded : Sesame_conn.folded)) =
-  check_bool "rows read" true (n > 0);
+let points_of_floats xy =
+  List.init (Array.length xy / 2) (fun i -> (int_of_float xy.(2 * i), xy.((2 * i) + 1)))
+
+let same_payload ~points (n, reference, (folded : _ Sesame_conn.folded)) =
   check_int "row count" n folded.rows;
   check_bool "same values, in row order" true
-    (Pcon.Internal.unwrap reference = List.map point (Pcon.Internal.unwrap folded.payload));
+    (Pcon.Internal.unwrap reference = points (Pcon.Internal.unwrap folded.payload));
   let ids p = List.map Policy.id (Policy.conjuncts (Pcon.policy p)) in
   Alcotest.(check (list int)) "same member ids, same order" (ids reference) (ids folded.payload);
   check_str "same description" (Policy.describe (Pcon.policy reference))
     (Policy.describe (Pcon.policy folded.payload))
+
+let same_fold ((n, _, _) as fold) =
+  check_bool "rows read" true (n > 0);
+  same_payload ~points:points_of_floats fold
 
 let with_pushdown on f =
   let before = Enforce.pushdown_enabled () in
@@ -995,17 +1006,143 @@ let fold_tests_conn =
         same_fold filtered;
         same_fold all;
         check_bool "the snapshot holds the live rows" true
-          (Pcon.Internal.unwrap live = List.map point (Pcon.Internal.unwrap folded.payload)));
+          (Pcon.Internal.unwrap live = points_of_floats (Pcon.Internal.unwrap folded.payload)));
     test "fold with no row read is empty under NoPolicy" (fun () ->
         let conn = Sesame_conn.create (Db.Database.create ()) in
         seed_marks conn;
         let folded =
           ok_or_fail
-            (Sesame_conn.query_fold conn ~context:admin "SELECT * FROM marks WHERE id = ?"
+            (Sesame_conn.query_fold_floats conn ~context:admin "SELECT * FROM marks WHERE id = ?"
                ~params:[ Pcon.wrap_no_policy (Db.Value.Int 99) ] ~columns:[ "grade" ])
         in
         check_int "no rows" 0 folded.rows;
         check_bool "no policy" true (Policy.is_no_policy (Pcon.policy folded.payload)));
+  ]
+
+(* The grouped fold against the per-row path over each key's rows
+   alone, the statement per key that the grouped fold replaces. *)
+let by_owner = "SELECT * FROM marks WHERE grade IS NOT NULL AND owner = ?"
+
+let owners_in n =
+  "SELECT * FROM marks WHERE grade IS NOT NULL AND owner IN ("
+  ^ String.concat ", " (List.init n (fun _ -> "?"))
+  ^ ")"
+
+let text_key owner = Pcon.wrap_no_policy (Db.Value.Text owner)
+
+let contains haystack needle =
+  let n = String.length haystack and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
+  go 0
+
+let fold_group_tests =
+  [
+    test "grouped fold: one payload per key, in key order, each under its own rows" (fun () ->
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        let owners = [ "cy"; "zed"; "ada"; "bob"; "ada" ] in
+        let queries = Db.Database.query_count (Sesame_conn.database conn) in
+        let groups =
+          ok_or_fail
+            (Sesame_conn.query_fold_groups conn ~context:admin
+               (owners_in (List.length owners))
+               ~columns:[ "question"; "grade" ] ~key:"owner" ~keys:(List.map text_key owners))
+        in
+        check_int "one statement" (queries + 1)
+          (Db.Database.query_count (Sesame_conn.database conn));
+        check_int "one payload per key" (List.length owners) (List.length groups);
+        List.iter2
+          (fun owner (group : _ Sesame_conn.folded) ->
+            let n, reference = per_row conn by_owner ~params:[ text_key owner ] in
+            same_payload ~points:(List.map point) (n, reference, group);
+            let described = Policy.describe (Pcon.policy group.payload) in
+            List.iter
+              (fun other ->
+                if other <> owner then
+                  check_bool (owner ^ " carries none of " ^ other ^ "'s policies") false
+                    (contains described ("(" ^ other ^ ")")))
+              owners)
+          owners groups;
+        match groups with
+        | [ cy; zed; ada; bob; ada' ] ->
+            check_bool "rows read for cy, ada and bob" true
+              (cy.rows > 0 && ada.rows > 0 && bob.rows > 0);
+            check_int "a key with no rows" 0 zed.rows;
+            check_bool "is an empty NoPolicy payload" true
+              (Pcon.Internal.unwrap zed.payload = []
+              && Policy.is_no_policy (Pcon.policy zed.payload));
+            check_bool "a repeated key gets the same rows" true
+              (Pcon.Internal.unwrap ada.payload = Pcon.Internal.unwrap ada'.payload)
+        | _ -> Alcotest.fail "five payloads");
+    test "grouped fold: every key is a parameter checked at db::query" (fun () ->
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        let denied = Pcon.Internal.make (Consent.make "bob") (Db.Value.Text "bob") in
+        let queries = Db.Database.query_count (Sesame_conn.database conn) in
+        (match
+           Sesame_conn.query_fold_groups conn ~context:admin (owners_in 3) ~columns:[ "grade" ]
+             ~key:"owner" ~keys:[ text_key "ada"; text_key "cy"; denied ]
+         with
+        | Error (Sesame_conn.Policy_denied { sink; param_index; _ }) ->
+            check_str "sink" "db::query" sink;
+            Alcotest.(check (option int)) "the denied key's index" (Some 2) param_index
+        | Ok _ -> Alcotest.fail "a denied key ran the statement"
+        | Error e -> Alcotest.failf "%a" Sesame_conn.pp_error e);
+        check_int "nothing ran" queries (Db.Database.query_count (Sesame_conn.database conn)));
+    test "revoking the reviewer between two export requests" (fun () ->
+        (* The Employer shape: a grouped read, then one batch through a
+           signed export region on the quota books. *)
+        let conn = Sesame_conn.create (Db.Database.create ()) in
+        seed_marks conn;
+        let ks = keystore () in
+        let quota = Sbx.Quota.create () in
+        let region =
+          Result.get_ok
+            (Region.Critical.make ~app:"test" ~program:(region_program ()) ~spec:leaky_spec
+               ~lockfile ~keystore:ks ~quota
+               ~f:(fun ~context:_ (owner, cells) ->
+                 Printf.sprintf "%s,%d" owner (List.length cells))
+               ())
+        in
+        ignore (Region.Critical.sign region ~reviewer:"lead" ~at:100);
+        let owners = [ "ada"; "bob"; "cy"; "dee" ] in
+        let request () =
+          let groups =
+            ok_or_fail
+              (Sesame_conn.query_fold_groups conn ~context:admin (owners_in 4)
+                 ~columns:[ "grade" ] ~key:"owner" ~keys:(List.map text_key owners))
+          in
+          Region.Critical.run_each region ~context:(Context.untrusted ~user:"recruiter" ())
+            (List.map2
+               (fun owner (g : _ Sesame_conn.folded) ->
+                 Pcon.pair (Pcon.wrap_no_policy owner) g.payload)
+               owners groups)
+        in
+        let runs () =
+          match Region.Critical.quota_counters region with
+          | Some c -> c.Sbx.Quota.runs
+          | None -> 0
+        in
+        let first = request () in
+        let released = List.filter_map Result.to_option first in
+        check_int "one result per student" 4 (List.length first);
+        Alcotest.(check (list string)) "every consenting student, in order"
+          [ "ada"; "cy" ]
+          (List.map (fun line -> List.hd (String.split_on_char ',' line)) released);
+        check_bool "the others are policy denials" true
+          (List.for_all
+             (function Error (Region.Policy_denied _) -> true | _ -> false)
+             [ List.nth first 1; List.nth first 3 ]);
+        check_int "one run charged per released row" 2 (runs ());
+        Sign.Keystore.revoke ks ~reviewer:"lead" ~at:200;
+        let second = request () in
+        check_int "one result per student again" 4 (List.length second);
+        check_bool "none released: every item fails the signature" true
+          (List.for_all
+             (function
+               | Error (Region.Signature_invalid (Sign.Keystore.Revoked _)) -> true | _ -> false)
+             second);
+        check_int "and none charged" 2 (runs ()));
   ]
 
 let web_tests =
@@ -1118,7 +1255,7 @@ let () =
       ("sandboxed-region", sandboxed_tests);
       ("critical-region", critical_tests);
       ("connector", conn_tests);
-      ("connector-fold", fold_tests_conn);
+      ("connector-fold", fold_tests_conn @ fold_group_tests);
       ("web", web_tests);
       ("registry", registry_tests);
     ]

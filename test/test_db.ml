@@ -935,6 +935,34 @@ let arb_agg_case =
         rows)
     gen_agg_case
 
+(* Each row of a case repeated into a run of one to four rows, so one
+   key's rows come in runs that other keys' runs interrupt and that
+   recur later: the GROUP BY scan meets its previous row's group, a
+   group it has seen before, and a new one. *)
+let arb_agg_runs =
+  let open QCheck.Gen in
+  let runs (rows, aggregates, group_by, where) =
+    map
+      (fun lengths ->
+        let rows =
+          List.concat (List.map2 (fun row n -> List.init n (fun _ -> Array.copy row)) rows lengths)
+        in
+        (List.mapi (fun id row -> row.(0) <- Value.Int id; row) rows, aggregates, group_by, where))
+      (flatten_l (List.map (fun _ -> int_range 1 4) rows))
+  in
+  QCheck.set_gen (gen_agg_case >>= runs) arb_agg_case
+
+let agg_matches_reference (rows, aggregates, group_by, where) =
+  let db = Database.create () in
+  (match Database.create_table db agg_schema with Ok () -> () | Error m -> failwith m);
+  let tbl = Database.table_exn db "agg" in
+  List.iter (Table.insert_exn tbl) rows;
+  match Database.exec_stmt db (Sql.Select_agg { table = "agg"; aggregates; where; group_by }) with
+  | Ok (Database.Rows { rows = got; _ }) ->
+      same_rows got (reference_agg tbl ~aggregates ~where ~group_by)
+  | Ok (Database.Affected _) -> false
+  | Error m -> QCheck.Test.fail_reportf "exec: %s" m
+
 let compile_tests =
   [
     prop "compiled predicates agree with a tree-walking reference" arb_expr_rows
@@ -948,18 +976,9 @@ let compile_tests =
             got = reference_eval mixed row e)
           rows);
     prop "single-pass aggregates equal the list-based reference" arb_agg_case
-      (fun (rows, aggregates, group_by, where) ->
-        let db = Database.create () in
-        (match Database.create_table db agg_schema with Ok () -> () | Error m -> failwith m);
-        let tbl = Database.table_exn db "agg" in
-        List.iter (Table.insert_exn tbl) rows;
-        match
-          Database.exec_stmt db (Sql.Select_agg { table = "agg"; aggregates; where; group_by })
-        with
-        | Ok (Database.Rows { rows = got; _ }) ->
-            same_rows got (reference_agg tbl ~aggregates ~where ~group_by)
-        | Ok (Database.Affected _) -> false
-        | Error m -> QCheck.Test.fail_reportf "exec: %s" m);
+      agg_matches_reference;
+    prop "GROUP BY over interleaved runs equals the list-based reference" arb_agg_runs
+      agg_matches_reference;
     test "hashed IN keeps Value.equal: cross-type numbers, signed zero, NaN" (fun () ->
         let many = List.init 10 (fun k -> Value.Int (100 + k)) in
         let holds vs v =
@@ -972,53 +991,100 @@ let compile_tests =
   ]
 
 (* Index probes against scans: the same random INSERT / UPDATE / DELETE
-   sequence runs on a table indexed on [g] and on a copy with no index
-   at all (no primary key either). UPDATEs set [g] on one row or on a
-   whole bucket, so low slots move into buckets of later ones. A
-   clustered insert puts a run of rows under one key, so an IN list
-   gathers buckets whose slot ranges are disjoint (each key inserted in
-   one cluster) as well as buckets that interleave (a key inserted in
-   several) and buckets holding moved rows. *)
+   sequence runs on a table indexed on [g] (Int), [h] (Float) and [s]
+   (Text) and on a copy with no index at all (no primary key either).
+   A probe on a Text, Int or Bool key drops the conjunct it decided; a
+   Float probe keeps it, so [h]'s pool holds NaN (which the index finds
+   for a NaN key but [Value.equal] never equates), [-0.0] beside [0.0],
+   and probes mix Int and Float literals. UPDATEs set a column on one
+   row or on a whole bucket, so low slots move into buckets of later
+   ones. A clustered insert puts a run of rows under one key, so an IN
+   list gathers buckets whose slot ranges are disjoint (each key
+   inserted in one cluster) as well as buckets that interleave (a key
+   inserted in several) and buckets holding moved rows. *)
 let unindexed_agg_schema = Schema.make_exn ~name:"agg" (Schema.columns agg_schema)
+
+let probe_pool = function
+  | "g" -> Value.[| Null; Int 0; Int 1; Int 2; Int 3 |]
+  | "h" -> Value.[| Null; Float nan; Float (-0.0); Float 0.0; Float 1.0 |]
+  | _ -> Value.[| Null; Text "a"; Text "b"; Text "c"; Text "d" |]
 
 let gen_index_ops =
   let open QCheck.Gen in
-  let g = oneofl Value.[ Null; Int 0; Int 1; Int 2; Int 3 ] in
+  let k = int_range 0 4 and col = oneofl [ "g"; "h"; "s" ] in
+  let cells = triple k k k in
   list_size (int_range 0 60)
     (frequency
        [
-         (4, map (fun v -> `Insert v) g);
-         (2, map2 (fun v n -> `Cluster (v, n)) g (int_range 2 8));
-         (3, map2 (fun id v -> `Update (id, v)) (int_range 0 40) g);
-         (1, map2 (fun a b -> `Move (a, b)) g g);
+         (4, map (fun c -> `Insert c) cells);
+         (2, map2 (fun c n -> `Cluster (c, n)) cells (int_range 2 8));
+         (3, triple (int_range 0 40) col k >|= fun (id, c, v) -> `Update (id, c, v));
+         (1, triple col k k >|= fun (c, a, b) -> `Move (c, a, b));
          (1, map (fun id -> `Delete id) (int_range 0 40));
        ])
 
 let index_probes =
-  let g = Expr.Col "g" and id = Expr.Col "id" in
+  let g = Expr.Col "g" and h = Expr.Col "h" and s = Expr.Col "s" and id = Expr.Col "id" in
+  let ints = List.map (fun k -> Value.Int k) and text = List.map (fun t -> Value.Text t) in
   Expr.(
     List.map (fun k -> Cmp (Eq, g, Lit (Value.Int k))) [ 0; 1; 2; 3; 4 ]
-    @ List.map (fun ks -> In (g, List.map (fun k -> Value.Int k) ks)) [ [ 3; 1 ]; [ 2; 0; 2 ]; [ 0; 1; 2; 3 ]; [] ]
+    @ List.map (fun ks -> In (g, ints ks)) [ [ 3; 1 ]; [ 2; 0; 2 ]; [ 0; 1; 2; 3 ]; [] ]
     @ [ In (g, List.init 5 (fun k -> Value.Int (4 - k))) ]
     @ [ Cmp (Eq, id, Lit (Value.Int 5)); In (id, Value.[ Int 7; Int 3; Int 7; Int 30; Int 0 ]) ]
     (* Wide: every id the ops can insert, newest first. *)
-    @ [ In (id, List.init 480 (fun k -> Value.Int (479 - k))) ])
+    @ [ In (id, List.init 480 (fun k -> Value.Int (479 - k))) ]
+    (* Float keys: NaN, both zeros, and Int/Float cross-type literals
+       (an Int key leaves the statement to a scan). *)
+    @ List.map
+        (fun v -> Cmp (Eq, h, Lit v))
+        Value.[ Float nan; Float (-0.0); Float 0.0; Float 1.0; Int 1; Int 0 ]
+    @ [ Cmp (Eq, Lit (Value.Float nan), h) ]
+    @ List.map
+        (fun vs -> In (h, vs))
+        Value.
+          [
+            [ Float nan; Float 1.0 ];
+            [ Float (-0.0); Float nan; Float (-0.0) ];
+            [ Float 0.0; Int 1 ];
+            [ Float nan ];
+          ]
+    @ [ Cmp (Eq, g, Lit (Value.Float 1.0)); In (g, Value.[ Float 2.0; Int 3 ]) ]
+    (* Text keys. *)
+    @ [ Cmp (Eq, s, Lit (Value.Text "a")); In (s, text [ "b"; "d"; "b" ]); In (s, text [ "z" ]) ]
+    (* Conjunctions: whichever index serves, the other conjuncts stay. *)
+    @ [
+        And (Cmp (Eq, g, Lit (Value.Int 1)), Cmp (Eq, h, Lit (Value.Float nan)));
+        And (Cmp (Eq, h, Lit (Value.Float nan)), Cmp (Eq, g, Lit (Value.Int 1)));
+        And (In (h, Value.[ Float nan; Float 0.0 ]), In (s, text [ "a"; "c" ]));
+        And (In (s, text [ "a"; "b" ]), Cmp (Gt, g, Lit (Value.Int 0)));
+        And (Is_null h, And (In (g, ints [ 1; 2 ]), Not (Cmp (Eq, s, Lit (Value.Text "a")))));
+        And (Cmp (Eq, g, Lit (Value.Int 2)), Cmp (Eq, g, Lit (Value.Int 3)));
+        Or (Cmp (Eq, g, Lit (Value.Int 1)), Cmp (Eq, h, Lit (Value.Float nan)));
+      ])
 
 let probe_tests =
   [
     prop "index probes equal scans after random writes"
       (QCheck.make gen_index_ops) (fun ops ->
         let indexed = Table.create agg_schema and scanned = Table.create unindexed_agg_schema in
-        Table.ensure_index indexed "g";
+        List.iter (Table.ensure_index indexed) [ "g"; "h"; "s" ];
         let next = ref 0 in
         let on_id id = Expr.Cmp (Expr.Eq, Expr.Col "id", Expr.Lit (Value.Int id)) in
-        let insert tbl id v = Table.insert_exn tbl Value.[| Int id; v; Null; Null; Null; Null |] in
+        let insert tbl id (g, h, s) =
+          Table.insert_exn tbl
+            [| Value.Int id; (probe_pool "g").(g); (probe_pool "h").(h); Value.Null; Value.Null;
+               (probe_pool "s").(s) |]
+        in
         let apply tbl = function
-          | `Insert v -> insert tbl !next v
-          | `Cluster (v, n) -> for k = 0 to n - 1 do insert tbl (!next + k) v done
-          | `Update (id, v) -> ignore (Table.update tbl ~where:(on_id id) ~set:[ ("g", v) ])
-          | `Move (a, b) ->
-              ignore (Table.update tbl ~where:(Expr.Cmp (Expr.Eq, Expr.Col "g", Expr.Lit a)) ~set:[ ("g", b) ])
+          | `Insert c -> insert tbl !next c
+          | `Cluster (c, n) -> for k = 0 to n - 1 do insert tbl (!next + k) c done
+          | `Update (id, col, v) ->
+              ignore (Table.update tbl ~where:(on_id id) ~set:[ (col, (probe_pool col).(v)) ])
+          | `Move (col, a, b) ->
+              ignore
+                (Table.update tbl
+                   ~where:(Expr.Cmp (Expr.Eq, Expr.Col col, Expr.Lit (probe_pool col).(a)))
+                   ~set:[ (col, (probe_pool col).(b)) ])
           | `Delete id -> ignore (Table.delete tbl ~where:(on_id id))
         in
         List.iter

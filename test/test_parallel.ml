@@ -693,6 +693,46 @@ let write_tests =
         concurrent_creates ~db ~table:"documents" (Apps.Portfolio.handle app) (fun d i ->
             req ~cookies:cookies.(d) ~body:(Printf.sprintf "essay %d" i) Http.Meth.POST
               "/documents?filename=e.pdf"));
+    test "sinks that handler domains append to keep every append" (fun () ->
+        let n = 5_000 in
+        let in_order d sent =
+          List.filter_map
+            (fun (who, i) -> if who = d then Some i else None)
+            sent
+          = List.init n Fun.id
+        in
+        Apps.Email.clear_outbox ();
+        ignore
+          (on_two_domains (fun d ->
+               List.init n (fun i ->
+                   Apps.Email.send ~recipient:(string_of_int d) ~subject:"s"
+                     ~body:(string_of_int i))));
+        let outbox =
+          List.map
+            (fun (m : Apps.Email.message) -> (int_of_string m.recipient, int_of_string m.body))
+            (Apps.Email.outbox ())
+        in
+        Apps.Email.clear_outbox ();
+        check_int "every message in the outbox" (2 * n) (List.length outbox);
+        check_bool "each domain's messages in send order" true
+          (in_order 0 outbox && in_order 1 outbox);
+        let app = Result.get_ok (Apps.Voltron.create ()) in
+        let region = Apps.Voltron.sync_buffer_region app in
+        let context = C.Context.untrusted () in
+        ignore
+          (on_two_domains (fun d ->
+               List.init n (fun i ->
+                   match
+                     C.Region.Critical.run region ~context
+                       (C.Pcon.wrap_no_policy (Printf.sprintf "%d %d" d i))
+                   with
+                   | Ok () -> ()
+                   | Error e -> Alcotest.fail (C.Region.error_to_string e))));
+        let synced =
+          List.map (fun code -> Scanf.sscanf code "%d %d" (fun d i -> (d, i))) (Apps.Voltron.synced app)
+        in
+        check_int "every sync recorded" (2 * n) (List.length synced);
+        check_bool "each domain's syncs in order" true (in_order 0 synced && in_order 1 synced));
     test "a durable WebSubmit journals every acknowledged submit once" (fun () ->
         let dir =
           Filename.concat (Filename.get_temp_dir_name ())
