@@ -804,7 +804,7 @@ let wal_ablation () =
         { Db.Schema.name = "note"; ty = Db.Value.Ttext; nullable = false };
       ]
   in
-  let provenance ~table:_ ~column ~row:_ =
+  let provenance ~schema:_ ~column ~row:_ =
     [ { W.Provenance.ctor = "bench::owner"; param = column } ]
   in
   let rm_rf dir =
@@ -1388,7 +1388,7 @@ let chaos () =
   (* A modeled 3 ms DB round trip per statement makes deadline expiry
      deterministic: the auth lookup alone overruns a 1 ms budget, so
      every storm request is refused at its first sink handoff. *)
-  let app, _store =
+  let app, store =
     match Apps.Websubmit.create_durable ~query_cost_ns:3_000_000 ~data_dir () with
     | Ok v -> v
     | Error m -> failwith ("chaos: " ^ m)
@@ -1396,7 +1396,7 @@ let chaos () =
   (match Apps.Websubmit.seed app ~students:20 ~questions:5 with
   | Ok () -> ()
   | Error m -> failwith ("chaos: " ^ m));
-  let conn = Apps.Websubmit.conn app in
+  let db = Apps.Websubmit.database app in
   let handler (request : Http.Request.t) =
     let p = request.Http.Request.path in
     if p = "/health" then Http.Response.text "ok"
@@ -1569,10 +1569,9 @@ let chaos () =
       (List.init 3 (fun _ ->
            chaos_call ~port:port_a ~headers:[ admin ] Http.Meth.GET "/websubmit/aggregates"))
   in
-  (* Written as admin: student auth needs the (poisoned) users table and
-     401s before reaching the connector; admin authenticates without it,
-     so the probe lands on the brownout write refusal itself. *)
-  let brownout_writes = record [ submit ~port:port_a ~headers:[ admin; form ] () ] in
+  (* Written as a student: session lookup reads the snapshot too, so the
+     probe gets past auth and lands on the brownout write refusal. *)
+  let brownout_writes = record [ submit ~port:port_a () ] in
   let reads_degraded = List.for_all (fun r -> ok2xx r && r.cr_degraded) degraded_reads in
   let writes_browned =
     List.for_all (fun r -> r.cr_status = 503 && r.cr_retry_after) brownout_writes
@@ -1585,18 +1584,19 @@ let chaos () =
              (fun r -> Printf.sprintf "%d%s" r.cr_status (if r.cr_degraded then "+D" else ""))
              degraded_reads)));
   ignore (gate "brownout: writes refused 503 + Retry-After" writes_browned "");
-  ignore (gate "brownout: connector reports brownout" (C.Sesame_conn.in_brownout conn) "");
+  ignore (gate "brownout: the store reports brownout" (Db.Database.in_brownout db) "");
   phase "brownout"
     [
       ("reads_degraded", Json.Bool reads_degraded);
       ("writes_refused", Json.Bool writes_browned);
-      ("brownout_entries", Json.Int (C.Sesame_conn.brownout_entries conn));
     ];
 
   (* Phase 5 — recovery: reopen the store from disk, reads come back
-     fresh (no Degraded marker) and writes succeed again. *)
+     fresh (no Degraded marker) and writes succeed again. Retrain's
+     consent checks and pushdown query the store from inside the
+     policies, so its 2xx shows they read the recovered tables too. *)
   Printf.printf "phase 5: recovery\n";
-  let recovered = match Apps.Websubmit.recover app with Ok _ -> true | Error _ -> false in
+  let recovered = Result.is_ok (W.Durable.reopen store) in
   let fresh_reads =
     record [ chaos_call ~port:port_a ~headers:[ admin ] Http.Meth.GET "/websubmit/aggregates" ]
   in
@@ -1605,9 +1605,21 @@ let chaos () =
     List.for_all (fun r -> ok2xx r && not r.cr_degraded) fresh_reads
     && List.for_all ok2xx fresh_writes
   in
+  let retrained =
+    record [ chaos_call ~port:port_a ~headers:[ admin ] Http.Meth.POST "/websubmit/retrain" ]
+  in
+  let policies_recovered = List.for_all ok2xx retrained in
   ignore (gate "recovery: store reopened" recovered "");
   ignore (gate "recovery: fresh reads and writes restored" fresh_ok "");
-  phase "recovery" [ ("reopened", Json.Bool recovered); ("service_restored", Json.Bool fresh_ok) ];
+  ignore
+    (gate "recovery: policy lookups read the recovered store" policies_recovered
+       (String.concat "," (List.map (fun r -> string_of_int r.cr_status) retrained)));
+  phase "recovery"
+    [
+      ("reopened", Json.Bool recovered);
+      ("service_restored", Json.Bool fresh_ok);
+      ("policy_lookups_recovered", Json.Bool policies_recovered);
+    ];
 
   (* Cross-phase gates. *)
   Printf.printf "\ncross-phase gates\n";

@@ -353,10 +353,7 @@ type regions = {
 
 type t = {
   conn : Conn.t;
-  mutable db : Db.Database.t;
-      (* rebound by [recover] after brownout: the connector swaps in a
-         freshly recovered store, and the app's direct-db paths
-         (authenticate, register, answer_count) must follow it *)
+  db : Db.Database.t;
   keystore : Sign.Keystore.t;
   program : Scrut.Program.t;
   k : int;
@@ -370,17 +367,6 @@ let conn t = t.conn
 let program t = t.program
 let database t = t.db
 let model t = t.model
-
-(* Leave brownout: recover the durable store through the connector and
-   follow the swap in the app's own db handle. Policy closures minted
-   before the swap keep their stale handle; their lookups fail closed
-   (empty leads, no consent), never open. *)
-let recover t =
-  match Conn.exit_brownout t.conn with
-  | Error m -> Error m
-  | Ok store ->
-      t.db <- Conn.database t.conn;
-      Ok store
 let hardening t = t.hardening
 let sandbox_hash_region t = t.regions.hash_key
 let sandbox_train_region t = t.regions.train

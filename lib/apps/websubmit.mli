@@ -98,17 +98,17 @@ val answer_count : t -> int
     seeding is needed after recovery. *)
 
 val conn : t -> C.Sesame_conn.t
+
 val database : t -> Db.Database.t
+(** The one store every reader of [t] holds: the connector, session
+    lookup, {!answer_count} and the policies' own lookups (discussion
+    leaders, ML consent, the retrain pushdown). In durable mode it is
+    {!Wal.Durable.db} of the store {!create_durable} returned: brownout
+    serves all of them from the snapshot, and {!Wal.Durable.reopen}
+    refills it in place, so nothing needs rebinding. *)
 
 val program : t -> Scrut.Program.t
 (** The IR program the app's regions are checked against. *)
-
-val recover : t -> (Wal.Durable.t, string) result
-(** Leave brownout (see {!C.Sesame_conn.exit_brownout}): recover a fresh
-    writable store from disk, swap it into the connector, and rebind the
-    app's direct-db paths (authentication, registration, [answer_count])
-    to the recovered handle. Returns the new store so durable callers
-    can rebind checkpoint/flush plumbing; the old handle is closed. *)
 
 val router : t -> Http.Router.t
 (** A freshly built router over [t]'s endpoints. {!handle} dispatches

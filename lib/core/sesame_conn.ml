@@ -134,10 +134,7 @@ type sink_stats = {
 type policy_source = Db.Schema.t -> Db.Row.t -> Policy.t
 
 type t = {
-  mutable db : Db.Database.t;
-  (* [db] is mutable for one reason only: {!exit_brownout} swaps in the
-     recovered store. Every request-path read goes through
-     [with_brownout_read], which re-reads the field per attempt. *)
+  db : Db.Database.t;
   bindings : (string * string, policy_source) Hashtbl.t;  (* (table, column) *)
   (* Optional binding-level row-predicate translations: the pushdown
      source. [f ctx] must admit exactly the rows whose bound policy
@@ -157,13 +154,6 @@ type t = {
   mutable jitter : Random.State.t Domain.DLS.key;
   mutable sleep : float -> unit;
   mutable now : unit -> float;
-  (* Brownout: installed by [create_durable]. [snapshot_load] rebuilds
-     the last consistent on-disk state read-only; [reopen] closes the
-     poisoned store and recovers a fresh writable one. *)
-  mutable snapshot_load : (unit -> (Db.Database.t, string) result) option;
-  mutable reopen : (unit -> (Sesame_wal.Durable.t, string) result) option;
-  brownout : Db.Database.t option Atomic.t;  (* published by one compare-and-set *)
-  brownout_entries : int Atomic.t;
 }
 
 (* One jitter state per domain: a [Random.State.t] is not domain-safe. *)
@@ -204,10 +194,6 @@ let create db =
     jitter = jitter_states [| 0x5e5a; 0xe |];
     sleep = busy_sleep;
     now = Sesame_clock.now_s;
-    snapshot_load = None;
-    reopen = None;
-    brownout = Atomic.make None;
-    brownout_entries = Atomic.make 0;
   }
 
 let database t = t.db
@@ -232,49 +218,17 @@ let create_durable ?config ~dir () =
   Sesame_wal.Provenance.register (Policy.name Policy.no_policy);
   Sesame_wal.Provenance.register (Policy.name (Policy.deny_all ~reason:"builtin"));
   let bindings : (string * string, policy_source) Hashtbl.t = Hashtbl.create 16 in
-  let store_ref = ref None in
-  let provenance ~table ~column ~row =
-    match Hashtbl.find_opt bindings (table, column) with
-    | None -> []
-    | Some source -> (
-        let instantiated =
-          match (row, !store_ref) with
-          | Some row, Some store -> (
-              match Db.Database.table (Sesame_wal.Durable.db store) table with
-              | Some tbl -> ( try Some (source (Db.Table.schema tbl) row) with _ -> None)
-              | None -> None)
-          | _ -> None
-        in
-        match instantiated with Some p -> policy_leaves p | None -> [])
+  let provenance ~schema ~column ~row =
+    match (Hashtbl.find_opt bindings (Db.Schema.name schema, column), row) with
+    | Some source, Some row -> (
+        match source schema row with
+        | policy -> policy_leaves policy
+        | exception _ -> [])
+    | _ -> []
   in
   match Sesame_wal.Durable.open_store ?config ~provenance ~dir () with
   | Error _ as e -> e
-  | Ok store ->
-      store_ref := Some store;
-      let snapshot_load () =
-        match Sesame_wal.Durable.read_state ~dir with
-        | Ok (db, _, _) -> Ok db
-        | Error e -> Error (Sesame_wal.Durable.error_message e)
-      in
-      let reopen () =
-        (match !store_ref with
-        | Some old -> ignore (Sesame_wal.Durable.close old : (unit, string) result)
-        | None -> ());
-        match Sesame_wal.Durable.open_store ?config ~provenance ~dir () with
-        | Error e -> Error (Sesame_wal.Durable.error_message e)
-        | Ok store' ->
-            store_ref := Some store';
-            Ok store'
-      in
-      let t =
-        {
-          (create (Sesame_wal.Durable.db store)) with
-          bindings;
-          snapshot_load = Some snapshot_load;
-          reopen = Some reopen;
-        }
-      in
-      Ok (t, store)
+  | Ok store -> Ok ({ (create (Sesame_wal.Durable.db store)) with bindings }, store)
 
 let configure_resilience t ?retry ?breaker ?seed ?sleep ?now () =
   Option.iter (fun r -> t.retry <- r) retry;
@@ -414,86 +368,14 @@ let deadline_guard ~sink =
   | Ok () -> Ok ()
   | Error message -> Error (Deadline_exceeded { sink; message })
 
-(* ------------------------------------------------------------------ *)
-(* Brownout: read-only degraded serving over the last consistent on-disk
-   snapshot while the live store is poisoned. *)
-
-(* The poison guard's client-facing message (Sesame_db.Database.guard). *)
-let is_quarantine_message msg = contains_substring msg "quarantined"
-
-let in_brownout t = Atomic.get t.brownout <> None
-let brownout_entries t = Atomic.get t.brownout_entries
-
-(* Build (or reuse) the brownout snapshot. The Brownout_enter seam fires
-   only on the transition; an injected fault there models the snapshot
-   recovery itself failing, in which case reads keep failing closed
-   exactly as they did before brownout existed. *)
-let enter_brownout t =
-  match Atomic.get t.brownout with
-  | Some db -> Some db
-  | None -> (
-      match t.snapshot_load with
-      | None -> None
-      | Some load -> (
-          match
-            Sesame_faults.hit Sesame_faults.Brownout_enter;
-            load ()
-          with
-          | Ok db ->
-              (* Of domains failing together, the first to publish wins. *)
-              if Atomic.compare_and_set t.brownout None (Some db) then begin
-                Atomic.incr t.brownout_entries;
-                Some db
-              end
-              else Atomic.get t.brownout
-          | Error _ -> None
-          | exception Sesame_faults.Injected _ -> None))
-
-(* Run a read against the live store; when it refuses because the store
-   is poisoned, fall back to the snapshot and mark the in-flight
-   response degraded. Policy bindings are connector state, not database
-   state, so snapshot rows are wrapped and checked exactly like live
-   ones — brownout weakens freshness, never enforcement. *)
-let with_brownout_read t op =
-  match op t.db with
-  | Error (Db_error { message; _ }) as e when is_quarantine_message message -> (
-      match enter_brownout t with
-      | None -> e
-      | Some snap ->
-          Sesame_request.mark_degraded "snapshot";
-          op snap)
-  | r -> r
-
-(* A write against a poisoned-but-recoverable store is a structured
-   read-only refusal (503 + Retry-After), not an opaque internal error:
-   the client may retry after recovery. Stores without a snapshot path
-   (purely in-memory fixtures) keep the old fail-closed rendering. *)
-let classify_write_error t ~sink msg =
-  if is_quarantine_message msg && t.snapshot_load <> None then
-    Error (Brownout_write_refused { sink })
-  else Error (db_error_at ~sink msg)
-
-(* Leave brownout: close the poisoned store, recover a fresh writable
-   one from disk, and swap it in. The Brownout_exit seam models a
-   recovery that fails mid-exit — the connector then {e stays} degraded
-   (snapshot reads, refused writes) rather than resuming on a
-   half-recovered store. Returns the new store handle so callers can
-   rebind checkpoint/flush plumbing. *)
-let exit_brownout t =
-  match t.reopen with
-  | None -> Error "connector has no durable store to recover"
-  | Some reopen -> (
-      match
-        Sesame_faults.hit Sesame_faults.Brownout_exit;
-        reopen ()
-      with
-      | Ok store ->
-          t.db <- Sesame_wal.Durable.db store;
-          Atomic.set t.brownout None;
-          Ok store
-      | Error _ as e -> e
-      | exception Sesame_faults.Injected { point; action; transient } ->
-          Error (Sesame_faults.injected_message point action ~transient))
+(* A write refused because the store was already read-only when it was
+   issued is a structured refusal (503 + Retry-After): nothing was
+   applied, so the client may retry after recovery. The write whose
+   journal failure poisons the store is not one (its frame may be
+   durable), and a poisoned store without a snapshot (an in-memory
+   fixture) keeps the fail-closed rendering. *)
+let write_error ~read_only ~sink msg =
+  if read_only then Error (Brownout_write_refused { sink }) else Error (db_error_at ~sink msg)
 
 (* Fail closed: a policy check that raises — from its own (trusted but
    fallible) code, or from an injected fault at the policy-check seam —
@@ -566,29 +448,22 @@ let select t ~context ?on sql ~params =
   let* () = deadline_guard ~sink in
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
-  with_brownout_read t @@ fun db ->
-  let raw_params = unwrap_params params in
-  let pushed =
-    match on with
-    | Some on when Enforce.pushdown_enabled () -> (
-        match Db.Sql.parse sql ~params:raw_params with
-        | Ok (Db.Sql.Select { table; _ }) ->
+  match Db.Sql.parse sql ~params:(unwrap_params params) with
+  | Error msg -> Error (db_error_at ~sink msg)
+  | Ok stmt -> (
+      let pred =
+        match (on, stmt) with
+        | Some on, Db.Sql.Select { table; _ } when Enforce.pushdown_enabled () ->
             Option.bind (Hashtbl.find_opt t.translations (table, on)) (fun f -> f context)
-        | _ -> None)
-    | Some _ | None -> None
-  in
-  match pushed with
-  | Some pred -> (
-      match Db.Database.select_rows_under db sql ~params:raw_params ~pred:(Some pred) with
-      | Error msg -> Error (db_error_at ~sink msg)
-      | Ok _ as selected ->
+        | _ -> None
+      in
+      match (Db.Database.select_rows_under t.db stmt ~pred, pred, on) with
+      | Error msg, _, _ -> Error (db_error_at ~sink msg)
+      | (Ok _ as selected), Some _, _ ->
           Enforce.note_pushdown ();
-          selected)
-  | None -> (
-      match (Db.Database.select_rows db sql ~params:raw_params, on) with
-      | Error msg, _ -> Error (db_error_at ~sink msg)
-      | (Ok _ as selected), None -> selected
-      | Ok (schema, rows), Some on ->
+          selected
+      | (Ok _ as selected), None, None -> selected
+      | Ok (schema, rows), None, Some on ->
           (* One check per distinct (immutable, interned) policy
              instance, memoized for this statement only, as a render's
              memo is, so it needs no invalidation. *)
@@ -739,9 +614,7 @@ let query_agg t ~context sql ~params =
   let* () = deadline_guard ~sink in
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
-  with_brownout_read t @@ fun db ->
-  let raw_params = unwrap_params params in
-  match Db.Sql.parse sql ~params:raw_params with
+  match Db.Sql.parse sql ~params:(unwrap_params params) with
   | Error msg -> Error (db_error_at ~sink msg)
   | Ok (Db.Sql.Select_agg { table; aggregates; group_by; _ } as stmt) -> (
       (* Elision fast path: the app certified the binding's leaf
@@ -791,7 +664,7 @@ let query_agg t ~context sql ~params =
           (function Some column -> bound column && not (binding_certified column) | None -> false)
           sources
       in
-      match Db.Database.exec_groups db ~members:need_members stmt with
+      match Db.Database.exec_groups t.db ~members:need_members stmt with
       | Error msg -> Error (db_error_at ~sink msg)
       | Ok (schema, columns, groups) ->
           let policy_for_group column members =
@@ -840,10 +713,11 @@ let insert t ~context ~table cells =
       }
   in
   with_resilience t ~sink @@ fun () ->
+  let read_only = Db.Database.read_only t.db in
   match Db.Database.exec_stmt t.db stmt with
   | Ok (Db.Database.Affected _) -> Ok ()
   | Ok (Db.Database.Rows _) -> Error (db_error "INSERT returned rows")
-  | Error msg -> classify_write_error t ~sink msg
+  | Error msg -> write_error ~read_only ~sink msg
 
 let execute t ~context sql ~params =
   let* () = require_trusted context in
@@ -851,9 +725,10 @@ let execute t ~context sql ~params =
   let* () = deadline_guard ~sink in
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
+  let read_only = Db.Database.read_only t.db in
   match Db.Database.exec t.db sql ~params:(unwrap_params params) with
   | Ok (Db.Database.Affected n) -> Ok n
   | Ok (Db.Database.Rows _) -> Error (db_error "execute expects UPDATE/DELETE/INSERT")
-  | Error msg -> classify_write_error t ~sink msg
+  | Error msg -> write_error ~read_only ~sink msg
 
 let param _t v = Pcon.wrap_no_policy v

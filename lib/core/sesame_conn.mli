@@ -63,7 +63,8 @@ type t
 
 val create : Db.Database.t -> t
 val database : t -> Db.Database.t
-(** Escape hatch for schema setup and test fixtures; reading application
+(** The store every statement runs on, for the life of the connector.
+    Escape hatch for schema setup and test fixtures; reading application
     data through it bypasses Sesame and is the moral equivalent of not
     using the mandated libraries. *)
 
@@ -85,28 +86,10 @@ val create_durable :
 
 (** {1 Brownout (degraded read-only serving)}
 
-    When the durable store poisons mid-flight (a journal fault, a quota
-    quarantine), a durable connector does not go dark: the first read to
-    notice rebuilds the last consistent on-disk state via
-    {!Sesame_wal.Durable.read_state} and serves reads from it — under
-    full policy enforcement — while marking each such response degraded
-    ({!Sesame_request.mark_degraded}); writes refuse with
-    {!Brownout_write_refused} until {!exit_brownout} recovers the
-    store. In-memory connectors have no snapshot and keep the original
-    whole-store fail-closed behavior. *)
-
-val in_brownout : t -> bool
-(** Is a brownout snapshot currently serving reads? *)
-
-val brownout_entries : t -> int
-(** Times this connector transitioned into brownout (monotone). *)
-
-val exit_brownout : t -> (Sesame_wal.Durable.t, string) result
-(** Close the poisoned store, recover a fresh writable one from disk,
-    and swap it in; clears the snapshot. On failure (including an
-    injected [brownout-exit] fault) the connector {e stays} degraded.
-    Returns the new store handle so callers can rebind checkpoint and
-    flush plumbing. Errors on connectors without a durable store. *)
+    The store owns brownout ({!Db.Database}). Snapshot rows are wrapped
+    and checked under the connector's bindings exactly as live ones
+    are, and a write the read-only store refuses comes back as
+    {!Brownout_write_refused}. *)
 
 (** {1 Resilience} *)
 

@@ -3,13 +3,22 @@ type journal_event =
   | J_create of Schema.t
   | J_drop of string
 
-type t = {
-  tables : (string, Table.t) Hashtbl.t;
+(* Whether the store serves: [Poisoned] once its journal diverged from
+   memory, [Brownout] once a read has published the snapshot it serves
+   reads from. *)
+type health =
+  | Live
+  | Poisoned of string
+  | Brownout of { reason : string; snapshot : t }
+
+and t = {
+  mutable tables : (string, Table.t) Hashtbl.t;  (* replaced whole by [refill] *)
   mutable query_cost_ns : int;
   queries : int Atomic.t;  (* exact under concurrent statement execution *)
   write : Mutex.t;  (* the write section: admission, apply and journal of one write *)
   mutable journal : (journal_event -> (unit, string) result) option;
-  poisoned : string option Atomic.t;  (* the first reason wins *)
+  mutable snapshot_source : (unit -> (t, string) result) option;
+  health : health Atomic.t;  (* the first poison reason wins *)
 }
 
 type exec_result =
@@ -23,7 +32,8 @@ let create ?(query_cost_ns = 0) () =
     queries = Atomic.make 0;
     write = Mutex.create ();
     journal = None;
-    poisoned = Atomic.make None;
+    snapshot_source = None;
+    health = Atomic.make Live;
   }
 
 let set_query_cost_ns t ns = t.query_cost_ns <- ns
@@ -31,17 +41,77 @@ let query_count t = Atomic.get t.queries
 let reset_query_count t = Atomic.set t.queries 0
 
 let set_journal t journal = t.journal <- journal
-let poison t reason = ignore (Atomic.compare_and_set t.poisoned None (Some reason) : bool)
-let poisoned t = Atomic.get t.poisoned
+let set_snapshot_source t load = t.snapshot_source <- Some load
+let poison t reason = ignore (Atomic.compare_and_set t.health Live (Poisoned reason) : bool)
+
+let poisoned t =
+  match Atomic.get t.health with
+  | Live -> None
+  | Poisoned reason | Brownout { reason; _ } -> Some reason
+
+let in_brownout t = match Atomic.get t.health with Brownout _ -> true | Live | Poisoned _ -> false
+let read_only t = t.snapshot_source <> None && poisoned t <> None
 let exclusive t f = Mutex.protect t.write f
 
-(* A store whose journal diverged from memory serves nothing — reads
-   included — until it is reopened through recovery. The client-facing
-   message is generic; the detailed reason stays in [poisoned]. *)
-let guard t =
-  match Atomic.get t.poisoned with
-  | None -> Ok ()
-  | Some _ -> Error "database quarantined: durable log write failed"
+(* A store whose journal diverged from memory takes no write until it
+   is reopened through recovery; it serves reads only from a snapshot
+   ([reader]). The client-facing message is generic; the detailed
+   reason stays in [poisoned]. *)
+let quarantined = "database quarantined: durable log write failed"
+
+let guard t = match Atomic.get t.health with Live -> Ok () | Poisoned _ | Brownout _ -> Error quarantined
+
+(* [fresh]'s tables get the secondary indexes [t]'s same-named tables
+   have. *)
+let index_like t fresh =
+  Hashtbl.iter
+    (fun name tbl ->
+      match Hashtbl.find_opt t.tables name with
+      | Some old ->
+          List.iter
+            (fun column -> if Schema.mem (Table.schema tbl) column then Table.ensure_index tbl column)
+            (Table.indexed_columns old)
+      | None -> ())
+    fresh.tables
+
+(* The snapshot source's state, indexed as [t] is, behind the
+   [brownout-enter] seam. [None] when there is none to have: an
+   in-memory store, or a build that failed, after which reads keep
+   failing closed. *)
+let build_snapshot t =
+  match t.snapshot_source with
+  | None -> None
+  | Some load -> (
+      match
+        Sesame_faults.hit Sesame_faults.Brownout_enter;
+        load ()
+      with
+      | Ok snapshot ->
+          index_like t snapshot;
+          Some snapshot
+      | Error _ | (exception Sesame_faults.Injected _) -> None)
+
+(* The database a read statement reads: [t] while it is live, else the
+   snapshot, marked on the request. The first read to find none builds
+   it; one compare-and-set publishes it, so of domains building at
+   once, the first to publish wins. *)
+let rec reader t =
+  match Atomic.get t.health with
+  | Live -> Ok t
+  | Brownout { snapshot; _ } ->
+      Sesame_request.mark_degraded "snapshot";
+      Ok snapshot
+  | Poisoned reason as poisoned -> (
+      match build_snapshot t with
+      | None -> Error quarantined
+      | Some snapshot ->
+          ignore (Atomic.compare_and_set t.health poisoned (Brownout { reason; snapshot }) : bool);
+          reader t)
+
+let refill t ~from =
+  index_like t from;
+  t.tables <- from.tables;
+  Atomic.set t.health Live
 
 (* The write is applied first, journaled second: only statements the
    engine accepted reach the log, so recovery treats any replay failure
@@ -360,58 +430,67 @@ let admit_write () =
   Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
   Sesame_request.guard "wal commit admission"
 
-(* Admission, [apply] and the journal of its event, in the write
-   section: writes apply in the journal's order. *)
+(* Every statement is refused on a spent budget, then charged one round
+   trip to [t]. A read gets the database it reads ([reader]). *)
+let admit_read t =
+  let* db = reader t in
+  let* () = Sesame_request.guard "db statement" in
+  charge t;
+  Ok db
+
+(* A write is refused on a quarantined store, then admitted as a read
+   is; [apply] and the journal of its event run in the write section,
+   on the tables the store holds then: writes apply in the journal's
+   order, and none to a store poisoned in the meantime. *)
 let write t apply =
+  let* () = guard t in
+  let* () = Sesame_request.guard "db statement" in
+  charge t;
   exclusive t @@ fun () ->
+  let* () = guard t in
   let* () = admit_write () in
   let* result, event = apply () in
   let* () = journal_applied t event in
   Ok result
 
-(* Every statement is refused on a quarantined store or a spent budget,
-   then charged one round trip. *)
-let admit_statement t =
-  let* () = guard t in
-  let* () = Sesame_request.guard "db statement" in
-  Ok (charge t)
-
 let exec_stmt t stmt =
   protect_faults @@ fun () ->
-  let* () = admit_statement t in
   match stmt with
   | Sql.Select { table; columns; where; order_by; limit } ->
-      let* tbl = lookup t table in
+      let* db = admit_read t in
+      let* tbl = lookup db table in
       let* columns, rows = run_plain_select tbl ~columns ~where ~order_by ~limit in
       Ok (Rows { columns; rows })
   | Sql.Select_agg { table; aggregates; where; group_by } ->
-      let* tbl = lookup t table in
+      let* db = admit_read t in
+      let* tbl = lookup db table in
       let* columns, groups = run_agg_select ~members:false tbl ~aggregates ~where ~group_by in
       Ok (Rows { columns; rows = List.map fst groups })
   | Sql.Insert { table; columns; values } ->
+      write t @@ fun () ->
       let* tbl = lookup t table in
       let* row = insert_row tbl ~columns ~values in
-      write t @@ fun () ->
       let* key = Table.insert tbl row in
       let logged = Option.fold ~none:stmt ~some:(fun k -> with_key tbl stmt (Value.Int k)) key in
       Ok (Affected 1, J_stmt logged)
   | Sql.Update { table; set; where } ->
+      write t @@ fun () ->
       let* tbl = lookup t table in
       let* () = Expr.validate (Table.schema tbl) where in
-      write t @@ fun () ->
       let* n = Table.update tbl ~where ~set in
       Ok (Affected n, J_stmt stmt)
   | Sql.Delete { table; where } ->
+      write t @@ fun () ->
       let* tbl = lookup t table in
       let* () = Expr.validate (Table.schema tbl) where in
-      write t @@ fun () -> Ok (Affected (Table.delete tbl ~where), J_stmt stmt)
+      Ok (Affected (Table.delete tbl ~where), J_stmt stmt)
 
 let exec_groups t ~members stmt =
   match stmt with
   | Sql.Select_agg { table; aggregates; where; group_by } ->
       protect_faults @@ fun () ->
-      let* () = admit_statement t in
-      let* tbl = lookup t table in
+      let* db = admit_read t in
+      let* tbl = lookup db table in
       let* columns, groups = run_agg_select ~members tbl ~aggregates ~where ~group_by in
       Ok (Table.schema tbl, columns, groups)
   | Sql.Select _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
@@ -421,12 +500,12 @@ let exec t src ~params =
   let* stmt = Sql.parse src ~params in
   exec_stmt t stmt
 
-let select_rows_under t src ~params ~pred =
-  let* stmt = Sql.parse src ~params in
+let select_rows_under t stmt ~pred =
   match stmt with
-  | Sql.Select { table; columns = None; where; order_by; limit } -> (
-      let* () = guard t in
-      let* tbl = lookup t table in
+  | Sql.Select { table; columns = None; where; order_by; limit } ->
+      protect_faults @@ fun () ->
+      let* db = admit_read t in
+      let* tbl = lookup db table in
       (* The pushdown hook: an extra predicate (typically a policy's
          row translation) conjoined into the statement's own WHERE, so
          it rides the same index-candidate selection and early
@@ -439,13 +518,11 @@ let select_rows_under t src ~params ~pred =
             let* () = Expr.validate (Table.schema tbl) extra in
             Ok (match where with Expr.True -> extra | w -> Expr.And (w, extra))
       in
-      let* _, rows =
-        protect_faults (fun () ->
-            let* () = admit_statement t in
-            run_plain_select tbl ~columns:None ~where ~order_by ~limit)
-      in
-      Ok (Table.schema tbl, rows))
+      let* _, rows = run_plain_select tbl ~columns:None ~where ~order_by ~limit in
+      Ok (Table.schema tbl, rows)
   | Sql.Select _ | Sql.Select_agg _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
       Error "select_rows expects a SELECT * statement"
 
-let select_rows t src ~params = select_rows_under t src ~params ~pred:None
+let select_rows t src ~params =
+  let* stmt = Sql.parse src ~params in
+  select_rows_under t stmt ~pred:None

@@ -8,7 +8,19 @@
     Writes are serialised by one mutex, the write section: each
     [INSERT], [UPDATE], [DELETE], {!create_table} and {!drop_table}
     applies and runs the journal hook inside it, so writes apply in the
-    journal's order. Reads take only their table's lock. *)
+    journal's order. Reads take only their table's lock.
+
+    {2 Brownout}
+
+    A {!poison}ed store takes no write until {!refill}. With a snapshot
+    source it keeps serving reads: every read statement ({!exec} and
+    {!exec_stmt} SELECTs, {!exec_groups}, {!select_rows} and
+    {!select_rows_under}) reads the snapshot, with the snapshot table's
+    schema, and marks the request
+    ["snapshot"] ({!Sesame_request.mark_degraded}). The first read to
+    find no snapshot builds it, behind the [brownout-enter] fault seam;
+    one compare-and-set publishes it. A failed build leaves reads
+    failing closed. *)
 
 type t
 
@@ -37,12 +49,30 @@ val exclusive : t -> (unit -> 'a) -> 'a
 (** Runs [f] inside the write section. Not re-entrant: [f] must not
     write to [t]. *)
 
+val set_snapshot_source : t -> (unit -> (t, string) result) -> unit
+(** Installs, before the database is shared, what builds the read-only
+    snapshot a poisoned store serves reads from: the last consistent
+    state on disk. Indexed as [t] is when built. *)
+
 val poison : t -> string -> unit
-(** Quarantines the store: every subsequent statement — reads included —
-    fails with a generic, classified-permanent error until the store is
-    reopened through recovery. Idempotent; the first reason wins. *)
+(** Quarantines the store: every subsequent write fails with a generic,
+    classified-permanent error until {!refill}; reads do too unless a
+    snapshot serves them. Idempotent; the first reason wins. *)
 
 val poisoned : t -> string option
+
+val read_only : t -> bool
+(** Poisoned, with a snapshot source: reads are served, writes refused. *)
+
+val in_brownout : t -> bool
+(** Is a published snapshot serving this poisoned store's reads? *)
+
+val refill : t -> from:t -> unit
+(** Recovery into the same handle, so every holder of [t] reads the
+    recovered tables: [from]'s replace [t]'s, each with the secondary
+    indexes [t]'s same-named table had, and [t] is live again. Its query
+    cost, counters and hooks stay. Run it inside {!exclusive}, with
+    [from] not shared. *)
 
 val set_query_cost_ns : t -> int -> unit
 val query_count : t -> int
@@ -94,13 +124,10 @@ val select_rows :
     the statement is not a [SELECT *]. *)
 
 val select_rows_under :
-  t ->
-  string ->
-  params:Value.t list ->
-  pred:Expr.t option ->
-  ((Schema.t * Row.t list), string) result
-(** {!select_rows} with an extra predicate conjoined into the
-    statement's WHERE — the predicate-pushdown hook: a policy's row
-    translation filters denied rows {e during} the (possibly indexed)
-    scan instead of post-hoc over materialized rows. [pred] is validated
-    against the table schema; [None] is exactly {!select_rows}. *)
+  t -> Sql.stmt -> pred:Expr.t option -> ((Schema.t * Row.t list), string) result
+(** {!select_rows} of a parsed statement, with an extra predicate
+    conjoined into its WHERE — the predicate-pushdown hook: a policy's
+    row translation filters denied rows {e during} the (possibly
+    indexed) scan instead of post-hoc over materialized rows. [pred] is
+    validated against the table schema; [None] is exactly
+    {!select_rows}. *)

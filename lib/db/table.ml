@@ -122,6 +122,10 @@ let has_index t column =
   | Some col -> Rwlock.rd t.lock (fun () -> Hashtbl.mem t.secondary col)
   | None -> false
 
+let indexed_columns t =
+  Rwlock.rd t.lock (fun () ->
+      Hashtbl.fold (fun col _ acc -> Schema.column_name t.schema col :: acc) t.secondary [])
+
 (* The keys [where] pins column [col] to — one for an equality, the
    list for an IN — when the index can serve them: every key must have
    the column's own type, because the index hashes stored values

@@ -32,6 +32,9 @@ val has_index : t -> string -> bool
 (** Whether a secondary index exists for the column. Indexes exist only
     where {!ensure_index} built them. *)
 
+val indexed_columns : t -> string list
+(** The columns {!ensure_index} built an index on. *)
+
 val select : ?limit:int -> t -> where:Expr.t -> Row.t list
 (** Matching rows in insertion order, at most [limit] when given (the
     scan stops early — no full result is materialized). Routes through

@@ -48,7 +48,7 @@ let error_message (Recovery_failed { dir; reason }) =
   Printf.sprintf "recovery of %s failed closed: %s" dir (reason_message reason)
 
 type provenance_fn =
-  table:string -> column:string -> row:Sesame_db.Row.t option -> Provenance.leaf list
+  schema:Schema.t -> column:string -> row:Sesame_db.Row.t option -> Provenance.leaf list
 
 type commit_stats = {
   appended : int;  (* frames journaled *)
@@ -195,15 +195,10 @@ let decode_record payload =
    columns of an UPDATE; a DELETE binds none but still journals the
    schema hash. For an INSERT the full row is reconstructed so
    row-dependent policy families journal their exact parameters. *)
-let stmt_provenance t ~table stmt =
-  let schema =
-    match Db.table t.db table with
-    | Some tbl -> Some (Table.schema tbl)
-    | None -> None
-  in
+let stmt_provenance t ~schema stmt =
   let columns, row =
-    match (stmt, schema) with
-    | Sql.Insert { columns; values; _ }, Some schema ->
+    match stmt with
+    | Sql.Insert { columns; values; _ } ->
         let cols =
           match columns with
           | Some cols -> cols
@@ -219,10 +214,10 @@ let stmt_provenance t ~table stmt =
               | Error _ | (exception Invalid_argument _) -> None)
         in
         (cols, row)
-    | Sql.Update { set; _ }, _ -> (List.map fst set, None)
-    | (Sql.Insert _ | Sql.Delete _ | Sql.Select _ | Sql.Select_agg _), _ -> ([], None)
+    | Sql.Update { set; _ } -> (List.map fst set, None)
+    | Sql.Delete _ | Sql.Select _ | Sql.Select_agg _ -> ([], None)
   in
-  List.map (fun column -> (column, t.provenance ~table ~column ~row)) columns
+  List.map (fun column -> (column, t.provenance ~schema ~column ~row)) columns
 
 (* [w]'s counts on top of those of the writers it replaced: the
    counters run across checkpoints, which each reopen the log. *)
@@ -287,13 +282,14 @@ let journal t event =
                   table
               | Sql.Select _ | Sql.Select_agg _ -> assert false
             in
-            let schema_hash =
+            let schema_hash, prov =
               match Db.table t.db table with
-              | Some tbl -> B.schema_hash (Table.schema tbl)
-              | None -> 0l
+              | Some tbl ->
+                  let schema = Table.schema tbl in
+                  (B.schema_hash schema, stmt_provenance t ~schema stmt)
+              | None -> (0l, [])
             in
-            encode_stmt_record ~lsn ~table ~schema_hash ~stmt
-              ~prov:(stmt_provenance t ~table stmt)
+            encode_stmt_record ~lsn ~table ~schema_hash ~stmt ~prov
         | Db.J_create schema -> encode_create_record ~lsn schema
         | Db.J_drop name -> encode_drop_record ~lsn name
       in
@@ -313,8 +309,8 @@ let commit_stats t = match t.writer with None -> t.retired | Some w -> writer_st
 
 let checkpoint t = Db.exclusive t.db (fun () -> checkpoint_in_section t)
 
-let close t =
-  Db.exclusive t.db @@ fun () ->
+(* Runs inside the database's write section. *)
+let close_writer t =
   match t.writer with
   | None -> Ok ()
   | Some w ->
@@ -322,6 +318,8 @@ let close t =
       t.retired <- writer_stats t w;
       t.writer <- None;
       r
+
+let close t = Db.exclusive t.db (fun () -> close_writer t)
 
 (* {1 Recovery} *)
 
@@ -458,20 +456,14 @@ let read_state ~dir =
       | Error detail -> fail dir (Corrupt_record { offset = 0; detail })
     else Ok ([], ())
   in
-  let* db, _, last_lsn, replayed, () = replay_dir ~dir ~scan in
-  Ok (db, last_lsn, replayed)
+  let* db, _, _, _, () = replay_dir ~dir ~scan in
+  Ok db
 
-let open_store ?(config = default_config) ~provenance ~dir () =
-  let ensure_dir () =
-    try
-      (match Unix.mkdir dir 0o755 with
-      | () -> ()
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      Ok ()
-    with Unix.Unix_error (e, _, _) ->
-      fail dir (Corrupt_checkpoint (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e)))
-  in
-  let* () = ensure_dir () in
+(* Recover the directory into [t]'s handles: refused on a quarantined
+   directory, and a recovery that fails closed quarantines it. Runs in
+   the database's write section, or before [t] is shared. *)
+let recover_into t =
+  let dir = t.dir in
   let* () =
     if Sys.file_exists (quarantine_path dir) then begin
       let detail =
@@ -486,25 +478,64 @@ let open_store ?(config = default_config) ~provenance ~dir () =
     end
     else Ok ()
   in
-  match recover ~dir ~config with
-  | Error (Recovery_failed { reason; _ } as e) ->
+  match recover ~dir ~config:t.config with
+  | Error (Recovery_failed { reason; _ }) as e ->
       (match reason with Quarantined _ -> () | _ -> write_quarantine dir reason);
-      Error e
-  | Ok (db, writer, ckpt_lsn, last_lsn, replayed) ->
-      let t =
-        {
-          dir;
-          db;
-          config;
-          provenance;
-          writer = Some writer;
-          retired = { appended = 0; flushes = 0; fsyncs = 0 };
-          next_lsn = Int64.succ last_lsn;
-          ckpt_lsn;
-          since_ckpt = 0;
-          replayed;
-          last_ckpt_error = None;
-        }
-      in
-      Db.set_journal db (Some (journal t));
-      Ok t
+      e
+  | Ok (recovered, writer, ckpt_lsn, last_lsn, replayed) ->
+      t.writer <- Some writer;
+      t.next_lsn <- Int64.succ last_lsn;
+      t.ckpt_lsn <- ckpt_lsn;
+      t.since_ckpt <- 0;
+      t.replayed <- replayed;
+      t.last_ckpt_error <- None;
+      Db.refill t.db ~from:recovered;
+      Ok ()
+
+let open_store ?(config = default_config) ~provenance ~dir () =
+  let ensure_dir () =
+    try
+      (match Unix.mkdir dir 0o755 with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+      Ok ()
+    with Unix.Unix_error (e, _, _) ->
+      fail dir (Corrupt_checkpoint (Printf.sprintf "cannot create %s: %s" dir (Unix.error_message e)))
+  in
+  let* () = ensure_dir () in
+  let t =
+    {
+      dir;
+      db = Db.create ();
+      config;
+      provenance;
+      writer = None;
+      retired = { appended = 0; flushes = 0; fsyncs = 0 };
+      next_lsn = 1L;
+      ckpt_lsn = 0L;
+      since_ckpt = 0;
+      replayed = 0;
+      last_ckpt_error = None;
+    }
+  in
+  let* () = recover_into t in
+  Db.set_journal t.db (Some (journal t));
+  Db.set_snapshot_source t.db (fun () -> Result.map_error error_message (read_state ~dir));
+  Ok t
+
+(* The Brownout_exit seam models a recovery that fails before it
+   starts: the store stays as it was, degraded if it was. A recovery
+   that fails later has closed the writer: the store is poisoned, so
+   it takes no write and reads what a snapshot can give. *)
+let reopen t =
+  match Sesame_faults.hit Sesame_faults.Brownout_exit with
+  | exception Sesame_faults.Injected { point; action; transient } ->
+      Error (Sesame_faults.injected_message point action ~transient)
+  | () -> (
+      Db.exclusive t.db @@ fun () ->
+      ignore (close_writer t : (unit, string) result);
+      match recover_into t with
+      | Ok () -> Ok ()
+      | Error e ->
+          Db.poison t.db (error_message e);
+          Error (error_message e))

@@ -36,7 +36,15 @@
     passes CRC but does not decode, a policy constructor not registered
     in {!Provenance}, a schema hash that drifted, or a replayed
     statement the engine rejects. A row is never loaded without its
-    exact original policy. *)
+    exact original policy.
+
+    {2 Brownout}
+
+    {!open_store} also gives the database its snapshot source: the
+    last consistent state on disk (checkpoint + every intact WAL
+    record), read without touching the directory, so a poisoned store
+    keeps serving reads (see {!Sesame_db.Database}). {!reopen} recovers the directory into the
+    same handles: every holder of {!db} reads the recovered tables. *)
 
 type sync_mode =
   | No_sync  (** write-behind: OS page cache only; a crash may lose the tail *)
@@ -75,13 +83,13 @@ val error_message : error -> string
 type t
 
 type provenance_fn =
-  table:string -> column:string -> row:Sesame_db.Row.t option -> Provenance.leaf list
-(** Reports the flattened policy conjuncts governing [column] at journal
-    time. [row] is the full inserted row when the statement binds one
-    (an [INSERT]), letting row-dependent policy families render their
-    exact parameters; [UPDATE]/[DELETE] journal family names without a
-    row. Register every family name with {!Provenance.register} before
-    opening. *)
+  schema:Sesame_db.Schema.t -> column:string -> row:Sesame_db.Row.t option -> Provenance.leaf list
+(** Reports the flattened policy conjuncts governing [column] of the
+    table [schema] describes at journal time. [row] is the full inserted
+    row when the statement binds one (an [INSERT]), letting
+    row-dependent policy families render their exact parameters;
+    [UPDATE]/[DELETE] journal family names without a row. Register
+    every family name with {!Provenance.register} before opening. *)
 
 val open_store :
   ?config:config -> provenance:provenance_fn -> dir:string -> unit -> (t, error) result
@@ -108,19 +116,20 @@ val close : t -> (unit, string) result
     later mutation fails (and poisons) rather than silently running
     un-journaled. *)
 
+val reopen : t -> (unit, string) result
+(** Recover the directory into the same handles, in the database's
+    write section: the log is closed, checkpoint + WAL are recovered as
+    {!open_store} recovers them, and the recovered tables replace the
+    database's ({!Sesame_db.Database.refill}: declared secondary
+    indexes rebuilt, query cost kept, poison and snapshot cleared), with
+    a new writer. [t] and {!db} stay the same objects. An injected
+    [brownout-exit] fault fails it before anything changes, so a
+    degraded store stays degraded; a recovery that fails closed leaves
+    the store poisoned. *)
+
 val clear_quarantine : dir:string -> unit
 (** Operator override: removes the [QUARANTINE] marker so the next
     {!open_store} re-attempts recovery. *)
-
-val read_state : dir:string -> (Sesame_db.Database.t * int64 * int, error) result
-(** Read-only snapshot recovery, for brownout serving: rebuilds the last
-    consistent state (checkpoint + every intact WAL record) into a fresh
-    in-memory database without touching the directory — no truncation,
-    no quarantine marker, no writer. A torn tail is tolerated (the valid
-    prefix is replayed); everything a real recovery would refuse is
-    still refused. Returns [(db, last_lsn, replayed)]. The returned
-    database has no journal hook: mutations against it succeed silently
-    in memory only — callers must not expose it for writes. *)
 
 (** {1 Introspection (tests, benchmarks)} *)
 

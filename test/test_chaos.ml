@@ -436,15 +436,11 @@ let server_tests =
             check_int "write refused while degraded" 503 status;
             check_bool "retryable" true (retry_after headers <> None);
             check_bool "says read-only" true (contains body "read-only");
-            (* Recovery swaps in a fresh store: reads lose the marker,
-               writes acknowledge again. *)
-            let recovered =
-              match Apps.Websubmit.recover app with
-              | Ok store' -> store'
-              | Error m -> Alcotest.failf "recovery failed: %s" m
-            in
-            Fun.protect ~finally:(fun () -> ignore (Sesame_wal.Durable.close recovered))
-            @@ fun () ->
+            (* Recovery refills the store in place: reads lose the
+               marker, writes acknowledge again. *)
+            (match Sesame_wal.Durable.reopen (Option.get store) with
+            | Ok () -> ()
+            | Error m -> Alcotest.failf "recovery failed: %s" m);
             let status, headers, _ =
               call ~port ~headers:[ admin_cookie ] Http.Meth.GET "/aggregates"
             in

@@ -173,22 +173,20 @@ let boundary_tests =
    field. *)
 let mutable_fields =
   [
-    ("apps/websubmit.ml", "db", "setup, and recover (an operator action); one word, read whole");
     ("apps/websubmit.ml", "model", "retrain publishes a whole model in one word");
     ("apps/websubmit_baseline.ml", "model", "the Fig. 8 baseline, driven from one domain");
     ("core/region.ml", "last", "a diagnostic sample: each run publishes its timings in one word");
     ("core/region.ml", "signature", "setup only: signed at review, before serving");
-    ("core/sesame_conn.ml", "db", "exit_brownout, an operator action; one word, read per attempt");
     ("core/sesame_conn.ml", "retry", "setup only (configure_resilience)");
     ("core/sesame_conn.ml", "breaker", "setup only (configure_resilience)");
     ("core/sesame_conn.ml", "jitter", "setup only (configure_resilience); states are per domain");
     ("core/sesame_conn.ml", "sleep", "setup only (configure_resilience)");
     ("core/sesame_conn.ml", "now", "setup only (configure_resilience)");
-    ("core/sesame_conn.ml", "snapshot_load", "setup only (create_durable)");
-    ("core/sesame_conn.ml", "reopen", "setup only (create_durable)");
     ("db/bincodec.ml", "pos", "one decode's reader");
+    ("db/database.ml", "tables", "the write section: create, drop and refill; one word, read whole");
     ("db/database.ml", "query_cost_ns", "setup only");
     ("db/database.ml", "journal", "setup only: installed before the store is shared");
+    ("db/database.ml", "snapshot_source", "setup only: installed before the store is shared");
     ("db/rwlock.ml", "readers", "the lock's own mutex");
     ("db/rwlock.ml", "writer", "the lock's own mutex");
     ("db/rwlock.ml", "waiting_writers", "the lock's own mutex");
@@ -244,7 +242,7 @@ let mutable_fields =
     ("wal/durable.ml", "next_lsn", "the database's write section");
     ("wal/durable.ml", "ckpt_lsn", "the database's write section");
     ("wal/durable.ml", "since_ckpt", "the database's write section");
-    ("wal/durable.ml", "replayed", "setup only: set by recovery");
+    ("wal/durable.ml", "replayed", "the database's write section: set by recovery and reopen");
     ("wal/durable.ml", "last_ckpt_error", "the database's write section");
     ("wal/wal.ml", "appended", "its owner's lock: the write section, or the recorder's mutex");
     ("wal/wal.ml", "closed", "its owner's lock: the write section, or the recorder's mutex");
@@ -321,6 +319,86 @@ let mutable_tests =
           mutable_fields);
   ]
 
+(* Module-level cells are shared by every domain in the process, so
+   each [ref] or [Hashtbl] bound at the top of a lib/ module is listed
+   with what keeps it race-free, as a mutable field is. *)
+let module_cells =
+  [
+    ("core/build_mode.ml", "mode", "setup only: set before serving; with_mode scopes it in tests");
+    ("core/pcon.ml", "default", "setup only: set_default_storage runs before serving");
+    ("core/registry.ml", "table", "the registry's mutex");
+    ("faults/sesame_faults.ml", "enabled", "arm and disarm, between requests; handlers read one word");
+    ("faults/sesame_faults.ml", "plans", "arm and disarm, between requests; handlers read one word");
+    ("faults/sesame_faults.ml", "rng", "arm; drawn only by an armed Corrupt plan, in one-request tests");
+    ("wal/provenance.ml", "registry", "setup only: families register before a store opens");
+  ]
+
+(* Every (line, name) that [code] binds at the top of the module to a
+   fresh [ref] or [Hashtbl]: [let] first on its line, a name, an
+   optional type, then [= ref] or [= Hashtbl.create]. *)
+let module_cell_decls code =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         let n = String.length line in
+         let rec past_ident j = if j < n && ident_char line.[j] then past_ident (j + 1) else j in
+         if n > 4 && String.sub line 0 4 = "let " then
+           let stop = past_ident 4 in
+           match String.index_from_opt line stop '=' with
+           | Some eq when stop > 4 ->
+               let rhs = String.trim (String.sub line (eq + 1) (n - eq - 1)) in
+               let starts p = String.length rhs >= String.length p && String.sub rhs 0 (String.length p) = p in
+               if starts "ref " || starts "ref(" || starts "Hashtbl.create" then
+                 [ (i + 1, String.sub line 4 (stop - 4)) ]
+               else []
+           | Some _ | None -> []
+         else [])
+       (String.split_on_char '\n' code))
+
+let lib_module_cells () =
+  List.concat_map
+    (fun file ->
+      List.map
+        (fun (line, name) -> (file, line, name))
+        (module_cell_decls (read_file (Filename.concat lib_dir file))))
+    (ml_files "")
+
+let module_cell_tests =
+  [
+    test "the cell scanner matches top-level refs and tables only" (fun () ->
+        let src =
+          "let a = ref 0\n\
+           let b : (string, int) Hashtbl.t = Hashtbl.create 4\n\
+          \  let c = ref 0\n\
+           let d = Atomic.make 0\n\
+           let refs = [ 1 ]\n\
+           let e = references\n"
+        in
+        Alcotest.(check (list (pair int string)))
+          "a and b" [ (1, "a"); (2, "b") ] (module_cell_decls src));
+    test "every module-level ref or Hashtbl in lib/ is listed with its guard" (fun () ->
+        let listed (file, _, name) =
+          List.exists (fun (f, x, _) -> String.equal f file && String.equal x name) module_cells
+        in
+        match List.filter (fun d -> not (listed d)) (lib_module_cells ()) with
+        | [] -> ()
+        | stray ->
+            Alcotest.failf "module-level cells with no stated guard:\n%s"
+              (String.concat "\n"
+                 (List.map (fun (f, l, x) -> Printf.sprintf "  lib/%s:%d: %s" f l x) stray)));
+    test "every module-cell entry names a cell, and says why" (fun () ->
+        let declared = lib_module_cells () in
+        List.iter
+          (fun (file, name, guard) ->
+            let label = Printf.sprintf "lib/%s %s" file name in
+            Alcotest.(check bool) (label ^ " has a guard") true (guard <> "");
+            if not (List.exists (fun (f, _, x) -> f = file && x = name) declared) then
+              Alcotest.failf "stale entry: %s" label)
+          module_cells);
+  ]
+
 (* One group, so the runner's column widths and the printed test names
    stay as they were before the boundary test joined. *)
-let () = Alcotest.run "egress" [ ("audit", audit_tests @ boundary_tests @ mutable_tests) ]
+let () =
+  Alcotest.run "egress"
+    [ ("audit", audit_tests @ boundary_tests @ mutable_tests @ module_cell_tests) ]

@@ -221,9 +221,10 @@ let matrix_tests =
 
 (* ------------------------------------------------------------------ *)
 (* The durable-store seams. WAL append/fsync faults must fail the
-   statement — never acknowledge — and poison the store so even reads
-   fail closed (without leaking) until a reopen through recovery, which
-   must serve every acknowledged row under its original policy.
+   statement — never acknowledge — and poison the store: it takes no
+   write, and serves reads from the last consistent state on disk under
+   every policy, until a reopen through recovery, which must serve
+   every acknowledged row under its original policy.
    Checkpoint faults are recoverable: traffic continues, and the old
    checkpoint + WAL stay authoritative. *)
 
@@ -295,17 +296,26 @@ let wal_write_case (point, action) =
           check_bool (Printf.sprintf "no %S in faulted response" marker) false
             (contains (body response) marker))
         leak_markers;
-      (* Memory and log have diverged: the store is poisoned, and even
-         reads fail closed — still without leaking. *)
+      (* Memory and log have diverged: the store is poisoned. Reads are
+         served from the last consistent state on disk, marked, under
+         every policy, and still without leaking. *)
       check_bool "poison reason recorded" true
         (Db.Database.poisoned (Apps.Websubmit.database app) <> None);
-      let read = view app ~user:"student0@school.edu" 1 in
-      check_bool "reads fail while quarantined" true (status read >= 400);
+      let read, degraded =
+        Sesame_request.serve Sesame_request.none (fun () ->
+            view app ~user:"student0@school.edu" 1)
+      in
+      check_int "the author reads the snapshot" 200 (status read);
+      check_str "marked degraded" "snapshot" (Option.value ~default:"" degraded);
+      let denied = view app ~user:"student1@school.edu" 1 in
+      check_bool "another student is denied on the snapshot" true (status denied >= 400);
+      (* The denial says "no such answer", so the probe looks for the
+         seeded answer text itself. *)
       List.iter
         (fun marker ->
           check_bool (Printf.sprintf "no %S while quarantined" marker) false
-            (contains (body read) marker))
-        leak_markers;
+            (contains (body denied) marker))
+        [ "answer 0 from"; "school.edu" ];
       ignore (Wal.Durable.close store);
       (* Reopen through recovery. An append fault strikes before the frame
          is buffered, so the failed insert is gone; an fsync fault strikes
@@ -470,11 +480,9 @@ let poison app =
   check_bool "store poisoned" true
     (Db.Database.poisoned (Apps.Websubmit.database app) <> None)
 
-(* While the live store is poisoned, session lookup (a direct-db path)
-   cannot resolve students; only the admin fallback authenticates. The
-   brownout cases therefore probe as admin — which the view and submit
-   policies both admit — so they observe the connector's degraded
-   serving, not a 401 from the auth shim. *)
+(* The brownout cases probe as admin, whom the view and submit policies
+   both admit; [brownout_student_case] probes as a student, whose
+   session lookup reads the snapshot too. *)
 let admin = "admin@school.edu"
 
 let submit_as app ~user n =
@@ -524,13 +532,13 @@ let brownout_enter_case action =
             (contains (body response) marker))
         leak_markers;
       check_bool "did not enter brownout" false
-        (Sesame_conn.in_brownout (Apps.Websubmit.conn app));
+        (Db.Database.in_brownout (Apps.Websubmit.database app));
       (* Fault cleared: the next read enters brownout and serves the
          snapshot, marked degraded. *)
       let after, degraded = aggregates_tracking_degraded app in
       check_int "snapshot read serves after disarm" 200 (status after);
       check_str "marked degraded" "snapshot" (Option.value ~default:"" degraded);
-      check_bool "now in brownout" true (Sesame_conn.in_brownout (Apps.Websubmit.conn app));
+      check_bool "now in brownout" true (Db.Database.in_brownout (Apps.Websubmit.database app));
       ignore (Wal.Durable.close store))
 
 let brownout_exit_case action =
@@ -548,27 +556,98 @@ let brownout_exit_case action =
          on a half-recovered store. *)
       let result, traversals =
         with_plans [ F.plan ~nth:0 F.Brownout_exit action ] (fun () ->
-            let r = Apps.Websubmit.recover app in
+            let r = Wal.Durable.reopen store in
             (r, F.hits F.Brownout_exit))
       in
       check_bool "seam traversed" true (traversals > 0);
       check_bool "recovery reports failure" true (Result.is_error result);
-      check_bool "still in brownout" true (Sesame_conn.in_brownout (Apps.Websubmit.conn app));
+      check_bool "still in brownout" true (Db.Database.in_brownout (Apps.Websubmit.database app));
       let still, degraded = aggregates_tracking_degraded app in
       check_int "degraded reads still serve" 200 (status still);
       check_str "still marked degraded" "snapshot" (Option.value ~default:"" degraded);
       check_bool "writes still refused" true (status (submit_as app ~user:admin 2) >= 400);
       (* Fault cleared: recovery completes, writes acknowledge again and
          reads are fresh (no degraded marker). *)
-      (match Apps.Websubmit.recover app with
+      (match Wal.Durable.reopen store with
       | Error m -> Alcotest.failf "recovery after disarm failed: %s" m
-      | Ok store' ->
-          check_bool "left brownout" false (Sesame_conn.in_brownout (Apps.Websubmit.conn app));
+      | Ok () ->
+          check_bool "left brownout" false (Db.Database.in_brownout (Apps.Websubmit.database app));
           let fresh, degraded = aggregates_tracking_degraded app in
           check_int "fresh read serves" 200 (status fresh);
           check_bool "no degraded marker" true (degraded = None);
-          check_int "writes acknowledge again" 201 (status (submit app 3));
-          ignore (Wal.Durable.close store'));
+          check_int "writes acknowledge again" 201 (status (submit app 3)));
+      ignore (Wal.Durable.close store))
+
+(* Brownout and recovery reach every reader, because every reader
+   holds the one store: session lookup, the policies' own lookups
+   (discussion leaders, ML consent, the retrain pushdown) and the
+   indexes the app declared. *)
+let retrain app =
+  Apps.Websubmit.retrain_model app (req ~cookies:("user=" ^ admin) Http.Meth.POST "/retrain")
+
+let trained app =
+  match Apps.Websubmit.model app with
+  | Some model ->
+      let w, b = Pcon.Internal.unwrap model in
+      (Int64.bits_of_float w, Int64.bits_of_float b)
+  | None -> Alcotest.fail "no model after retrain"
+
+let leader_answers app =
+  Apps.Websubmit.handle app (req ~cookies:"user=leader@school.edu" Http.Meth.GET "/answers/1")
+
+let brownout_recovery_case =
+  test "brownout recovery restores every reader" (fun () ->
+      let dir = fresh_dir () in
+      let app, store = durable_websubmit dir in
+      let db = Apps.Websubmit.database app in
+      let one_handle label =
+        check_bool (label ^ ": the app reads the store's handle") true (db == Wal.Durable.db store)
+      in
+      one_handle "before the poison";
+      check_int "retrains before the poison" 200 (status (retrain app));
+      let weights = trained app in
+      let leads = leader_answers app in
+      check_int "the leader reads lecture 1" 200 (status leads);
+      poison app;
+      check_int "brownout read serves" 200 (status (fst (aggregates_tracking_degraded app)));
+      check_bool "in brownout" true (Db.Database.in_brownout db);
+      one_handle "during brownout";
+      (match Wal.Durable.reopen store with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "recovery failed: %s" m);
+      one_handle "after the reopen";
+      check_int "retrains after the reopen" 200 (status (retrain app));
+      check_bool "the same (w, b)" true (trained app = weights);
+      let leads' = leader_answers app in
+      check_int "the leader reads lecture 1 after the reopen" 200 (status leads');
+      check_str "the same bytes" (body leads) (body leads');
+      List.iter
+        (fun (table, column) ->
+          match Db.Database.table db table with
+          | Some tbl ->
+              check_bool (Printf.sprintf "%s.%s indexed" table column) true
+                (Db.Table.has_index tbl column)
+          | None -> Alcotest.failf "no table %s after the reopen" table)
+        [ ("answers", "email"); ("answers", "lecture"); ("users", "email");
+          ("discussion_leaders", "lecture") ];
+      ignore (Wal.Durable.close store))
+
+let brownout_student_case =
+  test "brownout serves a student session" (fun () ->
+      let dir = fresh_dir () in
+      let app, store = durable_websubmit dir in
+      poison app;
+      let own, degraded =
+        Sesame_request.serve Sesame_request.none (fun () ->
+            view app ~user:"student0@school.edu" 1)
+      in
+      check_int "the student reads their own answer" 200 (status own);
+      check_str "marked degraded" "snapshot" (Option.value ~default:"" degraded);
+      let refused = submit app 2 in
+      check_int "their submit is refused" 503 (status refused);
+      check_bool "retryable" true
+        (Http.Headers.get refused.Http.Response.headers "Retry-After" <> None);
+      check_bool "says read-only" true (contains (body refused) "read-only");
       ignore (Wal.Durable.close store))
 
 let overload_matrix_tests =
@@ -577,6 +656,7 @@ let overload_matrix_tests =
   @ List.map wal_commit_deadline_case actions
   @ List.map brownout_enter_case actions
   @ List.map brownout_exit_case [ F.Raise; F.Exhaust ]
+  @ [ brownout_recovery_case; brownout_student_case ]
 
 (* ------------------------------------------------------------------ *)
 (* Connector resilience: retry/backoff and the circuit breaker *)

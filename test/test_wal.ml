@@ -32,7 +32,7 @@ let notes_schema =
 (* Row-dependent parameter rendering, as a real policy family would do:
    an INSERT journals the owner the policy binds to, an UPDATE/DELETE
    only the family. *)
-let provenance ~table:_ ~column ~row =
+let provenance ~schema:_ ~column ~row =
   let param =
     match row with
     | Some row -> Db.Value.to_string row.(1)
