@@ -793,9 +793,9 @@ let index_hot_columns db =
   Db.Database.ensure_index db ~table:"discussion_leaders" ~column:"lecture"
 
 let answer_count t =
-  match Db.Database.table t.db "answers" with
-  | Some tbl -> Db.Table.length tbl
-  | None -> 0
+  match Db.Database.exec t.db "SELECT COUNT(*) FROM answers" ~params:[] with
+  | Ok (Db.Database.Rows { rows = [ [| Db.Value.Int n |] ]; _ }) -> n
+  | Ok _ | Error _ -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Seeding (the Fig. 8 workload: a medium-sized course). *)

@@ -94,8 +94,9 @@ val policy_family_names : string list
 (** The seven families' stable constructor names, as journaled. *)
 
 val answer_count : t -> int
-(** Rows currently in [answers] — lets a durable caller decide whether
-    seeding is needed after recovery. *)
+(** Rows in [answers], counted by one read statement, so a store in
+    brownout counts its snapshot — lets a durable caller decide whether
+    seeding is needed after recovery. 0 when the statement fails. *)
 
 val conn : t -> C.Sesame_conn.t
 

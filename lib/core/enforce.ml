@@ -176,10 +176,8 @@ let rec check_verbose policy ctx =
         let rec walk = function
           | [] -> Ok ()
           | m :: rest -> (
-              if Sesame_request.expired_now () then
-                Error (Sesame_request.error_message "policy conjunction")
-              else
-                match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
+              Sesame_request.check "policy conjunction";
+              match check_verbose m ctx with Ok () -> walk rest | Error _ as e -> e)
         in
         walk members
   end

@@ -9,9 +9,11 @@
       live context.
     - {b Deadlines.} A conjunction's members are checked in member order
       on the calling domain, stopping at the first denial, which is the
-      one reported. The walk stops early, with a
-      {!Sesame_request.error_message} refusal, once the ambient
-      deadline has expired.
+      one reported. Once the ambient deadline has expired the walk
+      raises {!Sesame_request.Expired}[ "policy conjunction"] before the
+      next member, as a table scan does: a spent budget is no verdict,
+      so it never reads as a denial. The sinks turn it into their
+      budget refusal.
 
     Every other check runs, every time: no verdict is cached.
     Parallelism comes from concurrent requests, one domain each, never
@@ -19,6 +21,8 @@
 
 val check : Policy.t -> Context.t -> bool
 val check_verbose : Policy.t -> Context.t -> (unit, string) result
+(** Both raise {!Sesame_request.Expired} when a conjunction's walk
+    outlives the ambient deadline. *)
 
 val set_elision : bool -> unit
 (** Default on. Off = certified checks run anyway (the ablation

@@ -34,30 +34,19 @@ let pp_error fmt = function
       Format.fprintf fmt
         "durable store is in read-only brownout: write refused at sink %s" sink
 
-(* Transient faults are worth retrying (contention, lost connections, the
-   injector's Exhaust action); everything else — SQL errors, missing
-   tables, type mismatches — is deterministic and must fail immediately. *)
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
+let permanent message = Db_error { message; transient = false }
 
-let transient_markers =
-  [ "transient:"; "timeout"; "timed out"; "unavailable"; "connection"; "deadlock" ]
+let deadline_exceeded ~sink what =
+  Deadline_exceeded { sink; message = Sesame_request.error_message what }
 
-let is_transient_db_message message =
-  let lower = String.lowercase_ascii message in
-  List.exists (contains_substring lower) transient_markers
-
-(* Deadline refusals surface through the ordinary error channel as
-   messages prefixed [Sesame_request.marker]; reclassify them so they
-   are never mistaken for backend faults (and never retried — a request
-   that is out of budget only gets further out of budget). *)
-let db_error_at ~sink message =
-  if Sesame_request.is_deadline_error message then Deadline_exceeded { sink; message }
-  else Db_error { message; transient = is_transient_db_message message }
-
-let db_error message = db_error_at ~sink:"db" message
+(* The store's class of a failure, at [sink]. Only a transient one is
+   retried; a spent budget is a verdict on the request, not a backend
+   fault, and a read-only store refused the write before applying it. *)
+let db_error ~sink : Db.Database.error -> error = function
+  | Transient message -> Db_error { message; transient = true }
+  | Permanent message -> permanent message
+  | Over_budget what -> deadline_exceeded ~sink what
+  | Read_only -> Brownout_write_refused { sink }
 
 (* The one client-facing rendering of connector errors. Bodies are
    generic on purpose: backend messages (SQL errors, quarantine reasons,
@@ -301,15 +290,11 @@ let with_resilience t ~sink op =
       Atomic.incr h.short_circuited;
       Error (Breaker_open { sink })
   | Closed | Half_open ->
-      (* A deadline expiry raised mid-operation (e.g. from a scan
-         checkpoint reached outside the statement executor) is a verdict
-         on this request's budget, not a health signal: surface it
-         structured, feed the breaker nothing, never retry. *)
-      let op () =
-        try op ()
-        with Sesame_request.Expired what ->
-          Error (Deadline_exceeded { sink; message = Sesame_request.error_message what })
-      in
+      (* A deadline expiry raised mid-operation outside the statement
+         executor (e.g. from a post-hoc policy check's conjunction walk)
+         is a verdict on this request's budget, not a health signal:
+         surface it structured, feed the breaker nothing, never retry. *)
+      let op () = try op () with Sesame_request.Expired what -> Error (deadline_exceeded ~sink what) in
       let rec attempt k =
         Atomic.incr h.attempts;
         match op () with
@@ -364,18 +349,7 @@ let require_trusted context =
 (* Sink handoff: a request that has already missed its budget is refused
    before any policy check or backend call runs. *)
 let deadline_guard ~sink =
-  match Sesame_request.guard ("sink " ^ sink) with
-  | Ok () -> Ok ()
-  | Error message -> Error (Deadline_exceeded { sink; message })
-
-(* A write refused because the store was already read-only when it was
-   issued is a structured refusal (503 + Retry-After): nothing was
-   applied, so the client may retry after recovery. The write whose
-   journal failure poisons the store is not one (its frame may be
-   durable), and a poisoned store without a snapshot (an in-memory
-   fixture) keeps the fail-closed rendering. *)
-let write_error ~read_only ~sink msg =
-  if read_only then Error (Brownout_write_refused { sink }) else Error (db_error_at ~sink msg)
+  if Sesame_request.expired_now () then Error (deadline_exceeded ~sink ("sink " ^ sink)) else Ok ()
 
 (* Fail closed: a policy check that raises — from its own (trusted but
    fallible) code, or from an injected fault at the policy-check seam —
@@ -392,11 +366,11 @@ let check_param context ~sink ~index pcon =
     Enforce.check_verbose (Pcon.policy pcon) context
   with
   | Ok () -> Ok ()
-  | Error msg when Sesame_request.is_deadline_error msg ->
+  | Error msg -> denied msg
+  | exception Sesame_request.Expired what ->
       (* A check abandoned for budget is not a verdict on the policy:
          surface it as the budget refusal it is, not as a denial. *)
-      Error (Deadline_exceeded { sink; message = msg })
-  | Error msg -> denied msg
+      Error (deadline_exceeded ~sink what)
   | exception Sesame_faults.Injected _ -> denied "policy check aborted by injected fault"
   | exception exn ->
       denied (Printf.sprintf "policy check raised (%s)" (Printexc.to_string exn))
@@ -449,7 +423,7 @@ let select t ~context ?on sql ~params =
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
   match Db.Sql.parse sql ~params:(unwrap_params params) with
-  | Error msg -> Error (db_error_at ~sink msg)
+  | Error msg -> Error (permanent msg)
   | Ok stmt -> (
       let pred =
         match (on, stmt) with
@@ -458,7 +432,7 @@ let select t ~context ?on sql ~params =
         | _ -> None
       in
       match (Db.Database.select_rows_under t.db stmt ~pred, pred, on) with
-      | Error msg, _, _ -> Error (db_error_at ~sink msg)
+      | Error e, _, _ -> Error (db_error ~sink e)
       | (Ok _ as selected), Some _, _ ->
           Enforce.note_pushdown ();
           selected
@@ -615,7 +589,7 @@ let query_agg t ~context sql ~params =
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
   match Db.Sql.parse sql ~params:(unwrap_params params) with
-  | Error msg -> Error (db_error_at ~sink msg)
+  | Error msg -> Error (permanent msg)
   | Ok (Db.Sql.Select_agg { table; aggregates; group_by; _ } as stmt) -> (
       (* Elision fast path: the app certified the binding's leaf
          families, declared the endpoint's release sinks, and a plan
@@ -665,7 +639,7 @@ let query_agg t ~context sql ~params =
           sources
       in
       match Db.Database.exec_groups t.db ~members:need_members stmt with
-      | Error msg -> Error (db_error_at ~sink msg)
+      | Error e -> Error (db_error ~sink e)
       | Ok (schema, columns, groups) ->
           let policy_for_group column members =
             if not (bound column) then Policy.no_policy
@@ -695,7 +669,7 @@ let query_agg t ~context sql ~params =
           in
           Ok (List.map wrap_row groups))
   | Ok (Db.Sql.Select _ | Db.Sql.Insert _ | Db.Sql.Update _ | Db.Sql.Delete _) ->
-      Error (db_error "query_agg expects an aggregate SELECT")
+      Error (permanent "query_agg expects an aggregate SELECT")
 
 let insert t ~context ~table cells =
   let* () = require_trusted context in
@@ -713,11 +687,10 @@ let insert t ~context ~table cells =
       }
   in
   with_resilience t ~sink @@ fun () ->
-  let read_only = Db.Database.read_only t.db in
   match Db.Database.exec_stmt t.db stmt with
   | Ok (Db.Database.Affected _) -> Ok ()
-  | Ok (Db.Database.Rows _) -> Error (db_error "INSERT returned rows")
-  | Error msg -> write_error ~read_only ~sink msg
+  | Ok (Db.Database.Rows _) -> Error (permanent "INSERT returned rows")
+  | Error e -> Error (db_error ~sink e)
 
 let execute t ~context sql ~params =
   let* () = require_trusted context in
@@ -725,10 +698,12 @@ let execute t ~context sql ~params =
   let* () = deadline_guard ~sink in
   let* () = check_params context ~sink params in
   with_resilience t ~sink @@ fun () ->
-  let read_only = Db.Database.read_only t.db in
-  match Db.Database.exec t.db sql ~params:(unwrap_params params) with
-  | Ok (Db.Database.Affected n) -> Ok n
-  | Ok (Db.Database.Rows _) -> Error (db_error "execute expects UPDATE/DELETE/INSERT")
-  | Error msg -> write_error ~read_only ~sink msg
+  match Db.Sql.parse sql ~params:(unwrap_params params) with
+  | Error msg -> Error (permanent msg)
+  | Ok stmt -> (
+      match Db.Database.exec_stmt t.db stmt with
+      | Ok (Db.Database.Affected n) -> Ok n
+      | Ok (Db.Database.Rows _) -> Error (permanent "execute expects UPDATE/DELETE/INSERT")
+      | Error e -> Error (db_error ~sink e))
 
 let param _t v = Pcon.wrap_no_policy v

@@ -13,8 +13,9 @@
 
     The connector is the single choke point where enforcement meets a
     fallible backend, so every failure path fails {e closed}: policy
-    checks that raise deny; transient database errors are retried with
-    capped exponential backoff and jitter; persistent failure trips a
+    checks that raise deny; database errors the store classifies
+    {!Db.Database.Transient} are retried with capped exponential backoff
+    and jitter; persistent failure trips a
     per-sink circuit breaker that short-circuits calls (as
     {!Breaker_open}) until a cooldown passes and a probe succeeds. *)
 
@@ -54,11 +55,6 @@ val error_response : ?retry_after_s:int -> error -> Sesame_http.Response.t
     {!Deadline_exceeded}, {!Brownout_write_refused}) carries a
     [Retry-After] header ([retry_after_s], default 1). *)
 
-val is_transient_db_message : string -> bool
-(** The transient/permanent classifier applied to backend error strings
-    (matches the ["transient: "] prefix used by injected faults plus
-    common timeout/connection markers). *)
-
 type t
 
 val create : Db.Database.t -> t
@@ -88,8 +84,8 @@ val create_durable :
 
     The store owns brownout ({!Db.Database}). Snapshot rows are wrapped
     and checked under the connector's bindings exactly as live ones
-    are, and a write the read-only store refuses comes back as
-    {!Brownout_write_refused}. *)
+    are, and a write the read-only store refuses
+    ({!Db.Database.Read_only}) comes back as {!Brownout_write_refused}. *)
 
 (** {1 Resilience} *)
 

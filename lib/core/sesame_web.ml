@@ -3,6 +3,7 @@ module Http = Sesame_http
 type error =
   | Untrusted_context
   | Policy_denied of { policy : string; context : string }
+  | Deadline_exceeded of { sink : string; message : string }
   | Render_error of string
 
 let pp_error fmt = function
@@ -10,14 +11,19 @@ let pp_error fmt = function
       Format.pp_print_string fmt "built-in sinks require a Sesame-created (trusted) context"
   | Policy_denied { policy; context } ->
       Format.fprintf fmt "policy check failed: %s against context [%s]" policy context
+  | Deadline_exceeded { sink; message } ->
+      Format.fprintf fmt "request budget exhausted at sink %s: %s" sink message
   | Render_error msg -> Format.fprintf fmt "render error: %s" msg
 
 (* Client-facing bodies are generic on purpose: the structured error (and
    whatever the server logs) keeps the detail; the response must not echo
-   internal render/DB state to the requester. *)
+   internal render/DB state to the requester. A spent budget renders as
+   the connector renders it. *)
 let error_response = function
   | Untrusted_context -> Http.Response.error Http.Status.Forbidden "untrusted context"
   | Policy_denied _ -> Http.Response.error Http.Status.Forbidden "policy check failed"
+  | Deadline_exceeded { sink; message } ->
+      Sesame_conn.error_response (Sesame_conn.Deadline_exceeded { sink; message })
   | Render_error _ -> Http.Response.error Http.Status.Internal_error "internal error"
 
 let context_for request ?user ?custom () =
@@ -54,12 +60,10 @@ let require_trusted context =
   if Context.is_trusted context then Ok () else Error Untrusted_context
 
 (* Fail closed: a policy check that raises — from its own fallible code or
-   from an injected fault at the policy-check seam — is a denial. The
-   check itself goes through Enforce, so verdicts for a (policy, context)
-   pair are cached across requests until any DB mutation or policy
-   rebinding retires them; the fault seam stays outside the cache and
-   fires on every call. *)
-let check context pcon =
+   from an injected fault at the policy-check seam — is a denial. A check
+   that runs out of budget is no verdict: it is the budget refusal. *)
+let check ~sink context pcon =
+  let context = Context.with_sink context sink in
   match
     Sesame_faults.hit Sesame_faults.Policy_check;
     Enforce.check_verbose (Pcon.policy pcon) context
@@ -67,6 +71,8 @@ let check context pcon =
   | Ok () -> Ok (Pcon.Internal.unwrap pcon)
   | Error msg ->
       Error (Policy_denied { policy = msg; context = Context.describe context })
+  | exception Sesame_request.Expired what ->
+      Error (Deadline_exceeded { sink; message = Sesame_request.error_message what })
   | exception Sesame_faults.Injected _ ->
       Error
         (Policy_denied
@@ -86,7 +92,7 @@ let check context pcon =
    policy object — e.g. aggregate cells over one column. Re-checking the
    identical object against the identical context is pure recomputation,
    so cache verdicts by physical identity for the render's duration. *)
-let memoized_check context =
+let memoized_check ~sink context =
   let seen : (int, (unit, error) result) Hashtbl.t = Hashtbl.create 16 in
   fun pcon ->
     let key = Policy.id (Pcon.policy pcon) in
@@ -94,7 +100,7 @@ let memoized_check context =
       match Hashtbl.find_opt seen key with
       | Some verdict -> verdict
       | None ->
-          let verdict = Result.map (fun _ -> ()) (check context pcon) in
+          let verdict = Result.map (fun _ -> ()) (check ~sink context pcon) in
           Hashtbl.add seen key verdict;
           verdict
     in
@@ -129,8 +135,7 @@ let rec resolve_bindings checked = function
 
 let render ~context template bindings =
   let* () = require_trusted context in
-  let context = Context.with_sink context "http::render" in
-  let* resolved = resolve_bindings (memoized_check context) bindings in
+  let* resolved = resolve_bindings (memoized_check ~sink:"http::render" context) bindings in
   (* The render itself is a seam too: a template engine crash (or an
      injected fault) must not leak the resolved bindings — it becomes a
      structured render error whose client-facing body is generic. *)
@@ -146,12 +151,10 @@ let render ~context template bindings =
 
 let respond_text ~context pcon =
   let* () = require_trusted context in
-  let context = Context.with_sink context "http::respond" in
-  let* raw = check context pcon in
+  let* raw = check ~sink:"http::respond" context pcon in
   Ok (Http.Response.text raw)
 
 let set_cookie ~context response ~name ~value =
   let* () = require_trusted context in
-  let context = Context.with_sink context "http::cookie" in
-  let* raw = check context value in
+  let* raw = check ~sink:"http::cookie" context value in
   Ok (Http.Response.with_cookie response ~name ~value:raw)

@@ -13,13 +13,18 @@ module Http = Sesame_http
 type error =
   | Untrusted_context
   | Policy_denied of { policy : string; context : string }
+  | Deadline_exceeded of { sink : string; message : string }
+      (** the request's budget ran out during a sink's policy check:
+          no verdict, so no denial *)
   | Render_error of string
 
 val pp_error : Format.formatter -> error -> unit
 val error_response : error -> Http.Response.t
-(** 403 for policy/trust failures, 500 for render errors. Bodies are
-    generic ("policy check failed", "internal error"): the detail stays
-    in the structured error and must not be echoed to the client. *)
+(** 403 for policy/trust failures, 500 for render errors, and for
+    {!Deadline_exceeded} the connector's rendering: 503 with
+    [Retry-After] and "request deadline exceeded". Bodies are generic
+    ("policy check failed", "internal error"): the detail stays in the
+    structured error and must not be echoed to the client. *)
 
 val context_for :
   Http.Request.t -> ?user:string -> ?custom:(string * string) list -> unit -> Context.t

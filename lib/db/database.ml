@@ -25,6 +25,12 @@ type exec_result =
   | Rows of { columns : string list; rows : Value.t array list }
   | Affected of int
 
+type error =
+  | Permanent of string
+  | Transient of string
+  | Over_budget of string
+  | Read_only
+
 let create ?(query_cost_ns = 0) () =
   {
     tables = Hashtbl.create 8;
@@ -50,16 +56,28 @@ let poisoned t =
   | Poisoned reason | Brownout { reason; _ } -> Some reason
 
 let in_brownout t = match Atomic.get t.health with Brownout _ -> true | Live | Poisoned _ -> false
-let read_only t = t.snapshot_source <> None && poisoned t <> None
 let exclusive t f = Mutex.protect t.write f
 
 (* A store whose journal diverged from memory takes no write until it
    is reopened through recovery; it serves reads only from a snapshot
-   ([reader]). The client-facing message is generic; the detailed
-   reason stays in [poisoned]. *)
+   ([reader]). The message is generic; the detailed reason stays in
+   [poisoned]. *)
 let quarantined = "database quarantined: durable log write failed"
 
-let guard t = match Atomic.get t.health with Live -> Ok () | Poisoned _ | Brownout _ -> Error quarantined
+let error_message = function
+  | Permanent message | Transient message -> message
+  | Over_budget what -> Sesame_request.error_message what
+  | Read_only -> quarantined
+
+(* Write admission: a poisoned store refuses, [Read_only] when a
+   snapshot serves its reads, so the refusal invites a retry after
+   recovery. *)
+let admit_write t =
+  match Atomic.get t.health with
+  | Live -> Ok ()
+  | Poisoned _ | Brownout _ -> Error (if t.snapshot_source = None then Permanent quarantined else Read_only)
+
+let guard t = Result.map_error error_message (admit_write t)
 
 (* [fresh]'s tables get the secondary indexes [t]'s same-named tables
    have. *)
@@ -103,7 +121,7 @@ let rec reader t =
       Ok snapshot
   | Poisoned reason as poisoned -> (
       match build_snapshot t with
-      | None -> Error quarantined
+      | None -> Error (Permanent quarantined)
       | Some snapshot ->
           ignore (Atomic.compare_and_set t.health poisoned (Brownout { reason; snapshot }) : bool);
           reader t)
@@ -410,59 +428,58 @@ let with_key tbl stmt key =
         { table; columns; values = List.map2 (fun c v -> if c = pk then key else v) names values }
   | _ -> stmt
 
-(* An injected fault at the query seam must surface through the ordinary
-   error channel — classifiable by the connector's retry machinery — not
-   as an exception unwinding through the server. *)
-let protect_faults f =
+let permanent r = Result.map_error (fun message -> Permanent message) r
+
+(* An injected fault or a spent budget inside a statement surfaces as
+   its class through the ordinary error channel, not as an exception
+   unwinding through the server. *)
+let classified f =
   try f () with
   | Sesame_faults.Injected { point; action; transient } ->
-      Error (Sesame_faults.injected_message point action ~transient)
-  | Sesame_request.Expired what -> Error (Sesame_request.error_message what)
-
-(* Write admission: a mutation that has already missed its budget is
-   refused here, before the engine applies anything — memory and journal
-   never diverge over a deadline, so a late write can be refused without
-   poisoning the store and without a torn journal record. The scan
-   checkpoints inside [Table] can still abandon a mutation during its
-   read phase (before any row changed); once the apply loop starts the
-   statement runs to completion, journal included. *)
-let admit_write () =
-  Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
-  Sesame_request.guard "wal commit admission"
+      let message = Sesame_faults.injected_message point action in
+      Error (if transient then Transient message else Permanent message)
+  | Sesame_request.Expired what -> Error (Over_budget what)
 
 (* Every statement is refused on a spent budget, then charged one round
-   trip to [t]. A read gets the database it reads ([reader]). *)
-let admit_read t =
+   trip to [t]. A read runs on the database it reads ([reader]). *)
+let read t run =
   let* db = reader t in
-  let* () = Sesame_request.guard "db statement" in
+  Sesame_request.check "db statement";
   charge t;
-  Ok db
+  permanent (run db)
 
-(* A write is refused on a quarantined store, then admitted as a read
-   is; [apply] and the journal of its event run in the write section,
-   on the tables the store holds then: writes apply in the journal's
-   order, and none to a store poisoned in the meantime. *)
+(* A write is refused on a poisoned store, then admitted as a read is;
+   [apply] and the journal of its event run in the write section, on
+   the tables the store holds then: writes apply in the journal's
+   order, and none to a store poisoned in the meantime. A mutation that
+   has already missed its budget is refused at the section's door,
+   before the engine applies anything, so a late write never poisons
+   the store. The scan checkpoints inside [Table] can still abandon a
+   mutation during its read phase (before any row changed); once the
+   apply loop starts the statement runs to completion, journal
+   included. *)
 let write t apply =
-  let* () = guard t in
-  let* () = Sesame_request.guard "db statement" in
+  let* () = admit_write t in
+  Sesame_request.check "db statement";
   charge t;
   exclusive t @@ fun () ->
-  let* () = guard t in
-  let* () = admit_write () in
-  let* result, event = apply () in
-  let* () = journal_applied t event in
+  let* () = admit_write t in
+  Sesame_faults.hit Sesame_faults.Wal_commit_deadline;
+  Sesame_request.check "wal commit admission";
+  let* result, event = permanent (apply ()) in
+  let* () = permanent (journal_applied t event) in
   Ok result
 
 let exec_stmt t stmt =
-  protect_faults @@ fun () ->
+  classified @@ fun () ->
   match stmt with
   | Sql.Select { table; columns; where; order_by; limit } ->
-      let* db = admit_read t in
+      read t @@ fun db ->
       let* tbl = lookup db table in
       let* columns, rows = run_plain_select tbl ~columns ~where ~order_by ~limit in
       Ok (Rows { columns; rows })
   | Sql.Select_agg { table; aggregates; where; group_by } ->
-      let* db = admit_read t in
+      read t @@ fun db ->
       let* tbl = lookup db table in
       let* columns, groups = run_agg_select ~members:false tbl ~aggregates ~where ~group_by in
       Ok (Rows { columns; rows = List.map fst groups })
@@ -488,23 +505,23 @@ let exec_stmt t stmt =
 let exec_groups t ~members stmt =
   match stmt with
   | Sql.Select_agg { table; aggregates; where; group_by } ->
-      protect_faults @@ fun () ->
-      let* db = admit_read t in
+      classified @@ fun () ->
+      read t @@ fun db ->
       let* tbl = lookup db table in
       let* columns, groups = run_agg_select ~members tbl ~aggregates ~where ~group_by in
       Ok (Table.schema tbl, columns, groups)
   | Sql.Select _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
-      Error "exec_groups expects an aggregate SELECT"
+      Error (Permanent "exec_groups expects an aggregate SELECT")
 
 let exec t src ~params =
   let* stmt = Sql.parse src ~params in
-  exec_stmt t stmt
+  Result.map_error error_message (exec_stmt t stmt)
 
 let select_rows_under t stmt ~pred =
   match stmt with
   | Sql.Select { table; columns = None; where; order_by; limit } ->
-      protect_faults @@ fun () ->
-      let* db = admit_read t in
+      classified @@ fun () ->
+      read t @@ fun db ->
       let* tbl = lookup db table in
       (* The pushdown hook: an extra predicate (typically a policy's
          row translation) conjoined into the statement's own WHERE, so
@@ -521,8 +538,4 @@ let select_rows_under t stmt ~pred =
       let* _, rows = run_plain_select tbl ~columns:None ~where ~order_by ~limit in
       Ok (Table.schema tbl, rows)
   | Sql.Select _ | Sql.Select_agg _ | Sql.Insert _ | Sql.Update _ | Sql.Delete _ ->
-      Error "select_rows expects a SELECT * statement"
-
-let select_rows t src ~params =
-  let* stmt = Sql.parse src ~params in
-  select_rows_under t stmt ~pred:None
+      Error (Permanent "select_rows_under expects a SELECT * statement")

@@ -8,13 +8,17 @@
     Writes are serialised by one mutex, the write section: each
     [INSERT], [UPDATE], [DELETE], {!create_table} and {!drop_table}
     applies and runs the journal hook inside it, so writes apply in the
-    journal's order. Reads take only their table's lock.
+    journal's order. Reads take only their table's lock. A write is
+    admitted twice, before its round trip and again inside the section:
+    a poisoned store or a spent budget refuses it there, before the
+    engine applies anything.
 
     {2 Brownout}
 
-    A {!poison}ed store takes no write until {!refill}. With a snapshot
-    source it keeps serving reads: every read statement ({!exec} and
-    {!exec_stmt} SELECTs, {!exec_groups}, {!select_rows} and
+    A {!poison}ed store takes no write until {!refill}: with a snapshot
+    source the refusal is {!Read_only}, without one {!Permanent}. With a
+    snapshot source it keeps serving reads: every read statement
+    ({!exec} and {!exec_stmt} SELECTs, {!exec_groups} and
     {!select_rows_under}) reads the snapshot, with the snapshot table's
     schema, and marks the request
     ["snapshot"] ({!Sesame_request.mark_degraded}). The first read to
@@ -27,6 +31,26 @@ type t
 type exec_result =
   | Rows of { columns : string list; rows : Value.t array list }
   | Affected of int
+
+(** Why a statement failed, by class. The class is decided where the
+    failure arises, never read back from a message. *)
+type error =
+  | Permanent of string
+      (** SQL, schema and constraint errors, a poisoned store that
+          serves no snapshot, or a write whose journal append failed
+          (memory and log diverged; its frame may be durable) *)
+  | Transient of string
+      (** an injected fault whose {!Sesame_faults.Injected} is marked
+          [transient]: worth retrying *)
+  | Over_budget of string
+      (** the request's budget ran out ({!Sesame_request.Expired} or a
+          spent admission check); names the layer that noticed *)
+  | Read_only
+      (** the store is poisoned and serves reads from its snapshot: the
+          write was refused before anything was applied *)
+
+val error_message : error -> string
+(** The message of a class, for callers that only print it. *)
 
 type journal_event =
   | J_stmt of Sql.stmt  (** a mutating statement the engine accepted *)
@@ -55,14 +79,12 @@ val set_snapshot_source : t -> (unit -> (t, string) result) -> unit
     state on disk. Indexed as [t] is when built. *)
 
 val poison : t -> string -> unit
-(** Quarantines the store: every subsequent write fails with a generic,
-    classified-permanent error until {!refill}; reads do too unless a
-    snapshot serves them. Idempotent; the first reason wins. *)
+(** Quarantines the store: every subsequent write is refused until
+    {!refill} ({!Read_only} with a snapshot source, {!Permanent}
+    without); reads fail {!Permanent} too unless a snapshot serves
+    them. Idempotent; the first reason wins. *)
 
 val poisoned : t -> string option
-
-val read_only : t -> bool
-(** Poisoned, with a snapshot source: reads are served, writes refused. *)
 
 val in_brownout : t -> bool
 (** Is a published snapshot serving this poisoned store's reads? *)
@@ -97,11 +119,12 @@ val table_names : t -> string list
 val drop_table : t -> string -> (unit, string) result
 
 val exec : t -> string -> params:Value.t list -> (exec_result, string) result
-(** Parses, binds, and runs one statement. A [SELECT *] returns the
-    table's stored rows, shared rather than copied (see {!Table.select}):
-    they stay a snapshot, and callers must not write to them. *)
+(** Parses, binds, and runs one statement, as {!exec_stmt} does; the
+    error is its {!error_message}. A [SELECT *] returns the table's
+    stored rows, shared rather than copied (see {!Table.select}): they
+    stay a snapshot, and callers must not write to them. *)
 
-val exec_stmt : t -> Sql.stmt -> (exec_result, string) result
+val exec_stmt : t -> Sql.stmt -> (exec_result, error) result
 (** An [INSERT] that leaves an [Int] primary key out, or [NULL], gets
     its key from the store ({!Table.insert}); the journal hook sees the
     key bound, first in the column list if the list left it out. *)
@@ -110,24 +133,19 @@ val exec_groups :
   t ->
   members:bool ->
   Sql.stmt ->
-  (Schema.t * string list * (Value.t array * Row.t list) list, string) result
+  (Schema.t * string list * (Value.t array * Row.t list) list, error) result
 (** Runs an aggregate [SELECT] as {!exec_stmt} does (one statement) and
     returns the table's schema, the result columns and the result rows,
     each with its group's matching rows in match order when [members]
     (otherwise [[]]), from the same scan. Fails on any other statement. *)
 
-val select_rows :
-  t -> string -> params:Value.t list -> ((Schema.t * Row.t list), string) result
-(** Convenience for [SELECT *] queries: returns the table schema along with
-    the full rows, which the Sesame connector needs to instantiate
-    per-row policies. The rows are shared, as {!exec}'s are. Fails if
-    the statement is not a [SELECT *]. *)
-
 val select_rows_under :
-  t -> Sql.stmt -> pred:Expr.t option -> ((Schema.t * Row.t list), string) result
-(** {!select_rows} of a parsed statement, with an extra predicate
-    conjoined into its WHERE — the predicate-pushdown hook: a policy's
-    row translation filters denied rows {e during} the (possibly
-    indexed) scan instead of post-hoc over materialized rows. [pred] is
-    validated against the table schema; [None] is exactly
-    {!select_rows}. *)
+  t -> Sql.stmt -> pred:Expr.t option -> ((Schema.t * Row.t list), error) result
+(** Runs a [SELECT *] statement and returns the table schema along with
+    the full rows, which the Sesame connector needs to instantiate
+    per-row policies. The rows are shared, as {!exec}'s are. [pred] is
+    an extra predicate conjoined into the WHERE — the predicate-pushdown
+    hook: a policy's row translation filters denied rows {e during} the
+    (possibly indexed) scan instead of post-hoc over materialized rows.
+    It is validated against the table schema. Fails if the statement is
+    not a [SELECT *]. *)

@@ -113,10 +113,8 @@ let action_of_string s =
 
 exception Injected of { point : point; action : action; transient : bool }
 
-let injected_message point action ~transient =
-  Printf.sprintf "%sinjected fault at %s (%s)"
-    (if transient then "transient: " else "")
-    (point_name point) (action_name action)
+let injected_message point action =
+  Printf.sprintf "injected fault at %s (%s)" (point_name point) (action_name action)
 
 type plan = { point : point; action : action; nth : int }
 

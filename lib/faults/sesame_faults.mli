@@ -94,9 +94,9 @@ exception Injected of { point : point; action : action; transient : bool }
     retry machinery may treat those as retryable; everything else is
     permanent and must fail closed immediately. *)
 
-val injected_message : point -> action -> transient:bool -> string
-(** Canonical rendering, prefixed ["transient: "] when transient, so
-    string-level error channels (the DB layer) stay classifiable. *)
+val injected_message : point -> action -> string
+(** Canonical rendering. Names the seam and the action only: a fault's
+    class travels in {!Injected}'s [transient], never in its text. *)
 
 type plan = { point : point; action : action; nth : int }
 (** Fires on the [nth] traversal of [point] (1-based). [nth = 0] fires on

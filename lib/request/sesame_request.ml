@@ -65,14 +65,5 @@ let expired_now () = expired (current ())
 
 exception Expired of string
 
-let marker = "deadline exceeded"
-let error_message what = Printf.sprintf "%s: %s over budget" marker what
-
-let is_deadline_error msg =
-  String.length msg >= String.length marker
-  && String.sub msg 0 (String.length marker) = marker
-
+let error_message what = Printf.sprintf "deadline exceeded: %s over budget" what
 let check what = if expired_now () then raise (Expired what)
-
-let guard what =
-  if expired_now () then Error (error_message what) else Ok ()

@@ -79,26 +79,18 @@ val expired_now : unit -> bool
 (** [expired (current ())]. *)
 
 exception Expired of string
-(** Raised by {!check} when the ambient deadline has passed. The payload
-    names the layer that noticed ("db scan", "wal commit", ...). Layers
-    that speak [result] catch this and surface {!error_message}. *)
+(** Raised by {!check} when the ambient deadline has passed: the one
+    signal of a spent budget, from a table scan to a sink. The payload
+    names the layer that noticed ("db scan", "policy conjunction", ...).
+    A layer that speaks [result] catches it into a typed class of its
+    own (the store's [Over_budget], the connector's
+    [Deadline_exceeded]), never into a message another layer searches. *)
 
 val check : string -> unit
 (** [check what] raises [Expired what] if the ambient deadline has
     passed; otherwise returns unit. Cheap enough to call every few
     hundred rows of a scan. *)
 
-val guard : string -> (unit, string) result
-(** [guard what] is [Error (error_message what)] if the ambient deadline
-    has passed, [Ok ()] otherwise. *)
-
 val error_message : string -> string
-(** The structured refusal message for an expired budget at layer
-    [what]. Always begins with {!marker}. *)
-
-val marker : string
-(** The prefix ["deadline exceeded"] that identifies a deadline refusal
-    in an [Error] message, wherever it crossed a [result] boundary. *)
-
-val is_deadline_error : string -> bool
-(** Does this error message carry {!marker}? *)
+(** The refusal text for an expired budget at layer [what], for logs and
+    structured errors. Nothing parses it. *)

@@ -127,8 +127,8 @@ let simulate_slowdown elapsed slowdown =
 let trap_of_exn ~limit_s = function
   | Forbidden_syscall msg -> Syscall_blocked msg
   | Arena.Sandbox_trap msg -> Sandbox_fault msg
-  | Sesame_faults.Injected { point; action; transient } ->
-      Fault_injected (Sesame_faults.injected_message point action ~transient)
+  | Sesame_faults.Injected { point; action; _ } ->
+      Fault_injected (Sesame_faults.injected_message point action)
   | Out_of_fuel limit -> Fuel_exhausted { limit }
   | Past_deadline -> Deadline_exceeded { limit_s }
   | Mem_exceeded (used_bytes, limit_bytes) -> Memory_exceeded { used_bytes; limit_bytes }

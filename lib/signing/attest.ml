@@ -217,8 +217,8 @@ let append_frame r fields ~at =
         match Wal.append r.writer (signed_payload ~secret:r.secret ~signer:r.signer ~at fields) with
         | Ok () -> Ok ()
         | Error e -> Error ("attest append: " ^ e)
-        | exception Sesame_faults.Injected { point; action; transient } ->
-            Error (Sesame_faults.injected_message point action ~transient))
+        | exception Sesame_faults.Injected { point; action; _ } ->
+            Error (Sesame_faults.injected_message point action))
 
 let now_unix () = int_of_float (Unix.gettimeofday ())
 

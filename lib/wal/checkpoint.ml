@@ -75,8 +75,8 @@ let write ~dir ~lsn tables =
   with
   | Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "checkpoint write: %s" (Unix.error_message e))
-  | Sesame_faults.Injected { point; action; transient } ->
-      Error (Sesame_faults.injected_message point action ~transient)
+  | Sesame_faults.Injected { point; action; _ } ->
+      Error (Sesame_faults.injected_message point action)
 
 let read_file path =
   try

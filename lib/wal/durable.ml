@@ -354,7 +354,7 @@ let replay_record db ~lsn record =
             | None -> (
                 match Db.exec_stmt db stmt with
                 | Ok _ -> Ok ()
-                | Error detail -> Error (Replay_failed { lsn; detail }))))
+                | Error e -> Error (Replay_failed { lsn; detail = Db.error_message e }))))
 
 (* The state a directory describes: its checkpoint installed into a
    fresh database, then every WAL record past the checkpoint replayed
@@ -529,8 +529,8 @@ let open_store ?(config = default_config) ~provenance ~dir () =
    it takes no write and reads what a snapshot can give. *)
 let reopen t =
   match Sesame_faults.hit Sesame_faults.Brownout_exit with
-  | exception Sesame_faults.Injected { point; action; transient } ->
-      Error (Sesame_faults.injected_message point action ~transient)
+  | exception Sesame_faults.Injected { point; action; _ } ->
+      Error (Sesame_faults.injected_message point action)
   | () -> (
       Db.exclusive t.db @@ fun () ->
       ignore (close_writer t : (unit, string) result);

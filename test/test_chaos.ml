@@ -35,6 +35,65 @@ let query_cost_ns = 3_000_000
 (* ------------------------------------------------------------------ *)
 (* The budget itself. *)
 
+(* A table big enough that one full scan crosses a checkpoint interval
+   (256 slots). *)
+let big_db () =
+  let db = Db.Database.create ~query_cost_ns () in
+  let schema =
+    Db.Schema.make_exn ~name:"grades" ~primary_key:"id"
+      [
+        { name = "id"; ty = Db.Value.Tint; nullable = false };
+        { name = "email"; ty = Db.Value.Ttext; nullable = false };
+        { name = "grade"; ty = Db.Value.Tint; nullable = false };
+      ]
+  in
+  (match Db.Database.create_table db schema with
+  | Ok () -> ()
+  | Error m -> failwith m);
+  for i = 1 to 600 do
+    match
+      Db.Database.exec db "INSERT INTO grades (id, email, grade) VALUES (?, ?, ?)"
+        ~params:
+          [ Db.Value.Int i; Db.Value.Text (Printf.sprintf "s%d@school.edu" i); Db.Value.Int (i mod 100) ]
+    with
+    | Ok _ -> ()
+    | Error m -> failwith m
+  done;
+  db
+
+let grade_is g =
+  Result.get_ok (Db.Sql.parse "SELECT * FROM grades WHERE grade = ?" ~params:[ Db.Value.Int g ])
+
+let admin = C.Mock.context ~user:"admin@school.edu" ()
+
+(* A leaf that allows everything; distinct states keep the conjunction
+   from folding. *)
+module Allow_all = C.Policy.Make (struct
+  type s = int
+
+  let name = "chaos::allow_all"
+  let check _ _ = true
+  let join = None
+  let no_folding = true
+  let describe i = "AllowAll " ^ string_of_int i
+end)
+
+(* A leaf that allows everything after holding the domain for [ms]
+   milliseconds: a slow policy check. *)
+module Slow_allow = C.Policy.Make (struct
+  type s = int
+
+  let name = "chaos::slow_allow"
+
+  let check ms _ =
+    Unix.sleepf (float_of_int ms /. 1000.);
+    true
+
+  let join = None
+  let no_folding = true
+  let describe ms = Printf.sprintf "SlowAllow %dms" ms
+end)
+
 let deadline_tests =
   [
     test "none never expires; a zero budget is born expired" (fun () ->
@@ -64,69 +123,44 @@ let deadline_tests =
             check_bool "expired inside" true (D.expired_now ());
             D.unrestricted (fun () ->
                 check_bool "suspended" true (D.is_none (D.current ()));
-                check_bool "guard admits" true (D.guard "replay" = Ok ()));
+                check_bool "check admits" true
+                  (match D.check "replay" with () -> true | exception D.Expired _ -> false));
             check_bool "reinstated" true (D.expired_now ())));
-    test "refusals are structured, classifiable, and never transient" (fun () ->
-        D.with_deadline (D.after_ms 0) (fun () ->
-            match D.guard "db scan" with
-            | Ok () -> Alcotest.fail "expired budget admitted"
-            | Error msg ->
-                check_bool "carries the marker" true (D.is_deadline_error msg);
-                check_bool "marker is the prefix" true
-                  (String.length msg >= String.length D.marker
-                  && String.sub msg 0 (String.length D.marker) = D.marker);
-                check_bool "names the layer" true (contains msg "db scan");
-                (* A missed budget must never be retried: the client's
-                   time is the one resource a retry cannot refund. *)
-                check_bool "not transient" false (C.Sesame_conn.is_transient_db_message msg));
-        check_bool "check raises the same marker" true
+    test "refusals are structured, classifiable by type, and never transient" (fun () ->
+        let db = big_db () in
+        (match D.with_deadline (D.after_ms 0) (fun () -> Db.Database.exec_stmt db (grade_is 7)) with
+        | Error (Db.Database.Over_budget what as e) ->
+            check_str "names the layer" "db statement" what;
+            check_bool "the message names it too" true
+              (contains (Db.Database.error_message e) "db statement")
+        | Error (Db.Database.Transient _) -> Alcotest.fail "a spent budget classified transient"
+        | Error e -> Alcotest.failf "not a budget refusal: %s" (Db.Database.error_message e)
+        | Ok _ -> Alcotest.fail "expired budget admitted");
+        (* A missed budget must never be retried: the client's time is
+           the one resource a retry cannot refund. The budget outlives
+           the sink's entry check but not the 3 ms statement, so the
+           refusal comes from the store's scan. *)
+        let conn = C.Sesame_conn.create db in
+        (match
+           D.with_deadline (D.after_ms 2) (fun () ->
+               C.Sesame_conn.query conn ~context:admin "SELECT * FROM grades WHERE grade = ?"
+                 ~params:[ C.Sesame_conn.param conn (Db.Value.Int 7) ])
+         with
+        | Error (C.Sesame_conn.Deadline_exceeded _) -> ()
+        | _ -> Alcotest.fail "expected a deadline refusal");
+        let stats = C.Sesame_conn.sink_stats conn "db::query" in
+        check_int "never retried" 0 stats.retries;
+        check_int "never fed to the breaker" 0 stats.consecutive_failures;
+        check_bool "check raises the layer's name" true
           (D.with_deadline (D.after_ms 0) (fun () ->
                match D.check "wal commit" with
                | () -> false
-               | exception D.Expired what -> D.is_deadline_error (D.error_message what))));
+               | exception D.Expired what -> what = "wal commit")));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* In-process propagation: the ambient budget reaches the scan loop, the
    write-admission gate, and the sandbox runtime. *)
-
-(* A table big enough that one full scan crosses a checkpoint interval
-   (256 slots). *)
-let big_db () =
-  let db = Db.Database.create ~query_cost_ns () in
-  let schema =
-    Db.Schema.make_exn ~name:"grades" ~primary_key:"id"
-      [
-        { name = "id"; ty = Db.Value.Tint; nullable = false };
-        { name = "email"; ty = Db.Value.Ttext; nullable = false };
-        { name = "grade"; ty = Db.Value.Tint; nullable = false };
-      ]
-  in
-  (match Db.Database.create_table db schema with
-  | Ok () -> ()
-  | Error m -> failwith m);
-  for i = 1 to 600 do
-    match
-      Db.Database.exec db "INSERT INTO grades (id, email, grade) VALUES (?, ?, ?)"
-        ~params:
-          [ Db.Value.Int i; Db.Value.Text (Printf.sprintf "s%d@school.edu" i); Db.Value.Int (i mod 100) ]
-    with
-    | Ok _ -> ()
-    | Error m -> failwith m
-  done;
-  db
-
-(* A leaf that allows everything; distinct states keep the conjunction
-   from folding. *)
-module Allow_all = C.Policy.Make (struct
-  type s = int
-
-  let name = "chaos::allow_all"
-  let check _ _ = true
-  let join = None
-  let no_folding = true
-  let describe i = "AllowAll " ^ string_of_int i
-end)
 
 let propagation_tests =
   [
@@ -135,17 +169,12 @@ let propagation_tests =
         (* The budget outlives the entry guard but not the modelled
            statement cost, so expiry is noticed mid-statement — at the
            scan's 256-row checkpoint, not at the door. *)
-        let result =
-          D.with_deadline (D.after_ms 1) (fun () ->
-              Db.Database.exec db "SELECT * FROM grades WHERE grade = ?"
-                ~params:[ Db.Value.Int 7 ])
-        in
-        (match result with
+        (match D.with_deadline (D.after_ms 1) (fun () -> Db.Database.exec_stmt db (grade_is 7)) with
         | Ok _ -> Alcotest.fail "scan outlived its budget"
-        | Error msg ->
-            check_bool "structured refusal" true (D.is_deadline_error msg);
-            check_bool "names the scan" true (contains msg "db scan");
-            check_bool "no row data" false (contains msg "school.edu"));
+        | Error (Db.Database.Over_budget what as e) ->
+            check_str "names the scan" "db scan" what;
+            check_bool "no row data" false (contains (Db.Database.error_message e) "school.edu")
+        | Error e -> Alcotest.failf "not a budget refusal: %s" (Db.Database.error_message e));
         (* A cancelled scan read nothing wrong and wrote nothing: the
            store stays healthy and the same query completes unbudgeted. *)
         check_bool "not poisoned" true (Db.Database.poisoned db = None);
@@ -155,21 +184,26 @@ let propagation_tests =
     test "write admission refuses a late mutation without poisoning" (fun () ->
         let db = big_db () in
         let insert i =
-          Db.Database.exec db "INSERT INTO grades (id, email, grade) VALUES (?, ?, ?)"
-            ~params:[ Db.Value.Int i; Db.Value.Text "late@school.edu"; Db.Value.Int 0 ]
+          Db.Database.exec_stmt db
+            (Db.Sql.Insert
+               {
+                 table = "grades";
+                 columns = Some [ "id"; "email"; "grade" ];
+                 values = [ Db.Value.Int i; Db.Value.Text "late@school.edu"; Db.Value.Int 0 ];
+               })
         in
         (match D.with_deadline (D.after_ms 1) (fun () -> insert 601) with
         | Ok _ -> Alcotest.fail "late write acknowledged"
-        | Error msg ->
-            check_bool "structured refusal" true (D.is_deadline_error msg);
-            check_bool "refused at admission" true (contains msg "wal commit admission"));
+        | Error (Db.Database.Over_budget what) ->
+            check_str "refused at admission" "wal commit admission" what
+        | Error e -> Alcotest.failf "not a budget refusal: %s" (Db.Database.error_message e));
         (* Admission strikes before the engine applies anything: memory
            and journal never diverged, so — unlike a mid-journal fault —
            the store is NOT poisoned and the retried write lands. *)
         check_bool "not poisoned" true (Db.Database.poisoned db = None);
         match insert 601 with
         | Ok _ -> ()
-        | Error m -> Alcotest.failf "retried write failed: %s" m);
+        | Error e -> Alcotest.failf "retried write failed: %s" (Db.Database.error_message e));
     test "a sandbox run cannot outlive the request budget" (fun () ->
         let config =
           Sbx.Runtime.config ~mode:Sbx.Runtime.Naive ~arena_size:(64 * 1024) ()
@@ -258,10 +292,57 @@ let propagation_tests =
         C.Policy.reset_check_count ();
         (match D.with_deadline (D.after_ms 0) (fun () -> C.Enforce.check_verbose conj ctx) with
         | Ok () -> Alcotest.fail "conjunction outlived its budget"
-        | Error msg -> check_bool "structured refusal" true (D.is_deadline_error msg));
+        | Error msg -> Alcotest.failf "a spent budget read as a verdict: %s" msg
+        | exception D.Expired what -> check_str "names the walk" "policy conjunction" what);
         check_bool "stopped before the tail" true (C.Policy.check_count () < 500);
         (* The refusal belongs to the budget: unbudgeted, the same check allows. *)
         check_bool "allows unbudgeted" true (C.Enforce.check conj ctx));
+    test "a post-hoc filter that runs out of budget is refused, not shortened" (fun () ->
+        let db = big_db () in
+        Db.Database.set_query_cost_ns db 0;
+        let conn = C.Sesame_conn.create db in
+        (* The first member outlives the budget, so the walk expires
+           before the second: no row's verdict was reached. *)
+        let conj = C.Policy.conjoin_all [ Slow_allow.make 10; Allow_all.make 0 ] in
+        C.Sesame_conn.attach_policy conn ~table:"grades" ~column:"grade" (fun _ _ -> conj);
+        match
+          D.with_deadline (D.after_ms 5) (fun () ->
+              C.Sesame_conn.query_filtered conn ~context:admin ~on:"grade" "SELECT * FROM grades"
+                ~params:[])
+        with
+        | Error (C.Sesame_conn.Deadline_exceeded { sink; _ }) -> check_str "at the query" "db::query" sink
+        | Error e -> Alcotest.failf "wrong error: %a" C.Sesame_conn.pp_error e
+        | Ok rows -> Alcotest.failf "answered %d rows over budget" (List.length rows));
+    test "an HTTP sink that runs out of budget answers 503, not a denial" (fun () ->
+        let conj = C.Policy.conjoin_all (List.init 8 (fun i -> Allow_all.make i)) in
+        let secret = C.Pcon.Internal.make conj "secret" in
+        let template = Http.Template.compile_exn "{{x}}" in
+        let sinks =
+          [
+            ( "render",
+              fun () ->
+                C.Sesame_web.render ~context:admin template [ ("x", C.Sesame_web.Sensitive secret) ] );
+            ("respond_text", fun () -> C.Sesame_web.respond_text ~context:admin secret);
+            ( "set_cookie",
+              fun () ->
+                C.Sesame_web.set_cookie ~context:admin (Http.Response.text "ok") ~name:"k"
+                  ~value:secret );
+          ]
+        in
+        List.iter
+          (fun (name, sink) ->
+            match D.with_deadline (D.after_ms 0) sink with
+            | Ok _ -> Alcotest.failf "%s released over budget" name
+            | Error e ->
+                let r = C.Sesame_web.error_response e in
+                check_int (name ^ ": 503") 503 (Http.Status.to_int r.Http.Response.status);
+                check_bool (name ^ ": Retry-After") true
+                  (Http.Headers.get r.Http.Response.headers "Retry-After" <> None);
+                check_str (name ^ ": body") "request deadline exceeded" r.Http.Response.body;
+                check_bool (name ^ ": no data") false (contains r.Http.Response.body "secret"))
+          sinks;
+        (* Unbudgeted, every sink releases. *)
+        List.iter (fun (name, sink) -> check_bool name true (Result.is_ok (sink ()))) sinks);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -383,8 +383,9 @@ let sql_tests =
         check_bool "parse" true (Result.is_error (Database.exec db "SELEKT * FROM people" ~params:[])));
     test "select_rows rejects non-star selects" (fun () ->
         let db = fresh_db () in
+        let stmt = Result.get_ok (Sql.parse "SELECT id FROM people" ~params:[]) in
         check_bool "star only" true
-          (Result.is_error (Database.select_rows db "SELECT id FROM people" ~params:[])));
+          (Result.is_error (Database.select_rows_under db stmt ~pred:None)));
     test "query_count tracks statements" (fun () ->
         let db = fresh_db () in
         Database.reset_query_count db;
@@ -961,7 +962,7 @@ let agg_matches_reference (rows, aggregates, group_by, where) =
   | Ok (Database.Rows { rows = got; _ }) ->
       same_rows got (reference_agg tbl ~aggregates ~where ~group_by)
   | Ok (Database.Affected _) -> false
-  | Error m -> QCheck.Test.fail_reportf "exec: %s" m
+  | Error m -> QCheck.Test.fail_reportf "exec: %s" (Database.error_message m)
 
 let compile_tests =
   [

@@ -29,6 +29,18 @@ let with_plans ?seed plans f =
 (* ------------------------------------------------------------------ *)
 (* Injector unit tests *)
 
+(* One SELECT on a one-table store, with [action] armed at the query
+   seam: the injected fault is the only way it can fail. *)
+let select_under action =
+  F.disarm ();
+  let db = Db.Database.create () in
+  Result.get_ok
+    (Db.Database.create_table db
+       (Db.Schema.make_exn ~name:"t" ~primary_key:"id"
+          [ { name = "id"; ty = Db.Value.Tint; nullable = false } ]));
+  let stmt = Result.get_ok (Db.Sql.parse "SELECT * FROM t" ~params:[]) in
+  with_plans [ F.plan F.Db_query action ] (fun () -> Db.Database.exec_stmt db stmt)
+
 let injector_tests =
   [
     test "point and action names round-trip" (fun () ->
@@ -82,24 +94,24 @@ let injector_tests =
                  F.hit F.Policy_check;
                  false
                with F.Injected { action = F.Corrupt; _ } -> true)));
-    test "exhaust is transient and classifiable from its message" (fun () ->
+    test "exhaust is transient and classified by the store" (fun () ->
         with_plans [ F.plan F.Db_query F.Exhaust ] (fun () ->
             match F.hit F.Db_query with
             | () -> Alcotest.fail "should raise"
-            | exception F.Injected { transient; point; action } ->
-                check_bool "transient" true transient;
-                let msg = F.injected_message point action ~transient in
-                check_bool "prefixed" true (contains msg "transient: ");
-                check_bool "classified" true (Sesame_conn.is_transient_db_message msg)));
+            | exception F.Injected { transient; _ } -> check_bool "transient" true transient);
+        match select_under F.Exhaust with
+        | Error (Db.Database.Transient msg) ->
+            check_bool "names the seam" true (contains msg (F.point_name F.Db_query))
+        | _ -> Alcotest.fail "expected a transient error");
     test "raise is permanent" (fun () ->
         with_plans [ F.plan F.Db_query F.Raise ] (fun () ->
             match F.hit F.Db_query with
             | () -> Alcotest.fail "should raise"
-            | exception F.Injected { transient; point; action } ->
-                check_bool "permanent" false transient;
-                check_bool "not transient msg" false
-                  (Sesame_conn.is_transient_db_message
-                     (F.injected_message point action ~transient))));
+            | exception F.Injected { transient; _ } -> check_bool "permanent" false transient);
+        match select_under F.Raise with
+        | Error (Db.Database.Permanent msg) ->
+            check_bool "names the seam" true (contains msg (F.point_name F.Db_query))
+        | _ -> Alcotest.fail "expected a permanent error");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -636,6 +648,7 @@ let brownout_student_case =
   test "brownout serves a student session" (fun () ->
       let dir = fresh_dir () in
       let app, store = durable_websubmit dir in
+      let before = Apps.Websubmit.answer_count app in
       poison app;
       let own, degraded =
         Sesame_request.serve Sesame_request.none (fun () ->
@@ -643,6 +656,7 @@ let brownout_student_case =
       in
       check_int "the student reads their own answer" 200 (status own);
       check_str "marked degraded" "snapshot" (Option.value ~default:"" degraded);
+      check_int "the count is the snapshot's" before (Apps.Websubmit.answer_count app);
       let refused = submit app 2 in
       check_int "their submit is refused" 503 (status refused);
       check_bool "retryable" true
@@ -855,6 +869,23 @@ let breaker_tests =
         check_bool "closed" true (s.Sesame_conn.state = Sesame_conn.Closed);
         check_int "no failures recorded" 0 s.Sesame_conn.consecutive_failures;
         check_int "db never attempted" 0 s.Sesame_conn.attempts);
+    test "a duplicate key whose data reads like a fault is permanent" (fun () ->
+        (* The class comes from the store, not from the message, which
+           carries the row's own data. *)
+        let app = websubmit () in
+        let register () =
+          Apps.Websubmit.handle app
+            (req ~body:"email=connection@evil.org&apikey=k" Http.Meth.POST "/register")
+        in
+        check_int "the first registers" 201 (status (register ()));
+        for _ = 1 to 6 do
+          check_int "a duplicate answers 500" 500 (status (register ()))
+        done;
+        let s = Sesame_conn.sink_stats (Apps.Websubmit.conn app) "db::insert" in
+        check_int "one attempt each" 7 s.Sesame_conn.attempts;
+        check_int "never retried" 0 s.Sesame_conn.retries;
+        check_bool "the breaker stays closed" true (s.Sesame_conn.state = Sesame_conn.Closed);
+        check_int "a student still submits" 201 (status (submit app 1)));
     test "the connector's three sinks start closed; no other sink has a breaker" (fun () ->
         let conn = conn_fixture () in
         List.iter
